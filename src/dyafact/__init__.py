@@ -20,27 +20,26 @@ from .scalar import (
 from .dyadic import (
     CutProximityError,
     DyadicPlan,
-    RemainderModel,
+    FactorialFamily,
     dyadic_cauchy_deriv_partial,
     dyadic_cauchy_partial,
     dyadic_reciprocal_partial,
-    ei_left_model,
-    ei_stokes_model,
+    level_sums,
     plan_truncation,
-    psi_model,
     ramified_partial,
-    remainder_bound,
 )
 from .specfun import (
     EvalResult,
     ei_left,
+    ei_left_family,
     ei_stokes,
+    ei_stokes_family,
     ei_stokes_minus,
     erfc_dyadic,
     incomplete_gamma_dyadic,
     psi_dyadic,
+    psi_family,
     psi_half_difference,
-    verify_strange_identity,
 )
 from .borel import (
     BorelKernel,
@@ -49,8 +48,6 @@ from .borel import (
     airy_h,
     bessel_h,
     bessel_k_dyadic,
-    compute_dkm,
-    compute_dm,
     get_kernel,
     get_table,
     kernel_eval,
@@ -66,5 +63,6 @@ from .operators import (
     resolvent_dyadic,
     write_matrix_text,
 )
+from .oracle import verify_strange_identity
 
 __version__ = "0.1.0"

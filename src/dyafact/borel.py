@@ -25,7 +25,6 @@ are reached through the upward Bessel recurrence on K_nu.
 
 from __future__ import annotations
 
-import cmath
 import math
 import threading
 from dataclasses import dataclass
@@ -34,18 +33,14 @@ from typing import Dict, Optional, TextIO, Tuple
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from . import oracle
-from .dyadic import DyadicPlan, MAX_LEVELS
+from .dyadic import DyadicPlan, FactorialFamily, MAX_LEVELS, level_sums, plan_truncation
 from .scalar import DomainError
-from ._gauss import gauss_adaptive, gauss_geometric
 from .specfun import EvalResult
 
 __all__ = [
     "BorelKernel",
     "CoefficientTable",
     "kernel_eval",
-    "compute_dm",
-    "compute_dkm",
     "airy_h",
     "airy_from_h",
     "bessel_h",
@@ -210,43 +205,6 @@ def kernel_eval(kern: BorelKernel, p) -> np.ndarray:
     return kern.eval_raw(p)
 
 
-def compute_dm(kern: BorelKernel, m: int, rel_tol: float = 1e-13) -> float:
-    """Base coefficient  d_m = Int_0^inf F(t) e^{t+1} / (e^{t+1} - 1)^m dt
-    (m >= 2; the integrand decays like e^{-(m-1)t})."""
-    if m < 2:
-        raise DomainError("d_m integrals start at m = 2")
-    t_hi = min(50.0 / (m - 1) + 42.0, kern.p_far)
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        w = t + 1.0
-        return kern.eval_raw(t) * np.exp(-(m - 1) * w) / (-np.expm1(-w)) ** m
-
-    return float(gauss_adaptive(integrand, 0.0, t_hi, rel_tol).real)
-
-
-def compute_dkm(kern: BorelKernel, k: int, m: int, rel_tol: float = 1e-13) -> float:
-    """Level coefficient
-        d_km = Int_0^inf e^{2^-k t} F(t) / (e^{2^-k (1+t)} + 1)^m dt,
-    computed in the scaled variable tau = 2^-k (1+t) where the integrand
-    is k-uniformly concentrated; the kernel grid must reach 2^k tau_max.
-    """
-    if k < 1 or m < 2:
-        raise DomainError("d_km integrals need k >= 1, m >= 2")
-    eps = 2.0**-k
-    tau_hi = _TAU_HI / (m - 1) + 8.0
-    if 2.0**k * tau_hi - 1.0 > kern.p_far:
-        raise DomainError(
-            f"level {k} needs kernel samples to p = {2.0**k * tau_hi - 1.0:.3g}; "
-            "rebuild the kernel with a larger far range"
-        )
-
-    def integrand(tau: np.ndarray) -> np.ndarray:
-        t = 2.0**k * tau - 1.0
-        return 2.0**k * np.exp(tau - eps) * kern.eval_raw(t) * np.exp(-m * np.logaddexp(tau, 0.0))
-
-    return float(gauss_geometric(integrand, tau_hi, rel_tol, a=eps).real)
-
-
 def _panel_nodes(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     from ._gauss import _NODES as GN, _WEIGHTS as GW
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -400,94 +358,35 @@ def _is_half_integer(nu: float) -> bool:
     return abs(2.0 * nu - round(2.0 * nu)) < 1e-12 and round(2.0 * nu) % 2 == 1
 
 
-def _h_plan(table: CoefficientTable, u: complex, tol_rel: float) -> DyadicPlan:
-    """Minimal-term schedule for the h-expansion at argument u.
+def _h_family(table: CoefficientTable, u: complex) -> FactorialFamily:
+    """The h-expansion at argument u over the coefficient table.
 
-    Exact leading-term magnitudes from the table drive both the level
-    count (discarded tail below half the absolute budget) and a greedy
-    per-level term allocation against the remaining budget.
+    With u_k = 2^k u, level k is sum_{m>=2} sign_m G(m) d_km / (u_k)_m, a
+    factorial series in u_k + 1 (base terms alternate, sign_m = (-1)^m),
+    entering with weight -kappa e^{2^-k} (-kappa for the base).  The
+    planner sees sizes relative to h ~ 1/|u|, so its tolerance is
+    relative; each row supports M - 2 planned terms.
     """
-    au = abs(u)
-    h_scale = 1.0 / au
-    budget = tol_rel * h_scale
-    kappa = abs(math.cos(math.pi * table.nu)) / math.pi
+    scale = 2.0 ** np.arange(table.K + 1)
+    uk = scale * u
+    rows = np.vstack([table.dm, table.dkm])          # d_{k,m}, m = 2..M
+    sign = np.ones(table.K + 1)
+    sign[0] = -1.0
+    kappa = math.cos(math.pi * table.nu) / math.pi
+    weight = -kappa * np.exp(1.0 / scale)
+    weight[0] = -kappa
 
-    def first(k: int) -> float:
-        w = math.exp(2.0 ** -k)
-        return kappa * w * table.dk(k, 2) / ((2.0**k * au) * (2.0**k * au + 1.0))
+    def numer(k, i):
+        # at i = 0 rows[k, i - 1] is the row's last entry; np.where drops it
+        return np.where(i == 0, rows[k, 0] / uk[k], sign[k] * (i + 1) * rows[k, i] / rows[k, i - 1])
 
-    # level count: discarded leading terms below 60% of the budget
-    K = 1
-    while K < table.K:
-        tail = sum(first(k) for k in range(K + 1, table.K + 1)) * 1.3
-        if tail <= 0.6 * budget:
-            break
-        K += 1
-    tail = sum(first(k) for k in range(K + 1, table.K + 1)) * 1.3
-
-    def level_rem(k: int, n: int) -> float:
-        # remainder bound after keeping n terms of series k (k = 0 base)
-        m = n + 2  # first omitted m-index
-        if m > table.M:
-            return 0.0
-        if k == 0:
-            t = kappa * table.d(m) * math.gamma(m) / _abs_poch(au, m)
-            return t  # base terms alternate: next term bounds the tail
-        t = kappa * math.exp(2.0 ** -k) * table.dk(k, m) * math.gamma(m) / _abs_poch(2.0**k * au, m)
-        return 2.0 * t
-
-    # greedy: grow the level with the largest remainder until the kept
-    # series fit what the discarded tail left of the budget
-    kept_budget = max(budget - tail, 0.3 * budget)
-    n_terms = [1] * (K + 1)
-    rems = [level_rem(k, 1) for k in range(K + 1)]
-    while sum(rems) > kept_budget:
-        k = max(range(K + 1), key=lambda i: rems[i])
-        if rems[k] == 0.0:
-            break  # table exhausted; predicted_error reports the shortfall
-        if n_terms[k] + 2 > table.M:
-            rems[k] = 0.0
-            continue
-        n_terms[k] += 1
-        rems[k] = level_rem(k, n_terms[k])
-    predicted = (sum(rems) + tail) / h_scale
-    return DyadicPlan(K=K, n_terms=n_terms, predicted_error=max(predicted, 1e-16))
+    size = np.abs(weight * rows[:, 0] / (uk * (uk + 1.0))) * abs(u)
+    return FactorialFamily("h-expansion", uk + 1.0, weight, numer, size, safety=1.3,
+                           max_terms=table.M - 2)
 
 
-def _abs_poch(a: float, m: int) -> float:
-    try:
-        return math.exp(math.lgamma(a + m) - math.lgamma(a))
-    except OverflowError:
-        return math.inf
-
-
-def _h_assemble(kern: BorelKernel, table: CoefficientTable, u: complex,
-                plan: DyadicPlan) -> complex:
-    kappa = math.cos(math.pi * kern.nu) / math.pi
-    total = kern.taylor_derivative_at_zero(0) / u
-    if kappa == 0.0:
-        return total
-    dy = 0.0 + 0.0j
-    for k, n in enumerate(plan.n_terms):
-        w = 1.0 if k == 0 else math.exp(2.0 ** -k)
-        uk = u if k == 0 else 2.0**k * u
-        gam = 1.0
-        poch = uk * (uk + 1.0)
-        lv = 0.0 + 0.0j
-        for m in range(2, n + 2):
-            # stop once the Pochhammer under/overflows: the term is gone
-            if not (1e-250 < abs(poch) < 1e250):
-                break
-            c = table.d(m) if k == 0 else table.dk(k, m)
-            sign = (-1.0) ** m if k == 0 else 1.0
-            lv += sign * gam * c / poch
-            gam *= m
-            poch *= uk + m
-        dy += w * lv
-    return total - kappa * dy
-
-
-def _bessel_h_eval(nu: float, u: complex, tol: float) -> EvalResult:
+def _bessel_h_eval(nu: float, u: complex, tol: float,
+                   plan: Optional[DyadicPlan] = None) -> EvalResult:
     nu = abs(nu)
     u = complex(u)
     if u.real <= 0:
@@ -504,43 +403,35 @@ def _bessel_h_eval(nu: float, u: complex, tol: float) -> EvalResult:
     if nu >= 1.5:
         raise DomainError("direct h-expansion limited to |nu| < 3/2; "
                           "use bessel_k_dyadic for larger orders")
-    # level decay is 2^{-k(3/2-nu)}: pick a table depth that covers tol,
-    # quantized upward so repeated calls share one build
-    rate = 1.5 - nu
-    K_need = int(math.log2(10.0 / (tol * abs(u))) / rate) + 4
-    K_need = min(MAX_LEVELS, max(34, 6 * math.ceil(K_need / 6)))
-    table = get_table(nu, 34, K_need)
-    kern = get_kernel(nu)
-    plan = _h_plan(table, u, tol)
-    value = _h_assemble(kern, table, u, plan)
+    if plan is not None:
+        table = get_table(nu, max(n + 2 for n in plan.n_terms), max(plan.K, 8))
+    else:
+        # level decay is 2^{-k(3/2-nu)}: pick a table depth that covers tol,
+        # quantized upward so repeated calls share one build
+        rate = 1.5 - nu
+        K_need = int(math.log2(10.0 / (tol * abs(u))) / rate) + 4
+        K_need = min(MAX_LEVELS, max(34, 6 * math.ceil(K_need / 6)))
+        table = get_table(nu, 34, K_need)
+    fam = _h_family(table, u)
+    if plan is None:
+        plan = plan_truncation(fam, tol)
+    # F(0) = P_{nu-1/2}(1) = 1
+    value = complex(1.0 / u + fam.weight[:plan.K + 1] @ level_sums(fam, plan.n_terms))
     return EvalResult(value, plan.predicted_error * abs(value), plan)
 
 
 def airy_h(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) -> EvalResult:
     """Normalized Airy profile h (order nu = 1/3) at argument x with
-    relative tolerance ``tol``; Re x > 0, |x| >= 1."""
-    if plan is not None:
-        kern = get_kernel(1.0 / 3.0)
-        table = get_table(1.0 / 3.0, max(n + 2 for n in plan.n_terms), max(plan.K, 8))
-        return EvalResult(_h_assemble(kern, table, complex(x), plan),
-                          plan.predicted_error, plan)
-    return _bessel_h_eval(1.0 / 3.0, x, tol)
+    relative tolerance ``tol``; Re x > 0, |x| >= 1.  With ``plan`` given,
+    the caller owns the truncation; its predicted error is relative."""
+    return _bessel_h_eval(1.0 / 3.0, x, tol, plan)
 
 
-_NORMALIZATION: Dict[str, float] = {}
-
-
-def _airy_constant() -> float:
-    """Single normalization constant tying h to Ai, fixed once at x = 10
-    against the quadrature oracle and reused everywhere."""
-    c = _NORMALIZATION.get("airy")
-    if c is None:
-        x0 = 10.0
-        u0 = 4.0 / 3.0 * x0**1.5
-        h0 = airy_h(u0, 1e-12).value.real
-        c = oracle.airy_reference(x0) / (x0**1.25 * math.exp(-2.0 / 3.0 * x0**1.5) * h0)
-        _NORMALIZATION["airy"] = c
-    return c
+# Large-argument asymptotics (DLMF 9.7, 10.40) fix the normalizations
+# exactly: h(u) ~ 1/u, Ai(x) ~ e^{-(2/3) x^{3/2}} / (2 sqrt(pi) x^{1/4})
+# and K_nu(x) ~ sqrt(pi / (2x)) e^{-x}.
+_AIRY_C = 2.0 / (3.0 * math.sqrt(math.pi))
+_BESSEL_C = math.sqrt(2.0 * math.pi)
 
 
 def airy_from_h(x: float, tol: float = 1e-10) -> EvalResult:
@@ -550,7 +441,7 @@ def airy_from_h(x: float, tol: float = 1e-10) -> EvalResult:
         raise DomainError("airy_from_h requires x > 0")
     u = 4.0 / 3.0 * x**1.5
     r = airy_h(u, tol)
-    front = _airy_constant() * x**1.25 * math.exp(-2.0 / 3.0 * x**1.5)
+    front = _AIRY_C * x**1.25 * math.exp(-2.0 / 3.0 * x**1.5)
     return EvalResult(front * r.value, front * r.error_estimate, r.plan)
 
 
@@ -565,17 +456,6 @@ def bessel_h(nu: float, x: complex, tol: float = 1e-10) -> EvalResult:
     return _bessel_h_eval(nu, x, tol)
 
 
-def _bessel_constant(nu: float) -> float:
-    key = f"besselk:{round(abs(nu), 12)}"
-    c = _NORMALIZATION.get(key)
-    if c is None:
-        x0 = 10.0
-        h0 = _bessel_h_eval(nu, 2.0 * x0, 1e-12).value.real
-        c = oracle.bessel_k_reference(abs(nu), x0) / (math.exp(-x0) * math.sqrt(x0) * h0)
-        _NORMALIZATION[key] = c
-    return c
-
-
 def bessel_k_dyadic(nu: float, x: float, tol: float = 1e-9) -> EvalResult:
     """K_nu(x) for x > 0, |nu| <= 5: normalization map on the h-expansion,
     plus the stable upward recurrence K_{mu+1} = K_{mu-1} + (2 mu / x) K_mu
@@ -588,7 +468,7 @@ def bessel_k_dyadic(nu: float, x: float, tol: float = 1e-9) -> EvalResult:
 
     def k_direct(mu: float) -> EvalResult:
         r = _bessel_h_eval(mu, 2.0 * x, tol)
-        front = _bessel_constant(mu) * math.exp(-x) * math.sqrt(x)
+        front = _BESSEL_C * math.exp(-x) * math.sqrt(x)
         return EvalResult(front * r.value, front * r.error_estimate, r.plan)
 
     if nu < 1.5:

@@ -20,8 +20,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import borel, operators, oracle, specfun
-from .dyadic import CutProximityError, DyadicPlan, plan_truncation, ei_stokes_model, ei_left_model, psi_model
-from .scalar import DomainError, PoleError, factorial_series_eval
+from .dyadic import CutProximityError, DyadicPlan, plan_truncation
+from .scalar import DomainError, PoleError, factorial_series_eval, pochhammer
 from ._gauss import QuadratureError
 
 EXIT_OK = 0
@@ -138,21 +138,20 @@ def cmd_eval(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-_PLAN_MODELS = {
-    "ei-stokes": ei_stokes_model,
-    "ei-left": ei_left_model,
-    "psi": psi_model,
+_PLAN_FAMILIES = {
+    "ei-stokes": specfun.ei_stokes_family,
+    "ei-left": specfun.ei_left_family,
+    "psi": specfun.psi_family,
 }
 
 
 def cmd_plan(cfg: RunConfig) -> int:
-    if cfg.function not in _PLAN_MODELS:
+    if cfg.function not in _PLAN_FAMILIES:
         sys.stderr.write(f"no planner model for function {cfg.function}\n")
         return EXIT_DOMAIN
-    rows = []
     for x in cfg.grid():
         try:
-            plan = plan_truncation(_PLAN_MODELS[cfg.function](), complex(x), cfg.tol)
+            plan = plan_truncation(_PLAN_FAMILIES[cfg.function](complex(x)), cfg.tol)
         except (DomainError, CutProximityError) as exc:
             sys.stderr.write(f"domain error at x = {x}: {exc}\n")
             return EXIT_DOMAIN
@@ -161,7 +160,6 @@ def cmd_plan(cfg: RunConfig) -> int:
             f"  n_terms = {plan.n_terms}\n"
             f"  predicted_error = {plan.predicted_error:.3e}\n"
         )
-        rows.append(plan)
     return EXIT_OK
 
 
@@ -169,7 +167,7 @@ def _near_cut_plan(x: complex, tol: float) -> DyadicPlan:
     """Schedule for arguments close to the negative imaginary axis: the
     regular planner with the cut-distance guard lifted, paying for the
     Pochhammer pole windows every level crosses there."""
-    return plan_truncation(ei_stokes_model(), x, tol, enforce_cut_guard=False)
+    return plan_truncation(specfun.ei_stokes_family(x), tol, enforce_cut_guard=False)
 
 
 def cmd_figure(figure_id: str, fmt: str, out: Optional[str]) -> int:
@@ -182,11 +180,11 @@ def cmd_figure(figure_id: str, fmt: str, out: Optional[str]) -> int:
             row = [float(m)]
             for k in range(5):
                 if k == 0:
-                    t = math.gamma(m) / (2.0**m * abs(specfun_poch(y, m)))
+                    t = math.gamma(m) / (2.0**m * abs(pochhammer(y, m)))
                 else:
                     ek = cmath.exp(-1j * math.pi * 2.0**-k)
                     t = (math.gamma(m) / (abs(1 + ek) ** m *
-                                          abs(specfun_poch(2.0**k * y, m))))
+                                          abs(pochhammer(2.0**k * y, m))))
                 row.append(t)
             rows.append(row)
         _write_rows(["m", "series0", "series1", "series2", "series3", "series4"],
@@ -219,13 +217,6 @@ def cmd_figure(figure_id: str, fmt: str, out: Optional[str]) -> int:
         return EXIT_OK
     sys.stderr.write(f"unknown figure id: {figure_id}\n")
     return EXIT_DOMAIN
-
-
-def specfun_poch(z: complex, m: int) -> complex:
-    r = 1.0 + 0.0j
-    for j in range(m):
-        r *= z + j
-    return r
 
 
 def _classical_ei_left_terms(x: float, tol: float, ref: float) -> Optional[int]:

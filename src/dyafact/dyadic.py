@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -29,18 +29,17 @@ __all__ = [
     "dyadic_cauchy_deriv_partial",
     "ramified_partial",
     "DyadicPlan",
-    "RemainderModel",
-    "remainder_bound",
+    "FactorialFamily",
     "plan_truncation",
-    "ei_stokes_model",
-    "ei_left_model",
-    "psi_model",
+    "level_sums",
     "MAX_LEVELS",
 ]
 
 MAX_LEVELS = 60          # 2^-60 is below binary64 resolution
 DENOM_GUARD = 1e-8       # singular-denominator threshold (absolute)
 CUT_GUARD = 0.05         # relative distance from an expansion's cut
+POCH_GUARD = 1e-12       # Pochhammer factor treated as a pole
+N_CAP = 200_000          # terms any one series may keep
 
 
 class CutProximityError(DomainError):
@@ -155,17 +154,13 @@ def ramified_partial(s_exp: float, p: complex, K: int) -> complex:
     front = cmath.exp(ln_gamma(s_exp)) * math.sin(math.pi * s_exp) / math.pi
     total = polylog(s_exp, cmath.exp(-p))
     for k in range(1, K + 1):
-        arg = -cmath.exp(-p / 2.0**k)
-        if arg.imag == 0.0 or abs(arg) <= 1.0 - 1e-6:
-            li = polylog(s_exp, arg)
-        else:
-            li = polylog(s_exp, arg)  # raises DomainError for unsupported z
-        total -= 2.0 ** (-k * (1.0 - s_exp)) * li
+        # polylog raises DomainError for an argument it does not support
+        total -= 2.0 ** (-k * (1.0 - s_exp)) * polylog(s_exp, -cmath.exp(-p / 2.0**k))
     return front * total
 
 
 # ---------------------------------------------------------------------------
-# truncation planning
+# factorial-series families: description, planner, assembler
 # ---------------------------------------------------------------------------
 
 
@@ -191,284 +186,169 @@ class DyadicPlan:
         return sum(self.n_terms)
 
 
-@dataclass
-class RemainderModel:
-    """Remainder behaviour of one dyadic expansion family.
+@dataclass(frozen=True)
+class FactorialFamily:
+    """One dyadic factorial-series family at one argument.
 
-    ``geometric_base(k)`` is the per-term geometric factor of level k
-    (level 0 = base series), ``algebraic_exponent(x, k)`` the power of n
-    modulating it, and ``prefactor`` a calibrated safety constant.  The
-    planner additionally needs ``first_term(x, k)`` (magnitude of the
-    level's leading term) and ``term_ratio(x, k, m)`` (exact magnitude
-    ratio |t_{m+1}/t_m|), both closed-form for every family here.
+    Level k (k = 0 is the base series) enters the value as
+    ``weight[k] * sum_{j>=1} t_{k,j}`` with
+
+        t_{k,j} = prod_{i=0}^{j-1} numer(k, i) / (shift[k] + i),
+
+    the shape sum_m c_{k,m} Gamma(m) / (x_k)_m with the coefficients and
+    Gamma(m) folded into the numerators, so no factor ever overflows.
+    ``numer(k, i)`` takes an integer column of levels and a row (or
+    matrix) of indices and broadcasts.
+
+    The planner sees only magnitudes in the units of its tolerance:
+    ``size[k]`` = |weight_k t_{k,1}| and the term ratios |t_{k,i+1}/t_{k,i}|,
+    which are |numer / (shift + i)| unless ``envelope(k, i)`` gives a
+    cheaper bound.  ``safety`` scales every remainder estimate.
+    ``cut_distance`` is the argument's relative distance from the
+    expansion's cut; ``max_terms`` caps each series (for a tabulated
+    family, the terms its coefficient rows support).
     """
 
     name: str
-    geometric_base: Callable[[int], float]
-    algebraic_exponent: Callable[[complex, int], float]
-    prefactor: float
-    first_term: Callable[[complex, int], float] = None
-    term_ratio: Callable[[complex, int, int], float] = None
-    term_ratio_arr: Callable[[complex, int, "np.ndarray"], "np.ndarray"] = None
-    cut_distance: Callable[[complex], float] = None
-    spike_floor: Callable[[complex, int], int] = None
-    max_levels: int = MAX_LEVELS
+    shift: np.ndarray
+    weight: np.ndarray
+    numer: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    size: np.ndarray
+    safety: float
+    envelope: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    cut_distance: float = 1.0
+    max_terms: int = N_CAP
 
-    def tail_estimate(self, x: complex, K: int) -> float:
-        """Magnitude of everything in levels K+1, K+2, ... (leading terms
-        dominate; they decay essentially geometrically in k)."""
-        tail = 0.0
-        for k in range(K + 1, self.max_levels + 1):
-            tail += self.first_term(x, k)
-        return self.prefactor * tail
+    @property
+    def floor(self) -> np.ndarray:
+        """Terms each level keeps to clear its Pochhammer pole window.
+
+        With Re x_k < -1 and a small imaginary part the term magnitudes
+        dip and then spike near the poles; they keep growing until
+        m ~ 2 |Re x_k| (only there does m / |x_k + m| fall below the
+        geometric gap), so the window spans twice the pole index.
+        Truncating inside it leaves a cancellation residue that the
+        next-term estimate cannot see, fading roughly exponentially in
+        |Im x_k|; 26 keeps it below every tolerance the planner accepts."""
+        re = self.shift.real
+        window = (re < -1.0) & (np.abs(self.shift.imag) < 26.0)
+        return np.where(window, 2 * np.trunc(-re) + 24, 1).astype(np.int64)
+
+    def tails(self) -> np.ndarray:
+        """safety * (size of every described level beyond K), for each K."""
+        beyond = np.cumsum(self.size[::-1])[::-1]
+        return self.safety * np.append(beyond[1:], 0.0)
+
+    def ratios(self, k: np.ndarray, i: np.ndarray) -> np.ndarray:
+        """|t_{k,i+1} / t_{k,i}| as the planner sees it."""
+        if self.envelope is not None:
+            return self.envelope(k, i)
+        return np.abs(self.numer(k, i)) / np.abs(self.shift[k] + i)
 
 
-def remainder_bound(model: RemainderModel, x: complex, k: int, n: int) -> float:
-    """A-priori bound (up to the calibrated constant) for the remainder of
-    level k after keeping n terms: prefactor * base^n * n^alg, anchored at
-    the level's leading term magnitude."""
-    if n < 1:
-        raise DomainError("remainder_bound requires n >= 1")
-    base = model.geometric_base(k)
-    alg = model.algebraic_exponent(x, k)
-    anchor = model.first_term(x, k) / base if model.first_term is not None else 1.0
-    return model.prefactor * anchor * base**n * float(n) ** alg
+def _remainders(fam: FactorialFamily, K: int, target: float) -> np.ndarray:
+    """Remainder estimates of levels 0..K after n = 1, 2, ... terms.
 
-
-def _terms_needed(model: RemainderModel, x: complex, k: int, budget: float,
-                  n_cap: int = 200_000) -> int:
-    """Smallest n whose remainder estimate (next term over the local
-    geometric gap) is below the budget, walking exact term magnitudes.
-
-    When the level's shifted variable has negative real part with a small
-    imaginary part, the term magnitudes dip and then spike near the
-    Pochhammer poles; truncating inside that window leaves a remainder the
-    next-term heuristic cannot see, so the walk must clear it first.
+    The remainder after n terms is the next term over the local geometric
+    gap.  Every level walks its exact term magnitudes, in chunks that
+    start small and double, until it has cleared its pole window and its
+    remainder is below ``target`` or its coefficient row ends.  Entry
+    [k, n-1] is +inf where n is below the level's floor or past its stop.
     """
-    floor = 1
-    if model.spike_floor is not None:
-        floor = model.spike_floor(x, k)
-        if floor > n_cap:
+    levels = np.arange(K + 1)[:, None]
+    floor = fam.floor[:K + 1]
+    if floor.max() > fam.max_terms:
+        raise CutProximityError(
+            f"{fam.name}: a level must clear a pole window of {floor.max()} terms; "
+            "too close to the expansion's cut for this tolerance"
+        )
+    t = fam.size[:K + 1].astype(float)       # |t_n| at the chunk start
+    stop = np.zeros(K + 1, dtype=np.int64)    # terms kept; 0 while walking
+    chunks = []
+    n, width = 1, 16
+    while n <= fam.max_terms and not stop.all():
+        counts = np.arange(n, min(n + width, fam.max_terms + 1))
+        r = fam.ratios(levels, counts[None, :])
+        with np.errstate(over="ignore"):    # saturated at 1e280
+            mags = t[:, None] * np.minimum(np.cumprod(r, axis=1), 1e280)
+        rems = mags / np.maximum(1.0 - np.minimum(r, 0.95), 0.05)
+        ok = (rems <= target) & (counts[None, :] >= floor[:, None])
+        first = np.where(ok.any(axis=1), counts[np.argmax(ok, axis=1)], 0)
+        stop = np.where(stop == 0, first, stop)
+        chunks.append(rems)
+        t = mags[:, -1]
+        n, width = int(counts[-1]) + 1, 2 * width
+    if not stop.all():
+        if fam.max_terms >= N_CAP:
             raise CutProximityError(
-                f"{model.name}: level {k} must clear a pole window of {floor} terms "
-                f"at x = {x}; too close to the expansion's cut for this tolerance"
+                f"{fam.name}: a level needs more than {N_CAP} terms; "
+                "argument is too close to the expansion's cut for this tolerance"
             )
-    t = model.first_term(x, k)  # |t_n| walking from n = 1
-    n = 1
-    chunk = 2048
-    while n < n_cap:
-        counts = np.arange(n, min(n + chunk, n_cap))
-        if model.term_ratio_arr is not None:
-            ratios = model.term_ratio_arr(x, k, counts)
-        else:
-            ratios = np.array([model.term_ratio(x, k, int(m)) for m in counts])
-        # |t_{p+1}| and the geometric-gap remainder estimate at count p
-        mags = t * np.minimum(np.cumprod(ratios), 1e280)
-        rems = mags / np.maximum(1.0 - np.minimum(ratios, 0.95), 0.05)
-        ok = np.flatnonzero((rems <= budget) & (counts >= floor))
-        if len(ok):
-            return int(counts[ok[0]])
-        t = float(mags[-1])
-        n = int(counts[-1]) + 1
-    raise CutProximityError(
-        f"{model.name}: level {k} needs more than {n_cap} terms at x = {x}; "
-        "argument is too close to the expansion's cut for this tolerance"
-    )
+        stop = np.where(stop == 0, fam.max_terms, stop)  # the row ran out
+    rem = np.hstack(chunks)
+    count = np.arange(1, rem.shape[1] + 1)[None, :]
+    return np.where((count >= floor[:, None]) & (count <= stop[:, None]), rem, np.inf)
 
 
-def plan_truncation(model: RemainderModel, x: complex, tol: float,
+def plan_truncation(fam: FactorialFamily, tol: float,
                     enforce_cut_guard: bool = True) -> DyadicPlan:
     """Choose the number of dyadic levels K and per-series term counts so
     the predicted truncation error stays below ``tol``.
 
-    Half the budget goes to the discarded deep levels (their leading
-    terms are 2^-k weighted and shrink in the effective variable 2^k x);
-    the kept series split the other half evenly.  Callers prepared to pay
-    for pole-window clearing may disable the cut-distance guard; the
-    term-count cap still bounds the damage.
+    K is the smallest level count whose discarded levels fit in half the
+    budget.  The kept series then share what the tail left: the level
+    with the largest remainder grows first, which is one remainder
+    threshold across all levels, until they fit.  A level whose
+    coefficient row runs out stops growing, and the prediction reports
+    the shortfall.  Callers prepared to pay for pole-window clearing may
+    disable the cut-distance guard; the term-count cap still bounds the
+    damage.
     """
     if not (1e-14 < tol < 1e-1):
         raise DomainError("tol must lie in (1e-14, 1e-1)")
-    if enforce_cut_guard and model.cut_distance is not None \
-            and model.cut_distance(x) < CUT_GUARD:
+    if enforce_cut_guard and fam.cut_distance < CUT_GUARD:
         raise CutProximityError(
-            f"{model.name}: relative distance from the cut is below {CUT_GUARD}"
+            f"{fam.name}: relative distance from the cut is below {CUT_GUARD}"
         )
-    K = 0
-    while model.tail_estimate(x, K) > 0.5 * tol:
-        K += 1
-        if K >= model.max_levels:
-            break
-    budget = 0.5 * tol / (K + 1)
-    n_terms = [_terms_needed(model, x, k, budget / max(model.prefactor, 1.0))
-               for k in range(K + 1)]
-    predicted = model.tail_estimate(x, K) + (K + 1) * budget
-    return DyadicPlan(K=K, n_terms=n_terms, predicted_error=min(predicted, tol))
+    tails = fam.tails()
+    K = int(np.argmax(tails <= 0.5 * tol))
+    budget = (tol - tails[K]) / fam.safety
+    rem = _remainders(fam, K, budget / (K + 1))
+    # a level moves from one record low of its remainders to the next
+    # when the threshold passes the current one: order those moves by it
+    low = np.minimum.accumulate(rem, axis=1)
+    before = np.hstack([np.full((K + 1, 1), np.inf), low[:, :-1]])
+    move = (low < before) & np.isfinite(before)
+    k_move, j_move = np.nonzero(move)
+    order = np.argsort(-before[move], kind="stable")
+    floor = fam.floor[:K + 1]
+    n_terms = floor.copy()
+    left = rem[np.arange(K + 1), floor - 1].sum()
+    if left > budget:
+        fits = np.flatnonzero(left + np.cumsum((low[move] - before[move])[order]) <= budget)
+        done = order[:fits[0] + 1] if len(fits) else order
+        np.maximum.at(n_terms, k_move[done], j_move[done] + 1)
+    kept = rem[np.arange(K + 1), n_terms - 1].sum()
+    predicted = tails[K] + fam.safety * kept
+    return DyadicPlan(K=K, n_terms=[int(n) for n in n_terms],
+                      predicted_error=max(float(predicted), np.finfo(float).tiny))
 
 
-# ---------------------------------------------------------------------------
-# concrete families
-# ---------------------------------------------------------------------------
+def level_sums(fam: FactorialFamily, n_terms: Sequence[int]) -> np.ndarray:
+    """The m-sums of levels 0..len(n_terms)-1, n_terms[k] terms each
+    (weights not applied), from one padded cumulative product.
 
-
-def _ei_stokes_ratio(y: complex, k: int, m: int) -> float:
-    base_den = 2.0 if k == 0 else abs(1.0 + cmath.exp(-1j * math.pi * 2.0**-k))
-    yk = y if k == 0 else 2.0**k * y
-    return m / (base_den * abs(yk + m))
-
-
-def _pole_window(v: complex) -> int:
-    """Terms needed to clear the Pochhammer pole window of a series in the
-    shifted variable v; 1 when the poles are never approached.
-
-    Term magnitudes keep growing until m ~ 2 |Re v| (only there does
-    m / |v + m| fall below the geometric gap), so the window spans twice
-    the pole index.  Truncating inside it leaves a cancellation residue
-    fading roughly exponentially in |Im v|; 26 keeps that residue below
-    every tolerance this planner accepts."""
-    if v.real < -1.0 and abs(v.imag) < 26.0:
-        return 2 * int(-v.real) + 24
-    return 1
-
-
-def ei_stokes_model(prefactor: float = 10.0) -> RemainderModel:
-    """Remainder model for the Stokes-sector exponential-integral family
-    (variable y = -i x / pi; base ratio 1/2, level-k ratio 1/|1+e_k|)."""
-
-    def base(k: int) -> float:
-        if k == 0:
-            return 0.5
-        return 1.0 / abs(1.0 + cmath.exp(-1j * math.pi * 2.0**-k))
-
-    def alg(x: complex, k: int) -> float:
-        scale = 1.0 if k == 0 else 2.0**k
-        return -scale * complex(x).imag / math.pi
-
-    def first(x: complex, k: int) -> float:
-        y = -1j * complex(x) / math.pi
-        if k == 0:
-            return 1.0 / (2.0 * abs(y))
-        ek = cmath.exp(-1j * math.pi * 2.0**-k)
-        return 1.0 / (abs(1.0 + ek) * abs(2.0**k * y))
-
-    def ratio(x: complex, k: int, m: int) -> float:
-        return _ei_stokes_ratio(-1j * complex(x) / math.pi, k, m)
-
-    def ratio_arr(x: complex, k: int, m: np.ndarray) -> np.ndarray:
-        den = 2.0 if k == 0 else abs(1.0 + cmath.exp(-1j * math.pi * 2.0**-k))
-        yk = 2.0**k * (-1j * complex(x) / math.pi)
-        return m / (den * np.abs(yk + m))
-
-    def cut_dist(x: complex) -> float:
-        x = complex(x)
-        # cut along the closed negative imaginary axis
-        if x.imag >= 0:
-            return 1.0
-        return abs(x.real) / abs(x)
-
-    def floor(x: complex, k: int) -> int:
-        return _pole_window(2.0**k * (-1j * complex(x) / math.pi))
-
-    return RemainderModel(
-        name="ei-stokes",
-        geometric_base=base,
-        algebraic_exponent=alg,
-        prefactor=prefactor,
-        first_term=first,
-        term_ratio=ratio,
-        term_ratio_arr=ratio_arr,
-        cut_distance=cut_dist,
-        spike_floor=floor,
-    )
-
-
-def ei_left_model(prefactor: float = 10.0) -> RemainderModel:
-    """Remainder model for the left-plane exponential-integral family
-    (base ratio 1/(e-1), level-k ratio 1/(1+e^{2^-k}))."""
-
-    def base(k: int) -> float:
-        if k == 0:
-            return 1.0 / (math.e - 1.0)
-        return 1.0 / (1.0 + math.exp(2.0**-k))
-
-    def alg(x: complex, k: int) -> float:
-        scale = 1.0 if k == 0 else 2.0**k
-        return -scale * complex(x).real
-
-    def first(x: complex, k: int) -> float:
-        x = complex(x)
-        if k == 0:
-            return math.e / ((math.e - 1.0) * abs(x))
-        a = math.exp(2.0**-k)
-        return a / ((a + 1.0) * abs(2.0**k * x))
-
-    def ratio(x: complex, k: int, m: int) -> float:
-        x = complex(x)
-        if k == 0:
-            return m / ((math.e - 1.0) * abs(x + m))
-        a = math.exp(2.0**-k)
-        return m / ((a + 1.0) * abs(2.0**k * x + m))
-
-    def ratio_arr(x: complex, k: int, m: np.ndarray) -> np.ndarray:
-        den = (math.e - 1.0) if k == 0 else (math.exp(2.0**-k) + 1.0)
-        xk = 2.0**k * complex(x)
-        return m / (den * np.abs(xk + m))
-
-    def cut_dist(x: complex) -> float:
-        x = complex(x)
-        if x.real >= 0:
-            return 1.0
-        return abs(x.imag) / abs(x)
-
-    def floor(x: complex, k: int) -> int:
-        return _pole_window(2.0**k * complex(x))
-
-    return RemainderModel(
-        name="ei-left",
-        geometric_base=base,
-        algebraic_exponent=alg,
-        prefactor=prefactor,
-        first_term=first,
-        term_ratio=ratio,
-        term_ratio_arr=ratio_arr,
-        cut_distance=cut_dist,
-        spike_floor=floor,
-    )
-
-
-def psi_model(prefactor: float = 4.0) -> RemainderModel:
-    """Remainder model for the digamma double expansion: every level-k
-    series has geometric ratio 1/2 in the shifted variable 2^k x + 1.
-
-    Level 0 is a bookkeeping placeholder (the closed-form ln x term);
-    it always keeps one "term"."""
-
-    def base(k: int) -> float:
-        return 0.5
-
-    def alg(x: complex, k: int) -> float:
-        return 0.0
-
-    def first(x: complex, k: int) -> float:
-        if k == 0:
-            return 0.0
-        return 1.0 / (2.0 * abs(2.0**k * complex(x) + 1.0))
-
-    def ratio(x: complex, k: int, m: int) -> float:
-        if k == 0:
-            return 0.0
-        return m / (2.0 * abs(2.0**k * complex(x) + 1.0 + m))
-
-    def cut_dist(x: complex) -> float:
-        x = complex(x)
-        return 1.0 if x.real > 0 else 0.0
-
-    return RemainderModel(
-        name="psi-dyadic",
-        geometric_base=base,
-        algebraic_exponent=alg,
-        prefactor=prefactor,
-        first_term=first,
-        term_ratio=ratio,
-        cut_distance=cut_dist,
-    )
+    Padding repeats each level's last kept index and is dropped after the
+    product.  A Pochhammer factor within 1e-12 of zero raises PoleError;
+    terms from the first one that overflows on are dropped.
+    """
+    n = np.asarray(n_terms)
+    k = np.arange(len(n))[:, None]
+    j = np.arange(n.max())[None, :]
+    i = np.minimum(j, n[:, None] - 1)
+    den = fam.shift[k] + i
+    if np.any(np.abs(den) < POCH_GUARD):
+        raise PoleError("factorial-series denominator within 1e-12 of a pole")
+    terms = np.cumprod(fam.numer(k, i) / den, axis=1)
+    alive = np.logical_and.accumulate(np.abs(terms) < 1e250, axis=1)
+    return np.where((j < n[:, None]) & alive, terms, 0.0).sum(axis=1)

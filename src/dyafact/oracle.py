@@ -32,6 +32,7 @@ __all__ = [
     "airy_reference",
     "bessel_k_reference",
     "legendre_kernel_reference",
+    "verify_strange_identity",
 ]
 
 EULER_GAMMA = 0.5772156649015328606
@@ -316,3 +317,21 @@ def legendre_kernel_reference(nu: float, p) -> np.ndarray:
     """Reference values of P_{nu-1/2}(1 + 2p) = 2F1(1/2-nu, 1/2+nu; 1; -p)
     via the library hypergeometric (confined to this module)."""
     return _sps.hyp2f1(0.5 - nu, 0.5 + nu, 1.0, -np.asarray(p, dtype=float))
+
+
+def verify_strange_identity(x: complex, K: int) -> float:
+    """Residual of the dyadic self-referencing digamma identity
+
+        Psi(x+1) = ln x + (1/2) sum_{k=0}^{K} [Psi(2^k x + 1) - Psi(2^k x + 1/2)]
+
+    with both sides evaluated by the reference digamma.  The residual
+    decays geometrically in K.
+    """
+    x = complex(x)
+    if x.real <= 0:
+        raise ContourError("verify_strange_identity requires Re x > 0")
+    s = 0.0 + 0.0j
+    for k in range(K + 1):
+        xk = 2.0**k * x
+        s += psi_reference(xk + 1.0) - psi_reference(xk + 0.5)
+    return abs(psi_reference(x + 1.0) - cmath.log(x) - 0.5 * s)

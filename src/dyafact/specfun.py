@@ -19,23 +19,21 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from . import oracle
 from .dyadic import (
-    CUT_GUARD,
-    CutProximityError,
     DyadicPlan,
+    FactorialFamily,
     MAX_LEVELS,
-    RemainderModel,
-    ei_left_model,
-    ei_stokes_model,
+    level_sums,
     plan_truncation,
-    psi_model,
 )
-from .scalar import DomainError, PoleError, polylog
-from ._gauss import gauss_adaptive, gauss_geometric
+from .scalar import DomainError
+from ._gauss import gauss_geometric
 
 __all__ = [
     "EvalResult",
+    "ei_stokes_family",
+    "ei_left_family",
+    "psi_family",
     "ei_stokes",
     "ei_stokes_minus",
     "ei_left",
@@ -43,12 +41,11 @@ __all__ = [
     "ei_left_classical_stream",
     "psi_dyadic",
     "psi_half_difference",
-    "verify_strange_identity",
     "incomplete_gamma_dyadic",
     "erfc_dyadic",
 ]
 
-_POCH_GUARD = 1e-12
+_LEVELS = 2.0 ** np.arange(MAX_LEVELS + 1)   # 2^k for every described level
 
 
 @dataclass(frozen=True)
@@ -64,38 +61,27 @@ class EvalResult:
         return self.plan.terms_total
 
 
-def _geometric_sum(first: complex, ratio_num: np.ndarray, ratio_den: np.ndarray) -> complex:
-    """sum of first * cumprod(ratio_num/ratio_den), the m-sum of one series.
-
-    ``ratio_num/ratio_den`` are the term-to-term factors t_{m+1}/t_m; the
-    cumulative-product form never materializes Gamma(m) or long Pochhammer
-    products, so there is no overflow for any term count.
-    """
-    if np.any(np.abs(ratio_den) < _POCH_GUARD):
-        raise PoleError("factorial-series denominator within 1e-12 of a pole")
-    terms = np.empty(len(ratio_num) + 1, dtype=complex)
-    terms[0] = 1.0
-    if len(ratio_num):
-        np.cumprod(np.asarray(ratio_num, dtype=complex) / ratio_den, out=terms[1:])
-    return first * complex(terms.sum())
+def _geometric(a: np.ndarray, den: np.ndarray):
+    """Numerators of a family with geometric coefficients: term 1 of
+    level k is a_k / (den_k x_k), and t_{i+1} / t_i = i / (den_k (x_k + i))."""
+    return lambda k, i: np.where(i == 0, a[k], i) / den[k]
 
 
-def _ei_stokes_level(y: complex, k: int, n: int) -> complex:
-    """n-term m-sum of dyadic level k (k = 0 is the base series) for the
-    Stokes-sector expansion in y = -i x / pi."""
-    if k == 0:
-        den = 2.0 + 0.0j
-        yk = y
-        first = -1.0 / (2.0 * y)
-    else:
-        ek = cmath.exp(-1j * math.pi * 2.0**-k)
-        den = 1.0 + ek
-        yk = 2.0**k * y
-        first = ek / (den * yk)
-    if n == 1:
-        return first
-    m = np.arange(1, n, dtype=float)
-    return _geometric_sum(first, m, den * (yk + m))
+def ei_stokes_family(x: complex) -> FactorialFamily:
+    """Stokes-sector exponential-integral family in y = -i x / pi: base
+    ratio 1/2, level-k ratio 1/|1 + e_k| with e_k = e^{-i pi 2^-k}; cut
+    along the closed negative imaginary axis."""
+    x = complex(x)
+    if x == 0:
+        raise DomainError("ei_stokes undefined at x = 0")
+    ek = np.exp(-1j * math.pi / _LEVELS)
+    den, a = 1.0 + ek, ek.copy()
+    den[0], a[0] = 2.0, -1.0
+    shift = _LEVELS * (-1j * x / math.pi)
+    return FactorialFamily(
+        "ei-stokes", shift, np.ones(MAX_LEVELS + 1), _geometric(a, den),
+        size=np.abs(a / (den * shift)), safety=10.0,
+        cut_distance=1.0 if x.imag >= 0 else abs(x.real) / abs(x))
 
 
 def ei_stokes(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) -> EvalResult:
@@ -111,11 +97,11 @@ def ei_stokes(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None)
         raise DomainError("ei_stokes is undefined on the closed negative imaginary axis")
     if abs(x) < 0.2:
         raise DomainError("ei_stokes requires |x| >= 0.2 (use the classical series below)")
+    fam = ei_stokes_family(x)
     if plan is None:
-        plan = plan_truncation(ei_stokes_model(), x, tol)
-    y = -1j * x / math.pi
-    total = sum(_ei_stokes_level(y, k, n) for k, n in enumerate(plan.n_terms))
-    return EvalResult(total, plan.predicted_error, plan)
+        plan = plan_truncation(fam, tol)
+    total = fam.weight[:plan.K + 1] @ level_sums(fam, plan.n_terms)
+    return EvalResult(complex(total), plan.predicted_error, plan)
 
 
 def ei_stokes_minus(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) -> EvalResult:
@@ -124,22 +110,24 @@ def ei_stokes_minus(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] =
     return EvalResult(r.value.conjugate(), r.error_estimate, r.plan)
 
 
-def _ei_left_level(x: complex, k: int, n: int) -> complex:
-    """n-term m-sum of level k of the left-plane expansion (k = 0 base)."""
-    if k == 0:
-        a = math.e
-        den = (math.e - 1.0) * (-1.0)  # alternating base series
-        xk = x
-        first = math.e / ((math.e - 1.0) * x)
-    else:
-        a = math.exp(2.0**-k)
-        den = a + 1.0
-        xk = 2.0**k * x
-        first = a / (den * xk)
-    if n == 1:
-        return first
-    m = np.arange(1, n, dtype=float)
-    return _geometric_sum(first, m, den * (xk + m))
+def ei_left_family(x: complex) -> FactorialFamily:
+    """Left-plane exponential-integral family: alternating base series of
+    ratio 1/(e-1) (the classical factorial series of Phi(1/e, 1, x)),
+    level-k ratio 1/(1 + e^{2^-k}).  The levels minus the base series
+    give e^x Ei(-x); the cut is the negative real axis."""
+    x = complex(x)
+    if x == 0:
+        raise DomainError("ei_left undefined at x = 0")
+    a = np.exp(1.0 / _LEVELS)
+    den = a + 1.0
+    den[0], a[0] = 1.0 - math.e, -math.e
+    weight = np.ones(MAX_LEVELS + 1)
+    weight[0] = -1.0
+    shift = _LEVELS * x
+    return FactorialFamily(
+        "ei-left", shift, weight, _geometric(a, den),
+        size=np.abs(a / (den * shift)), safety=10.0,
+        cut_distance=1.0 if x.real >= 0 else abs(x.imag) / abs(x))
 
 
 def ei_left(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) -> EvalResult:
@@ -151,15 +139,13 @@ def ei_left(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) -
     returned value carries the sign of e^x Ei(-x) itself, negative on R^+.
     """
     x = complex(x)
-    if x == 0:
-        raise DomainError("ei_left undefined at x = 0")
+    fam = ei_left_family(x)
     if x.imag == 0.0 and x.real < 0.0:
         raise DomainError("ei_left is cut along the negative real axis")
     if plan is None:
-        plan = plan_truncation(ei_left_model(), x, tol)
-    base = _ei_left_level(x, 0, plan.n_terms[0])
-    levels = sum(_ei_left_level(x, k, n) for k, n in enumerate(plan.n_terms) if k > 0)
-    return EvalResult(levels - base, plan.predicted_error, plan)
+        plan = plan_truncation(fam, tol)
+    total = fam.weight[:plan.K + 1] @ level_sums(fam, plan.n_terms)
+    return EvalResult(complex(total), plan.predicted_error, plan)
 
 
 def ei_left_base_stream() -> "CoefficientStream":
@@ -196,14 +182,24 @@ def ei_left_classical_stream(n_max: int = 400) -> "CoefficientStream":
     return CoefficientStream(lambda k: coeffs[k])
 
 
-def _psi_level(x: complex, k: int, n: int) -> complex:
-    """n-term j-sum of level k >= 1 of the digamma double expansion."""
-    xk1 = 2.0**k * x + 1.0
-    first = 1.0 / (2.0 * xk1)
-    if n == 1:
-        return first
-    j = np.arange(1, n, dtype=float)
-    return _geometric_sum(first, j, 2.0 * (xk1 + j))
+def psi_family(x: complex) -> FactorialFamily:
+    """Digamma double expansion: level k >= 1 is the ratio-1/2 series in
+    the shifted variable 2^k x + 1.
+
+    Level 0 stands in for the closed-form ln x term, with weight and
+    planner size 0, so it always keeps one term; its series, in x
+    itself, is the half-difference series."""
+    x = complex(x)
+    if x == 0:
+        raise DomainError("psi_dyadic undefined at x = 0")
+    shift = _LEVELS * x + 1.0
+    shift[0] = x
+    size = 1.0 / (2.0 * np.abs(shift))
+    size[0] = 0.0
+    ones = np.ones(MAX_LEVELS + 1)
+    return FactorialFamily(
+        "psi-dyadic", shift, (_LEVELS > 1).astype(float), _geometric(ones, 2.0 * ones),
+        size=size, safety=4.0, cut_distance=1.0 if x.real > 0 else 0.0)
 
 
 def psi_dyadic(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) -> EvalResult:
@@ -212,12 +208,11 @@ def psi_dyadic(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None
     x = complex(x)
     if x.real <= 0:
         raise DomainError("psi_dyadic requires Re x > 0")
+    fam = psi_family(x)
     if plan is None:
-        plan = plan_truncation(psi_model(), x, tol)
-    total = cmath.log(x)
-    for k in range(1, plan.K + 1):
-        total += _psi_level(x, k, plan.n_terms[k])
-    return EvalResult(total, plan.predicted_error, plan)
+        plan = plan_truncation(fam, tol)
+    total = cmath.log(x) + fam.weight[:plan.K + 1] @ level_sums(fam, plan.n_terms)
+    return EvalResult(complex(total), plan.predicted_error, plan)
 
 
 def psi_half_difference(x: complex, n: int) -> complex:
@@ -233,32 +228,7 @@ def psi_half_difference(x: complex, n: int) -> complex:
         raise DomainError("psi_half_difference requires Re x > 0")
     if n < 1:
         raise DomainError("psi_half_difference requires n >= 1")
-    if abs(x) < _POCH_GUARD:
-        raise PoleError("psi_half_difference pole at x = 0")
-    first = 1.0 / (2.0 * x)
-    if n == 1:
-        return first
-    m = np.arange(1, n, dtype=float)
-    return _geometric_sum(first, m, 2.0 * (x + m))
-
-
-def verify_strange_identity(x: complex, K: int) -> float:
-    """Residual of the dyadic self-referencing digamma identity
-
-        Psi(x+1) = ln x + (1/2) sum_{k=0}^{K} [Psi(2^k x + 1) - Psi(2^k x + 1/2)]
-
-    with both sides evaluated by the reference digamma.  The residual
-    decays geometrically in K.
-    """
-    x = complex(x)
-    if x.real <= 0:
-        raise DomainError("verify_strange_identity requires Re x > 0")
-    s = 0.0 + 0.0j
-    for k in range(K + 1):
-        xk = 2.0**k * x
-        s += oracle.psi_reference(xk + 1.0) - oracle.psi_reference(xk + 0.5)
-    lhs = oracle.psi_reference(x + 1.0)
-    return abs(lhs - cmath.log(x) - 0.5 * s)
+    return complex(level_sums(psi_family(x), [n])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +283,14 @@ class _GammaCoeffs:
                 break
         return total if m % 2 == 0 else -total
 
+    def row(self, k: int, n: int) -> np.ndarray:
+        """The first n coefficients of level k (k = 0: the base stream)."""
+        if k == 0:
+            self.base(n - 1)
+            return np.array(self._base[:n])
+        self.level(k, n - 1)
+        return np.array(self._level[k][:n])
+
     def level(self, k: int, m: int) -> float:
         cache = self._level.setdefault(k, [])
         while len(cache) <= m:
@@ -353,43 +331,33 @@ def _gamma_coeffs(s: float) -> _GammaCoeffs:
         return _GAMMA_CACHE[key]
 
 
-def _gamma_model(s: float, coeffs: _GammaCoeffs, prefactor: float = 4.0) -> RemainderModel:
-    eta = abs(coeffs.level(MAX_LEVELS, 0))  # ~ |Li_s(-1)|
+def _gamma_family(s: float, x: complex, coeffs: _GammaCoeffs) -> FactorialFamily:
+    """Level k of the normalized incomplete-gamma expansion is
+    sum_m c_{k,m} / (2^k x)_{m+1}, entering with weight -2^{ks} (the base
+    with 1).  The planner sees a geometric envelope (base ratio 1/(e-1),
+    level-k ratio 1/(1 + e^{2^-k}), leading level terms from the deepest
+    level's first coefficient), so planning builds no coefficient rows."""
+    den = 1.0 + np.exp(1.0 / _LEVELS)
+    den[0] = math.e - 1.0
+    shift = _LEVELS * x
+    weight = -(_LEVELS ** s)
+    weight[0] = 1.0
+    size = _LEVELS ** (s - 1.0) * abs(coeffs.level(MAX_LEVELS, 0)) / abs(x)
+    size[0] = abs(coeffs.base(0)) / abs(x)
 
-    def base(k: int) -> float:
-        if k == 0:
-            return 1.0 / (math.e - 1.0)
-        return 1.0 / (1.0 + math.exp(2.0**-k))
+    def numer(k, i):
+        i = np.broadcast_to(i, np.broadcast_shapes(np.shape(k), np.shape(i)))
+        out = np.empty(i.shape)
+        for r, level in enumerate(k[:, 0]):
+            c = np.concatenate([[1.0], coeffs.row(int(level), int(i[r].max()) + 1)])
+            out[r] = c[i[r] + 1] / c[i[r]]
+        return out
 
-    def alg(x: complex, k: int) -> float:
-        scale = 1.0 if k == 0 else 2.0**k
-        return -scale * complex(x).real
+    def envelope(k, i):
+        return (i + 1.0) / (den[k] * np.abs(shift[k] + i + 1.0))
 
-    def first(x: complex, k: int) -> float:
-        x = complex(x)
-        if k == 0:
-            return abs(coeffs.base(0)) / abs(x)
-        return 2.0 ** (-k * (1.0 - s)) * eta / abs(x)
-
-    def ratio(x: complex, k: int, m: int) -> float:
-        x = complex(x)
-        if k == 0:
-            return (m + 1.0) / ((math.e - 1.0) * abs(x + m + 1.0))
-        return (m + 1.0) / ((1.0 + math.exp(2.0**-k)) * abs(2.0**k * x + m + 1.0))
-
-    def cut_dist(x: complex) -> float:
-        x = complex(x)
-        return 1.0 if x.real > 0 else 0.0
-
-    return RemainderModel(
-        name="incomplete-gamma",
-        geometric_base=base,
-        algebraic_exponent=alg,
-        prefactor=prefactor,
-        first_term=first,
-        term_ratio=ratio,
-        cut_distance=cut_dist,
-    )
+    return FactorialFamily("incomplete-gamma", shift, weight, numer, size, safety=4.0,
+                           envelope=envelope)
 
 
 def incomplete_gamma_dyadic(s: float, x: complex, tol: float = 4e-9,
@@ -406,24 +374,13 @@ def incomplete_gamma_dyadic(s: float, x: complex, tol: float = 4e-9,
         raise DomainError("incomplete_gamma_dyadic requires Re x > 0")
     if s >= 1.0 or abs(s - round(s)) < 1e-12:
         raise DomainError("incomplete_gamma_dyadic requires non-integer s < 1")
-    coeffs = _gamma_coeffs(s)
+    fam = _gamma_family(s, x, _gamma_coeffs(s))
     scale = math.gamma(1.0 - s) / abs(x)  # magnitude of the normalized series
     if plan is None:
-        plan = plan_truncation(_gamma_model(s, coeffs), x, tol * scale)
-    total = 0.0 + 0.0j
-    for k, n in enumerate(plan.n_terms):
-        xk = x if k == 0 else 2.0**k * x
-        poch = xk
-        lv = 0.0 + 0.0j
-        for m in range(n):
-            if abs(poch) < _POCH_GUARD:
-                raise PoleError("incomplete-gamma Pochhammer underflow")
-            c = coeffs.base(m) if k == 0 else coeffs.level(k, m)
-            lv += c / poch
-            poch *= xk + (m + 1)
-        total += lv if k == 0 else -(2.0 ** (k * s)) * lv
+        plan = plan_truncation(fam, tol * scale)
+    total = fam.weight[:plan.K + 1] @ level_sums(fam, plan.n_terms)
     front = x**s * cmath.exp(-x) / math.gamma(1.0 - s)
-    return EvalResult(front * total, plan.predicted_error * abs(front), plan)
+    return EvalResult(complex(front * total), plan.predicted_error * abs(front), plan)
 
 
 def erfc_dyadic(x: float, tol: float = 4e-9) -> EvalResult:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dyafact import oracle
+from dyafact import borel, oracle
 from dyafact.borel import (
     BorelKernel,
     CoefficientTable,
@@ -12,12 +12,11 @@ from dyafact.borel import (
     airy_h,
     bessel_h,
     bessel_k_dyadic,
-    compute_dkm,
-    compute_dm,
     get_kernel,
     get_table,
     kernel_eval,
 )
+from dyafact.dyadic import DyadicPlan
 from dyafact.scalar import DomainError
 
 NU_AIRY = 1.0 / 3.0
@@ -92,28 +91,28 @@ class TestKernel:
 class TestCoefficients:
     def test_dm_stub_kernel_closed_form(self):
         # nu = 1/2 has F identically 1: d_m = (e-1)^{1-m} / (m-1)
-        kern_half = get_kernel(0.5)
+        table_half = get_table(0.5, 10, 6)
         for m in (2, 3, 6, 10):
             ref = (math.e - 1.0) ** (1 - m) / (m - 1)
-            assert compute_dm(kern_half, m) == pytest.approx(ref, rel=1e-12)
+            assert table_half.d(m) == pytest.approx(ref, rel=1e-12)
 
     def test_dkm_stub_kernel_closed_form(self):
         # F = 1: d_km = 2^k e^{-2^-k} / ((m-1) (e^{2^-k} + 1)^{m-1})
-        kern_half = get_kernel(0.5)
+        table_half = get_table(0.5, 10, 6)
         for k, m in ((1, 2), (3, 4), (6, 3)):
             eps = 2.0**-k
             ref = 2.0**k * math.exp(-eps) / ((m - 1) * (math.exp(eps) + 1.0) ** (m - 1))
-            assert compute_dkm(kern_half, k, m) == pytest.approx(ref, rel=1e-12)
+            assert table_half.dk(k, m) == pytest.approx(ref, rel=1e-12)
 
     def test_dm_stability_under_tolerance_change(self, kern):
         # Richardson-style check: tighter quadrature target moves d_2 by < 1e-12
-        a = compute_dm(kern, 2, rel_tol=1e-10)
-        b = compute_dm(kern, 2, rel_tol=1e-14)
+        a = CoefficientTable.build(kern, 4, 1, target=1e-10).d(2)
+        b = CoefficientTable.build(kern, 4, 1, target=1e-14).d(2)
         assert abs(a - b) < 1e-12
 
     def test_dkm_stability(self, kern):
-        a = compute_dkm(kern, 1, 2, rel_tol=1e-10)
-        b = compute_dkm(kern, 1, 2, rel_tol=1e-14)
+        a = CoefficientTable.build(kern, 4, 1, target=1e-10).dk(1, 2)
+        b = CoefficientTable.build(kern, 4, 1, target=1e-14).dk(1, 2)
         assert abs(a - b) < 1e-12 * max(1.0, abs(b))
 
     def test_x_domain_cross_check(self, kern, table):
@@ -180,10 +179,7 @@ class TestAiryH:
 
     def test_truncation_error_monotone_in_depth(self):
         # deepening the plan never worsens the result beyond noise
-        from dyafact.borel import _h_assemble, _h_plan
-        from dyafact.dyadic import DyadicPlan
-        kern = get_kernel(NU_AIRY)
-        table = get_table(NU_AIRY, 34, 34)
+        get_table(NU_AIRY, 34, 34)
         for x in (4.0, 10.0, 20.0):
             u = 4.0 / 3.0 * x**1.5
             f = lambda p: np.exp(-u * p) * oracle.legendre_kernel_reference(NU_AIRY, p)
@@ -191,7 +187,7 @@ class TestAiryH:
             errs = []
             for K in (6, 10, 14, 18, 22):
                 plan = DyadicPlan(K=K, n_terms=[12] * (K + 1), predicted_error=1e-12)
-                errs.append(abs(_h_assemble(kern, table, complex(u), plan).real - ref))
+                errs.append(abs(airy_h(u, plan=plan).value.real - ref))
             for a, b in zip(errs[:-1], errs[1:]):
                 assert b <= a * 1.5 + 1e-14
 
@@ -200,6 +196,24 @@ class TestAiryH:
             airy_h(0.5, 1e-8)
         with pytest.raises(DomainError):
             airy_h(-3.0, 1e-8)
+
+
+class TestColdBuilds:
+    @pytest.mark.parametrize("call", [lambda: airy_from_h(10.0, 1e-10),
+                                      lambda: bessel_k_dyadic(0.7, 3.0, 1e-9)],
+                             ids=["airy", "bessel-k"])
+    def test_one_kernel_and_one_table(self, call, monkeypatch):
+        # the normalization constants are closed forms: a cold evaluation
+        # builds its kernel and coefficient table once, at the caller's tol
+        builds = []
+        for cls in (BorelKernel, CoefficientTable):
+            raw = cls.build
+            monkeypatch.setattr(cls, "build", staticmethod(
+                lambda *a, raw=raw, name=cls.__name__, **kw: builds.append(name) or raw(*a, **kw)))
+        monkeypatch.setattr(borel, "_KERNELS", {})
+        monkeypatch.setattr(borel, "_TABLES", {})
+        call()
+        assert sorted(builds) == ["BorelKernel", "CoefficientTable"]
 
 
 class TestAiryFromH:

@@ -67,6 +67,10 @@ class TestPlan:
         text = capsys.readouterr().out
         assert "n_terms" in text and "predicted_error" in text
 
+    def test_plan_at_origin_is_a_domain_error(self):
+        for fn in ("ei-stokes", "ei-left", "psi"):
+            assert run(["plan", "--function", fn, "--x-start", "0", "--points", "1"]) == 2
+
 
 class TestFigures:
     def test_fig_terms(self, tmp_path):

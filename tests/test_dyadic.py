@@ -10,14 +10,18 @@ from dyafact.dyadic import (
     dyadic_cauchy_deriv_partial,
     dyadic_cauchy_partial,
     dyadic_reciprocal_partial,
-    ei_left_model,
-    ei_stokes_model,
+    level_sums,
     plan_truncation,
     ramified_partial,
-    remainder_bound,
 )
-from dyafact.scalar import DomainError, PoleError
-from dyafact import oracle, specfun
+from dyafact.scalar import DomainError, PoleError, pochhammer
+from dyafact.specfun import ei_left_family, ei_stokes_family
+from dyafact import borel, oracle, specfun
+
+
+def limit_ratio(fam, k):
+    """The level-k term ratio |t_{m+1}/t_m| of a description as m -> inf."""
+    return float(fam.ratios(np.array([[k]]), np.array([[1e30]]))[0, 0])
 
 
 class TestReciprocal:
@@ -131,37 +135,36 @@ class TestRamified:
 
 class TestRemainderBound:
     def test_doubling_shrinks_geometrically(self):
-        m = ei_stokes_model()
-        x = 5.0
+        # the planner's base-series remainder (next term over the gap)
+        fam = ei_stokes_family(5.0)
+        r = fam.ratios(np.array([[0]]), np.arange(1, 41)[None, :])[0]
+        t = fam.size[0] * np.cumprod(r)             # |t_{n+1}|, n = 1..40
+        rem = lambda n: t[n - 1] / (1.0 - r[n - 1])
         for n in (5, 10, 20):
-            b1 = remainder_bound(m, x, 0, n)
-            b2 = remainder_bound(m, x, 0, 2 * n)
-            assert b2 <= b1 * 2.0 ** (-(n - 1))
+            assert rem(2 * n) <= rem(n) * 2.0 ** (-(n - 1))
 
     def test_ei_left_base(self):
-        m = ei_left_model()
-        assert m.geometric_base(0) == pytest.approx(1.0 / (math.e - 1.0))
+        assert limit_ratio(ei_left_family(2.0), 0) == pytest.approx(1.0 / (math.e - 1.0))
 
     def test_level_base_tends_to_half(self):
-        m = ei_stokes_model()
-        assert m.geometric_base(40) == pytest.approx(0.5, rel=1e-6)
-        assert m.geometric_base(1) == pytest.approx(1.0 / math.sqrt(2.0))
+        fam = ei_stokes_family(5.0)
+        assert limit_ratio(fam, 40) == pytest.approx(0.5, rel=1e-6)
+        assert limit_ratio(fam, 1) == pytest.approx(1.0 / math.sqrt(2.0))
 
 
 class TestPlanner:
     def test_plan_shape(self):
-        plan = plan_truncation(ei_stokes_model(), 5.0, 1e-5)
+        plan = plan_truncation(ei_stokes_family(5.0), 1e-5)
         assert len(plan.n_terms) == plan.K + 1
         assert plan.predicted_error <= 1e-5
 
     def test_monotonicity_in_tol(self):
         rng = np.random.default_rng(5)
-        model = ei_stokes_model()
         for _ in range(40):
             x = rng.uniform(0.5, 10.0) * cmath.exp(1j * rng.uniform(-0.4 * math.pi, 0.9 * math.pi))
             tol = 10.0 ** rng.uniform(-9, -2)
-            p1 = plan_truncation(model, x, tol)
-            p2 = plan_truncation(model, x, tol / 2)
+            p1 = plan_truncation(ei_stokes_family(x), tol)
+            p2 = plan_truncation(ei_stokes_family(x), tol / 2)
             assert p2.K >= p1.K
             assert all(n2 >= n1 for n1, n2 in zip(p1.n_terms, p2.n_terms))
 
@@ -182,22 +185,22 @@ class TestPlanner:
 
     def test_loose_tolerance_trivial_plan(self):
         # at large x and the loosest tolerances one term per series suffices
-        plan = plan_truncation(ei_stokes_model(), 500.0, 9e-2)
+        plan = plan_truncation(ei_stokes_family(500.0), 9e-2)
         assert plan.K <= 1
         assert all(n == 1 for n in plan.n_terms)
 
     def test_geometric_base_in_unit_interval(self):
-        for model in (ei_stokes_model(), ei_left_model()):
+        for fam in (ei_stokes_family(5.0), ei_left_family(5.0)):
             for k in range(0, 61):
-                assert 0.0 < model.geometric_base(k) < 1.0
+                assert 0.0 < limit_ratio(fam, k) < 1.0
 
     def test_cut_proximity_raises(self):
         with pytest.raises(CutProximityError):
-            plan_truncation(ei_stokes_model(), 0.04 - 2.0j, 1e-6)
+            plan_truncation(ei_stokes_family(0.04 - 2.0j), 1e-6)
 
     def test_tol_domain(self):
         with pytest.raises(DomainError):
-            plan_truncation(ei_stokes_model(), 5.0, 0.5)
+            plan_truncation(ei_stokes_family(5.0), 0.5)
 
 
 class TestDyadicPlan:
@@ -211,3 +214,91 @@ class TestDyadicPlan:
 
     def test_terms_total(self):
         assert DyadicPlan(K=2, n_terms=[4, 3, 2], predicted_error=1e-8).terms_total == 9
+
+
+def _family_and_term(name):
+    """A family description and its level-k term j (j = 1, 2, ...) written
+    out from the closed forms and coefficient rows."""
+    if name == "ei-stokes":
+        x = 3.0 + 1.0j
+        y = -1j * x / math.pi
+
+        def term(k, j):
+            ek = cmath.exp(-1j * math.pi * 2.0**-k)
+            c = -(2.0**-j) if k == 0 else ek * (1.0 + ek) ** -j
+            return c * math.gamma(j) / pochhammer(2.0**k * y, j)
+        return ei_stokes_family(x), term
+    if name == "ei-left":
+        x = 2.0 - 0.5j
+
+        def term(k, j):
+            a = math.exp(2.0**-k)
+            c = -math.e * (1.0 - math.e) ** -j if k == 0 else a * (a + 1.0) ** -j
+            return c * math.gamma(j) / pochhammer(2.0**k * x, j)
+        return ei_left_family(x), term
+    if name == "psi":
+        x = 1.5 + 0.2j
+
+        def term(k, j):
+            shift = x if k == 0 else 2.0**k * x + 1.0
+            return 2.0**-j * math.gamma(j) / pochhammer(shift, j)
+        return specfun.psi_family(x), term
+    if name == "inc-gamma":
+        s, x = 0.25, 1.7 + 0.3j
+        co = specfun._gamma_coeffs(s)
+
+        def term(k, j):
+            c = co.base(j - 1) if k == 0 else co.level(k, j - 1)
+            return c / pochhammer(2.0**k * x, j)
+        return specfun._gamma_family(s, x, co), term
+    table, u = borel.get_table(1.0 / 3.0, 34, 34), 6.0 + 1.0j
+
+    def term(k, j):
+        m = j + 1
+        d = (-1.0) ** m * table.d(m) if k == 0 else table.dk(k, m)
+        return d * math.gamma(m) / pochhammer(2.0**k * u, m)
+    return borel._h_family(table, u), term
+
+
+@pytest.mark.parametrize("name", ["ei-stokes", "ei-left", "psi", "inc-gamma", "h"])
+def test_level_sums_match_term_by_term(name):
+    fam, term = _family_and_term(name)
+    for k in (0, 1, 3):
+        for n in (1, 2, 6):
+            terms = [term(k, j) for j in range(1, n + 1)]
+            got = level_sums(fam, [n] * (k + 1))[k]
+            assert abs(got - sum(terms)) <= 1e-13 * sum(abs(t) for t in terms)
+
+
+class TestAllocation:
+    def test_levels_are_the_smallest_count_meeting_half_tol(self):
+        for x, tol in ((5.0, 1e-8), (2.0 + 1.0j, 1e-5), (12.0, 1e-10)):
+            fam = ei_stokes_family(x)
+            tails = fam.tails()
+            K = plan_truncation(fam, tol).K
+            assert tails[K] <= tol / 2 and (K == 0 or tails[K - 1] > tol / 2)
+
+    def test_greedy_never_keeps_more_than_an_even_split(self):
+        # the even split gives every kept level the same remainder budget;
+        # 9 - i puts levels 2 and 3 in pole windows, which both must clear
+        for x, tol in ((5.0, 1e-8), (1.0 + 2.0j, 1e-6), (9.0 - 1.0j, 1e-10)):
+            fam = ei_stokes_family(x)
+            plan = plan_truncation(fam, tol)
+            share = (tol - fam.tails()[plan.K]) / (fam.safety * (plan.K + 1))
+            r = fam.ratios(np.arange(plan.K + 1)[:, None], np.arange(1, 400)[None, :])
+            t = fam.size[:plan.K + 1, None] * np.cumprod(r, axis=1)
+            n = np.arange(1, 400)[None, :]
+            ok = (t / (1.0 - r) <= share) & (n >= fam.floor[:plan.K + 1, None])
+            even = np.argmax(ok, axis=1) + 1
+            assert all(n <= e for n, e in zip(plan.n_terms, even))
+            assert plan.terms_total < even.sum()
+            assert plan.predicted_error <= tol
+
+    def test_exhausted_rows_report_the_shortfall(self):
+        # an 8-column table supports 6 planned terms per level; Airy's h at
+        # u = 2 needs far more for 1e-10, and the prediction must say so
+        kern = borel.get_kernel(1.0 / 3.0, p_far=2.0**8 * 78.0)
+        table = borel.CoefficientTable.build(kern, 8, 8)
+        plan = plan_truncation(borel._h_family(table, 2.0), 1e-10)
+        assert max(plan.n_terms) <= 6
+        assert plan.predicted_error > 1e-10

@@ -155,3 +155,21 @@ class TestBesselAiry:
                 term *= (0.5 - nu + n) * (0.5 + nu + n) / ((1.0 + n) * (n + 1.0)) * (-p)
                 total += term
             assert float(oracle.legendre_kernel_reference(nu, p)) == pytest.approx(total, rel=1e-12)
+
+
+@pytest.mark.parametrize("module", ["dyadic", "specfun", "borel", "scalar", "operators"])
+def test_evaluators_import_nothing_from_oracle(module):
+    # the references must stay independent of what they check
+    import ast
+    import pathlib
+
+    import dyafact
+    path = pathlib.Path(dyafact.__file__).parent / f"{module}.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported |= {f"{node.module or ''}.{a.name}" for a in node.names}
+    assert not {name for name in imported if "oracle" in name.split(".")}

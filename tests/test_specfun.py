@@ -5,20 +5,20 @@ import numpy as np
 import pytest
 
 from dyafact import oracle
-from dyafact.dyadic import CutProximityError, DyadicPlan
+from dyafact.dyadic import CutProximityError, DyadicPlan, level_sums
+from dyafact.oracle import verify_strange_identity
 from dyafact.scalar import DomainError
 from dyafact.specfun import (
     _GammaCoeffs,
     ei_left,
     ei_left_base_stream,
+    ei_left_family,
     ei_stokes,
     ei_stokes_minus,
     erfc_dyadic,
     incomplete_gamma_dyadic,
     psi_dyadic,
     psi_half_difference,
-    verify_strange_identity,
-    _ei_left_level,
 )
 from dyafact.scalar import polylog_deriv, stirling_first, polylog
 
@@ -62,9 +62,10 @@ class TestEiStokes:
 
     def test_explicit_plan_near_cut(self):
         # caller-supplied schedule may cross the planner's guard distance
-        from dyafact.dyadic import plan_truncation, ei_stokes_model
+        from dyafact.dyadic import plan_truncation
+        from dyafact.specfun import ei_stokes_family
         x = 0.3 - 6.0j
-        plan = plan_truncation(ei_stokes_model(), x, 1e-5, enforce_cut_guard=False)
+        plan = plan_truncation(ei_stokes_family(x), 1e-5, enforce_cut_guard=False)
         r = ei_stokes(x, plan=plan)
         ref = oracle.ei_series_reference(x)
         assert abs(r.value - ref) < 3e-5
@@ -78,10 +79,10 @@ class TestEiLeft:
 
     def test_base_series_terms_at_tenth(self):
         # the base series alone first reaches 1e-5 relative around n = 21
-        x = 0.1
-        limit = _ei_left_level(complex(x), 0, 200)
+        fam = ei_left_family(0.1)
+        limit = level_sums(fam, [200])[0]
         n = 1
-        while abs(_ei_left_level(complex(x), 0, n) - limit) > 1e-5 * abs(limit):
+        while abs(level_sums(fam, [n])[0] - limit) > 1e-5 * abs(limit):
             n += 1
         assert 17 <= n <= 23
 
@@ -92,8 +93,9 @@ class TestEiLeft:
 
     def test_geometric_convergence_band(self):
         # base-series remainder contraction near 1/(e-1) at x = 2
-        deep = _ei_left_level(2.0 + 0j, 0, 150)
-        rems = [abs(_ei_left_level(2.0 + 0j, 0, n) - deep) for n in range(1, 40)]
+        fam = ei_left_family(2.0)
+        deep = level_sums(fam, [150])[0]
+        rems = [abs(level_sums(fam, [n])[0] - deep) for n in range(1, 40)]
         for n in range(10, 26):
             ratio = rems[n] / rems[n - 1]
             assert (math.e - 1.0) ** -1 * 0.8 <= ratio <= 0.75
