@@ -7,15 +7,11 @@ from .scalar import (
     CoefficientStream,
     DomainError,
     PoleError,
-    StirlingTable,
     factorial_series_eval,
     factorial_to_borel,
-    lerch_phi_1,
     ln_gamma,
     pochhammer,
     polylog,
-    polylog_deriv,
-    stirling_first,
 )
 from .dyadic import (
     CutProximityError,
@@ -34,7 +30,6 @@ from .specfun import (
     ei_left_family,
     ei_stokes,
     ei_stokes_family,
-    ei_stokes_minus,
     erfc_dyadic,
     incomplete_gamma_dyadic,
     psi_dyadic,
@@ -50,7 +45,6 @@ from .borel import (
     bessel_k_dyadic,
     get_kernel,
     get_table,
-    kernel_eval,
 )
 from .operators import (
     HermitianOperator,

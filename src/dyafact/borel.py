@@ -28,10 +28,9 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Dict, Optional, TextIO, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .dyadic import DyadicPlan, FactorialFamily, MAX_LEVELS, level_sums, plan_truncation
 from .scalar import DomainError
@@ -40,7 +39,6 @@ from .specfun import EvalResult
 __all__ = [
     "BorelKernel",
     "CoefficientTable",
-    "kernel_eval",
     "airy_h",
     "airy_from_h",
     "bessel_h",
@@ -49,7 +47,6 @@ __all__ = [
     "get_table",
 ]
 
-P_MAX_DEFAULT = 200.0
 _TAYLOR_CUT = 0.5
 _GRID_DQ = 0.02
 _TAU_HI = 70.0  # dyadic-level integrals live on tau in [2^-k, ~70/(m-1)]
@@ -66,15 +63,11 @@ def _taylor_coeffs(nu: float, n: int = 100) -> np.ndarray:
 @dataclass
 class BorelKernel:
     """Borel-plane kernel of order nu with its Taylor germ at 0 and a
-    dense (log-spaced) ODE continuation carrying value and derivatives.
-
-    Public evaluation is guarded at ``p_max``; the coefficient integrals
-    reach farther through the same grid (built out to whatever the
-    requested dyadic depth needs).
+    dense (log-spaced) ODE continuation carrying value and derivatives,
+    built out to ``p_far`` (whatever the requested dyadic depth needs).
     """
 
     nu: float
-    p_max: float
     taylor_coeffs: np.ndarray
     q_grid: np.ndarray          # q = log(1 + p), from log(1.5)
     f_grid: np.ndarray          # F
@@ -83,12 +76,14 @@ class BorelKernel:
     p_far: float
 
     @staticmethod
-    def build(nu: float, p_max: float = P_MAX_DEFAULT, p_far: Optional[float] = None) -> "BorelKernel":
+    def build(nu: float, p_far: Optional[float] = None) -> "BorelKernel":
+        from scipy.integrate import solve_ivp  # scipy loads only for a kernel build
+
         if abs(nu) > 5.0:
             raise DomainError("kernel order restricted to |nu| <= 5")
         nu = abs(nu)  # P_{nu-1/2} = P_{-nu-1/2}: the kernel is even in nu
         tc = _taylor_coeffs(nu)
-        p_far = max(p_far or 0.0, p_max, 4000.0)
+        p_far = max(p_far or 0.0, 4000.0)
         c = 0.25 - nu * nu
 
         # in q = log(1+p) the ODE is F'' + ((p+1)/p) (F' + c F) = 0, which
@@ -111,14 +106,14 @@ class BorelKernel:
         f, fq = sol.y
         p = np.expm1(grid)
         fqq = -((p + 1.0) / p) * (fq + c * f)
-        return BorelKernel(nu=nu, p_max=p_max, taylor_coeffs=tc, q_grid=grid,
+        return BorelKernel(nu=nu, taylor_coeffs=tc, q_grid=grid,
                            f_grid=f, fq_grid=fq, fqq_grid=fqq, p_far=p_far)
 
     # -- evaluation -------------------------------------------------------
 
-    def _hermite(self, q: np.ndarray, deriv: int = 0) -> np.ndarray:
-        """Quintic Hermite interpolation (value/first/second derivative at
-        the grid nodes) of F, dF/dq or d2F/dq2."""
+    def _hermite(self, q: np.ndarray) -> np.ndarray:
+        """F by quintic Hermite interpolation of the value and the first
+        and second derivatives at the grid nodes."""
         idx = np.clip(np.searchsorted(self.q_grid, q) - 1, 0, len(self.q_grid) - 2)
         h = self.q_grid[idx + 1] - self.q_grid[idx]
         th = (q - self.q_grid[idx]) / h
@@ -127,32 +122,16 @@ class BorelKernel:
         s0, s1 = self.fqq_grid[idx] * h * h, self.fqq_grid[idx + 1] * h * h
         t2, t3 = th * th, th * th * th
         t4, t5 = t3 * th, t3 * th * th
-        if deriv == 0:
-            a0 = 1.0 - 10.0 * t3 + 15.0 * t4 - 6.0 * t5
-            a1 = th - 6.0 * t3 + 8.0 * t4 - 3.0 * t5
-            a2 = 0.5 * t2 - 1.5 * t3 + 1.5 * t4 - 0.5 * t5
-            b0 = 10.0 * t3 - 15.0 * t4 + 6.0 * t5
-            b1 = -4.0 * t3 + 7.0 * t4 - 3.0 * t5
-            b2 = 0.5 * t3 - t4 + 0.5 * t5
-            return y0 * a0 + d0 * a1 + s0 * a2 + y1 * b0 + d1 * b1 + s1 * b2
-        if deriv == 1:
-            a0 = -30.0 * t2 + 60.0 * t3 - 30.0 * t4
-            a1 = 1.0 - 18.0 * t2 + 32.0 * t3 - 15.0 * t4
-            a2 = th - 4.5 * t2 + 6.0 * t3 - 2.5 * t4
-            b0 = 30.0 * t2 - 60.0 * t3 + 30.0 * t4
-            b1 = -12.0 * t2 + 28.0 * t3 - 15.0 * t4
-            b2 = 1.5 * t2 - 4.0 * t3 + 2.5 * t4
-            return (y0 * a0 + d0 * a1 + s0 * a2 + y1 * b0 + d1 * b1 + s1 * b2) / h
-        a0 = -60.0 * th + 180.0 * t2 - 120.0 * t3
-        a1 = -36.0 * th + 96.0 * t2 - 60.0 * t3
-        a2 = 1.0 - 9.0 * th + 18.0 * t2 - 10.0 * t3
-        b0 = 60.0 * th - 180.0 * t2 + 120.0 * t3
-        b1 = -24.0 * th + 84.0 * t2 - 60.0 * t3
-        b2 = 3.0 * th - 12.0 * t2 + 10.0 * t3
-        return (y0 * a0 + d0 * a1 + s0 * a2 + y1 * b0 + d1 * b1 + s1 * b2) / (h * h)
+        a0 = 1.0 - 10.0 * t3 + 15.0 * t4 - 6.0 * t5
+        a1 = th - 6.0 * t3 + 8.0 * t4 - 3.0 * t5
+        a2 = 0.5 * t2 - 1.5 * t3 + 1.5 * t4 - 0.5 * t5
+        b0 = 10.0 * t3 - 15.0 * t4 + 6.0 * t5
+        b1 = -4.0 * t3 + 7.0 * t4 - 3.0 * t5
+        b2 = 0.5 * t3 - t4 + 0.5 * t5
+        return y0 * a0 + d0 * a1 + s0 * a2 + y1 * b0 + d1 * b1 + s1 * b2
 
     def eval_raw(self, p) -> np.ndarray:
-        """F(p) for p >= 0 without the public range guard (vectorized)."""
+        """F(p) on [0, p_far] (vectorized); DomainError outside."""
         p = np.asarray(p, dtype=float)
         scalar = p.ndim == 0
         p = np.atleast_1d(p)
@@ -163,46 +142,8 @@ class BorelKernel:
         if np.any(small):
             out[small] = np.polynomial.polynomial.polyval(p[small], self.taylor_coeffs)
         if np.any(~small):
-            out[~small] = self._hermite(np.log1p(p[~small]), 0)
+            out[~small] = self._hermite(np.log1p(p[~small]))
         return out[0] if scalar else out
-
-    def eval_with_derivs(self, p: float) -> Tuple[float, float, float]:
-        """(F, F', F'') at a point (derivatives with respect to p).
-
-        F and F' come from the stored jet; F'' is the one the defining
-        ODE implies for them, so the returned triple is always an
-        ODE-consistent jet (a freestanding interpolated F'' could not
-        beat ~1e-9 of the cancellation scale in binary64).
-        """
-        p = float(p)
-        if p <= _TAYLOR_CUT:
-            tc = self.taylor_coeffs
-            d1 = tc[1:] * np.arange(1, len(tc))
-            d2 = d1[1:] * np.arange(1, len(d1))
-            pv = np.polynomial.polynomial.polyval
-            return float(pv(p, tc)), float(pv(p, d1)), float(pv(p, d2))
-        q = np.array([math.log1p(p)])
-        f = float(self._hermite(q, 0)[0])
-        fq = float(self._hermite(q, 1)[0])
-        w = 1.0 + p
-        fp = fq / w
-        c = 0.25 - self.nu**2
-        fpp = -((2 * p + 1) * fp + c * f) / (p * w)
-        return f, fp, fpp
-
-    def taylor_derivative_at_zero(self, i: int) -> float:
-        """F^(i)(0) = i! a_i from the Taylor germ."""
-        if i >= len(self.taylor_coeffs):
-            raise DomainError("derivative order beyond the stored Taylor germ")
-        return math.factorial(i) * float(self.taylor_coeffs[i])
-
-
-def kernel_eval(kern: BorelKernel, p) -> np.ndarray:
-    """Public kernel evaluation, range-guarded at kern.p_max."""
-    arr = np.asarray(p, dtype=float)
-    if np.any(arr < 0) or np.any(arr > kern.p_max):
-        raise DomainError(f"kernel_eval range is [0, {kern.p_max}]; rebuild with larger p_max")
-    return kern.eval_raw(p)
 
 
 def _panel_nodes(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -265,12 +206,11 @@ def _build_level_row(kern: BorelKernel, k: int, M: int, target: float) -> np.nda
 @dataclass
 class CoefficientTable:
     """Cached d_m (m in [2, M]) and d_km (k in [1, K], m in [2, M]) for one
-    kernel order, with per-entry quadrature error targets."""
+    kernel order."""
 
     nu: float
     M: int
     K: int
-    target: float
     dm: np.ndarray           # shape (M-1,), index m-2
     dkm: np.ndarray          # shape (K, M-1), index (k-1, m-2)
 
@@ -280,37 +220,13 @@ class CoefficientTable:
             raise DomainError(f"table depth capped at {MAX_LEVELS} levels")
         dm = _build_base_row(kern, M, target)
         dkm = np.array([_build_level_row(kern, k, M, target) for k in range(1, K + 1)])
-        return CoefficientTable(nu=kern.nu, M=M, K=K, target=target, dm=dm, dkm=dkm)
+        return CoefficientTable(nu=kern.nu, M=M, K=K, dm=dm, dkm=dkm)
 
     def d(self, m: int) -> float:
         return float(self.dm[m - 2])
 
     def dk(self, k: int, m: int) -> float:
         return float(self.dkm[k - 1, m - 2])
-
-    # -- persistence ------------------------------------------------------
-
-    HEADER = "dyafact-dtable 1"
-
-    def save_text(self, fh: TextIO) -> None:
-        fh.write(f"{self.HEADER}\n")
-        fh.write(f"{self.nu!r} {self.M} {self.K} {self.target!r}\n")
-        fh.write(" ".join(f"{v:.17g}" for v in self.dm) + "\n")
-        for row in self.dkm:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-
-    @staticmethod
-    def load_text(fh: TextIO) -> "CoefficientTable":
-        if fh.readline().strip() != CoefficientTable.HEADER:
-            raise ValueError("not a dyafact coefficient table")
-        nu_s, M_s, K_s, target_s = fh.readline().split()
-        M, K = int(M_s), int(K_s)
-        dm = np.array([float(v) for v in fh.readline().split()])
-        dkm = np.array([[float(v) for v in fh.readline().split()] for _ in range(K)])
-        if dm.shape != (M - 1,) or dkm.shape != (K, M - 1):
-            raise ValueError("coefficient table shape mismatch")
-        return CoefficientTable(nu=float(nu_s), M=M, K=K, target=float(target_s),
-                                dm=dm, dkm=dkm)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import borel, operators, oracle, specfun
 from .dyadic import CutProximityError, DyadicPlan, plan_truncation
-from .scalar import DomainError, PoleError, factorial_series_eval, pochhammer
+from .scalar import DomainError, PoleError, factorial_series_eval
 from ._gauss import QuadratureError
 
 EXIT_OK = 0
@@ -48,6 +48,8 @@ class RunConfig:
             raise DomainError("points must be >= 1")
         if not (1e-14 < self.tol < 1e-1):
             raise DomainError("tolerance must lie in (1e-14, 1e-1)")
+        if not all(map(math.isfinite, (self.x_start, self.x_stop, self.ray_angle))):
+            raise DomainError("x-start, x-stop and ray-angle must be finite")
         ray = cmath.exp(1j * math.radians(self.ray_angle))
         return np.linspace(self.x_start, self.x_stop, self.points) * ray
 
@@ -172,21 +174,12 @@ def _near_cut_plan(x: complex, tol: float) -> DyadicPlan:
 
 def cmd_figure(figure_id: str, fmt: str, out: Optional[str]) -> int:
     if figure_id == "fig-terms":
-        # per-series term magnitudes of the Stokes expansion at x = 5
-        x = 5.0
-        y = -1j * x / math.pi
-        rows = []
-        for m in range(1, 31):
-            row = [float(m)]
-            for k in range(5):
-                if k == 0:
-                    t = math.gamma(m) / (2.0**m * abs(pochhammer(y, m)))
-                else:
-                    ek = cmath.exp(-1j * math.pi * 2.0**-k)
-                    t = (math.gamma(m) / (abs(1 + ek) ** m *
-                                          abs(pochhammer(2.0**k * y, m))))
-                row.append(t)
-            rows.append(row)
+        # term magnitudes m = 1..30 of the first five Stokes-expansion
+        # series at x = 5, as the planner sees them
+        fam = specfun.ei_stokes_family(5.0)
+        r = fam.ratios(np.arange(5)[:, None], np.arange(1, 30)[None, :])
+        t = fam.size[:5, None] * np.hstack([np.ones((5, 1)), np.cumprod(r, axis=1)])
+        rows = np.column_stack([np.arange(1.0, 31.0), t.T])
         _write_rows(["m", "series0", "series1", "series2", "series3", "series4"],
                     rows, fmt, out)
         return EXIT_OK

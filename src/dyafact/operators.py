@@ -49,6 +49,8 @@ class HermitianOperator:
         a = np.asarray(a, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DomainError("operator must be a square matrix")
+        if not np.isfinite(a).all():
+            raise DomainError("matrix entries must be finite")
         n = a.shape[0]
         if n > MAX_DIM:
             raise DomainError(f"dimension capped at {MAX_DIM}")
@@ -73,7 +75,6 @@ class OperatorSeriesReport:
     """Partial sum plus the per-level error trace against a reference."""
 
     partial: np.ndarray
-    K_used: int
     error_curve: List[Tuple[int, float]] = field(default_factory=list)
 
 
@@ -97,7 +98,7 @@ def resolvent_dyadic(op: HermitianOperator, lam: float, K: int,
         raise DomainError(f"level count must be in [0, {MAX_LEVELS}]")
     v = np.asarray(v, dtype=complex)
     ref = op.apply_scalar(lambda w: 1.0 / (w - 1j * lam)) @ v
-    report = OperatorSeriesReport(partial=None, K_used=K)
+    report = OperatorSeriesReport(partial=None)
 
     def phi(K_now: int):
         def f(w: float) -> complex:
@@ -122,7 +123,7 @@ def inverse_dyadic(op: HermitianOperator, K: int) -> Tuple[np.ndarray, OperatorS
     if K < 0 or K > MAX_LEVELS:
         raise DomainError(f"level count must be in [0, {MAX_LEVELS}]")
     ref = op.apply_scalar(lambda w: 1.0 / w)
-    report = OperatorSeriesReport(partial=None, K_used=K)
+    report = OperatorSeriesReport(partial=None)
     for k in range(K + 1):
         approx = op.apply_scalar(lambda w, kk=k: dyadic_reciprocal_partial(w, kk))
         report.error_curve.append((k, float(np.linalg.norm(approx - ref, ord=2))))
@@ -149,7 +150,7 @@ def fractional_power_dyadic(op: HermitianOperator, s: float, K: int
     if K < 0 or K > MAX_LEVELS:
         raise DomainError(f"level count must be in [0, {MAX_LEVELS}]")
     ref = op.apply_scalar(lambda t: math.pi * t ** (s - 1.0))
-    report = OperatorSeriesReport(partial=None, K_used=K)
+    report = OperatorSeriesReport(partial=None)
     for k in range(0, K + 1, max(1, K // 10)):
         approx = op.apply_scalar(lambda t, kk=k: math.pi * ramified_partial(s, t, kk))
         report.error_curve.append(

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.special as _sps
 
 __all__ = [
     "NonconvergenceError",
@@ -316,7 +315,9 @@ def airy_reference(x: float) -> float:
 def legendre_kernel_reference(nu: float, p) -> np.ndarray:
     """Reference values of P_{nu-1/2}(1 + 2p) = 2F1(1/2-nu, 1/2+nu; 1; -p)
     via the library hypergeometric (confined to this module)."""
-    return _sps.hyp2f1(0.5 - nu, 0.5 + nu, 1.0, -np.asarray(p, dtype=float))
+    import scipy.special  # imported here so that loading dyafact needs no scipy
+
+    return scipy.special.hyp2f1(0.5 - nu, 0.5 + nu, 1.0, -np.asarray(p, dtype=float))
 
 
 def verify_strange_identity(x: complex, K: int) -> float:

@@ -1,10 +1,8 @@
-"""Scalar building blocks: complex log-gamma, rising factorials, Stirling
-numbers of the first kind, polylogarithms, the s=1 Lerch transcendent and
-plain (non-dyadic) factorial series.
+"""Scalar building blocks: complex log-gamma, rising factorials,
+polylogarithms and plain (non-dyadic) factorial series.
 
-Everything here is pure binary64 (plus exact integers for the Stirling
-table) and has no dependency on the dyadic machinery, so the higher modules
-can treat these as primitives.
+Everything here is pure binary64 and has no dependency on the dyadic
+machinery, so the higher modules can treat these as primitives.
 """
 
 from __future__ import annotations
@@ -12,7 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 
 __all__ = [
@@ -20,20 +18,12 @@ __all__ = [
     "PoleError",
     "ln_gamma",
     "pochhammer",
-    "StirlingTable",
-    "stirling_first",
     "polylog",
-    "polylog_deriv",
-    "lerch_phi_1",
     "CoefficientStream",
     "factorial_series_eval",
     "factorial_to_borel",
     "alternating_sum",
 ]
-
-STIRLING_MAX = 64
-
-EULER_GAMMA = 0.5772156649015328606
 
 
 class DomainError(ValueError):
@@ -59,12 +49,12 @@ _LNGAMMA_ASYMP = (
 _LN_SQRT_TWO_PI = 0.9189385332046727418
 
 
-def _is_nonpositive_integer(z: complex, tol: float = 0.0) -> bool:
+def _is_nonpositive_integer(z: complex) -> bool:
     z = complex(z)
     if z.imag != 0.0:
         return False
     r = round(z.real)
-    return r <= 0 and abs(z.real - r) <= tol
+    return r <= 0 and z.real == r
 
 
 def ln_gamma(z: complex) -> complex:
@@ -127,46 +117,6 @@ def pochhammer(x: complex, k: int) -> complex:
         raise DomainError(f"pochhammer({x}, {k}) exceeds the binary64 range")
 
 
-@dataclass(frozen=True)
-class StirlingTable:
-    """Triangular table of signed Stirling numbers of the first kind.
-
-    Exact integer arithmetic; entries beyond binary64 range appear from
-    k ~ 21 on, hence the ``object`` rows.
-    """
-
-    max_k: int
-    entries: tuple  # entries[k][j] = s(k, j), exact int
-
-    @staticmethod
-    def build(max_k: int = STIRLING_MAX) -> "StirlingTable":
-        if max_k > STIRLING_MAX:
-            raise DomainError(f"Stirling table capped at k = {STIRLING_MAX}")
-        rows = [[1]]
-        for k in range(max_k):
-            prev = rows[k]
-            row = [0] * (k + 2)
-            for j in range(k + 2):
-                above = prev[j] if j <= k else 0
-                left = prev[j - 1] if j >= 1 else 0
-                row[j] = -k * above + left
-            rows.append(row)
-        return StirlingTable(max_k, tuple(tuple(r) for r in rows))
-
-    def value(self, k: int, j: int) -> int:
-        if not (0 <= j <= k <= self.max_k):
-            raise DomainError(f"Stirling index out of range: ({k}, {j})")
-        return self.entries[k][j]
-
-
-_STIRLING = StirlingTable.build()
-
-
-def stirling_first(k: int, j: int) -> int:
-    """Signed Stirling number of the first kind s(k, j), exact."""
-    return _STIRLING.value(k, j)
-
-
 def alternating_sum(term: Callable[[int], complex], n_terms: int = 72) -> complex:
     """Sum_{j>=0} (-1)^j term(j) by iterated averaging of partial sums.
 
@@ -219,72 +169,11 @@ def polylog(s: float, z: complex, rel_tol: float = 1e-17) -> complex:
     raise DomainError(f"polylog argument outside supported domain: z = {z}")
 
 
-def polylog_deriv(nu: float, z: complex, k: int) -> complex:
-    """k-th derivative of Li_nu at z via the Stirling-number expansion
-
-        Li_nu^(k)(z) = z^{-k} sum_{j=0}^{k} s(k, j) Li_{nu-j}(z).
-
-    Exact rearrangement of termwise differentiation; note that the
-    alternating-sign Stirling sum loses roughly one digit per three
-    orders of k in binary64, so large-k use should prefer a direct
-    representation of whatever functional is actually needed.
-    """
-    if k < 0 or k > STIRLING_MAX:
-        raise DomainError(f"polylog_deriv order out of range: {k}")
-    z = complex(z)
-    if k == 0:
-        return polylog(nu, z)
-    if z == 0:
-        raise DomainError("polylog_deriv requires z != 0")
-    total = 0.0 + 0.0j
-    for j in range(k + 1):
-        c = stirling_first(k, j)
-        if c != 0:
-            total += float(c) * polylog(nu - j, z)
-    return total / z**k
-
-
-def lerch_phi_1(z: complex, a: complex, rel_tol: float = 1e-16) -> complex:
-    """Lerch transcendent at s = 1: Phi(z, 1, a) = sum_{j>=0} z^j / (a + j).
-
-    Direct summation for |z| < 1; the alternating endpoint z = -1 goes
-    through the Euler-transform accelerator.
-    """
-    z = complex(z)
-    a = complex(a)
-    if _is_nonpositive_integer(a):
-        raise PoleError(f"lerch_phi_1 pole: a = {a} hits a summed index")
-    if z == -1.0 + 0.0j:
-        return alternating_sum(lambda j: 1.0 / (a + j))
-    if abs(z) >= 1.0:
-        raise DomainError("lerch_phi_1 needs |z| < 1 or z = -1")
-    zj = 1.0 + 0.0j
-    total = 0.0 + 0.0j
-    j = 0
-    while True:
-        den = a + j
-        if den == 0:
-            raise PoleError(f"lerch_phi_1 pole at j = {j}")
-        total += zj / den
-        zj *= z
-        j += 1
-        if abs(zj) / max(abs(a + j), 1.0) <= rel_tol * max(abs(total), 1e-300) and j > 4:
-            return total
-        if j > 10_000_000:
-            return total
-
-
 @dataclass
 class CoefficientStream:
-    """Deterministic stream of factorial-series coefficients c_0, c_1, ...
-
-    ``bound_ratio``/``bound_prefactor`` optionally record a geometric
-    envelope |c_k| <= prefactor * k! * ratio^k used by planners and tests.
-    """
+    """Deterministic stream of factorial-series coefficients c_0, c_1, ..."""
 
     coeff: Callable[[int], complex]
-    bound_ratio: Optional[float] = None
-    bound_prefactor: Optional[float] = None
     _cache: list = field(default_factory=list, repr=False)
 
     def __call__(self, k: int) -> complex:

@@ -35,7 +35,6 @@ __all__ = [
     "ei_left_family",
     "psi_family",
     "ei_stokes",
-    "ei_stokes_minus",
     "ei_left",
     "ei_left_base_stream",
     "ei_left_classical_stream",
@@ -67,21 +66,29 @@ def _geometric(a: np.ndarray, den: np.ndarray):
     return lambda k, i: np.where(i == 0, a[k], i) / den[k]
 
 
+def _ei_family(w: complex, c: complex, name: str) -> FactorialFamily:
+    """The exponential-integral family in w with Borel-plane scale c:
+    level k has shift 2^k w and a_k = e^{-c 2^-k} over den_k = 1 + a_k,
+    the base a_0 = e^{-c} over den_0 = 1 - e^{-c}, every weight 1.  Its
+    cut is the ray w in -R^+."""
+    a = np.exp(-c / _LEVELS)
+    den = 1.0 + a
+    den[0] = 1.0 - a[0]
+    shift = _LEVELS * w
+    return FactorialFamily(
+        name, shift, np.ones(MAX_LEVELS + 1), _geometric(a, den),
+        size=np.abs(a / (den * shift)), safety=10.0,
+        cut_distance=1.0 if w.real >= 0 else abs(w.imag) / abs(w))
+
+
 def ei_stokes_family(x: complex) -> FactorialFamily:
-    """Stokes-sector exponential-integral family in y = -i x / pi: base
-    ratio 1/2, level-k ratio 1/|1 + e_k| with e_k = e^{-i pi 2^-k}; cut
-    along the closed negative imaginary axis."""
+    """Stokes-sector exponential-integral family: c = i pi in y = -i x / pi,
+    base ratio 1/2, level-k ratio 1/|1 + e^{-i pi 2^-k}|; cut along the
+    closed negative imaginary axis."""
     x = complex(x)
     if x == 0:
         raise DomainError("ei_stokes undefined at x = 0")
-    ek = np.exp(-1j * math.pi / _LEVELS)
-    den, a = 1.0 + ek, ek.copy()
-    den[0], a[0] = 2.0, -1.0
-    shift = _LEVELS * (-1j * x / math.pi)
-    return FactorialFamily(
-        "ei-stokes", shift, np.ones(MAX_LEVELS + 1), _geometric(a, den),
-        size=np.abs(a / (den * shift)), safety=10.0,
-        cut_distance=1.0 if x.imag >= 0 else abs(x.real) / abs(x))
+    return _ei_family(-1j * x / math.pi, 1j * math.pi, "ei-stokes")
 
 
 def ei_stokes(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) -> EvalResult:
@@ -104,39 +111,24 @@ def ei_stokes(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None)
     return EvalResult(complex(total), plan.predicted_error, plan)
 
 
-def ei_stokes_minus(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) -> EvalResult:
-    """e^{-x} Ei^-(x): the conjugate branch, via conjugation symmetry."""
-    r = ei_stokes(complex(x).conjugate(), tol, plan)
-    return EvalResult(r.value.conjugate(), r.error_estimate, r.plan)
-
-
 def ei_left_family(x: complex) -> FactorialFamily:
-    """Left-plane exponential-integral family: alternating base series of
-    ratio 1/(e-1) (the classical factorial series of Phi(1/e, 1, x)),
-    level-k ratio 1/(1 + e^{2^-k}).  The levels minus the base series
-    give e^x Ei(-x); the cut is the negative real axis."""
+    """Left-plane exponential-integral family: c = -1 in x.  The base
+    series, of ratio 1/(e-1), is minus the classical factorial series of
+    Phi(1/e, 1, x); level k has ratio 1/(1 + e^{2^-k}).  The levels sum to
+    e^x Ei(-x); the cut is the negative real axis."""
     x = complex(x)
     if x == 0:
         raise DomainError("ei_left undefined at x = 0")
-    a = np.exp(1.0 / _LEVELS)
-    den = a + 1.0
-    den[0], a[0] = 1.0 - math.e, -math.e
-    weight = np.ones(MAX_LEVELS + 1)
-    weight[0] = -1.0
-    shift = _LEVELS * x
-    return FactorialFamily(
-        "ei-left", shift, weight, _geometric(a, den),
-        size=np.abs(a / (den * shift)), safety=10.0,
-        cut_distance=1.0 if x.real >= 0 else abs(x.imag) / abs(x))
+    return _ei_family(x, -1.0, "ei-left")
 
 
 def ei_left(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) -> EvalResult:
     """e^x Ei(-x) for x off the negative real axis, via the dyadic
     factorial expansion in the left Borel plane.
 
-    The assembled series sums to -e^x Ei(-x) (its base series is the
-    classical factorial series of the Lerch function Phi(1/e, 1, x)); the
-    returned value carries the sign of e^x Ei(-x) itself, negative on R^+.
+    Its base series is minus the classical factorial series of the Lerch
+    function Phi(1/e, 1, x); the value carries the sign of e^x Ei(-x)
+    itself, negative on R^+.
     """
     x = complex(x)
     fam = ei_left_family(x)
@@ -149,17 +141,16 @@ def ei_left(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) -
 
 
 def ei_left_base_stream() -> "CoefficientStream":
-    """Coefficients of the base series of the left-plane expansion,
-    c_k = (-1)^k e k! / (e-1)^{k+1}; its factorial series sums to the
-    Lerch value Phi(1/e, 1, x) and its inverse-Laplace image is the
-    geometric kernel e / (e - e^{-p})."""
+    """Coefficients c_k = (-1)^k e k! / (e-1)^{k+1} of the factorial series
+    of the Lerch value Phi(1/e, 1, x), minus the base series of the
+    left-plane expansion; its inverse-Laplace image is the geometric
+    kernel e / (e - e^{-p})."""
     from .scalar import CoefficientStream
 
     def coeff(k: int) -> float:
         return (-1.0) ** k * math.e * math.exp(math.lgamma(k + 1.0)) / (math.e - 1.0) ** (k + 1)
 
-    return CoefficientStream(coeff, bound_ratio=1.0 / (math.e - 1.0),
-                             bound_prefactor=math.e / (math.e - 1.0))
+    return CoefficientStream(coeff)
 
 
 def ei_left_classical_stream(n_max: int = 400) -> "CoefficientStream":
@@ -334,12 +325,11 @@ def _gamma_coeffs(s: float) -> _GammaCoeffs:
 def _gamma_family(s: float, x: complex, coeffs: _GammaCoeffs) -> FactorialFamily:
     """Level k of the normalized incomplete-gamma expansion is
     sum_m c_{k,m} / (2^k x)_{m+1}, entering with weight -2^{ks} (the base
-    with 1).  The planner sees a geometric envelope (base ratio 1/(e-1),
-    level-k ratio 1/(1 + e^{2^-k}), leading level terms from the deepest
-    level's first coefficient), so planning builds no coefficient rows."""
-    den = 1.0 + np.exp(1.0 / _LEVELS)
-    den[0] = math.e - 1.0
-    shift = _LEVELS * x
+    with 1).  The planner sees the Ei-left term ratios one index on (base
+    ratio 1/(e-1), level-k ratio 1/(1 + e^{2^-k}); leading level terms from
+    the deepest level's first coefficient), so planning builds no
+    coefficient rows."""
+    ei = ei_left_family(x)
     weight = -(_LEVELS ** s)
     weight[0] = 1.0
     size = _LEVELS ** (s - 1.0) * abs(coeffs.level(MAX_LEVELS, 0)) / abs(x)
@@ -353,11 +343,8 @@ def _gamma_family(s: float, x: complex, coeffs: _GammaCoeffs) -> FactorialFamily
             out[r] = c[i[r] + 1] / c[i[r]]
         return out
 
-    def envelope(k, i):
-        return (i + 1.0) / (den[k] * np.abs(shift[k] + i + 1.0))
-
-    return FactorialFamily("incomplete-gamma", shift, weight, numer, size, safety=4.0,
-                           envelope=envelope)
+    return FactorialFamily("incomplete-gamma", ei.shift, weight, numer, size, safety=4.0,
+                           envelope=lambda k, i: ei.ratios(k, i + 1))
 
 
 def incomplete_gamma_dyadic(s: float, x: complex, tol: float = 4e-9,

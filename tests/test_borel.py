@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -14,7 +13,6 @@ from dyafact.borel import (
     bessel_k_dyadic,
     get_kernel,
     get_table,
-    kernel_eval,
 )
 from dyafact.dyadic import DyadicPlan
 from dyafact.scalar import DomainError
@@ -54,23 +52,17 @@ class TestKernel:
             taylor = float(pv(p, kern.taylor_coeffs))
             assert abs(taylor - kern.eval_raw(p)) < 1e-12
 
-    def test_ode_residual_at_random_points(self, kern):
-        rng = np.random.default_rng(9)
-        c = 0.25 - kern.nu**2
-        for p in rng.uniform(0.0, 100.0, size=1000):
-            f, fp, fpp = kern.eval_with_derivs(float(p))
-            resid = p * (p + 1) * fpp + (2 * p + 1) * fp + c * f
-            scale = max(abs(p * (p + 1) * fpp), abs((2 * p + 1) * fp), abs(c * f), 1e-3)
-            assert abs(resid) / scale < 1e-10
-
     def test_first_derivative_vs_hypergeometric(self, kern):
-        # independent jet check: F' = -(1/4 - nu^2) 2F1(3/2-nu, 3/2+nu; 2; -p)
+        # independent check of the stored jet dF/dq = (1+p) F'(p), from which
+        # eval_raw interpolates: F' = -(1/4 - nu^2) 2F1(3/2-nu, 3/2+nu; 2; -p)
         import scipy.special as sps
         nu = kern.nu
-        for p in (0.2, 0.7, 3.0, 40.0):
+        p_grid = np.expm1(kern.q_grid)
+        for target in (0.7, 3.0, 40.0):
+            j = int(np.argmin(np.abs(p_grid - target)))
+            p = float(p_grid[j])
             ref = -(0.25 - nu * nu) * float(sps.hyp2f1(1.5 - nu, 1.5 + nu, 2.0, -p))
-            _, fp, _ = kern.eval_with_derivs(p)
-            assert fp == pytest.approx(ref, rel=2e-9)
+            assert kern.fq_grid[j] / (1.0 + p) == pytest.approx(ref, rel=2e-9)
 
     def test_large_p_power_law(self):
         # log F / log p approaches nu - 1/2 within 2% by p = 1e3
@@ -81,7 +73,7 @@ class TestKernel:
 
     def test_public_range_guard(self, kern):
         with pytest.raises(DomainError):
-            kernel_eval(kern, kern.p_max * 1.5)
+            kern.eval_raw(kern.p_far * 1.5)
 
     def test_order_cap(self):
         with pytest.raises(DomainError):
@@ -144,21 +136,6 @@ class TestCoefficients:
         for k in (1, 4):
             col = [table.dk(k, m) for m in range(2, 10)]
             assert all(a > b > 0 for a, b in zip(col[:-1], col[1:]))
-
-
-class TestTablePersistence:
-    def test_round_trip(self, table):
-        buf = io.StringIO()
-        table.save_text(buf)
-        buf.seek(0)
-        back = CoefficientTable.load_text(buf)
-        assert back.nu == table.nu and back.M == table.M and back.K == table.K
-        np.testing.assert_array_equal(back.dm, table.dm)
-        np.testing.assert_array_equal(back.dkm, table.dkm)
-
-    def test_rejects_other_files(self):
-        with pytest.raises(ValueError):
-            CoefficientTable.load_text(io.StringIO("not a table\n"))
 
 
 class TestAiryH:

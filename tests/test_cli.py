@@ -54,6 +54,16 @@ class TestEval:
                   "--points", "2", "--ray-angle", "-90", "--tol", "1e-6"])
         assert rc == 2
 
+    def test_non_finite_grid_is_a_domain_error(self, capsys):
+        # rejected before any planning, with a message that names the cause
+        grids = (["--x-start", "nan"], ["--x-start", "inf"],
+                 ["--x-start", "1", "--x-stop=-inf", "--points", "3"],
+                 ["--x-start", "1", "--ray-angle", "nan"])
+        for cmd, fn in (("eval", "ei-stokes"), ("eval", "inc-gamma"), ("plan", "ei-left")):
+            for grid in grids:
+                assert run([cmd, "--function", fn] + grid) == 2
+                assert "finite" in capsys.readouterr().err
+
     def test_unknown_function(self):
         rc = run(["eval", "--function", "zeta", "--x-start", "1", "--points", "1"])
         assert rc == 2
@@ -163,6 +173,12 @@ class TestOperator:
         mpath = tmp_path / "bad.txt"
         self._write_matrix(mpath, np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
         assert run(["operator", "--matrix", str(mpath)]) == 2
+
+    def test_rejects_non_finite_entry(self, tmp_path, capsys):
+        mpath = tmp_path / "nan.txt"
+        self._write_matrix(mpath, np.diag([1.0, math.nan, 2.0]).astype(complex))
+        assert run(["operator", "--matrix", str(mpath), "--mode", "inverse"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_missing_file(self):
         assert run(["operator", "--matrix", "/nonexistent/m.txt"]) == 4

@@ -233,7 +233,7 @@ def _family_and_term(name):
 
         def term(k, j):
             a = math.exp(2.0**-k)
-            c = -math.e * (1.0 - math.e) ** -j if k == 0 else a * (a + 1.0) ** -j
+            c = math.e * (1.0 - math.e) ** -j if k == 0 else a * (a + 1.0) ** -j
             return c * math.gamma(j) / pochhammer(2.0**k * x, j)
         return ei_left_family(x), term
     if name == "psi":

@@ -34,6 +34,13 @@ class TestConstruction:
         with pytest.raises(DomainError):
             HermitianOperator.from_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_rejects_non_finite_entries(self):
+        for bad in (math.nan, math.inf):
+            a = np.eye(3, dtype=complex)
+            a[1, 1] = bad
+            with pytest.raises(DomainError):
+                HermitianOperator.from_matrix(a)
+
     def test_rejects_oversize(self):
         with pytest.raises(DomainError):
             HermitianOperator.from_matrix(np.eye(300))

@@ -9,16 +9,11 @@ from dyafact.scalar import (
     CoefficientStream,
     DomainError,
     PoleError,
-    StirlingTable,
-    alternating_sum,
     factorial_series_eval,
     factorial_to_borel,
-    lerch_phi_1,
     ln_gamma,
     pochhammer,
     polylog,
-    polylog_deriv,
-    stirling_first,
 )
 from dyafact.specfun import ei_left_base_stream
 from dyafact.oracle import quad_adaptive
@@ -83,43 +78,6 @@ class TestPochhammer:
             assert abs(lhs - rhs) <= 4e-16 * abs(rhs) + 1e-300
 
 
-class TestStirling:
-    def test_base(self):
-        assert stirling_first(0, 0) == 1
-
-    def test_single_step(self):
-        assert stirling_first(2, 1) == -1
-
-    def test_3_1(self):
-        assert stirling_first(3, 1) == 2
-
-    def test_recurrence_exact(self):
-        # s(k+1, j) = -k s(k, j) + s(k, j-1) holds exactly over the table
-        for k in range(64):
-            for j in range(k + 2):
-                above = stirling_first(k, j) if j <= k else 0
-                left = stirling_first(k, j - 1) if j >= 1 else 0
-                assert stirling_first(k + 1, j) == -k * above + left
-
-    def test_row_five(self):
-        assert [stirling_first(5, j) for j in range(6)] == [0, 24, -50, 35, -10, 1]
-
-    def test_exceeds_float_range_is_exact(self):
-        # s(25, 1) = (-1)^24 24!, far beyond binary64's exact-integer range
-        assert stirling_first(25, 1) == math.factorial(24)
-        assert stirling_first(24, 1) == -math.factorial(23)
-
-    def test_out_of_range(self):
-        with pytest.raises(DomainError):
-            stirling_first(65, 3)
-        with pytest.raises(DomainError):
-            stirling_first(4, 5)
-
-    def test_build_cap(self):
-        with pytest.raises(DomainError):
-            StirlingTable.build(100)
-
-
 class TestPolylog:
     def test_zero(self):
         assert polylog(2.5, 0.0) == 0.0
@@ -159,48 +117,6 @@ class TestPolylog:
             polylog(0.5, 1.2)
         with pytest.raises(DomainError):
             polylog(0.5, cmath.exp(0.5j) * 0.9999999)
-
-
-class TestPolylogDeriv:
-    def test_zeroth(self):
-        assert polylog_deriv(0.7, 0.4, 0) == polylog(0.7, 0.4)
-
-    def test_first_is_shifted_order(self):
-        # Li_s'(z) = Li_{s-1}(z) / z
-        for nu, z in ((0.5, 0.3), (2.0, -0.5), (1.0, 0.2 + 0.1j)):
-            assert polylog_deriv(nu, z, 1) == pytest.approx(polylog(nu - 1, z) / z, rel=1e-13)
-
-    def test_second_vs_finite_difference(self):
-        nu, z = 0.5, 0.3
-        h = 1e-5
-        fd = (polylog_deriv(nu, z + h, 1) - polylog_deriv(nu, z - h, 1)) / (2 * h)
-        assert polylog_deriv(nu, z, 2) == pytest.approx(fd, rel=1e-6)
-
-    def test_order_cap(self):
-        with pytest.raises(DomainError):
-            polylog_deriv(0.5, 0.3, 65)
-
-
-class TestLerch:
-    def test_z_zero(self):
-        assert lerch_phi_1(0.0, 2.5 + 1j) == pytest.approx(1.0 / (2.5 + 1j))
-
-    def test_alternating_harmonic(self):
-        assert lerch_phi_1(-1.0, 1.0).real == pytest.approx(math.log(2.0), rel=1e-13)
-
-    def test_alternating_general(self):
-        # Phi(-1, 1, a) = sum (-1)^n / (a + n), accelerated reference
-        a = 2.5
-        ref = alternating_sum(lambda j: 1.0 / (a + j))
-        assert lerch_phi_1(-1.0, a) == pytest.approx(ref, rel=1e-14)
-
-    def test_direct(self):
-        ref = sum(0.4**j / (1.5 + j) for j in range(300))
-        assert lerch_phi_1(0.4, 1.5).real == pytest.approx(ref, rel=1e-13)
-
-    def test_pole(self):
-        with pytest.raises(PoleError):
-            lerch_phi_1(0.5, -3.0)
 
 
 class TestFactorialSeries:
