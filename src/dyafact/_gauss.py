@@ -1,5 +1,6 @@
-"""Fixed-order Gauss-Legendre panel integration for the evaluator-side
-coefficient integrals (smooth, exponentially decaying integrands).
+"""Fixed-order Gauss-Legendre panels for the evaluator-side coefficient
+integrals (smooth, exponentially decaying integrands sampled once on
+shared nodes for a whole coefficient row).
 
 Deliberately separate from the oracle module's adaptive Gauss-Kronrod
 quadrature so reference values never share a code path with the
@@ -8,64 +9,35 @@ expansions they check.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Tuple
 
 import numpy as np
 
 _ORDER = 48
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(_ORDER)
-__all__ = ["QuadratureError", "gauss_panels", "gauss_adaptive", "gauss_geometric"]
+__all__ = ["QuadratureError", "dyadic_edges", "panel_nodes"]
 
 
 class QuadratureError(RuntimeError):
-    """Panel doubling failed to converge."""
+    """Panel refinement failed to converge."""
 
 
-def gauss_panels(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                 n_panels: int) -> complex:
-    edges = np.linspace(a, b, n_panels + 1)
+def dyadic_edges(lo: float, hi: float, refine: int) -> np.ndarray:
+    """Panel edges on [lo, hi]: halvings of hi down to lo, each split into
+    ``refine`` equal panels, so every panel sees a single scale."""
+    es = [hi]
+    while es[-1] > 2.0 * lo:
+        es.append(0.5 * es[-1])
+    es.append(lo)
+    lows, highs = np.array(es[:0:-1]), np.array(es[-2::-1])
+    out = np.arange(refine)[None, :] * ((highs - lows) / refine)[:, None] + lows[:, None]
+    return np.append(out.ravel(), hi)
+
+
+def panel_nodes(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes and weights of every panel between consecutive edges."""
     mids = 0.5 * (edges[:-1] + edges[1:])
     halfs = 0.5 * (edges[1:] - edges[:-1])
     pts = (mids[:, None] + halfs[:, None] * _NODES[None, :]).ravel()
-    vals = np.asarray(f(pts)).reshape(n_panels, _ORDER)
-    return complex((halfs * (vals * _WEIGHTS[None, :]).sum(axis=1)).sum())
-
-
-def gauss_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                   rel_tol: float = 1e-13, max_panels: int = 4096,
-                   n0: int = 4) -> complex:
-    """Integrate a smooth f over [a, b] by doubling fixed-order panels
-    until successive estimates agree to ``rel_tol``."""
-    n = n0
-    prev = gauss_panels(f, a, b, n)
-    while n <= max_panels:
-        n *= 2
-        cur = gauss_panels(f, a, b, n)
-        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300) + 1e-300:
-            return cur
-        prev = cur
-    raise QuadratureError(f"no convergence after {max_panels} panels on [{a}, {b}]")
-
-
-def gauss_geometric(f: Callable[[np.ndarray], np.ndarray], b: float,
-                    rel_tol: float = 1e-13, max_splits: int = 2000,
-                    a: float = 0.0) -> complex:
-    """Integrate f over (a, b] with dyadic panels toward the left end.
-
-    Handles integrable algebraic weights at the origin (a = 0) and
-    integrands whose variation spans many scales down to a > 0: every
-    panel sees a single scale and stays analytic.
-    """
-    total = 0.0 + 0.0j
-    hi = b
-    for j in range(max_splits):
-        lo = 0.5 * hi
-        if a > 0.0 and lo <= 2.0 * a:
-            total += gauss_adaptive(f, a, hi, rel_tol, n0=1)
-            return total
-        c = gauss_adaptive(f, lo, hi, rel_tol, n0=1)
-        total += c
-        if j > 6 and abs(c) <= 0.01 * rel_tol * abs(total):
-            return total
-        hi = lo
-    raise QuadratureError("origin weight did not fade after dyadic splitting")
+    wts = (halfs[:, None] * _WEIGHTS[None, :]).ravel()
+    return pts, wts

@@ -1,7 +1,8 @@
 """The Airy/Bessel pipeline: evaluate the Borel-plane Legendre kernel
-F(p) = P_{nu-1/2}(1 + 2p) from its ODE, accumulate the dyadic coefficient
-integrals d_m and d_km by quadrature, assemble the dyadic factorial
-expansion of the normalized solution h, and map back to Ai and K_nu.
+F(p) = P_{nu-1/2}(1 + 2p) by power-series continuation of its ODE,
+accumulate the dyadic coefficient integrals d_m and d_km by quadrature,
+assemble the dyadic factorial expansion of the normalized solution h, and
+map back to Ai and K_nu.
 
 The kernel has a logarithmic branch point at p = -1 whose jump is
 -2 i cos(pi nu) F(p); pushing the Cauchy contour onto that cut gives
@@ -32,6 +33,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from ._gauss import dyadic_edges, panel_nodes
 from .dyadic import DyadicPlan, FactorialFamily, MAX_LEVELS, level_sums, plan_truncation
 from .scalar import DomainError
 from .specfun import EvalResult
@@ -49,6 +51,7 @@ __all__ = [
 
 _TAYLOR_CUT = 0.5
 _GRID_DQ = 0.02
+_SERIES_TERMS = 60
 _TAU_HI = 70.0  # dyadic-level integrals live on tau in [2^-k, ~70/(m-1)]
 
 
@@ -60,11 +63,32 @@ def _taylor_coeffs(nu: float, n: int = 100) -> np.ndarray:
     return a
 
 
+def _continue(p0: float, h: float, f: float, df: float, c: float) -> Tuple[float, float]:
+    """F and F' at p0 + h from the power series about p0 of the kernel ODE
+    p(1+p) F'' + (1+2p) F' + c F = 0, with terms t_n = a_n h^n:
+
+        a_{n+2} = -[(1+2p0) (n+1)^2 a_{n+1} + (n(n+1) + c) a_n]
+                  / (p0 (1+p0) (n+1) (n+2)).
+    """
+    pp = p0 * (1.0 + p0)
+    alpha, beta = (1.0 + 2.0 * p0) * h / pp, h * h / pp
+    t0, t1 = f, df * h
+    dval, dder = t1, 0.0  # the increments of F and of h F', added last
+    for n in range(_SERIES_TERMS):
+        t0, t1 = t1, -(alpha * (n + 1) ** 2 * t1 + beta * (n * (n + 1) + c) * t0) / ((n + 1) * (n + 2))
+        dval += t1
+        dder += (n + 2) * t1
+        if (n + 2) * (abs(t0) + abs(t1)) <= 1e-18 * abs(f):
+            return f + dval, df + dder / h
+    raise RuntimeError(f"kernel series did not converge from p = {p0} over {h}")
+
+
 @dataclass
 class BorelKernel:
-    """Borel-plane kernel of order nu with its Taylor germ at 0 and a
-    dense (log-spaced) ODE continuation carrying value and derivatives,
-    built out to ``p_far`` (whatever the requested dyadic depth needs).
+    """Borel-plane kernel of order nu with its Taylor germ at 0 and its
+    value and derivatives on log-spaced nodes, continued node to node by
+    power series of the ODE out to ``p_far`` (whatever the requested
+    dyadic depth needs).
     """
 
     nu: float
@@ -77,8 +101,6 @@ class BorelKernel:
 
     @staticmethod
     def build(nu: float, p_far: Optional[float] = None) -> "BorelKernel":
-        from scipy.integrate import solve_ivp  # scipy loads only for a kernel build
-
         if abs(nu) > 5.0:
             raise DomainError("kernel order restricted to |nu| <= 5")
         nu = abs(nu)  # P_{nu-1/2} = P_{-nu-1/2}: the kernel is even in nu
@@ -86,25 +108,18 @@ class BorelKernel:
         p_far = max(p_far or 0.0, 4000.0)
         c = 0.25 - nu * nu
 
-        # in q = log(1+p) the ODE is F'' + ((p+1)/p) (F' + c F) = 0, which
-        # goes constant-coefficient at infinity: power-law solutions in p.
-        def rhs(q, y):
-            p = math.expm1(q)
-            r = (p + 1.0) / p
-            return (y[1], -r * (y[1] + c * y[0]))
-
+        # log-spaced nodes q = log(1+p): each step is at most 6 % of the
+        # distance p to the singular point 0, the series' radius
         q0 = math.log(1.0 + _TAYLOR_CUT)
         q1 = math.log(1.0 + p_far)
         grid = np.linspace(q0, q1, int((q1 - q0) / _GRID_DQ) + 2)
-        pv = np.polynomial.polynomial.polyval
-        dtc = tc[1:] * np.arange(1, len(tc))
-        y0 = (float(pv(_TAYLOR_CUT, tc)), (1.0 + _TAYLOR_CUT) * float(pv(_TAYLOR_CUT, dtc)))
-        sol = solve_ivp(rhs, (q0, q1), y0, method="DOP853", rtol=1e-13, atol=1e-300,
-                        t_eval=grid, dense_output=False)
-        if not sol.success:
-            raise RuntimeError(f"kernel ODE integration failed: {sol.message}")
-        f, fq = sol.y
         p = np.expm1(grid)
+        pv = np.polynomial.polynomial.polyval
+        jet = [(float(pv(p[0], tc)), float(pv(p[0], tc[1:] * np.arange(1, len(tc)))))]
+        for p0, p1 in zip(p[:-1].tolist(), p[1:].tolist()):
+            jet.append(_continue(p0, p1 - p0, *jet[-1], c))
+        f, df = np.array(jet).T  # F and dF/dp
+        fq = (1.0 + p) * df
         fqq = -((p + 1.0) / p) * (fq + c * f)
         return BorelKernel(nu=nu, taylor_coeffs=tc, q_grid=grid,
                            f_grid=f, fq_grid=fq, fqq_grid=fqq, p_far=p_far)
@@ -146,22 +161,13 @@ class BorelKernel:
         return out[0] if scalar else out
 
 
-def _panel_nodes(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    from ._gauss import _NODES as GN, _WEIGHTS as GW
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halfs = 0.5 * (edges[1:] - edges[:-1])
-    pts = (mids[:, None] + halfs[:, None] * GN[None, :]).ravel()
-    wts = (halfs[:, None] * GW[None, :]).ravel()
-    return pts, wts
-
-
 def _build_base_row(kern: BorelKernel, M: int, target: float) -> np.ndarray:
     """All d_m, m in [2, M], from one shared kernel sampling: the m
     dependence is a cheap weight matrix over common quadrature nodes."""
     ms = np.arange(2, M + 1, dtype=float)
 
     def row(n_panels: int) -> np.ndarray:
-        t, w = _panel_nodes(np.linspace(0.0, 50.0 + 42.0, n_panels + 1))
+        t, w = panel_nodes(np.linspace(0.0, 50.0 + 42.0, n_panels + 1))
         f = kern.eval_raw(t) * w
         u = t + 1.0
         # e^{-(m-1)u} (1 - e^{-u})^{-m} assembled in log form per m
@@ -179,20 +185,9 @@ def _build_level_row(kern: BorelKernel, k: int, M: int, target: float) -> np.nda
     dyadic panels of the scaled variable tau."""
     eps = 2.0**-k
     ms = np.arange(2, M + 1, dtype=float)
-    tau_hi = _TAU_HI + 8.0
-
-    def edges(refine: int) -> np.ndarray:
-        es = [tau_hi]
-        while es[-1] > 2.0 * eps:
-            es.append(0.5 * es[-1])
-        es.append(eps)
-        out = []
-        for hi, lo in zip(es[:-1], es[1:]):
-            out.append(np.linspace(lo, hi, refine + 1)[:-1])
-        return np.concatenate([np.concatenate(out[::-1]), [tau_hi]])
 
     def row(refine: int) -> np.ndarray:
-        tau, w = _panel_nodes(edges(refine))
+        tau, w = panel_nodes(dyadic_edges(eps, _TAU_HI + 8.0, refine))
         f = kern.eval_raw(2.0**k * tau - 1.0) * w * np.exp(tau - eps) * 2.0**k
         logs = -ms[:, None] * np.logaddexp(tau, 0.0)[None, :]
         return np.exp(logs) @ f

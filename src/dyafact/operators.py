@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import List, TextIO, Tuple
+from typing import Callable, List, TextIO, Tuple
 
 import numpy as np
 
@@ -78,6 +78,15 @@ class OperatorSeriesReport:
     error_curve: List[Tuple[int, float]] = field(default_factory=list)
 
 
+def _traced(partial_at: Callable[[int], np.ndarray], K: int, step: int,
+            error: Callable[[np.ndarray], float]) -> OperatorSeriesReport:
+    """The level-K partial with its error at levels 0, step, 2 step, ...
+    below K and at K itself, which is taken from the returned partial."""
+    partial = partial_at(K)
+    curve = [(k, error(partial_at(k))) for k in range(0, K, step)]
+    return OperatorSeriesReport(partial, curve + [(K, error(partial))])
+
+
 def evolution(op: HermitianOperator, t: float) -> np.ndarray:
     """Unitary evolution e^{-i t A} via the spectral decomposition."""
     return op.apply_scalar(lambda w: cmath.exp(-1j * t * w))
@@ -98,20 +107,13 @@ def resolvent_dyadic(op: HermitianOperator, lam: float, K: int,
         raise DomainError(f"level count must be in [0, {MAX_LEVELS}]")
     v = np.asarray(v, dtype=complex)
     ref = op.apply_scalar(lambda w: 1.0 / (w - 1j * lam)) @ v
-    report = OperatorSeriesReport(partial=None)
 
-    def phi(K_now: int):
-        def f(w: float) -> complex:
-            # scalar dyadic reciprocal at p = lam + i w
-            return 1j * dyadic_reciprocal_partial(lam + 1j * w, K_now)
-        return f
+    def partial_at(k: int) -> np.ndarray:
+        # scalar dyadic reciprocal at p = lam + i w
+        return op.apply_scalar(lambda w: 1j * dyadic_reciprocal_partial(lam + 1j * w, k)) @ v
 
-    for k in (list(range(0, K + 1, max(1, K // 8))) + [K]):
-        approx = op.apply_scalar(phi(k)) @ v
-        report.error_curve.append((k, float(np.linalg.norm(approx - ref))))
-    partial = op.apply_scalar(phi(K)) @ v
-    report.partial = partial
-    return partial, report
+    report = _traced(partial_at, K, max(1, K // 8), lambda approx: float(np.linalg.norm(approx - ref)))
+    return report.partial, report
 
 
 def inverse_dyadic(op: HermitianOperator, K: int) -> Tuple[np.ndarray, OperatorSeriesReport]:
@@ -123,13 +125,9 @@ def inverse_dyadic(op: HermitianOperator, K: int) -> Tuple[np.ndarray, OperatorS
     if K < 0 or K > MAX_LEVELS:
         raise DomainError(f"level count must be in [0, {MAX_LEVELS}]")
     ref = op.apply_scalar(lambda w: 1.0 / w)
-    report = OperatorSeriesReport(partial=None)
-    for k in range(K + 1):
-        approx = op.apply_scalar(lambda w, kk=k: dyadic_reciprocal_partial(w, kk))
-        report.error_curve.append((k, float(np.linalg.norm(approx - ref, ord=2))))
-    partial = op.apply_scalar(lambda w: dyadic_reciprocal_partial(w, K))
-    report.partial = partial
-    return partial, report
+    report = _traced(lambda k: op.apply_scalar(lambda w: dyadic_reciprocal_partial(w, k)),
+                     K, 1, lambda approx: float(np.linalg.norm(approx - ref, ord=2)))
+    return report.partial, report
 
 
 def fractional_power_dyadic(op: HermitianOperator, s: float, K: int
@@ -150,15 +148,10 @@ def fractional_power_dyadic(op: HermitianOperator, s: float, K: int
     if K < 0 or K > MAX_LEVELS:
         raise DomainError(f"level count must be in [0, {MAX_LEVELS}]")
     ref = op.apply_scalar(lambda t: math.pi * t ** (s - 1.0))
-    report = OperatorSeriesReport(partial=None)
-    for k in range(0, K + 1, max(1, K // 10)):
-        approx = op.apply_scalar(lambda t, kk=k: math.pi * ramified_partial(s, t, kk))
-        report.error_curve.append(
-            (k, float(np.linalg.norm(approx - ref, "fro") / np.linalg.norm(ref, "fro")))
-        )
-    partial = op.apply_scalar(lambda t: math.pi * ramified_partial(s, t, K))
-    report.partial = partial
-    return partial, report
+    report = _traced(lambda k: op.apply_scalar(lambda t: math.pi * ramified_partial(s, t, k)),
+                     K, max(1, K // 10),
+                     lambda approx: float(np.linalg.norm(approx - ref, "fro") / np.linalg.norm(ref, "fro")))
+    return report.partial, report
 
 
 def resolvent_double_sum(op: HermitianOperator, lam: float, K: int, J: int

@@ -27,7 +27,7 @@ from .dyadic import (
     plan_truncation,
 )
 from .scalar import DomainError
-from ._gauss import gauss_geometric
+from ._gauss import QuadratureError, dyadic_edges, panel_nodes
 
 __all__ = [
     "EvalResult",
@@ -250,7 +250,7 @@ class _GammaCoeffs:
             raise DomainError("incomplete-gamma expansion implemented for s in (-1,1), s != 0")
         self.s = s
         self._base: list = []
-        self._level: Dict[int, list] = {}
+        self._level: Dict[int, np.ndarray] = {}
         self._shift: Optional[_GammaCoeffs] = _GammaCoeffs(s + 1.0) if s < 0 else None
         if self._shift is None and s > 0:
             self._gamma_s = math.gamma(s)
@@ -279,35 +279,45 @@ class _GammaCoeffs:
         if k == 0:
             self.base(n - 1)
             return np.array(self._base[:n])
-        self.level(k, n - 1)
-        return np.array(self._level[k][:n])
+        cached = self._level.get(k, ())
+        if len(cached) < n:
+            cached = self._level[k] = self._level_row(k, max(n, 2 * len(cached)))
+        return cached[:n]
 
     def level(self, k: int, m: int) -> float:
-        cache = self._level.setdefault(k, [])
-        while len(cache) <= m:
-            cache.append(self._level_value(k, len(cache)))
-        return cache[m]
+        return float(self.row(k, m + 1)[m])
 
-    def _level_value(self, k: int, m: int) -> float:
+    def _level_row(self, k: int, n: int) -> np.ndarray:
+        """c_{k,0..n-1}, all m from one sampling on shared Gauss nodes."""
         if self._shift is not None:
             # one order shift: (-1)^m g_s^{(m)}(1) = -c_{s+1,m+1} + m c_{s+1,m}
-            return -self._shift.level(k, m + 1) + m * self._shift.level(k, m)
-        s = self.s
-        eps = 2.0**-k
-        a = math.exp(-eps)
-        t_hi = (48.0 + 8.0 * s) / max(m, 1) + 6.0
+            c = self._shift.row(k, n + 1)
+            return -c[1:] + np.arange(n) * c[:-1]
+        s, eps = self.s, 2.0**-k
+        m = np.arange(n)
+        # below t_lo the integrand is g(0) t^{s-1} to 1e-15 relative:
+        # g(0) = (1 + e^{-eps})^{-(m+1)}, integral g(0) t_lo^s / s
+        t_lo = 1e-15 / n
+        head = np.exp(-(m + 1) * np.log1p(math.exp(-eps)) + s * math.log(t_lo)) / s
 
-        def integrand(t: np.ndarray) -> np.ndarray:
-            w = t ** (s - 1.0)
-            if m == 0:
-                return w / (np.exp(t) + a)
-            # e^t (e^t + a)^{-(m+1)} in log form to dodge overflow
-            return w * np.exp(t - (m + 1) * np.logaddexp(t, math.log(a)))
+        def integrals(refine: int) -> np.ndarray:
+            # m = 0: t^{s-1} / (e^t + a); m >= 1: t^{s-1} e^t (e^t + a)^{-(m+1)},
+            # a = e^{-eps}, in log form to dodge overflow
+            t, w = panel_nodes(dyadic_edges(t_lo, 54.0 + 8.0 * s, refine))
+            logs = ((s - 1.0) * np.log(t) + (m > 0)[:, None] * t
+                    - (m + 1)[:, None] * np.logaddexp(t, -eps))
+            return head + np.exp(logs) @ w
 
-        J = float(gauss_geometric(integrand, t_hi, rel_tol=1e-13).real)
-        if m == 0:
-            return -a * J / self._gamma_s  # = Li_s(-e^{-eps})
-        return math.exp(math.lgamma(m + 1.0) - m * eps) * J / self._gamma_s
+        a, b = integrals(1), integrals(2)
+        if np.max(np.abs(a - b) / b) > 1e-12:
+            a, b = b, integrals(4)
+            if np.max(np.abs(a - b) / b) > 1e-12:
+                raise QuadratureError(f"level {k} coefficients of order {s} did not converge")
+        # c_0 = -a J_0 / Gamma(s) = Li_s(-e^{-eps}); c_m = m! e^{-m eps} J_m / Gamma(s)
+        lgm = np.array([math.lgamma(i + 1.0) for i in range(n)])
+        out = np.exp(lgm - m * eps + np.log(b)) / self._gamma_s
+        out[0] = -math.exp(-eps) * b[0] / self._gamma_s
+        return out
 
 
 _GAMMA_CACHE: Dict[float, _GammaCoeffs] = {}

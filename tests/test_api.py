@@ -32,11 +32,14 @@ def test_package_reexports_only_exported_names():
 
 
 def test_import_and_scipy_free_evaluations_load_no_scipy():
-    # scipy is imported only where a kernel is built or an oracle needs it
+    # scipy is imported only where an oracle needs it
     code = (
         "import sys, dyafact, dyafact.cli\n"
         "dyafact.ei_stokes(5); dyafact.psi_dyadic(5); dyafact.erfc_dyadic(2)\n"
+        "dyafact.airy_from_h(10); dyafact.bessel_k_dyadic(0.7, 3)\n"
+        "dyafact.incomplete_gamma_dyadic(-0.5, 2)\n"
         "dyafact.cli.main(['eval', '--function', 'ei-stokes', '--x-start', '2'])\n"
+        "dyafact.cli.main(['eval', '--function', 'airy', '--x-start', '2'])\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))

@@ -45,6 +45,20 @@ class TestKernel:
             ref = float(oracle.legendre_kernel_reference(NU_AIRY, p))
             assert kern.eval_raw(p) == pytest.approx(ref, rel=2e-9)
 
+    @pytest.mark.parametrize("nu", [0.05, NU_AIRY, 0.655, 1.45])
+    def test_grid_values_vs_hypergeometric(self, nu):
+        # the power-series continuation holds F to 1e-13 at every node
+        kern = BorelKernel.build(nu)
+        ref = oracle.legendre_kernel_reference(nu, np.expm1(kern.q_grid))
+        assert np.max(np.abs(kern.f_grid / ref - 1.0)) <= 1e-13
+
+    def test_series_step_beyond_radius_raises(self, kern):
+        # the series about p0 converges only within p0 of it (singular point 0)
+        p0 = float(np.expm1(kern.q_grid[0]))
+        f0, df0 = kern.f_grid[0], kern.fq_grid[0] / (1.0 + p0)
+        with pytest.raises(RuntimeError):
+            borel._continue(p0, 1.2 * p0, f0, df0, 0.25 - NU_AIRY**2)
+
     def test_handoff_continuity(self, kern):
         # Taylor germ extended past the seam agrees with the ODE branch
         pv = np.polynomial.polynomial.polyval

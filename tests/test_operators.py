@@ -171,6 +171,38 @@ class TestFractionalPower:
             fractional_power_dyadic(op, 0.5, 40)
 
 
+class TestErrorTrace:
+    # resolvent K = 16 is a multiple of its trace step 2 and K = 0 has no
+    # level below it; power K = 21 is not a multiple of its step 2
+    @pytest.mark.parametrize("mode, K", [("resolvent", 16), ("resolvent", 0),
+                                         ("inverse", 16), ("power", 21)])
+    def test_trace_ends_at_K_once(self, mode, K, monkeypatch):
+        rng = np.random.default_rng(11)
+        op = random_spd(8, rng, np.linspace(0.5, 8.0, 8))
+        calls = []
+        raw = HermitianOperator.apply_scalar
+        monkeypatch.setattr(HermitianOperator, "apply_scalar",
+                            lambda self, f: calls.append(f) or raw(self, f))
+        if mode == "resolvent":
+            v = np.ones(8, dtype=complex) / math.sqrt(8.0)
+            partial, report = resolvent_dyadic(op, 1.0, K, v)
+            err = np.linalg.norm(partial - np.linalg.solve(op.matrix - 1j * np.eye(8), v))
+        elif mode == "inverse":
+            partial, report = inverse_dyadic(op, K)
+            err = np.linalg.norm(partial - np.linalg.inv(op.matrix), ord=2)
+        else:
+            partial, report = fractional_power_dyadic(op, 0.5, K)
+            ref = (op.eigenvectors * (math.pi * op.eigenvalues**-0.5)) @ op.eigenvectors.conj().T
+            err = np.linalg.norm(partial - ref, "fro") / np.linalg.norm(ref, "fro")
+        levels = [k for k, _ in report.error_curve]
+        assert all(a < b for a, b in zip(levels[:-1], levels[1:]))
+        assert levels[-1] == K
+        assert report.error_curve[-1][1] == pytest.approx(err, rel=1e-6)
+        # one reference plus one evaluation per traced level: the returned
+        # partial is the last trace point, not a second evaluation
+        assert len(calls) == len(levels) + 1
+
+
 class TestMasterOracleProperties:
     def test_spectral_mapping_on_diagonals(self):
         # every operation applied to a diagonal matrix acts componentwise

@@ -192,6 +192,37 @@ class TestIncompleteGamma:
             assert co.level(k, m) == pytest.approx(stirl, rel=1e-8)
 
 
+class TestGammaSmallOrders:
+    @pytest.mark.parametrize("s", [0.01, 0.03, -0.97])
+    def test_meets_default_tol(self, s):
+        # orders near 0 and near -1 (shifted to near 0), where the level
+        # integrand t^{s-1} is most singular at t = 0
+        r = incomplete_gamma_dyadic(s, 2.0)
+        ref = oracle.inc_gamma_reference(s, 2.0)
+        err = abs(r.value - ref)
+        assert err <= 4e-9 * abs(ref)  # the default tol, relative
+        assert r.error_estimate >= err
+
+    @pytest.mark.parametrize("s", [0.01, 0.25, 0.75])
+    def test_level_rows_vs_quadrature(self, s):
+        # c_{k,0} = -a J_0 / Gamma(s), c_{k,m} = m! e^{-m eps} J_m / Gamma(s) with
+        # J_m = Int_0^inf t^{s-1} e^{[m>0] t} (e^t + a)^{-(m+1)} dt, a = e^{-eps}
+        mpmath = pytest.importorskip("mpmath")
+        co = _GammaCoeffs(s)
+        for k in (1, 5, 20):
+            for m in (0, 1, 3, 8):
+                with mpmath.workdps(20):
+                    eps = mpmath.mpf(2) ** -k
+                    a = mpmath.exp(-eps)
+                    g = lambda t: mpmath.exp((m > 0) * t) / (mpmath.exp(t) + a) ** (m + 1)
+                    # t = u^{1/s} on [0, 1] absorbs t^{s-1}
+                    J = (mpmath.quad(lambda u: g(u ** (1 / mpmath.mpf(s))), [0, 1]) / s
+                         + mpmath.quad(lambda t: t ** (s - 1) * g(t), [1, mpmath.inf]))
+                    ref = -a * J if m == 0 else mpmath.factorial(m) * mpmath.exp(-m * eps) * J
+                    ref = float(ref / mpmath.gamma(s))
+                assert co.level(k, m) == pytest.approx(ref, rel=1e-12)
+
+
 class TestErfc:
     def test_known_values(self):
         assert erfc_dyadic(1.0).value.real == pytest.approx(0.15729920705028513, rel=1e-8)
