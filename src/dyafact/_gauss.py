@@ -15,7 +15,7 @@ import numpy as np
 
 _ORDER = 48
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(_ORDER)
-__all__ = ["QuadratureError", "dyadic_edges", "panel_nodes"]
+__all__ = ["QuadratureError", "dyadic_edges", "panel_nodes", "geometric_sums"]
 
 
 class QuadratureError(RuntimeError):
@@ -41,3 +41,17 @@ def panel_nodes(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     pts = (mids[:, None] + halfs[:, None] * _NODES[None, :]).ravel()
     wts = (halfs[:, None] * _WEIGHTS[None, :]).ravel()
     return pts, wts
+
+
+def geometric_sums(p: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
+    """[sum(p q^j) for j = 0..n-1]: a coefficient row whose m-dependence
+    is a power of one node factor, by one multiplication per power, which
+    is cheaper than an exponential per entry.  Terms past the floating
+    range underflow to 0."""
+    out = np.empty(n)
+    p = np.array(p, dtype=float)
+    with np.errstate(under="ignore"):
+        for j in range(n):
+            out[j] = p.sum()
+            p *= q
+    return out

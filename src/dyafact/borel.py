@@ -33,8 +33,17 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ._gauss import dyadic_edges, panel_nodes
-from .dyadic import DyadicPlan, FactorialFamily, MAX_LEVELS, level_sums, plan_truncation
+from ._gauss import dyadic_edges, geometric_sums, panel_nodes
+from .dyadic import (
+    LADDER_LEVELS,
+    MAX_AMPLIFICATION,
+    MAX_LEVELS,
+    DyadicPlan,
+    FactorialFamily,
+    amplification,
+    assemble,
+    plan_truncation,
+)
 from .scalar import DomainError
 from .specfun import EvalResult
 
@@ -163,16 +172,14 @@ class BorelKernel:
 
 def _build_base_row(kern: BorelKernel, M: int, target: float) -> np.ndarray:
     """All d_m, m in [2, M], from one shared kernel sampling: the m
-    dependence is a cheap weight matrix over common quadrature nodes."""
-    ms = np.arange(2, M + 1, dtype=float)
+    dependence is a power of one factor at each quadrature node."""
 
     def row(n_panels: int) -> np.ndarray:
         t, w = panel_nodes(np.linspace(0.0, 50.0 + 42.0, n_panels + 1))
-        f = kern.eval_raw(t) * w
         u = t + 1.0
-        # e^{-(m-1)u} (1 - e^{-u})^{-m} assembled in log form per m
-        logs = -(ms[:, None] - 1.0) * u[None, :] - ms[:, None] * np.log(-np.expm1(-u))[None, :]
-        return np.exp(logs) @ f
+        # e^{-(m-1)u} (1 - e^{-u})^{-m} = e^u q^m with q = 1 / (e^u - 1) < 1
+        q = 1.0 / np.expm1(u)
+        return geometric_sums(kern.eval_raw(t) * w * np.exp(u) * q * q, q, M - 1)
 
     a, b = row(96), row(192)
     if np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-30)) > 100.0 * target:
@@ -184,13 +191,12 @@ def _build_level_row(kern: BorelKernel, k: int, M: int, target: float) -> np.nda
     """All d_km for one level from shared samples of F(2^k tau - 1) on
     dyadic panels of the scaled variable tau."""
     eps = 2.0**-k
-    ms = np.arange(2, M + 1, dtype=float)
 
     def row(refine: int) -> np.ndarray:
         tau, w = panel_nodes(dyadic_edges(eps, _TAU_HI + 8.0, refine))
         f = kern.eval_raw(2.0**k * tau - 1.0) * w * np.exp(tau - eps) * 2.0**k
-        logs = -ms[:, None] * np.logaddexp(tau, 0.0)[None, :]
-        return np.exp(logs) @ f
+        q = np.exp(-np.logaddexp(tau, 0.0))     # (1 + e^tau)^-m = q^m
+        return geometric_sums(f * q * q, q, M - 1)
 
     a, b = row(2), row(4)
     if np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-30)) > 100.0 * target:
@@ -269,6 +275,14 @@ def _is_half_integer(nu: float) -> bool:
     return abs(2.0 * nu - round(2.0 * nu)) < 1e-12 and round(2.0 * nu) % 2 == 1
 
 
+def _h_ladder(nu: float) -> tuple:
+    """The kernel grows like p^(nu-1/2) and p^(-nu-1/2) at large p, so the
+    level tails run in two ladders, a + n and 3/2 + nu + n with
+    a = 3/2 - nu: the first four exponents of both."""
+    a = 1.5 - nu
+    return tuple(sorted((a, a + 1.0, 1.5 + nu, min(a + 2.0, 2.5 + nu))))
+
+
 def _h_family(table: CoefficientTable, u: complex) -> FactorialFamily:
     """The h-expansion at argument u over the coefficient table.
 
@@ -287,13 +301,17 @@ def _h_family(table: CoefficientTable, u: complex) -> FactorialFamily:
     weight = -kappa * np.exp(1.0 / scale)
     weight[0] = -kappa
 
+    # term 1 is d_{k,2} / u_k, then t_{i+1} / t_i = sign_k (i + 1) d_{k,i+2} / d_{k,i+1}
+    ratio = np.empty(rows.shape, dtype=complex)
+    ratio[:, 0] = rows[:, 0] / uk
+    ratio[:, 1:] = sign[:, None] * np.arange(2.0, table.M) * rows[:, 1:] / rows[:, :-1]
+
     def numer(k, i):
-        # at i = 0 rows[k, i - 1] is the row's last entry; np.where drops it
-        return np.where(i == 0, rows[k, 0] / uk[k], sign[k] * (i + 1) * rows[k, i] / rows[k, i - 1])
+        return ratio[k, i]
 
     size = np.abs(weight * rows[:, 0] / (uk * (uk + 1.0))) * abs(u)
     return FactorialFamily("h-expansion", uk + 1.0, weight, numer, size, safety=1.3,
-                           max_terms=table.M - 2)
+                           max_terms=table.M - 2, ladder=_h_ladder(table.nu))
 
 
 def _bessel_h_eval(nu: float, u: complex, tol: float,
@@ -315,20 +333,16 @@ def _bessel_h_eval(nu: float, u: complex, tol: float,
         raise DomainError("direct h-expansion limited to |nu| < 3/2; "
                           "use bessel_k_dyadic for larger orders")
     if plan is not None:
-        table = get_table(nu, max(n + 2 for n in plan.n_terms), max(plan.K, 8))
+        table = get_table(nu, max(n + 2 for n in plan.n_terms), plan.K)
     else:
-        # level decay is 2^{-k(3/2-nu)}: pick a table depth that covers tol,
-        # quantized upward so repeated calls share one build
-        rate = 1.5 - nu
-        K_need = int(math.log2(10.0 / (tol * abs(u))) / rate) + 4
-        K_need = min(MAX_LEVELS, max(34, 6 * math.ceil(K_need / 6)))
-        table = get_table(nu, 34, K_need)
+        # the Richardson steps keep every plan within LADDER_LEVELS levels
+        table = get_table(nu, 34, LADDER_LEVELS)
     fam = _h_family(table, u)
     if plan is None:
         plan = plan_truncation(fam, tol)
-    # F(0) = P_{nu-1/2}(1) = 1
-    value = complex(1.0 / u + fam.weight[:plan.K + 1] @ level_sums(fam, plan.n_terms))
-    return EvalResult(value, plan.predicted_error * abs(value), plan)
+    total, corr = assemble(fam, plan)
+    value = 1.0 / u + total  # F(0) = P_{nu-1/2}(1) = 1
+    return EvalResult(value, plan.predicted_error * abs(value) + corr, plan)
 
 
 def airy_h(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) -> EvalResult:
@@ -368,9 +382,14 @@ def bessel_h(nu: float, x: complex, tol: float = 1e-10) -> EvalResult:
 
 
 def bessel_k_dyadic(nu: float, x: float, tol: float = 1e-9) -> EvalResult:
-    """K_nu(x) for x > 0, |nu| <= 5: normalization map on the h-expansion,
-    plus the stable upward recurrence K_{mu+1} = K_{mu-1} + (2 mu / x) K_mu
-    once |nu| >= 3/2."""
+    """K_nu(x) for x > 0, |nu| <= 5: normalization map on the h-expansion.
+
+    Orders whose ladder would magnify level errors more than
+    MAX_AMPLIFICATION (|nu| above about 1.34, where 2^(3/2-nu) tends to
+    1) go through the stable upward recurrence
+    K_{mu+1} = K_{mu-1} + (2 mu / x) K_mu, seeded from K_{mu-1} = K_{1-mu}
+    and K_mu with mu = frac(|nu|).  Every term is positive, so the
+    recurrence keeps the seeds' relative accuracy."""
     nu = abs(nu)
     if nu > 5.0:
         raise DomainError("bessel_k_dyadic restricted to |nu| <= 5")
@@ -382,18 +401,14 @@ def bessel_k_dyadic(nu: float, x: float, tol: float = 1e-9) -> EvalResult:
         front = _BESSEL_C * math.exp(-x) * math.sqrt(x)
         return EvalResult(front * r.value, front * r.error_estimate, r.plan)
 
-    if nu < 1.5:
+    if nu < 1.5 and amplification(_h_ladder(nu)) <= MAX_AMPLIFICATION:
         return k_direct(nu)
-    steps = 0
-    mu = nu
-    while mu >= 1.5:
-        mu -= 1.0
-        steps += 1
+    mu = nu - math.floor(nu)
     lo, hi = k_direct(mu - 1.0), k_direct(mu)
     v_lo, v_hi = lo.value, hi.value
     err = lo.error_estimate + hi.error_estimate
     terms = lo.plan.terms_total + hi.plan.terms_total
-    for _ in range(steps):
+    for _ in range(math.floor(nu)):
         v_lo, v_hi = v_hi, v_lo + (2.0 * mu / x) * v_hi
         mu += 1.0
         err *= (1.0 + 2.0 * mu / x)

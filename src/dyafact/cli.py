@@ -158,7 +158,8 @@ def cmd_plan(cfg: RunConfig) -> int:
             sys.stderr.write(f"domain error at x = {x}: {exc}\n")
             return EXIT_DOMAIN
         sys.stdout.write(
-            f"x = {complex(x):.6g}  K = {plan.K}  terms_total = {plan.terms_total}\n"
+            f"x = {complex(x):.6g}  K = {plan.K}  steps = {plan.steps}  "
+            f"terms_total = {plan.terms_total}\n"
             f"  n_terms = {plan.n_terms}\n"
             f"  predicted_error = {plan.predicted_error:.3e}\n"
         )

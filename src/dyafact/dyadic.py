@@ -14,9 +14,10 @@ the geometric kernels by polylogarithms of order s < 1.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +33,12 @@ __all__ = [
     "FactorialFamily",
     "plan_truncation",
     "level_sums",
+    "romberg",
+    "amplification",
+    "assemble",
     "MAX_LEVELS",
+    "LADDER_LEVELS",
+    "MAX_AMPLIFICATION",
 ]
 
 MAX_LEVELS = 60          # 2^-60 is below binary64 resolution
@@ -40,6 +46,11 @@ DENOM_GUARD = 1e-8       # singular-denominator threshold (absolute)
 CUT_GUARD = 0.05         # relative distance from an expansion's cut
 POCH_GUARD = 1e-12       # Pochhammer factor treated as a pole
 N_CAP = 200_000          # terms any one series may keep
+SHIFT_FLOOR = 32.0       # |x_K| from which a ladder's tail expansion holds
+LADDER_LEVELS = 16       # h-table depth: laddered plans at tol >= 1e-10 keep <= 15 levels
+# Richardson error growth an evaluator accepts: at tol 1e-10 the levels then
+# need about 5e-13, which the coefficient rows (1e-13 and better) deliver
+MAX_AMPLIFICATION = 100.0
 
 
 class CutProximityError(DomainError):
@@ -166,12 +177,15 @@ def ramified_partial(s_exp: float, p: complex, K: int) -> complex:
 
 @dataclass(frozen=True)
 class DyadicPlan:
-    """Truncation schedule: K dyadic levels beyond the base series and the
-    number of terms kept in the base (index 0) and in each level."""
+    """Truncation schedule: K dyadic levels beyond the base series, the
+    number of terms kept in the base (index 0) and in each level, and the
+    number of Richardson steps taken over the level partial sums (0: the
+    plain K-level sum)."""
 
     K: int
     n_terms: List[int]
     predicted_error: float
+    steps: int = 0
 
     def __post_init__(self):
         if len(self.n_terms) != self.K + 1:
@@ -180,6 +194,8 @@ class DyadicPlan:
             raise DomainError("every series keeps at least one term")
         if not (self.predicted_error > 0):
             raise DomainError("predicted_error must be positive")
+        if not (0 <= self.steps <= self.K):
+            raise DomainError("a plan takes between 0 and K Richardson steps")
 
     @property
     def terms_total(self) -> int:
@@ -201,12 +217,17 @@ class FactorialFamily:
     matrix) of indices and broadcasts.
 
     The planner sees only magnitudes in the units of its tolerance:
-    ``size[k]`` = |weight_k t_{k,1}| and the term ratios |t_{k,i+1}/t_{k,i}|,
-    which are |numer / (shift + i)| unless ``envelope(k, i)`` gives a
-    cheaper bound.  ``safety`` scales every remainder estimate.
+    ``size[k]`` = |weight_k t_{k,1}| and the term ratios
+    |t_{k,i+1}/t_{k,i}| = |numer / (shift + i)|.  ``safety`` scales every
+    remainder estimate.
     ``cut_distance`` is the argument's relative distance from the
     expansion's cut; ``max_terms`` caps each series (for a tabulated
     family, the terms its coefficient rows support).
+
+    ``ladder`` holds the exponents lambda_j, in increasing order, of the
+    tail sum_j a_j 2^(-lambda_j K) that the K-level partial sums leave;
+    a plan removes them by Richardson steps (``romberg``).  An empty
+    ladder means plain truncation.
     """
 
     name: str
@@ -215,9 +236,9 @@ class FactorialFamily:
     numer: Callable[[np.ndarray, np.ndarray], np.ndarray]
     size: np.ndarray
     safety: float
-    envelope: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     cut_distance: float = 1.0
     max_terms: int = N_CAP
+    ladder: Tuple[float, ...] = ()
 
     @property
     def floor(self) -> np.ndarray:
@@ -240,44 +261,111 @@ class FactorialFamily:
         return self.safety * np.append(beyond[1:], 0.0)
 
     def ratios(self, k: np.ndarray, i: np.ndarray) -> np.ndarray:
-        """|t_{k,i+1} / t_{k,i}| as the planner sees it."""
-        if self.envelope is not None:
-            return self.envelope(k, i)
+        """|t_{k,i+1} / t_{k,i}|."""
         return np.abs(self.numer(k, i)) / np.abs(self.shift[k] + i)
 
 
-def _remainders(fam: FactorialFamily, K: int, target: float) -> np.ndarray:
-    """Remainder estimates of levels 0..K after n = 1, 2, ... terms.
+def romberg(partial_sums: Sequence, ladder: Sequence[float]) -> Tuple[complex, complex]:
+    """Richardson extrapolation of dyadic partial sums S_0..S_K whose tail
+    is sum_j a_j 2^(-lambda_j K).
+
+    The step for lambda replaces every S_K by (f S_K - S_{K-1}) / (f - 1),
+    f = 2^lambda, which removes the 2^(-lambda K) term; the steps need the
+    last len(ladder) + 1 sums.  Returns the extrapolated value at the last
+    K and the change the last step made to it (0 without steps)."""
+    if len(partial_sums) <= len(ladder):
+        raise DomainError(f"{len(ladder)} Richardson steps need {len(ladder) + 1} partial sums")
+    t = list(partial_sums[len(partial_sums) - len(ladder) - 1:])
+    value = before = t[-1]
+    for lam in ladder:
+        f = 2.0 ** lam
+        t = [(f * b - a) / (f - 1.0) for a, b in zip(t, t[1:])]
+        before, value = value, t[-1]
+    return value, value - before
+
+
+def amplification(ladder: Sequence[float]) -> float:
+    """prod (f + 1) / (f - 1), f = 2^lambda: the most the Richardson steps
+    of ``ladder`` can magnify errors in the partial sums."""
+    f = 2.0 ** np.asarray(ladder, dtype=float)
+    return float(np.prod((f + 1.0) / (f - 1.0)))
+
+
+@functools.lru_cache(maxsize=256)
+def _romberg_gains(K: int, ladder: Tuple[float, ...]) -> np.ndarray:
+    """The factor each of levels 0..K carries into the extrapolated value:
+    1 up to level K - steps, which every combined partial sum contains,
+    then the tail sums of the Richardson weights.  Cached, read-only."""
+    c = np.array([romberg(e, ladder)[0] for e in np.eye(len(ladder) + 1)])
+    gain = np.ones(K + 1)
+    gain[K + 1 - len(ladder):] = np.abs(np.cumsum(c[::-1])[::-1][1:])
+    gain.flags.writeable = False
+    return gain
+
+
+def _ladder_depth(fam: FactorialFamily, tol: float, floor: np.ndarray) -> Tuple[int, float]:
+    """Levels K of a laddered plan and its modeled last Richardson
+    correction, the first tail term the steps leave.
+
+    The tail expansion is asymptotic in rho_K = 2^-K + 2/|x_K|, so it
+    needs |x_K| >= SHIFT_FLOOR, which grows K with log2(1/|x|).  The steps
+    reweight levels K - steps + 1..K, and a level in a pole window
+    (``floor``) carries terms exponentially small in |Im x_k| that the
+    ladder does not describe, so those levels must be clear of windows.
+    The correction is modeled as the plain tail size_K / (2^lambda_1 - 1)
+    times rho_K^(lambda_last - lambda_1); K is the smallest count past
+    these floors whose correction fits in ``tol / 2``, or the deepest
+    described level."""
+    lam = fam.ladder
+    k = np.arange(len(fam.shift))
+    xk = np.abs(fam.shift)
+    windowed = np.flatnonzero(floor > 1)
+    first = len(lam) + (windowed[-1] if len(windowed) else 0)
+    rho = 2.0 ** -k + 2.0 / xk
+    corr = fam.size / (2.0 ** lam[0] - 1.0) * rho ** (lam[-1] - lam[0])
+    ok = (k >= first) & (xk >= SHIFT_FLOOR) & (corr <= 0.5 * tol)
+    K = int(np.argmax(ok)) if ok.any() else len(k) - 1
+    return K, float(corr[K])
+
+
+def _remainders(fam: FactorialFamily, floor: np.ndarray, gain: np.ndarray,
+                target: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Remainder estimates of levels 0..K (K + 1 = len(floor)) after
+    n = 1, 2, ... terms, each scaled by the factor ``gain`` its level
+    carries into the value.
 
     The remainder after n terms is the next term over the local geometric
-    gap.  Every level walks its exact term magnitudes, in chunks that
-    start small and double, until it has cleared its pole window and its
-    remainder is below ``target`` or its coefficient row ends.  Entry
-    [k, n-1] is +inf where n is below the level's floor or past its stop.
+    gap.  Every level walks its exact term magnitudes, in chunks of 32,
+    32, 64, 128, ... terms, until it has cleared its pole window and its
+    remainder is below ``target`` or its coefficient row ends.  Returns
+    the remainders, +inf at [k, n-1] where n is below the level's floor
+    or past its stop, and the stops: each level's even-split term count.
     """
+    K = len(floor) - 1
     levels = np.arange(K + 1)[:, None]
-    floor = fam.floor[:K + 1]
     if floor.max() > fam.max_terms:
         raise CutProximityError(
             f"{fam.name}: a level must clear a pole window of {floor.max()} terms; "
             "too close to the expansion's cut for this tolerance"
         )
-    t = fam.size[:K + 1].astype(float)       # |t_n| at the chunk start
+    t = fam.size[:K + 1] * gain               # |t_n| at the chunk start
     stop = np.zeros(K + 1, dtype=np.int64)    # terms kept; 0 while walking
     chunks = []
-    n, width = 1, 16
-    while n <= fam.max_terms and not stop.all():
-        counts = np.arange(n, min(n + width, fam.max_terms + 1))
-        r = fam.ratios(levels, counts[None, :])
-        with np.errstate(over="ignore"):    # saturated at 1e280
-            mags = t[:, None] * np.minimum(np.cumprod(r, axis=1), 1e280)
-        rems = mags / np.maximum(1.0 - np.minimum(r, 0.95), 0.05)
-        ok = (rems <= target) & (counts[None, :] >= floor[:, None])
-        first = np.where(ok.any(axis=1), counts[np.argmax(ok, axis=1)], 0)
-        stop = np.where(stop == 0, first, stop)
-        chunks.append(rems)
-        t = mags[:, -1]
-        n, width = int(counts[-1]) + 1, 2 * width
+    n, width = 1, 32
+    with np.errstate(over="ignore"):    # magnitudes saturate at 1e280
+        while n <= fam.max_terms and not stop.all():
+            counts = np.arange(n, min(n + width, fam.max_terms + 1))
+            walk = np.flatnonzero(stop == 0)
+            r = fam.ratios(levels[walk], counts[None, :])
+            mags = t[walk, None] * np.minimum(np.cumprod(r, axis=1), 1e280)
+            walked = mags / np.maximum(1.0 - np.minimum(r, 0.95), 0.05)
+            ok = (walked <= target) & (counts >= floor[walk, None])
+            stop[walk] = np.where(ok.any(axis=1), counts[ok.argmax(axis=1)], 0)
+            rems = np.full((K + 1, len(counts)), np.inf)
+            rems[walk] = walked
+            chunks.append(rems)
+            t[walk] = mags[:, -1]
+            n, width = int(counts[-1]) + 1, width if n == 1 else 2 * width
     if not stop.all():
         if fam.max_terms >= N_CAP:
             raise CutProximityError(
@@ -287,22 +375,47 @@ def _remainders(fam: FactorialFamily, K: int, target: float) -> np.ndarray:
         stop = np.where(stop == 0, fam.max_terms, stop)  # the row ran out
     rem = np.hstack(chunks)
     count = np.arange(1, rem.shape[1] + 1)[None, :]
-    return np.where((count >= floor[:, None]) & (count <= stop[:, None]), rem, np.inf)
+    return np.where((count >= floor[:, None]) & (count <= stop[:, None]), rem, np.inf), stop
+
+
+def _greedy(rem: np.ndarray, floor: np.ndarray, budget: float) -> np.ndarray:
+    """Term counts from one remainder threshold across all levels: the
+    level with the largest remainder grows first until the remainders
+    fit in ``budget``.
+
+    A level moves from one record low of its remainders to the next when
+    the threshold passes the current one; the moves are taken in that
+    order."""
+    K = len(floor) - 1
+    low = np.minimum.accumulate(rem, axis=1)
+    before = np.hstack([np.full((K + 1, 1), np.inf), low[:, :-1]])
+    move = (low < before) & np.isfinite(before)
+    k_move, j_move = np.nonzero(move)
+    order = np.argsort(-before[move], kind="stable")
+    n_terms = floor.copy()
+    left = rem[np.arange(K + 1), floor - 1].sum()
+    if left > budget:
+        fits = np.flatnonzero(left + np.cumsum((low[move] - before[move])[order]) <= budget)
+        done = order[:fits[0] + 1] if len(fits) else order
+        np.maximum.at(n_terms, k_move[done], j_move[done] + 1)
+    return n_terms
 
 
 def plan_truncation(fam: FactorialFamily, tol: float,
                     enforce_cut_guard: bool = True) -> DyadicPlan:
-    """Choose the number of dyadic levels K and per-series term counts so
-    the predicted truncation error stays below ``tol``.
+    """Choose the number of dyadic levels K, the Richardson steps and the
+    per-series term counts so the predicted error stays below ``tol``.
 
-    K is the smallest level count whose discarded levels fit in half the
-    budget.  The kept series then share what the tail left: the level
-    with the largest remainder grows first, which is one remainder
-    threshold across all levels, until they fit.  A level whose
-    coefficient row runs out stops growing, and the prediction reports
-    the shortfall.  Callers prepared to pay for pole-window clearing may
-    disable the cut-distance guard; the term-count cap still bounds the
-    damage.
+    Without a ladder K is the smallest level count whose discarded levels
+    fit in half the budget, and the kept series share what that tail left
+    greedily (``_greedy``).  With a ladder the plan takes every step of
+    the ladder, K comes from ``_ladder_depth``, each level's truncation
+    error reaches the value times its Richardson weight, and every level
+    gets an even share of what the modeled correction left.  A level
+    whose coefficient row runs out stops growing, and the prediction
+    reports the shortfall.  Callers prepared to pay for pole-window
+    clearing may disable the cut-distance guard; the term-count cap still
+    bounds the damage.
     """
     if not (1e-14 < tol < 1e-1):
         raise DomainError("tol must lie in (1e-14, 1e-1)")
@@ -310,28 +423,25 @@ def plan_truncation(fam: FactorialFamily, tol: float,
         raise CutProximityError(
             f"{fam.name}: relative distance from the cut is below {CUT_GUARD}"
         )
-    tails = fam.tails()
-    K = int(np.argmax(tails <= 0.5 * tol))
-    budget = (tol - tails[K]) / fam.safety
-    rem = _remainders(fam, K, budget / (K + 1))
-    # a level moves from one record low of its remainders to the next
-    # when the threshold passes the current one: order those moves by it
-    low = np.minimum.accumulate(rem, axis=1)
-    before = np.hstack([np.full((K + 1, 1), np.inf), low[:, :-1]])
-    move = (low < before) & np.isfinite(before)
-    k_move, j_move = np.nonzero(move)
-    order = np.argsort(-before[move], kind="stable")
-    floor = fam.floor[:K + 1]
-    n_terms = floor.copy()
-    left = rem[np.arange(K + 1), floor - 1].sum()
-    if left > budget:
-        fits = np.flatnonzero(left + np.cumsum((low[move] - before[move])[order]) <= budget)
-        done = order[:fits[0] + 1] if len(fits) else order
-        np.maximum.at(n_terms, k_move[done], j_move[done] + 1)
+    floor = fam.floor
+    if fam.ladder:
+        steps = len(fam.ladder)
+        K, tail = _ladder_depth(fam, tol, floor)
+        gain = _romberg_gains(K, fam.ladder)
+    else:
+        tails = fam.tails()
+        steps, K = 0, int(np.argmax(tails <= 0.5 * tol))
+        tail, gain = tails[K], np.ones(K + 1)
+    budget = (tol - min(tail, 0.5 * tol)) / fam.safety
+    floor = floor[:K + 1]
+    rem, stop = _remainders(fam, floor, gain, budget / (K + 1))
+    # with the few levels of a ladder the greedy allocation saves about 5 %
+    # of the terms, which costs more time than the terms themselves
+    n_terms = stop if fam.ladder else _greedy(rem, floor, budget)
     kept = rem[np.arange(K + 1), n_terms - 1].sum()
-    predicted = tails[K] + fam.safety * kept
+    predicted = tail + fam.safety * kept
     return DyadicPlan(K=K, n_terms=[int(n) for n in n_terms],
-                      predicted_error=max(float(predicted), np.finfo(float).tiny))
+                      predicted_error=max(float(predicted), np.finfo(float).tiny), steps=steps)
 
 
 def level_sums(fam: FactorialFamily, n_terms: Sequence[int]) -> np.ndarray:
@@ -352,3 +462,14 @@ def level_sums(fam: FactorialFamily, n_terms: Sequence[int]) -> np.ndarray:
     terms = np.cumprod(fam.numer(k, i) / den, axis=1)
     alive = np.logical_and.accumulate(np.abs(terms) < 1e250, axis=1)
     return np.where((j < n[:, None]) & alive, terms, 0.0).sum(axis=1)
+
+
+def assemble(fam: FactorialFamily, plan: DyadicPlan) -> Tuple[complex, float]:
+    """The plan's value over the family (weighted level sums, then the
+    plan's Richardson steps) and the size of its last correction."""
+    if plan.steps > len(fam.ladder):
+        raise DomainError(f"{fam.name}: the ladder has {len(fam.ladder)} steps, "
+                          f"the plan asks for {plan.steps}")
+    sums = np.cumsum(fam.weight[:plan.K + 1] * level_sums(fam, plan.n_terms))
+    value, corr = romberg(sums.tolist(), fam.ladder[:plan.steps])
+    return complex(value), float(abs(corr))

@@ -12,6 +12,7 @@ positive real axis.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -20,14 +21,17 @@ from typing import Dict, Optional
 import numpy as np
 
 from .dyadic import (
+    MAX_AMPLIFICATION,
+    MAX_LEVELS,
     DyadicPlan,
     FactorialFamily,
-    MAX_LEVELS,
+    amplification,
+    assemble,
     level_sums,
     plan_truncation,
 )
-from .scalar import DomainError
-from ._gauss import QuadratureError, dyadic_edges, panel_nodes
+from .scalar import DomainError, polylog
+from ._gauss import QuadratureError, dyadic_edges, geometric_sums, panel_nodes
 
 __all__ = [
     "EvalResult",
@@ -45,11 +49,16 @@ __all__ = [
 ]
 
 _LEVELS = 2.0 ** np.arange(MAX_LEVELS + 1)   # 2^k for every described level
+# Level k of Ei and digamma is 2^-k sigma(2^-k z) with sigma(z) = 1/(1 + e^-z)
+# = 1/2 + z/4 - z^3/48 + ...: the K-level tail runs in 2^-K, 2^-2K, 2^-4K, 2^-6K.
+_SIGMA_LADDER = (1.0, 2.0, 4.0, 6.0)
 
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Value with its a-priori error estimate and the executed plan."""
+    """Value with its error estimate and the executed plan.  The estimate
+    is the plan's prediction plus the size of the last Richardson
+    correction the evaluation made."""
 
     value: complex
     error_estimate: float
@@ -66,7 +75,7 @@ def _geometric(a: np.ndarray, den: np.ndarray):
     return lambda k, i: np.where(i == 0, a[k], i) / den[k]
 
 
-def _ei_family(w: complex, c: complex, name: str) -> FactorialFamily:
+def _ei_family(w: complex, c: complex, name: str, ladder: tuple = ()) -> FactorialFamily:
     """The exponential-integral family in w with Borel-plane scale c:
     level k has shift 2^k w and a_k = e^{-c 2^-k} over den_k = 1 + a_k,
     the base a_0 = e^{-c} over den_0 = 1 - e^{-c}, every weight 1.  Its
@@ -78,13 +87,15 @@ def _ei_family(w: complex, c: complex, name: str) -> FactorialFamily:
     return FactorialFamily(
         name, shift, np.ones(MAX_LEVELS + 1), _geometric(a, den),
         size=np.abs(a / (den * shift)), safety=10.0,
-        cut_distance=1.0 if w.real >= 0 else abs(w.imag) / abs(w))
+        cut_distance=1.0 if w.real >= 0 else abs(w.imag) / abs(w), ladder=ladder)
 
 
 def ei_stokes_family(x: complex) -> FactorialFamily:
     """Stokes-sector exponential-integral family: c = i pi in y = -i x / pi,
     base ratio 1/2, level-k ratio 1/|1 + e^{-i pi 2^-k}|; cut along the
-    closed negative imaginary axis."""
+    closed negative imaginary axis.  It has no ladder: its plans are
+    plain truncations, whose discarded tail pi 2^-(K+1)/x the acceptance
+    suite checks."""
     x = complex(x)
     if x == 0:
         raise DomainError("ei_stokes undefined at x = 0")
@@ -107,8 +118,8 @@ def ei_stokes(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None)
     fam = ei_stokes_family(x)
     if plan is None:
         plan = plan_truncation(fam, tol)
-    total = fam.weight[:plan.K + 1] @ level_sums(fam, plan.n_terms)
-    return EvalResult(complex(total), plan.predicted_error, plan)
+    total, corr = assemble(fam, plan)
+    return EvalResult(total, plan.predicted_error + corr, plan)
 
 
 def ei_left_family(x: complex) -> FactorialFamily:
@@ -119,7 +130,7 @@ def ei_left_family(x: complex) -> FactorialFamily:
     x = complex(x)
     if x == 0:
         raise DomainError("ei_left undefined at x = 0")
-    return _ei_family(x, -1.0, "ei-left")
+    return _ei_family(x, -1.0, "ei-left", _SIGMA_LADDER)
 
 
 def ei_left(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) -> EvalResult:
@@ -136,8 +147,8 @@ def ei_left(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) -
         raise DomainError("ei_left is cut along the negative real axis")
     if plan is None:
         plan = plan_truncation(fam, tol)
-    total = fam.weight[:plan.K + 1] @ level_sums(fam, plan.n_terms)
-    return EvalResult(complex(total), plan.predicted_error, plan)
+    total, corr = assemble(fam, plan)
+    return EvalResult(total, plan.predicted_error + corr, plan)
 
 
 def ei_left_base_stream() -> "CoefficientStream":
@@ -190,7 +201,7 @@ def psi_family(x: complex) -> FactorialFamily:
     ones = np.ones(MAX_LEVELS + 1)
     return FactorialFamily(
         "psi-dyadic", shift, (_LEVELS > 1).astype(float), _geometric(ones, 2.0 * ones),
-        size=size, safety=4.0, cut_distance=1.0 if x.real > 0 else 0.0)
+        size=size, safety=4.0, cut_distance=1.0 if x.real > 0 else 0.0, ladder=_SIGMA_LADDER)
 
 
 def psi_dyadic(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) -> EvalResult:
@@ -202,8 +213,8 @@ def psi_dyadic(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None
     fam = psi_family(x)
     if plan is None:
         plan = plan_truncation(fam, tol)
-    total = cmath.log(x) + fam.weight[:plan.K + 1] @ level_sums(fam, plan.n_terms)
-    return EvalResult(complex(total), plan.predicted_error, plan)
+    total, corr = assemble(fam, plan)
+    return EvalResult(cmath.log(x) + total, plan.predicted_error + corr, plan)
 
 
 def psi_half_difference(x: complex, n: int) -> complex:
@@ -251,28 +262,30 @@ class _GammaCoeffs:
         self.s = s
         self._base: list = []
         self._level: Dict[int, np.ndarray] = {}
+        self._ratios = np.full((MAX_LEVELS + 1, _GAMMA_TERMS + 1), np.nan)
+        self._have = np.zeros(MAX_LEVELS + 1, dtype=np.int64)  # entries filled per level
         self._shift: Optional[_GammaCoeffs] = _GammaCoeffs(s + 1.0) if s < 0 else None
         if self._shift is None and s > 0:
             self._gamma_s = math.gamma(s)
 
     def base(self, m: int) -> float:
-        while len(self._base) <= m:
-            self._base.append(self._base_direct(len(self._base)))
+        if len(self._base) <= m:
+            self._base = self._base_row(max(m + 1, 2 * len(self._base)))
         return self._base[m]
 
-    def _base_direct(self, m: int) -> float:
-        s = self.s
-        n0 = max(m, 1)
-        t = math.exp(math.lgamma(n0 + 1.0) - math.lgamma(n0 - m + 1.0) - n0 - s * math.log(n0))
-        total = t
-        n = n0
-        while True:
-            n += 1
-            t *= (n / (n - m)) * math.exp(-1.0) * (1.0 - 1.0 / n) ** s
-            total += t
-            if t < 1e-18 * total and n > n0 + 8:
-                break
-        return total if m % 2 == 0 else -total
+    def _base_row(self, n: int) -> list:
+        """c_0..c_{n-1} of the base stream, every sum at once in log form:
+        n(n-1)...(n-m+1) = n!/(n-m)!.  Terms peak near n = 1.6 m and fall
+        below 1e-18 of the peak well before 3 m + 100.  Past m ~ 185 the
+        sums overflow to inf, which level_sums drops."""
+        N = 3 * n + 100
+        j = np.arange(1, N + 1)
+        log_fact = np.array([math.lgamma(i + 1.0) for i in range(N + 1)])
+        m = np.arange(n)[:, None]
+        with np.errstate(over="ignore"):
+            logs = log_fact[j] - log_fact[np.maximum(j - m, 0)] - j - self.s * np.log(j)
+            sums = np.where(j >= m, np.exp(logs), 0.0).sum(axis=1)
+        return (sums * (-1.0) ** np.arange(n)).tolist()
 
     def row(self, k: int, n: int) -> np.ndarray:
         """The first n coefficients of level k (k = 0: the base stream)."""
@@ -286,6 +299,28 @@ class _GammaCoeffs:
 
     def level(self, k: int, m: int) -> float:
         return float(self.row(k, m + 1)[m])
+
+    @functools.cached_property
+    def deep_first(self) -> float:
+        """|Li_s(-1)|, which the first coefficient Li_s(-e^{-2^-k}) of
+        level k approaches as k grows."""
+        return abs(polylog(self.s, -1.0))
+
+    def ratios(self, k: np.ndarray, i: np.ndarray) -> np.ndarray:
+        """Term ratios c_{k,i} / c_{k,i-1} (c_{k,-1} = 1) for a column of
+        levels k and indices i <= _GAMMA_TERMS (broadcast), read from one
+        array.  A level's entries are filled, by doubling, only when an
+        index past them is asked for."""
+        need = np.max(i, axis=-1) + 1
+        short = need > self._have[k[:, 0]]
+        if short.any():
+            for lvl, n in zip(k[short, 0], np.broadcast_to(need, short.shape)[short]):
+                n = max(n, min(2 * self._have[lvl], _GAMMA_TERMS + 1))
+                c = self.row(lvl, n)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    self._ratios[lvl, :n] = c / np.append(1.0, c[:-1])
+                self._have[lvl] = n
+        return self._ratios[k, i]
 
     def _level_row(self, k: int, n: int) -> np.ndarray:
         """c_{k,0..n-1}, all m from one sampling on shared Gauss nodes."""
@@ -301,12 +336,14 @@ class _GammaCoeffs:
         head = np.exp(-(m + 1) * np.log1p(math.exp(-eps)) + s * math.log(t_lo)) / s
 
         def integrals(refine: int) -> np.ndarray:
-            # m = 0: t^{s-1} / (e^t + a); m >= 1: t^{s-1} e^t (e^t + a)^{-(m+1)},
-            # a = e^{-eps}, in log form to dodge overflow
+            # m = 0: t^{s-1} / (e^t + a); m >= 1: t^{s-1} e^t (e^t + a)^{-(m+1)}
+            # = [t^{s-1} e^t q] q^m with q = 1 / (e^t + a) < 1, a = e^{-eps}
             t, w = panel_nodes(dyadic_edges(t_lo, 54.0 + 8.0 * s, refine))
-            logs = ((s - 1.0) * np.log(t) + (m > 0)[:, None] * t
-                    - (m + 1)[:, None] * np.logaddexp(t, -eps))
-            return head + np.exp(logs) @ w
+            lse = np.logaddexp(t, -eps)
+            first = (s - 1.0) * np.log(t) - lse
+            q = np.exp(-lse)
+            m0 = np.exp(first) @ w
+            return head + np.append(m0, geometric_sums(np.exp(first + t) * w * q, q, n - 1))
 
         a, b = integrals(1), integrals(2)
         if np.max(np.abs(a - b) / b) > 1e-12:
@@ -321,6 +358,7 @@ class _GammaCoeffs:
 
 
 _GAMMA_CACHE: Dict[float, _GammaCoeffs] = {}
+_GAMMA_TERMS = 150  # terms a level may keep: the base coefficients overflow near m = 185
 _GAMMA_LOCK = threading.Lock()
 
 
@@ -332,29 +370,39 @@ def _gamma_coeffs(s: float) -> _GammaCoeffs:
         return _GAMMA_CACHE[key]
 
 
+def _gamma_ladder(s: float) -> tuple:
+    """Level k carries 2^-k(1-s) Li_s(-e^{-z/2^k}), analytic at z = 0: the
+    K-level tail runs in 2^-(n+1-s)K, n = 0, 1, ..."""
+    return tuple(n + 1.0 - s for n in range(4))
+
+
 def _gamma_family(s: float, x: complex, coeffs: _GammaCoeffs) -> FactorialFamily:
     """Level k of the normalized incomplete-gamma expansion is
     sum_m c_{k,m} / (2^k x)_{m+1}, entering with weight -2^{ks} (the base
-    with 1).  The planner sees the Ei-left term ratios one index on (base
-    ratio 1/(e-1), level-k ratio 1/(1 + e^{2^-k}); leading level terms from
-    the deepest level's first coefficient), so planning builds no
-    coefficient rows."""
-    ei = ei_left_family(x)
+    with 1).  The planner walks the exact term ratios of the cached
+    coefficient rows; it reads the leading level terms from Li_s(-1),
+    which the first coefficients approach, so planning builds no row past
+    the levels it keeps."""
+    shift = _LEVELS * x
     weight = -(_LEVELS ** s)
     weight[0] = 1.0
-    size = _LEVELS ** (s - 1.0) * abs(coeffs.level(MAX_LEVELS, 0)) / abs(x)
+    size = _LEVELS ** (s - 1.0) * coeffs.deep_first / abs(x)
     size[0] = abs(coeffs.base(0)) / abs(x)
 
-    def numer(k, i):
-        i = np.broadcast_to(i, np.broadcast_shapes(np.shape(k), np.shape(i)))
-        out = np.empty(i.shape)
-        for r, level in enumerate(k[:, 0]):
-            c = np.concatenate([[1.0], coeffs.row(int(level), int(i[r].max()) + 1)])
-            out[r] = c[i[r] + 1] / c[i[r]]
-        return out
+    return FactorialFamily("incomplete-gamma", shift, weight, coeffs.ratios, size, safety=4.0,
+                           max_terms=_GAMMA_TERMS, ladder=_gamma_ladder(s))
 
-    return FactorialFamily("incomplete-gamma", ei.shift, weight, numer, size, safety=4.0,
-                           envelope=lambda k, i: ei.ratios(k, i + 1))
+
+def _gamma_eval(s: float, x: complex, tol: float, plan: Optional[DyadicPlan]) -> EvalResult:
+    fam = _gamma_family(s, x, _gamma_coeffs(s))
+    # Gamma(s, x) >= x^s e^-x / (x + 1 - s) for real x > 0 and s < 1, so
+    # this bounds the normalized series from below
+    scale = math.gamma(1.0 - s) / (abs(x) + 1.0 - s)
+    if plan is None:
+        plan = plan_truncation(fam, tol * scale)
+    total, corr = assemble(fam, plan)
+    front = x**s * cmath.exp(-x) / math.gamma(1.0 - s)
+    return EvalResult(front * total, (plan.predicted_error + corr) * abs(front), plan)
 
 
 def incomplete_gamma_dyadic(s: float, x: complex, tol: float = 4e-9,
@@ -365,19 +413,27 @@ def incomplete_gamma_dyadic(s: float, x: complex, tol: float = 4e-9,
     Gamma(1-s) e^x x^{-s} Gamma(s, x) (base stream at argument 1/e minus
     the dyadic polylog levels) and maps back; ``tol`` is relative to the
     normalized series, which the exponential rescaling preserves.
+
+    Near s = 1 the ladder's first step factor 2^(1-s) tends to 1.  Orders
+    whose ladder would magnify level errors more than MAX_AMPLIFICATION
+    (s above about 0.85) are evaluated at s - 1 through DLMF 8.8.2,
+    Gamma(s, x) = (s - 1) Gamma(s - 1, x) + x^(s-1) e^-x; the plan is then
+    the one of order s - 1.
     """
     x = complex(x)
     if x.real <= 0:
         raise DomainError("incomplete_gamma_dyadic requires Re x > 0")
     if s >= 1.0 or abs(s - round(s)) < 1e-12:
         raise DomainError("incomplete_gamma_dyadic requires non-integer s < 1")
-    fam = _gamma_family(s, x, _gamma_coeffs(s))
-    scale = math.gamma(1.0 - s) / abs(x)  # magnitude of the normalized series
-    if plan is None:
-        plan = plan_truncation(fam, tol * scale)
-    total = fam.weight[:plan.K + 1] @ level_sums(fam, plan.n_terms)
-    front = x**s * cmath.exp(-x) / math.gamma(1.0 - s)
-    return EvalResult(complex(front * total), plan.predicted_error * abs(front), plan)
+    if amplification(_gamma_ladder(s)) <= MAX_AMPLIFICATION:
+        return _gamma_eval(s, x, tol, plan)
+    # |s - 1| Gamma(s - 1, x) < x^(s-1) e^-x <= Gamma(s, x) (x + 1 - s) / x
+    # on the real axis, so this tol keeps the sum within tol of Gamma(s, x)
+    r = _gamma_eval(s - 1.0, x, tol * abs(x) / (abs(x) + 1.0 - s), plan)
+    head = x ** (s - 1.0) * cmath.exp(-x)
+    # near s = 1 the head carries the value, and its rounding the error
+    err = abs(s - 1.0) * r.error_estimate + 8.0 * np.finfo(float).eps * abs(head)
+    return EvalResult((s - 1.0) * r.value + head, err, r.plan)
 
 
 def erfc_dyadic(x: float, tol: float = 4e-9) -> EvalResult:

@@ -77,6 +77,11 @@ class TestPlan:
         text = capsys.readouterr().out
         assert "n_terms" in text and "predicted_error" in text
 
+    @pytest.mark.parametrize("fn, steps", [("ei-stokes", 0), ("ei-left", 4), ("psi", 4)])
+    def test_plan_prints_the_richardson_steps(self, fn, steps, capsys):
+        assert run(["plan", "--function", fn, "--x-start", "5", "--points", "1"]) == 0
+        assert f"steps = {steps} " in capsys.readouterr().out
+
     def test_plan_at_origin_is_a_domain_error(self):
         for fn in ("ei-stokes", "ei-left", "psi"):
             assert run(["plan", "--function", fn, "--x-start", "0", "--points", "1"]) == 2

@@ -5,14 +5,19 @@ import numpy as np
 import pytest
 
 from dyafact.dyadic import (
+    LADDER_LEVELS,
+    SHIFT_FLOOR,
     CutProximityError,
     DyadicPlan,
+    amplification,
+    assemble,
     dyadic_cauchy_deriv_partial,
     dyadic_cauchy_partial,
     dyadic_reciprocal_partial,
     level_sums,
     plan_truncation,
     ramified_partial,
+    romberg,
 )
 from dyafact.scalar import DomainError, PoleError, pochhammer
 from dyafact.specfun import ei_left_family, ei_stokes_family
@@ -214,6 +219,71 @@ class TestDyadicPlan:
 
     def test_terms_total(self):
         assert DyadicPlan(K=2, n_terms=[4, 3, 2], predicted_error=1e-8).terms_total == 9
+
+    def test_steps_default_to_plain_truncation(self):
+        assert DyadicPlan(K=2, n_terms=[4, 3, 2], predicted_error=1e-8).steps == 0
+        for steps in (-1, 3):
+            with pytest.raises(DomainError):
+                DyadicPlan(K=2, n_terms=[4, 3, 2], predicted_error=1e-8, steps=steps)
+
+
+class TestRomberg:
+    LADDER = (1.0, 2.5, 3.1)
+
+    def partial_sums(self, K):
+        k = np.arange(K + 1.0)
+        return 1.0 + 0.3 * 2.0**-k - 0.7 * 2.0 ** (-2.5 * k) + 0.2 * 2.0 ** (-3.1 * k)
+
+    def test_removes_the_ladder_terms(self):
+        for K in (3, 8, 20):
+            value, corr = romberg(self.partial_sums(K), self.LADDER)
+            assert value == pytest.approx(1.0, abs=2e-15)
+            two, _ = romberg(self.partial_sums(K), self.LADDER[:2])
+            assert corr == pytest.approx(value - two, abs=1e-15)
+
+    def test_fewer_steps_leave_the_next_term(self):
+        K = 12
+        value, corr = romberg(self.partial_sums(K), self.LADDER[:1])
+        lead = -0.7 * 2.0 ** (-2.5 * K) * (2.0 - 2.0**2.5) / (2.0 - 1.0)
+        assert value - 1.0 == pytest.approx(lead, rel=0.05)
+        assert romberg(self.partial_sums(K), ()) == (self.partial_sums(K)[-1], 0.0)
+
+    def test_amplification(self):
+        assert amplification((1.0,)) == pytest.approx(3.0)
+        assert amplification((1.0, 2.0)) == pytest.approx(3.0 * 5.0 / 3.0)
+
+    def test_level_errors_enter_with_the_planned_gains(self):
+        # a perturbation of level k moves the extrapolated value by g_k times it
+        from dyafact.dyadic import _romberg_gains
+        K, ladder = 7, (0.4, 1.4, 2.4, 3.4)
+        base, _ = romberg(np.zeros(K + 1), ladder)
+        moves = [romberg(np.cumsum(np.eye(K + 1)[k]), ladder)[0] - base for k in range(K + 1)]
+        assert np.allclose(np.abs(moves), _romberg_gains(K, ladder), rtol=1e-12, atol=1e-12)
+
+    def test_laddered_plan(self):
+        for x, tol in ((2.0, 1e-10), (0.05, 1e-8), (15.0 - 4.0j, 1e-6)):
+            fam = ei_left_family(x)
+            plan = plan_truncation(fam, tol)
+            assert plan.steps == len(fam.ladder) == 4
+            assert plan.steps <= plan.K <= LADDER_LEVELS
+            assert abs(fam.shift[plan.K]) >= SHIFT_FLOOR
+            assert plan.predicted_error <= tol
+        assert plan_truncation(ei_stokes_family(5.0), 1e-10).steps == 0
+
+    def test_caller_plan_is_a_plain_sum(self):
+        x = 2.0 - 0.5j
+        fam = ei_left_family(x)
+        plain = DyadicPlan(K=6, n_terms=[60] * 7, predicted_error=1e-3)
+        r = specfun.ei_left(x, plan=plain)
+        assert r.value == pytest.approx(complex(np.sum(level_sums(fam, plain.n_terms))), abs=1e-15)
+        ref = complex(-oracle.quad_adaptive(lambda p: np.exp(-x * p) / (1.0 + p), 0.0, math.inf, 1e-13))
+        extrapolated = specfun.ei_left(x, plan=DyadicPlan(6, [60] * 7, 1e-3, steps=4))
+        assert abs(extrapolated.value - ref) < 1e-4 * abs(r.value - ref)
+
+    def test_plan_asks_for_more_steps_than_the_ladder(self):
+        plan = DyadicPlan(K=6, n_terms=[5] * 7, predicted_error=1e-3, steps=1)
+        with pytest.raises(DomainError):
+            assemble(ei_stokes_family(5.0), plan)
 
 
 def _family_and_term(name):

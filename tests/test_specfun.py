@@ -192,6 +192,21 @@ class TestIncompleteGamma:
             assert co.level(k, m) == pytest.approx(stirl, rel=1e-8)
 
 
+    @pytest.mark.parametrize("s", [0.25, -0.5])
+    def test_base_stream_vs_series(self, s):
+        # c_m = (-1)^m sum_{n >= max(m,1)} n (n-1) ... (n-m+1) n^-s e^-n, up to the
+        # largest index a plan keeps
+        mpmath = pytest.importorskip("mpmath")
+        co = _GammaCoeffs(s)
+        for m in (0, 5, 50, 120, 150):
+            with mpmath.workdps(30):
+                # the terms peak near n = 1.6 m and are below 1e-40 of it by 4 m + 200
+                ref = (-1) ** m * mpmath.fsum(
+                    mpmath.rf(n - m + 1, m) * mpmath.mpf(n) ** (-s) * mpmath.exp(-n)
+                    for n in range(max(m, 1), 4 * m + 200))
+            assert co.base(m) == pytest.approx(float(ref), rel=1e-12)
+
+
 class TestGammaSmallOrders:
     @pytest.mark.parametrize("s", [0.01, 0.03, -0.97])
     def test_meets_default_tol(self, s):
