@@ -1,6 +1,7 @@
 """Fixed-order Gauss-Legendre panels for the evaluator-side coefficient
 integrals (smooth, exponentially decaying integrands sampled once on
-shared nodes for a whole coefficient row).
+shared nodes for a whole coefficient row), and the check that a row
+agrees between two panel refinements.
 
 Deliberately separate from the oracle module's adaptive Gauss-Kronrod
 quadrature so reference values never share a code path with the
@@ -9,13 +10,13 @@ expansions they check.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
 _ORDER = 48
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(_ORDER)
-__all__ = ["QuadratureError", "dyadic_edges", "panel_nodes", "geometric_sums"]
+__all__ = ["QuadratureError", "dyadic_edges", "panel_nodes", "geometric_sums", "refined"]
 
 
 class QuadratureError(RuntimeError):
@@ -55,3 +56,17 @@ def geometric_sums(p: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
             out[j] = p.sum()
             p *= q
     return out
+
+
+def refined(row: Callable[[int], np.ndarray], refinements: Sequence[int], rtol: float,
+            what: str, floor: float = 0.0) -> np.ndarray:
+    """``row(r)`` at the first refinement r that agrees with the one before
+    to ``rtol``, relative to max(|row(r)|, floor).  Raises QuadratureError,
+    naming ``what``, when the last pair still disagrees."""
+    a = row(refinements[0])
+    for r in refinements[1:]:
+        b = row(r)
+        if not np.max(np.abs(a - b) / np.maximum(np.abs(b), floor)) > rtol:
+            return b
+        a = b
+    raise QuadratureError(f"{what} did not converge")

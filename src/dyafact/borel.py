@@ -33,7 +33,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ._gauss import dyadic_edges, geometric_sums, panel_nodes
+from ._gauss import dyadic_edges, geometric_sums, panel_nodes, refined
 from .dyadic import (
     LADDER_LEVELS,
     MAX_AMPLIFICATION,
@@ -181,10 +181,7 @@ def _build_base_row(kern: BorelKernel, M: int, target: float) -> np.ndarray:
         q = 1.0 / np.expm1(u)
         return geometric_sums(kern.eval_raw(t) * w * np.exp(u) * q * q, q, M - 1)
 
-    a, b = row(96), row(192)
-    if np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-30)) > 100.0 * target:
-        b = row(384)
-    return b
+    return refined(row, (96, 192, 384), 100.0 * target, f"d_m row of order {kern.nu}", 1e-30)
 
 
 def _build_level_row(kern: BorelKernel, k: int, M: int, target: float) -> np.ndarray:
@@ -198,10 +195,8 @@ def _build_level_row(kern: BorelKernel, k: int, M: int, target: float) -> np.nda
         q = np.exp(-np.logaddexp(tau, 0.0))     # (1 + e^tau)^-m = q^m
         return geometric_sums(f * q * q, q, M - 1)
 
-    a, b = row(2), row(4)
-    if np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-30)) > 100.0 * target:
-        b = row(8)
-    return b
+    return refined(row, (2, 4, 8), 100.0 * target, f"level {k} d_km row of order {kern.nu}",
+                   1e-30)
 
 
 @dataclass
@@ -335,8 +330,9 @@ def _bessel_h_eval(nu: float, u: complex, tol: float,
     if plan is not None:
         table = get_table(nu, max(n + 2 for n in plan.n_terms), plan.K)
     else:
-        # the Richardson steps keep every plan within LADDER_LEVELS levels
-        table = get_table(nu, 34, LADDER_LEVELS)
+        # the Richardson steps keep every plan within LADDER_LEVELS levels;
+        # at |u| = 1 and tol 1e-12 the shallow levels keep up to 43 terms
+        table = get_table(nu, 66, LADDER_LEVELS)
     fam = _h_family(table, u)
     if plan is None:
         plan = plan_truncation(fam, tol)

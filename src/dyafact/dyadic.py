@@ -330,16 +330,15 @@ def _ladder_depth(fam: FactorialFamily, tol: float, floor: np.ndarray) -> Tuple[
 
 def _remainders(fam: FactorialFamily, floor: np.ndarray, gain: np.ndarray,
                 target: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Remainder estimates of levels 0..K (K + 1 = len(floor)) after
-    n = 1, 2, ... terms, each scaled by the factor ``gain`` its level
-    carries into the value.
+    """Term counts of levels 0..K (K + 1 = len(floor)) and the remainder
+    each leaves, scaled by the factor ``gain`` its level carries into the
+    value.
 
     The remainder after n terms is the next term over the local geometric
     gap.  Every level walks its exact term magnitudes, in chunks of 32,
-    32, 64, 128, ... terms, until it has cleared its pole window and its
-    remainder is below ``target`` or its coefficient row ends.  Returns
-    the remainders, +inf at [k, n-1] where n is below the level's floor
-    or past its stop, and the stops: each level's even-split term count.
+    32, 64, 128, ... terms, and keeps the smallest count past its pole
+    window whose remainder is below ``target``, or every term its
+    coefficient row holds.
     """
     K = len(floor) - 1
     levels = np.arange(K + 1)[:, None]
@@ -350,7 +349,7 @@ def _remainders(fam: FactorialFamily, floor: np.ndarray, gain: np.ndarray,
         )
     t = fam.size[:K + 1] * gain               # |t_n| at the chunk start
     stop = np.zeros(K + 1, dtype=np.int64)    # terms kept; 0 while walking
-    chunks = []
+    left = np.zeros(K + 1)                    # remainder at the last count walked
     n, width = 1, 32
     with np.errstate(over="ignore"):    # magnitudes saturate at 1e280
         while n <= fam.max_terms and not stop.all():
@@ -360,10 +359,10 @@ def _remainders(fam: FactorialFamily, floor: np.ndarray, gain: np.ndarray,
             mags = t[walk, None] * np.minimum(np.cumprod(r, axis=1), 1e280)
             walked = mags / np.maximum(1.0 - np.minimum(r, 0.95), 0.05)
             ok = (walked <= target) & (counts >= floor[walk, None])
-            stop[walk] = np.where(ok.any(axis=1), counts[ok.argmax(axis=1)], 0)
-            rems = np.full((K + 1, len(counts)), np.inf)
-            rems[walk] = walked
-            chunks.append(rems)
+            met = ok.any(axis=1)
+            at = np.where(met, ok.argmax(axis=1), len(counts) - 1)
+            stop[walk] = np.where(met, counts[at], 0)
+            left[walk] = walked[np.arange(len(walk)), at]
             t[walk] = mags[:, -1]
             n, width = int(counts[-1]) + 1, width if n == 1 else 2 * width
     if not stop.all():
@@ -373,32 +372,7 @@ def _remainders(fam: FactorialFamily, floor: np.ndarray, gain: np.ndarray,
                 "argument is too close to the expansion's cut for this tolerance"
             )
         stop = np.where(stop == 0, fam.max_terms, stop)  # the row ran out
-    rem = np.hstack(chunks)
-    count = np.arange(1, rem.shape[1] + 1)[None, :]
-    return np.where((count >= floor[:, None]) & (count <= stop[:, None]), rem, np.inf), stop
-
-
-def _greedy(rem: np.ndarray, floor: np.ndarray, budget: float) -> np.ndarray:
-    """Term counts from one remainder threshold across all levels: the
-    level with the largest remainder grows first until the remainders
-    fit in ``budget``.
-
-    A level moves from one record low of its remainders to the next when
-    the threshold passes the current one; the moves are taken in that
-    order."""
-    K = len(floor) - 1
-    low = np.minimum.accumulate(rem, axis=1)
-    before = np.hstack([np.full((K + 1, 1), np.inf), low[:, :-1]])
-    move = (low < before) & np.isfinite(before)
-    k_move, j_move = np.nonzero(move)
-    order = np.argsort(-before[move], kind="stable")
-    n_terms = floor.copy()
-    left = rem[np.arange(K + 1), floor - 1].sum()
-    if left > budget:
-        fits = np.flatnonzero(left + np.cumsum((low[move] - before[move])[order]) <= budget)
-        done = order[:fits[0] + 1] if len(fits) else order
-        np.maximum.at(n_terms, k_move[done], j_move[done] + 1)
-    return n_terms
+    return stop, left
 
 
 def plan_truncation(fam: FactorialFamily, tol: float,
@@ -406,16 +380,15 @@ def plan_truncation(fam: FactorialFamily, tol: float,
     """Choose the number of dyadic levels K, the Richardson steps and the
     per-series term counts so the predicted error stays below ``tol``.
 
-    Without a ladder K is the smallest level count whose discarded levels
-    fit in half the budget, and the kept series share what that tail left
-    greedily (``_greedy``).  With a ladder the plan takes every step of
-    the ladder, K comes from ``_ladder_depth``, each level's truncation
-    error reaches the value times its Richardson weight, and every level
-    gets an even share of what the modeled correction left.  A level
-    whose coefficient row runs out stops growing, and the prediction
-    reports the shortfall.  Callers prepared to pay for pole-window
-    clearing may disable the cut-distance guard; the term-count cap still
-    bounds the damage.
+    The plan takes every step of the family's ladder.  Without a ladder K
+    is the smallest level count whose discarded levels fit in half the
+    budget; with one K comes from ``_ladder_depth``.  Each level's
+    truncation error reaches the value times its Richardson weight (1
+    without a ladder), and every level gets an even share of what the
+    tail or the modeled correction left.  A level whose coefficient row
+    runs out stops growing, and the prediction reports the shortfall.
+    Callers prepared to pay for pole-window clearing may disable the
+    cut-distance guard; the term-count cap still bounds the damage.
     """
     if not (1e-14 < tol < 1e-1):
         raise DomainError("tol must lie in (1e-14, 1e-1)")
@@ -425,23 +398,17 @@ def plan_truncation(fam: FactorialFamily, tol: float,
         )
     floor = fam.floor
     if fam.ladder:
-        steps = len(fam.ladder)
         K, tail = _ladder_depth(fam, tol, floor)
-        gain = _romberg_gains(K, fam.ladder)
     else:
         tails = fam.tails()
-        steps, K = 0, int(np.argmax(tails <= 0.5 * tol))
-        tail, gain = tails[K], np.ones(K + 1)
+        K = int(np.argmax(tails <= 0.5 * tol))
+        tail = tails[K]
     budget = (tol - min(tail, 0.5 * tol)) / fam.safety
-    floor = floor[:K + 1]
-    rem, stop = _remainders(fam, floor, gain, budget / (K + 1))
-    # with the few levels of a ladder the greedy allocation saves about 5 %
-    # of the terms, which costs more time than the terms themselves
-    n_terms = stop if fam.ladder else _greedy(rem, floor, budget)
-    kept = rem[np.arange(K + 1), n_terms - 1].sum()
-    predicted = tail + fam.safety * kept
-    return DyadicPlan(K=K, n_terms=[int(n) for n in n_terms],
-                      predicted_error=max(float(predicted), np.finfo(float).tiny), steps=steps)
+    n_terms, left = _remainders(fam, floor[:K + 1], _romberg_gains(K, fam.ladder),
+                                budget / (K + 1))
+    predicted = tail + fam.safety * left.sum()
+    return DyadicPlan(K=K, n_terms=n_terms.tolist(), steps=len(fam.ladder),
+                      predicted_error=max(float(predicted), np.finfo(float).tiny))
 
 
 def level_sums(fam: FactorialFamily, n_terms: Sequence[int]) -> np.ndarray:

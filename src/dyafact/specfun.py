@@ -31,7 +31,7 @@ from .dyadic import (
     plan_truncation,
 )
 from .scalar import DomainError, polylog
-from ._gauss import QuadratureError, dyadic_edges, geometric_sums, panel_nodes
+from ._gauss import dyadic_edges, geometric_sums, panel_nodes, refined
 
 __all__ = [
     "EvalResult",
@@ -345,11 +345,7 @@ class _GammaCoeffs:
             m0 = np.exp(first) @ w
             return head + np.append(m0, geometric_sums(np.exp(first + t) * w * q, q, n - 1))
 
-        a, b = integrals(1), integrals(2)
-        if np.max(np.abs(a - b) / b) > 1e-12:
-            a, b = b, integrals(4)
-            if np.max(np.abs(a - b) / b) > 1e-12:
-                raise QuadratureError(f"level {k} coefficients of order {s} did not converge")
+        b = refined(integrals, (1, 2, 4), 1e-12, f"level {k} coefficients of order {s}")
         # c_0 = -a J_0 / Gamma(s) = Li_s(-e^{-eps}); c_m = m! e^{-m eps} J_m / Gamma(s)
         lgm = np.array([math.lgamma(i + 1.0) for i in range(n)])
         out = np.exp(lgm - m * eps + np.log(b)) / self._gamma_s

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dyafact import borel, oracle
+from dyafact._gauss import QuadratureError, refined
 from dyafact.borel import (
     BorelKernel,
     CoefficientTable,
@@ -150,6 +151,22 @@ class TestCoefficients:
         for k in (1, 4):
             col = [table.dk(k, m) for m in range(2, 10)]
             assert all(a > b > 0 for a, b in zip(col[:-1], col[1:]))
+
+
+class TestRefinement:
+    def test_a_row_that_never_settles_raises(self):
+        with pytest.raises(QuadratureError, match="test row"):
+            refined(lambda r: np.array([1.0, 1.0 + 1e-3 * r]), (2, 4, 8), 1e-12, "test row")
+
+    def test_a_settled_row_returns_the_finer_refinement(self):
+        seen = []
+
+        def row(r):
+            seen.append(r)
+            return np.array([2.0, 1.0 + (0.5 if r == 1 else 1e-15 * r)])
+
+        assert refined(row, (1, 2, 4, 8), 1e-12, "test row")[1] == 1.0 + 4e-15
+        assert seen == [1, 2, 4]
 
 
 class TestAiryH:

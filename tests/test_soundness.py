@@ -46,6 +46,15 @@ class TestOrderEdges:
         assert_sound(bessel_k_dyadic(nu, x, 1e-9), ref, 1e-9 * abs(ref))
 
 
+@pytest.mark.parametrize("tol", [1e-12, 1e-11])
+@pytest.mark.parametrize("nu", [0.0, 0.3, 0.7, 1.2])
+def test_bessel_k_at_unit_argument_and_tight_tolerance(nu, tol):
+    # x = 0.5 puts the h-expansion at |u| = 1, where the shallow levels
+    # need more than the 32 terms a 34-column table holds for tol 1e-12
+    ref = float(_mp().besselk(nu, 0.5))
+    assert_sound(bessel_k_dyadic(nu, 0.5, tol), ref, tol * ref)
+
+
 @pytest.mark.parametrize("x", [-5.0 + 0.3j, -0.5 + 0.03j, 2.0 * cmath.exp(2.8j)])
 def test_ei_left_near_its_cut(x):
     # levels in a pole window carry terms exponentially small in |Im 2^k x|
