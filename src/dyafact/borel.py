@@ -26,10 +26,11 @@ are reached through the upward Bessel recurrence on K_nu.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -41,11 +42,10 @@ from .dyadic import (
     DyadicPlan,
     FactorialFamily,
     amplification,
-    assemble,
-    plan_truncation,
+    evaluate,
 )
 from .scalar import DomainError
-from .specfun import EvalResult
+from .specfun import EvalResult, _frozen, _result
 
 __all__ = [
     "BorelKernel",
@@ -224,6 +224,11 @@ class CoefficientTable:
     def dk(self, k: int, m: int) -> float:
         return float(self.dkm[k - 1, m - 2])
 
+    @functools.cached_property
+    def h_levels(self) -> "_HLevels":
+        """The argument-free half of the h-expansion over this table."""
+        return _h_levels(self)
+
 
 # ---------------------------------------------------------------------------
 # caches
@@ -278,35 +283,55 @@ def _h_ladder(nu: float) -> tuple:
     return tuple(sorted((a, a + 1.0, 1.5 + nu, min(a + 2.0, 2.5 + nu))))
 
 
-def _h_family(table: CoefficientTable, u: complex) -> FactorialFamily:
-    """The h-expansion at argument u over the coefficient table.
+class _HLevels(NamedTuple):
+    """The argument-free half of the h-expansion: 2^k, the level weights,
+    the first coefficients d_{k,2}, weight_k d_{k,2}, the term ratios
+    (column 0, d_{k,2} / u_k, is the argument's) and the ladder."""
 
-    With u_k = 2^k u, level k is sum_{m>=2} sign_m G(m) d_km / (u_k)_m, a
-    factorial series in u_k + 1 (base terms alternate, sign_m = (-1)^m),
-    entering with weight -kappa e^{2^-k} (-kappa for the base).  The
-    planner sees sizes relative to h ~ 1/|u|, so its tolerance is
-    relative; each row supports M - 2 planned terms.
-    """
+    scale: np.ndarray
+    weight: np.ndarray
+    first: np.ndarray
+    weighted_first: np.ndarray
+    ratio: np.ndarray
+    ladder: tuple
+
+
+def _h_levels(table: CoefficientTable) -> _HLevels:
+    """Level k is sum_{m>=2} sign_m G(m) d_km / (u_k)_m, a factorial series
+    in u_k + 1 (base terms alternate, sign_m = (-1)^m), entering with
+    weight -kappa e^{2^-k} (-kappa for the base)."""
     scale = 2.0 ** np.arange(table.K + 1)
-    uk = scale * u
     rows = np.vstack([table.dm, table.dkm])          # d_{k,m}, m = 2..M
     sign = np.ones(table.K + 1)
     sign[0] = -1.0
     kappa = math.cos(math.pi * table.nu) / math.pi
     weight = -kappa * np.exp(1.0 / scale)
     weight[0] = -kappa
-
     # term 1 is d_{k,2} / u_k, then t_{i+1} / t_i = sign_k (i + 1) d_{k,i+2} / d_{k,i+1}
-    ratio = np.empty(rows.shape, dtype=complex)
-    ratio[:, 0] = rows[:, 0] / uk
+    ratio = np.zeros(rows.shape, dtype=complex)
     ratio[:, 1:] = sign[:, None] * np.arange(2.0, table.M) * rows[:, 1:] / rows[:, :-1]
+    first = rows[:, 0].copy()
+    return _HLevels(_frozen(scale), _frozen(weight), _frozen(first), _frozen(weight * first),
+                    _frozen(ratio), _h_ladder(table.nu))
+
+
+def _h_family(table: CoefficientTable, u: complex) -> FactorialFamily:
+    """The h-expansion at argument u over the coefficient table: the
+    table's ``h_levels`` with u_k = 2^k u.  The planner sees sizes relative
+    to h ~ 1/|u|, so its tolerance is relative; each row supports M - 2
+    planned terms.
+    """
+    lv = table.h_levels
+    uk = lv.scale * u
+    ratio = lv.ratio.copy()
+    ratio[:, 0] = lv.first / uk
 
     def numer(k, i):
         return ratio[k, i]
 
-    size = np.abs(weight * rows[:, 0] / (uk * (uk + 1.0))) * abs(u)
-    return FactorialFamily("h-expansion", uk + 1.0, weight, numer, size, safety=1.3,
-                           max_terms=table.M - 2, ladder=_h_ladder(table.nu))
+    size = np.abs(lv.weighted_first / (uk * (uk + 1.0))) * abs(u)
+    return FactorialFamily("h-expansion", uk + 1.0, lv.weight, numer, size, safety=1.3,
+                           max_terms=table.M - 2, ladder=lv.ladder)
 
 
 def _bessel_h_eval(nu: float, u: complex, tol: float,
@@ -323,7 +348,7 @@ def _bessel_h_eval(nu: float, u: complex, tol: float,
         tc = _taylor_coeffs(nu, deg + 2)
         val = sum(math.factorial(i) * tc[i] / u ** (i + 1) for i in range(deg + 1))
         plan = DyadicPlan(K=0, n_terms=[deg + 1], predicted_error=1e-16)
-        return EvalResult(val, 1e-16, plan)
+        return _result(val, 1e-16, plan, tol, relative=True)
     if nu >= 1.5:
         raise DomainError("direct h-expansion limited to |nu| < 3/2; "
                           "use bessel_k_dyadic for larger orders")
@@ -333,12 +358,9 @@ def _bessel_h_eval(nu: float, u: complex, tol: float,
         # the Richardson steps keep every plan within LADDER_LEVELS levels;
         # at |u| = 1 and tol 1e-12 the shallow levels keep up to 43 terms
         table = get_table(nu, 66, LADDER_LEVELS)
-    fam = _h_family(table, u)
-    if plan is None:
-        plan = plan_truncation(fam, tol)
-    total, corr = assemble(fam, plan)
+    plan, total, corr = evaluate(_h_family(table, u), tol, plan)
     value = 1.0 / u + total  # F(0) = P_{nu-1/2}(1) = 1
-    return EvalResult(value, plan.predicted_error * abs(value) + corr, plan)
+    return _result(value, plan.predicted_error * abs(value) + corr, plan, tol, relative=True)
 
 
 def airy_h(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) -> EvalResult:
@@ -353,6 +375,7 @@ def airy_h(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) ->
 # and K_nu(x) ~ sqrt(pi / (2x)) e^{-x}.
 _AIRY_C = 2.0 / (3.0 * math.sqrt(math.pi))
 _BESSEL_C = math.sqrt(2.0 * math.pi)
+_EPS = float(np.finfo(float).eps)
 
 
 def airy_from_h(x: float, tol: float = 1e-10) -> EvalResult:
@@ -363,7 +386,7 @@ def airy_from_h(x: float, tol: float = 1e-10) -> EvalResult:
     u = 4.0 / 3.0 * x**1.5
     r = airy_h(u, tol)
     front = _AIRY_C * x**1.25 * math.exp(-2.0 / 3.0 * x**1.5)
-    return EvalResult(front * r.value, front * r.error_estimate, r.plan)
+    return _result(front * r.value, front * r.error_estimate, r.plan, tol, relative=True)
 
 
 def bessel_h(nu: float, x: complex, tol: float = 1e-10) -> EvalResult:
@@ -395,18 +418,21 @@ def bessel_k_dyadic(nu: float, x: float, tol: float = 1e-9) -> EvalResult:
     def k_direct(mu: float) -> EvalResult:
         r = _bessel_h_eval(mu, 2.0 * x, tol)
         front = _BESSEL_C * math.exp(-x) * math.sqrt(x)
-        return EvalResult(front * r.value, front * r.error_estimate, r.plan)
+        return _result(front * r.value, front * r.error_estimate, r.plan, tol, relative=True)
 
     if nu < 1.5 and amplification(_h_ladder(nu)) <= MAX_AMPLIFICATION:
         return k_direct(nu)
     mu = nu - math.floor(nu)
     lo, hi = k_direct(mu - 1.0), k_direct(mu)
     v_lo, v_hi = lo.value, hi.value
-    err = lo.error_estimate + hi.error_estimate
-    terms = lo.plan.terms_total + hi.plan.terms_total
-    for _ in range(math.floor(nu)):
+    # a step adds positive terms, so it keeps the larger relative error of
+    # its two inputs, plus its own rounding (four operations)
+    rel = max(lo.error_estimate / abs(v_lo), hi.error_estimate / abs(v_hi))
+    steps = math.floor(nu)
+    for _ in range(steps):
         v_lo, v_hi = v_hi, v_lo + (2.0 * mu / x) * v_hi
         mu += 1.0
-        err *= (1.0 + 2.0 * mu / x)
+    err = (rel + 4.0 * steps * _EPS) * abs(v_hi)
+    terms = lo.plan.terms_total + hi.plan.terms_total
     plan = DyadicPlan(K=0, n_terms=[max(terms, 1)], predicted_error=max(err, 1e-16))
-    return EvalResult(v_hi, plan.predicted_error, plan)
+    return _result(v_hi, plan.predicted_error, plan, tol, relative=True)

@@ -17,7 +17,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +36,7 @@ __all__ = [
     "romberg",
     "amplification",
     "assemble",
+    "evaluate",
     "MAX_LEVELS",
     "LADDER_LEVELS",
     "MAX_AMPLIFICATION",
@@ -51,6 +52,11 @@ LADDER_LEVELS = 16       # h-table depth: laddered plans at tol >= 1e-10 keep <=
 # Richardson error growth an evaluator accepts: at tol 1e-10 the levels then
 # need about 5e-13, which the coefficient rows (1e-13 and better) deliver
 MAX_AMPLIFICATION = 100.0
+_LEVEL_INDEX = np.arange(MAX_LEVELS + 1)
+_INV_LEVELS = 2.0 ** -_LEVEL_INDEX               # 2^-k for every described level
+_NO_WINDOW = np.ones(MAX_LEVELS + 1, dtype=np.int64)   # the floor clear of pole windows
+_NO_WINDOW.flags.writeable = False
+_TINY = np.finfo(float).tiny
 
 
 class CutProximityError(DomainError):
@@ -204,7 +210,9 @@ class DyadicPlan:
 
 @dataclass(frozen=True)
 class FactorialFamily:
-    """One dyadic factorial-series family at one argument.
+    """One dyadic factorial-series family at one argument: a per-order
+    template (weights, numerators, ladder, safety), built once beside the
+    coefficient caches, plus the per-argument shifts and leading sizes.
 
     Level k (k = 0 is the base series) enters the value as
     ``weight[k] * sum_{j>=1} t_{k,j}`` with
@@ -252,12 +260,14 @@ class FactorialFamily:
         next-term estimate cannot see, fading roughly exponentially in
         |Im x_k|; 26 keeps it below every tolerance the planner accepts."""
         re = self.shift.real
+        if re.min() >= -1.0:
+            return _NO_WINDOW[:len(re)]
         window = (re < -1.0) & (np.abs(self.shift.imag) < 26.0)
         return np.where(window, 2 * np.trunc(-re) + 24, 1).astype(np.int64)
 
     def tails(self) -> np.ndarray:
         """safety * (size of every described level beyond K), for each K."""
-        beyond = np.cumsum(self.size[::-1])[::-1]
+        beyond = np.add.accumulate(self.size[::-1])[::-1]
         return self.safety * np.append(beyond[1:], 0.0)
 
     def ratios(self, k: np.ndarray, i: np.ndarray) -> np.ndarray:
@@ -287,8 +297,7 @@ def romberg(partial_sums: Sequence, ladder: Sequence[float]) -> Tuple[complex, c
 def amplification(ladder: Sequence[float]) -> float:
     """prod (f + 1) / (f - 1), f = 2^lambda: the most the Richardson steps
     of ``ladder`` can magnify errors in the partial sums."""
-    f = 2.0 ** np.asarray(ladder, dtype=float)
-    return float(np.prod((f + 1.0) / (f - 1.0)))
+    return math.prod((2.0 ** lam + 1.0) / (2.0 ** lam - 1.0) for lam in ladder)
 
 
 @functools.lru_cache(maxsize=256)
@@ -317,79 +326,133 @@ def _ladder_depth(fam: FactorialFamily, tol: float, floor: np.ndarray) -> Tuple[
     these floors whose correction fits in ``tol / 2``, or the deepest
     described level."""
     lam = fam.ladder
-    k = np.arange(len(fam.shift))
+    n = len(fam.shift)
     xk = np.abs(fam.shift)
-    windowed = np.flatnonzero(floor > 1)
-    first = len(lam) + (windowed[-1] if len(windowed) else 0)
-    rho = 2.0 ** -k + 2.0 / xk
+    first = len(lam) + (np.flatnonzero(floor > 1)[-1] if floor.max() > 1 else 0)
+    rho = _INV_LEVELS[:n] + 2.0 / xk
     corr = fam.size / (2.0 ** lam[0] - 1.0) * rho ** (lam[-1] - lam[0])
-    ok = (k >= first) & (xk >= SHIFT_FLOOR) & (corr <= 0.5 * tol)
-    K = int(np.argmax(ok)) if ok.any() else len(k) - 1
+    ok = (corr <= 0.5 * tol) & (xk >= SHIFT_FLOOR)
+    ok[:first] = False
+    K = int(ok.argmax())
+    if not ok[K]:
+        K = n - 1
     return K, float(corr[K])
 
 
-def _remainders(fam: FactorialFamily, floor: np.ndarray, gain: np.ndarray,
-                target: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Term counts of levels 0..K (K + 1 = len(floor)) and the remainder
-    each leaves, scaled by the factor ``gain`` its level carries into the
-    value.
+def _walk(fam: FactorialFamily, floor: np.ndarray, target: Optional[float] = None,
+          gain: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One pass over the terms of levels 0..K (K + 1 = len(floor)).
 
-    The remainder after n terms is the next term over the local geometric
-    gap.  Every level walks its exact term magnitudes, in chunks of 32,
-    32, 64, 128, ... terms, and keeps the smallest count past its pole
-    window whose remainder is below ``target``, or every term its
-    coefficient row holds.
+    The levels still walking advance in chunks of counts (1..32, 33..64,
+    65..128, ...).  A chunk forms numer and shift + i once: their
+    magnitudes drive the stop rule, and the running product of their
+    quotients gives the terms t_{k,i+1} of the levels that stop in it.
+    With a ``target`` a level keeps the smallest count past its pole
+    window (``floor``) whose remainder, the next term over the local
+    geometric gap scaled by the level's ``gain``, is below ``target``, or
+    every term its coefficient row holds.  Without one it keeps exactly
+    ``floor`` terms.
+
+    A chunk reads each walking level from index 0: a coefficient row that
+    grows rounds its earlier entries anew, and the kept terms must all
+    come from the final row.
+
+    Returns the counts kept, the remainder each leaves at its last count
+    walked (0 without a target), and an array of max(counts) columns whose
+    row k starts with the terms of level k, for ``_sums``.
     """
     K = len(floor) - 1
-    levels = np.arange(K + 1)[:, None]
-    if floor.max() > fam.max_terms:
+    planning = target is not None
+    most = int(floor.max())
+    if planning and most > fam.max_terms:
         raise CutProximityError(
-            f"{fam.name}: a level must clear a pole window of {floor.max()} terms; "
+            f"{fam.name}: a level must clear a pole window of {most} terms; "
             "too close to the expansion's cut for this tolerance"
         )
-    t = fam.size[:K + 1] * gain               # |t_n| at the chunk start
-    stop = np.zeros(K + 1, dtype=np.int64)    # terms kept; 0 while walking
+    # the stop rule at count c reads the ratio at index c; fixed counts
+    # need no index past the last kept term
+    limit = fam.max_terms if planning else most - 1
+    walk = np.arange(K + 1)                   # levels still walking
+    rows = slice(0, K + 1)                    # the same, as an index
+    stop = np.zeros(K + 1, dtype=np.int64)
     left = np.zeros(K + 1)                    # remainder at the last count walked
-    n, width = 1, 32
-    with np.errstate(over="ignore"):    # magnitudes saturate at 1e280
-        while n <= fam.max_terms and not stop.all():
-            counts = np.arange(n, min(n + width, fam.max_terms + 1))
-            walk = np.flatnonzero(stop == 0)
-            r = fam.ratios(levels[walk], counts[None, :])
-            mags = t[walk, None] * np.minimum(np.cumprod(r, axis=1), 1e280)
-            walked = mags / np.maximum(1.0 - np.minimum(r, 0.95), 0.05)
-            ok = (walked <= target) & (counts >= floor[walk, None])
-            met = ok.any(axis=1)
-            at = np.where(met, ok.argmax(axis=1), len(counts) - 1)
-            stop[walk] = np.where(met, counts[at], 0)
-            left[walk] = walked[np.arange(len(walk)), at]
-            t[walk] = mags[:, -1]
-            n, width = int(counts[-1]) + 1, width if n == 1 else 2 * width
-    if not stop.all():
-        if fam.max_terms >= N_CAP:
-            raise CutProximityError(
-                f"{fam.name}: a level needs more than {N_CAP} terms; "
-                "argument is too close to the expansion's cut for this tolerance"
-            )
-        stop = np.where(stop == 0, fam.max_terms, stop)  # the row ran out
-    return stop, left
+    if planning:
+        t = fam.size[:K + 1] * gain           # |t_c| at the chunk's first count c
+    terms = np.zeros((K + 1, 0), dtype=complex)
+    lo, hi = 0, 33
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        while len(walk):
+            i = np.arange(min(hi, limit + 1))
+            num = fam.numer(walk[:, None], i[None, :])
+            den = fam.shift[rows, None] + i
+            if planning:
+                first = max(lo, 1)            # count 0 keeps no term
+                counts = i[first:]
+                # t_1 is given by ``size``, the ratios take it on from there
+                r = np.abs(num[:, first:]) / np.abs(den[:, first:])
+                mags = t[rows, None] * np.minimum(np.multiply.accumulate(r, axis=1), 1e280)   # saturate, not overflow
+                walked = mags / (1.0 - np.minimum(r, 0.95))
+                ok = walked <= target
+                if most > 1:
+                    ok &= counts >= floor[rows, None]
+                idx = _LEVEL_INDEX[:len(walk)]
+                at = ok.argmax(axis=1)
+                met = ok[idx, at]
+                at = np.where(met, at, len(counts) - 1)
+                left[rows] = walked[idx, at]
+                n = np.where(met, at + first, 0)
+            else:
+                met = floor[rows] < len(i)
+                n = np.where(met, floor[rows], 0)
+            if len(i) > limit:                # the last chunk: unmet rows ran out
+                if planning and fam.max_terms >= N_CAP and not met.all():
+                    raise CutProximityError(
+                        f"{fam.name}: a level needs more than {N_CAP} terms; "
+                        "argument is too close to the expansion's cut for this tolerance"
+                    )
+                n = np.where(met, n, fam.max_terms if planning else len(i))
+                met[:] = True
+            stop[rows] = n
+            width = int(n.max())
+            if width:
+                run = np.multiply.accumulate(num[:, :width] / den[:, :width], axis=1)
+                if lo:
+                    grown = np.zeros((K + 1, max(width, terms.shape[1])), dtype=complex)
+                    grown[:, :terms.shape[1]] = terms
+                    grown[rows, :width] = run
+                    terms = grown
+                else:
+                    terms = run
+            going = ~met
+            walk = walk[going]
+            if planning and len(walk):
+                t[walk] = mags[going, -1]
+            rows = walk
+            lo, hi = hi, 2 * hi - 1
+    return stop, left, terms
 
 
-def plan_truncation(fam: FactorialFamily, tol: float,
-                    enforce_cut_guard: bool = True) -> DyadicPlan:
-    """Choose the number of dyadic levels K, the Richardson steps and the
-    per-series term counts so the predicted error stays below ``tol``.
+def _sums(fam: FactorialFamily, n: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Sums of the first n[k] entries of each row of ``terms`` (weights
+    not applied).  A Pochhammer factor within 1e-12 of zero raises
+    PoleError; terms from the first one that overflows on are dropped."""
+    re = fam.shift.real[:len(n)]
+    if re.min() < POCH_GUARD:
+        # |shift + i| over i >= 0 is least at the integer nearest -Re shift
+        i = np.maximum(np.rint(-re), 0.0)
+        if np.any((np.abs(fam.shift[:len(n)] + i) < POCH_GUARD) & (i < n)):
+            raise PoleError("factorial-series denominator within 1e-12 of a pole")
+    kept = np.where(np.arange(terms.shape[1]) < n[:, None], terms, 0j)
+    size = np.abs(kept)
+    if not size.max() < 1e250:
+        kept = np.where(np.logical_and.accumulate(size < 1e250, axis=1), kept, 0j)
+    return kept.sum(axis=1)
 
-    The plan takes every step of the family's ladder.  Without a ladder K
-    is the smallest level count whose discarded levels fit in half the
-    budget; with one K comes from ``_ladder_depth``.  Each level's
-    truncation error reaches the value times its Richardson weight (1
-    without a ladder), and every level gets an even share of what the
-    tail or the modeled correction left.  A level whose coefficient row
-    runs out stops growing, and the prediction reports the shortfall.
-    Callers prepared to pay for pole-window clearing may disable the
-    cut-distance guard; the term-count cap still bounds the damage.
-    """
+
+def _plan(fam: FactorialFamily, tol: float,
+          enforce_cut_guard: bool) -> Tuple[DyadicPlan, np.ndarray, np.ndarray]:
+    """The plan of ``plan_truncation`` with the counts and terms its walk
+    kept."""
     if not (1e-14 < tol < 1e-1):
         raise DomainError("tol must lie in (1e-14, 1e-1)")
     if enforce_cut_guard and fam.cut_distance < CUT_GUARD:
@@ -404,31 +467,51 @@ def plan_truncation(fam: FactorialFamily, tol: float,
         K = int(np.argmax(tails <= 0.5 * tol))
         tail = tails[K]
     budget = (tol - min(tail, 0.5 * tol)) / fam.safety
-    n_terms, left = _remainders(fam, floor[:K + 1], _romberg_gains(K, fam.ladder),
-                                budget / (K + 1))
+    n_terms, left, terms = _walk(fam, floor[:K + 1], budget / (K + 1),
+                                 _romberg_gains(K, fam.ladder))
     predicted = tail + fam.safety * left.sum()
-    return DyadicPlan(K=K, n_terms=n_terms.tolist(), steps=len(fam.ladder),
-                      predicted_error=max(float(predicted), np.finfo(float).tiny))
+    plan = DyadicPlan(K=K, n_terms=n_terms.tolist(), steps=len(fam.ladder),
+                      predicted_error=max(float(predicted), _TINY))
+    return plan, n_terms, terms
+
+
+def plan_truncation(fam: FactorialFamily, tol: float,
+                    enforce_cut_guard: bool = True) -> DyadicPlan:
+    """Choose the number of dyadic levels K, the Richardson steps and the
+    per-series term counts so the predicted error stays below ``tol``.
+
+    The plan takes every step of the family's ladder.  Without a ladder K
+    is the smallest level count whose discarded levels fit in half the
+    budget; with one K comes from ``_ladder_depth``.  Each level's
+    truncation error reaches the value times its Richardson weight (1
+    without a ladder), and every level gets an even share of what the
+    tail or the modeled correction left.  The remainder after n terms is
+    the next term over the local geometric gap; every level walks its
+    exact term magnitudes (``_walk``) and keeps the smallest count past
+    its pole window whose remainder fits its share.  A level whose
+    coefficient row runs out stops growing, and the prediction reports
+    the shortfall.  Callers prepared to pay for pole-window clearing may
+    disable the cut-distance guard; the term-count cap still bounds the
+    damage.
+    """
+    return _plan(fam, tol, enforce_cut_guard)[0]
 
 
 def level_sums(fam: FactorialFamily, n_terms: Sequence[int]) -> np.ndarray:
     """The m-sums of levels 0..len(n_terms)-1, n_terms[k] terms each
-    (weights not applied), from one padded cumulative product.
+    (weights not applied): the planner's walk with the counts fixed.
 
-    Padding repeats each level's last kept index and is dropped after the
-    product.  A Pochhammer factor within 1e-12 of zero raises PoleError;
-    terms from the first one that overflows on are dropped.
+    A Pochhammer factor within 1e-12 of zero raises PoleError; terms from
+    the first one that overflows on are dropped.
     """
-    n = np.asarray(n_terms)
-    k = np.arange(len(n))[:, None]
-    j = np.arange(n.max())[None, :]
-    i = np.minimum(j, n[:, None] - 1)
-    den = fam.shift[k] + i
-    if np.any(np.abs(den) < POCH_GUARD):
-        raise PoleError("factorial-series denominator within 1e-12 of a pole")
-    terms = np.cumprod(fam.numer(k, i) / den, axis=1)
-    alive = np.logical_and.accumulate(np.abs(terms) < 1e250, axis=1)
-    return np.where((j < n[:, None]) & alive, terms, 0.0).sum(axis=1)
+    n, _, terms = _walk(fam, np.asarray(n_terms, dtype=np.int64))
+    return _sums(fam, n, terms)
+
+
+def _weigh(fam: FactorialFamily, plan: DyadicPlan, sums: np.ndarray) -> Tuple[complex, float]:
+    partial = np.add.accumulate(fam.weight[:plan.K + 1] * sums)
+    value, corr = romberg(partial.tolist(), fam.ladder[:plan.steps])
+    return complex(value), float(abs(corr))
 
 
 def assemble(fam: FactorialFamily, plan: DyadicPlan) -> Tuple[complex, float]:
@@ -437,6 +520,16 @@ def assemble(fam: FactorialFamily, plan: DyadicPlan) -> Tuple[complex, float]:
     if plan.steps > len(fam.ladder):
         raise DomainError(f"{fam.name}: the ladder has {len(fam.ladder)} steps, "
                           f"the plan asks for {plan.steps}")
-    sums = np.cumsum(fam.weight[:plan.K + 1] * level_sums(fam, plan.n_terms))
-    value, corr = romberg(sums.tolist(), fam.ladder[:plan.steps])
-    return complex(value), float(abs(corr))
+    return _weigh(fam, plan, level_sums(fam, plan.n_terms))
+
+
+def evaluate(fam: FactorialFamily, tol: float,
+             plan: Optional[DyadicPlan] = None) -> Tuple[DyadicPlan, complex, float]:
+    """The family's value at ``tol``: the plan, the value and the size of
+    its last Richardson correction.  Without a ``plan`` the planner's walk
+    also yields the level sums, so the terms are formed once; a given
+    plan is assembled as it stands."""
+    if plan is not None:
+        return (plan, *assemble(fam, plan))
+    plan, n_terms, terms = _plan(fam, tol, True)
+    return (plan, *_weigh(fam, plan, _sums(fam, n_terms, terms)))

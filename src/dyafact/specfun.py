@@ -16,7 +16,7 @@ import functools
 import math
 import threading
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -26,9 +26,8 @@ from .dyadic import (
     DyadicPlan,
     FactorialFamily,
     amplification,
-    assemble,
+    evaluate,
     level_sums,
-    plan_truncation,
 )
 from .scalar import DomainError, polylog
 from ._gauss import dyadic_edges, geometric_sums, panel_nodes, refined
@@ -48,7 +47,14 @@ __all__ = [
     "erfc_dyadic",
 ]
 
-_LEVELS = 2.0 ** np.arange(MAX_LEVELS + 1)   # 2^k for every described level
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, read-only: templates are shared by every family of an order."""
+    a.flags.writeable = False
+    return a
+
+
+_LEVELS = _frozen(2.0 ** np.arange(MAX_LEVELS + 1))   # 2^k for every described level
+_ONES = _frozen(np.ones(MAX_LEVELS + 1))
 # Level k of Ei and digamma is 2^-k sigma(2^-k z) with sigma(z) = 1/(1 + e^-z)
 # = 1/2 + z/4 - z^3/48 + ...: the K-level tail runs in 2^-K, 2^-2K, 2^-4K, 2^-6K.
 _SIGMA_LADDER = (1.0, 2.0, 4.0, 6.0)
@@ -58,15 +64,25 @@ _SIGMA_LADDER = (1.0, 2.0, 4.0, 6.0)
 class EvalResult:
     """Value with its error estimate and the executed plan.  The estimate
     is the plan's prediction plus the size of the last Richardson
-    correction the evaluation made."""
+    correction the evaluation made.  ``tol_met`` says whether the estimate
+    is within the requested tolerance in the evaluator's units: absolute
+    for Ei and digamma, relative to |value| for erfc, incomplete gamma,
+    Airy and Bessel-K."""
 
     value: complex
     error_estimate: float
     plan: DyadicPlan
+    tol_met: bool
 
     @property
     def terms_total(self) -> int:
         return self.plan.terms_total
+
+
+def _result(value: complex, estimate: float, plan: DyadicPlan, tol: float,
+            relative: bool) -> EvalResult:
+    bound = tol * abs(value) if relative else tol
+    return EvalResult(value, estimate, plan, bool(estimate <= bound))
 
 
 def _geometric(a: np.ndarray, den: np.ndarray):
@@ -75,18 +91,28 @@ def _geometric(a: np.ndarray, den: np.ndarray):
     return lambda k, i: np.where(i == 0, a[k], i) / den[k]
 
 
-def _ei_family(w: complex, c: complex, name: str, ladder: tuple = ()) -> FactorialFamily:
-    """The exponential-integral family in w with Borel-plane scale c:
-    level k has shift 2^k w and a_k = e^{-c 2^-k} over den_k = 1 + a_k,
-    the base a_0 = e^{-c} over den_0 = 1 - e^{-c}, every weight 1.  Its
-    cut is the ray w in -R^+."""
+def _ei_template(c: complex) -> tuple:
+    """The argument-free half of the exponential-integral family with
+    Borel-plane scale c: a_k = e^{-c 2^-k} over den_k = 1 + a_k, the base
+    a_0 = e^{-c} over den_0 = 1 - e^{-c}, and their numerators."""
     a = np.exp(-c / _LEVELS)
     den = 1.0 + a
     den[0] = 1.0 - a[0]
+    return _frozen(a), _frozen(den), _geometric(a, den)
+
+
+_EI_STOKES = _ei_template(1j * math.pi)
+_EI_LEFT = _ei_template(-1.0)
+
+
+def _ei_family(w: complex, template: tuple, name: str, ladder: tuple = ()) -> FactorialFamily:
+    """The exponential-integral family in w over a template of
+    ``_ei_template``: level k has shift 2^k w, every weight 1.  Its cut
+    is the ray w in -R^+."""
+    a, den, numer = template
     shift = _LEVELS * w
     return FactorialFamily(
-        name, shift, np.ones(MAX_LEVELS + 1), _geometric(a, den),
-        size=np.abs(a / (den * shift)), safety=10.0,
+        name, shift, _ONES, numer, size=np.abs(a / (den * shift)), safety=10.0,
         cut_distance=1.0 if w.real >= 0 else abs(w.imag) / abs(w), ladder=ladder)
 
 
@@ -99,7 +125,7 @@ def ei_stokes_family(x: complex) -> FactorialFamily:
     x = complex(x)
     if x == 0:
         raise DomainError("ei_stokes undefined at x = 0")
-    return _ei_family(-1j * x / math.pi, 1j * math.pi, "ei-stokes")
+    return _ei_family(-1j * x / math.pi, _EI_STOKES, "ei-stokes")
 
 
 def ei_stokes(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) -> EvalResult:
@@ -115,11 +141,8 @@ def ei_stokes(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None)
         raise DomainError("ei_stokes is undefined on the closed negative imaginary axis")
     if abs(x) < 0.2:
         raise DomainError("ei_stokes requires |x| >= 0.2 (use the classical series below)")
-    fam = ei_stokes_family(x)
-    if plan is None:
-        plan = plan_truncation(fam, tol)
-    total, corr = assemble(fam, plan)
-    return EvalResult(total, plan.predicted_error + corr, plan)
+    plan, total, corr = evaluate(ei_stokes_family(x), tol, plan)
+    return _result(total, plan.predicted_error + corr, plan, tol, relative=False)
 
 
 def ei_left_family(x: complex) -> FactorialFamily:
@@ -130,7 +153,7 @@ def ei_left_family(x: complex) -> FactorialFamily:
     x = complex(x)
     if x == 0:
         raise DomainError("ei_left undefined at x = 0")
-    return _ei_family(x, -1.0, "ei-left", _SIGMA_LADDER)
+    return _ei_family(x, _EI_LEFT, "ei-left", _SIGMA_LADDER)
 
 
 def ei_left(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) -> EvalResult:
@@ -145,10 +168,8 @@ def ei_left(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) -
     fam = ei_left_family(x)
     if x.imag == 0.0 and x.real < 0.0:
         raise DomainError("ei_left is cut along the negative real axis")
-    if plan is None:
-        plan = plan_truncation(fam, tol)
-    total, corr = assemble(fam, plan)
-    return EvalResult(total, plan.predicted_error + corr, plan)
+    plan, total, corr = evaluate(fam, tol, plan)
+    return _result(total, plan.predicted_error + corr, plan, tol, relative=False)
 
 
 def ei_left_base_stream() -> "CoefficientStream":
@@ -184,6 +205,10 @@ def ei_left_classical_stream(n_max: int = 400) -> "CoefficientStream":
     return CoefficientStream(lambda k: coeffs[k])
 
 
+_PSI_NUMER = _geometric(_ONES, 2.0 * _ONES)
+_PSI_WEIGHT = _frozen((_LEVELS > 1).astype(float))
+
+
 def psi_family(x: complex) -> FactorialFamily:
     """Digamma double expansion: level k >= 1 is the ratio-1/2 series in
     the shifted variable 2^k x + 1.
@@ -198,9 +223,8 @@ def psi_family(x: complex) -> FactorialFamily:
     shift[0] = x
     size = 1.0 / (2.0 * np.abs(shift))
     size[0] = 0.0
-    ones = np.ones(MAX_LEVELS + 1)
     return FactorialFamily(
-        "psi-dyadic", shift, (_LEVELS > 1).astype(float), _geometric(ones, 2.0 * ones),
+        "psi-dyadic", shift, _PSI_WEIGHT, _PSI_NUMER,
         size=size, safety=4.0, cut_distance=1.0 if x.real > 0 else 0.0, ladder=_SIGMA_LADDER)
 
 
@@ -210,11 +234,8 @@ def psi_dyadic(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None
     x = complex(x)
     if x.real <= 0:
         raise DomainError("psi_dyadic requires Re x > 0")
-    fam = psi_family(x)
-    if plan is None:
-        plan = plan_truncation(fam, tol)
-    total, corr = assemble(fam, plan)
-    return EvalResult(cmath.log(x) + total, plan.predicted_error + corr, plan)
+    plan, total, corr = evaluate(psi_family(x), tol, plan)
+    return _result(cmath.log(x) + total, plan.predicted_error + corr, plan, tol, relative=False)
 
 
 def psi_half_difference(x: complex, n: int) -> complex:
@@ -264,6 +285,7 @@ class _GammaCoeffs:
         self._level: Dict[int, np.ndarray] = {}
         self._ratios = np.full((MAX_LEVELS + 1, _GAMMA_TERMS + 1), np.nan)
         self._have = np.zeros(MAX_LEVELS + 1, dtype=np.int64)  # entries filled per level
+        self._levels: Dict[float, Tuple[np.ndarray, np.ndarray]] = {}
         self._shift: Optional[_GammaCoeffs] = _GammaCoeffs(s + 1.0) if s < 0 else None
         if self._shift is None and s > 0:
             self._gamma_s = math.gamma(s)
@@ -305,6 +327,20 @@ class _GammaCoeffs:
         """|Li_s(-1)|, which the first coefficient Li_s(-e^{-2^-k}) of
         level k approaches as k grows."""
         return abs(polylog(self.s, -1.0))
+
+    def levels(self, s: float) -> Tuple[np.ndarray, np.ndarray]:
+        """The argument-free half of the family at order ``s`` (as the
+        caller gave it; the cache key rounds it to 12 digits), built once:
+        the level weights, 1 for the base and -2^{ks} for level k, and
+        |weight_k t_{k,1}| |x|, which is |c_0| for the base and
+        2^{k(s-1)} |Li_s(-1)| for level k (its first coefficient's limit)."""
+        if s not in self._levels:
+            weight = -(_LEVELS ** s)
+            weight[0] = 1.0
+            lead = _LEVELS ** (s - 1.0) * self.deep_first
+            lead[0] = abs(self.base(0))
+            self._levels[s] = (_frozen(weight), _frozen(lead))
+        return self._levels[s]
 
     def ratios(self, k: np.ndarray, i: np.ndarray) -> np.ndarray:
         """Term ratios c_{k,i} / c_{k,i-1} (c_{k,-1} = 1) for a column of
@@ -379,14 +415,9 @@ def _gamma_family(s: float, x: complex, coeffs: _GammaCoeffs) -> FactorialFamily
     coefficient rows; it reads the leading level terms from Li_s(-1),
     which the first coefficients approach, so planning builds no row past
     the levels it keeps."""
-    shift = _LEVELS * x
-    weight = -(_LEVELS ** s)
-    weight[0] = 1.0
-    size = _LEVELS ** (s - 1.0) * coeffs.deep_first / abs(x)
-    size[0] = abs(coeffs.base(0)) / abs(x)
-
-    return FactorialFamily("incomplete-gamma", shift, weight, coeffs.ratios, size, safety=4.0,
-                           max_terms=_GAMMA_TERMS, ladder=_gamma_ladder(s))
+    weight, lead = coeffs.levels(s)
+    return FactorialFamily("incomplete-gamma", _LEVELS * x, weight, coeffs.ratios, lead / abs(x),
+                           safety=4.0, max_terms=_GAMMA_TERMS, ladder=_gamma_ladder(s))
 
 
 def _gamma_eval(s: float, x: complex, tol: float, plan: Optional[DyadicPlan]) -> EvalResult:
@@ -394,11 +425,10 @@ def _gamma_eval(s: float, x: complex, tol: float, plan: Optional[DyadicPlan]) ->
     # Gamma(s, x) >= x^s e^-x / (x + 1 - s) for real x > 0 and s < 1, so
     # this bounds the normalized series from below
     scale = math.gamma(1.0 - s) / (abs(x) + 1.0 - s)
-    if plan is None:
-        plan = plan_truncation(fam, tol * scale)
-    total, corr = assemble(fam, plan)
+    plan, total, corr = evaluate(fam, tol * scale, plan)
     front = x**s * cmath.exp(-x) / math.gamma(1.0 - s)
-    return EvalResult(front * total, (plan.predicted_error + corr) * abs(front), plan)
+    return _result(front * total, (plan.predicted_error + corr) * abs(front), plan, tol,
+                   relative=True)
 
 
 def incomplete_gamma_dyadic(s: float, x: complex, tol: float = 4e-9,
@@ -429,7 +459,7 @@ def incomplete_gamma_dyadic(s: float, x: complex, tol: float = 4e-9,
     head = x ** (s - 1.0) * cmath.exp(-x)
     # near s = 1 the head carries the value, and its rounding the error
     err = abs(s - 1.0) * r.error_estimate + 8.0 * np.finfo(float).eps * abs(head)
-    return EvalResult((s - 1.0) * r.value + head, err, r.plan)
+    return _result((s - 1.0) * r.value + head, err, r.plan, tol, relative=True)
 
 
 def erfc_dyadic(x: float, tol: float = 4e-9) -> EvalResult:
@@ -438,4 +468,4 @@ def erfc_dyadic(x: float, tol: float = 4e-9) -> EvalResult:
         raise DomainError("erfc_dyadic requires x > 0")
     r = incomplete_gamma_dyadic(0.5, x, tol)
     rt = math.sqrt(math.pi)
-    return EvalResult(r.value / rt, r.error_estimate / rt, r.plan)
+    return _result(r.value / rt, r.error_estimate / rt, r.plan, tol, relative=True)

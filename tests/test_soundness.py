@@ -7,7 +7,9 @@ ei_left and psi_dyadic absolute ones.
 """
 
 import cmath
+import importlib.util
 import math
+import pathlib
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +17,8 @@ from hypothesis import strategies as st
 
 from dyafact import oracle
 from dyafact.borel import airy_from_h, bessel_k_dyadic
-from dyafact.dyadic import LADDER_LEVELS
-from dyafact.specfun import ei_left, erfc_dyadic, incomplete_gamma_dyadic, psi_dyadic
+from dyafact.dyadic import LADDER_LEVELS, DyadicPlan
+from dyafact.specfun import ei_left, ei_stokes, erfc_dyadic, incomplete_gamma_dyadic, psi_dyadic
 
 
 def assert_sound(r, ref, limit):
@@ -135,3 +137,45 @@ def test_gate_airy(x, tol):
 def test_gate_bessel_k(nu, x, tol):
     ref = float(_mp().besselk(nu, x))
     _check_laddered(bessel_k_dyadic(nu, x, tol), ref, tol * ref)
+
+
+# ``tol_met`` says whether error_estimate is within tol in the evaluator's
+# units: absolute for Ei and digamma, relative to |value| for the others.
+
+@pytest.mark.parametrize("nu", [0.0, 1.2])
+def test_bessel_k_reports_a_missed_tolerance(nu):
+    # |u| = 1 at tol 1e-12: the plan runs into the 16-level table depth and
+    # its estimate lands just above tol
+    r = bessel_k_dyadic(nu, 0.5, 1e-12)
+    assert r.error_estimate > 1e-12 * abs(r.value)
+    assert not r.tol_met
+
+
+def test_tol_met_is_absolute_for_ei_and_digamma():
+    r = ei_left(20.0, 1e-10)   # |value| ~ 0.05
+    assert r.error_estimate > 1e-10 * abs(r.value) and r.tol_met
+    short = ei_stokes(5.0, 1e-10, plan=DyadicPlan(K=2, n_terms=[3, 3, 3], predicted_error=1e-3))
+    assert not short.tol_met
+
+
+def _point_values_inputs(seed):
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.point_inputs(seed)
+
+
+def test_point_values_meet_their_tolerance():
+    evaluators = {
+        "ei-stokes": lambda it, x: ei_stokes(x, it["tol"]),
+        "ei-left": lambda it, x: ei_left(x, it["tol"]),
+        "psi": lambda it, x: psi_dyadic(x, it["tol"]),
+        "erfc": lambda it, x: erfc_dyadic(x.real, it["tol"]),
+        "inc-gamma": lambda it, x: incomplete_gamma_dyadic(it["s"], x, it["tol"]),
+        "airy": lambda it, x: airy_from_h(x.real, it["tol"]),
+        "bessel-k": lambda it, x: bessel_k_dyadic(it["s"], x.real, it["tol"]),
+    }
+    missed = [it for it in _point_values_inputs(21)
+              if not evaluators[it["fn"]](it, complex(*it["x"])).tol_met]
+    assert missed == []
