@@ -45,7 +45,7 @@ from .dyadic import (
     evaluate,
 )
 from .scalar import DomainError
-from .specfun import EvalResult, _frozen, _result
+from .specfun import _EPS, EvalResult, _frozen, _result
 
 __all__ = [
     "BorelKernel",
@@ -375,7 +375,6 @@ def airy_h(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) ->
 # and K_nu(x) ~ sqrt(pi / (2x)) e^{-x}.
 _AIRY_C = 2.0 / (3.0 * math.sqrt(math.pi))
 _BESSEL_C = math.sqrt(2.0 * math.pi)
-_EPS = float(np.finfo(float).eps)
 
 
 def airy_from_h(x: float, tol: float = 1e-10) -> EvalResult:

@@ -20,7 +20,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import borel, operators, oracle, specfun
-from .dyadic import CutProximityError, DyadicPlan, plan_truncation
 from .scalar import DomainError, PoleError, factorial_series_eval
 from ._gauss import QuadratureError
 
@@ -102,6 +101,9 @@ def _oracle_value(name: str, x: complex, s: float) -> complex:
             return oracle.ei_plus_reference(x)
         return oracle.ei_series_reference(x)
     if name == "ei-left":
+        if x.real <= 0:
+            # the Laplace integral below diverges there
+            return oracle.ei_left_series_reference(x)
         f = lambda p: np.exp(-x * p) / (1.0 + p)
         return -oracle.quad_adaptive(f, 0.0, math.inf, 1e-12)
     if name == "psi":
@@ -127,7 +129,7 @@ def cmd_eval(cfg: RunConfig) -> int:
         x = complex(x)
         try:
             r = ev(x, cfg.tol)
-        except (DomainError, PoleError, CutProximityError) as exc:
+        except (DomainError, PoleError) as exc:
             sys.stderr.write(f"domain error at x = {x}: {exc}\n")
             return EXIT_DOMAIN
         row = [x.real, x.imag, r.value.real, r.value.imag,
@@ -140,21 +142,12 @@ def cmd_eval(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-_PLAN_FAMILIES = {
-    "ei-stokes": specfun.ei_stokes_family,
-    "ei-left": specfun.ei_left_family,
-    "psi": specfun.psi_family,
-}
-
-
 def cmd_plan(cfg: RunConfig) -> int:
-    if cfg.function not in _PLAN_FAMILIES:
-        sys.stderr.write(f"no planner model for function {cfg.function}\n")
-        return EXIT_DOMAIN
+    ev = _evaluator(cfg.function, cfg.s)
     for x in cfg.grid():
         try:
-            plan = plan_truncation(_PLAN_FAMILIES[cfg.function](complex(x)), cfg.tol)
-        except (DomainError, CutProximityError) as exc:
+            plan = ev(complex(x), cfg.tol).plan
+        except (DomainError, PoleError) as exc:
             sys.stderr.write(f"domain error at x = {x}: {exc}\n")
             return EXIT_DOMAIN
         sys.stdout.write(
@@ -164,13 +157,6 @@ def cmd_plan(cfg: RunConfig) -> int:
             f"  predicted_error = {plan.predicted_error:.3e}\n"
         )
     return EXIT_OK
-
-
-def _near_cut_plan(x: complex, tol: float) -> DyadicPlan:
-    """Schedule for arguments close to the negative imaginary axis: the
-    regular planner with the cut-distance guard lifted, paying for the
-    Pochhammer pole windows every level crosses there."""
-    return plan_truncation(specfun.ei_stokes_family(x), tol, enforce_cut_guard=False)
 
 
 def cmd_figure(figure_id: str, fmt: str, out: Optional[str]) -> int:
@@ -195,8 +181,8 @@ def cmd_figure(figure_id: str, fmt: str, out: Optional[str]) -> int:
     if figure_id == "fig-stokes":
         rows = []
         for t in np.linspace(1.0, 10.0, 181):
-            left = specfun.ei_stokes(complex(-0.3, -t), plan=_near_cut_plan(complex(-0.3, -t), 2e-4))
-            right = specfun.ei_stokes(complex(0.3, -t), plan=_near_cut_plan(complex(0.3, -t), 2e-4))
+            left = specfun.ei_stokes(complex(-0.3, -t), 2e-4)
+            right = specfun.ei_stokes(complex(0.3, -t), 2e-4)
             rows.append([t, left.value.imag, right.value.imag])
         _write_rows(["t", "im_left", "im_right"], rows, fmt, out)
         return EXIT_OK
@@ -353,7 +339,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_compare(args.function, args.x_start, args.tol)
         if args.cmd == "operator":
             return cmd_operator(args.matrix, args.mode, args.lam, args.s, args.levels)
-    except (DomainError, PoleError, CutProximityError) as exc:
+    except (DomainError, PoleError) as exc:
         sys.stderr.write(f"domain error: {exc}\n")
         return EXIT_DOMAIN
     except (oracle.NonconvergenceError, QuadratureError) as exc:

@@ -44,7 +44,6 @@ __all__ = [
 
 MAX_LEVELS = 60          # 2^-60 is below binary64 resolution
 DENOM_GUARD = 1e-8       # singular-denominator threshold (absolute)
-CUT_GUARD = 0.05         # relative distance from an expansion's cut
 POCH_GUARD = 1e-12       # Pochhammer factor treated as a pole
 N_CAP = 200_000          # terms any one series may keep
 SHIFT_FLOOR = 32.0       # |x_K| from which a ladder's tail expansion holds
@@ -54,13 +53,12 @@ LADDER_LEVELS = 16       # h-table depth: laddered plans at tol >= 1e-10 keep <=
 MAX_AMPLIFICATION = 100.0
 _LEVEL_INDEX = np.arange(MAX_LEVELS + 1)
 _INV_LEVELS = 2.0 ** -_LEVEL_INDEX               # 2^-k for every described level
-_NO_WINDOW = np.ones(MAX_LEVELS + 1, dtype=np.int64)   # the floor clear of pole windows
-_NO_WINDOW.flags.writeable = False
 _TINY = np.finfo(float).tiny
 
 
 class CutProximityError(DomainError):
-    """Argument too close to the expansion's cut; term counts blow up."""
+    """A level shift with negative real part (the argument lies across the
+    expansion's cut), or a level that needs more than N_CAP terms."""
 
 
 def dyadic_reciprocal_partial(p: complex, n: int) -> complex:
@@ -227,10 +225,10 @@ class FactorialFamily:
     The planner sees only magnitudes in the units of its tolerance:
     ``size[k]`` = |weight_k t_{k,1}| and the term ratios
     |t_{k,i+1}/t_{k,i}| = |numer / (shift + i)|.  ``safety`` scales every
-    remainder estimate.
-    ``cut_distance`` is the argument's relative distance from the
-    expansion's cut; ``max_terms`` caps each series (for a tabulated
-    family, the terms its coefficient rows support).
+    remainder estimate.  The planner takes only families whose shifts all
+    have Re >= 0, where no Pochhammer factor comes near a pole; the
+    evaluators map their arguments there.  ``max_terms`` caps each series
+    (for a tabulated family, the terms its coefficient rows support).
 
     ``ladder`` holds the exponents lambda_j, in increasing order, of the
     tail sum_j a_j 2^(-lambda_j K) that the K-level partial sums leave;
@@ -244,26 +242,8 @@ class FactorialFamily:
     numer: Callable[[np.ndarray, np.ndarray], np.ndarray]
     size: np.ndarray
     safety: float
-    cut_distance: float = 1.0
     max_terms: int = N_CAP
     ladder: Tuple[float, ...] = ()
-
-    @property
-    def floor(self) -> np.ndarray:
-        """Terms each level keeps to clear its Pochhammer pole window.
-
-        With Re x_k < -1 and a small imaginary part the term magnitudes
-        dip and then spike near the poles; they keep growing until
-        m ~ 2 |Re x_k| (only there does m / |x_k + m| fall below the
-        geometric gap), so the window spans twice the pole index.
-        Truncating inside it leaves a cancellation residue that the
-        next-term estimate cannot see, fading roughly exponentially in
-        |Im x_k|; 26 keeps it below every tolerance the planner accepts."""
-        re = self.shift.real
-        if re.min() >= -1.0:
-            return _NO_WINDOW[:len(re)]
-        window = (re < -1.0) & (np.abs(self.shift.imag) < 26.0)
-        return np.where(window, 2 * np.trunc(-re) + 24, 1).astype(np.int64)
 
     def tails(self) -> np.ndarray:
         """safety * (size of every described level beyond K), for each K."""
@@ -312,66 +292,56 @@ def _romberg_gains(K: int, ladder: Tuple[float, ...]) -> np.ndarray:
     return gain
 
 
-def _ladder_depth(fam: FactorialFamily, tol: float, floor: np.ndarray) -> Tuple[int, float]:
+def _ladder_depth(fam: FactorialFamily, tol: float) -> Tuple[int, float]:
     """Levels K of a laddered plan and its modeled last Richardson
     correction, the first tail term the steps leave.
 
     The tail expansion is asymptotic in rho_K = 2^-K + 2/|x_K|, so it
-    needs |x_K| >= SHIFT_FLOOR, which grows K with log2(1/|x|).  The steps
-    reweight levels K - steps + 1..K, and a level in a pole window
-    (``floor``) carries terms exponentially small in |Im x_k| that the
-    ladder does not describe, so those levels must be clear of windows.
-    The correction is modeled as the plain tail size_K / (2^lambda_1 - 1)
-    times rho_K^(lambda_last - lambda_1); K is the smallest count past
-    these floors whose correction fits in ``tol / 2``, or the deepest
-    described level."""
+    needs |x_K| >= SHIFT_FLOOR, which grows K with log2(1/|x|), and the
+    steps need K >= len(ladder).  The correction is modeled as the plain
+    tail size_K / (2^lambda_1 - 1) times rho_K^(lambda_last - lambda_1);
+    K is the smallest count past these floors whose correction fits in
+    ``tol / 2``, or the deepest described level."""
     lam = fam.ladder
     n = len(fam.shift)
     xk = np.abs(fam.shift)
-    first = len(lam) + (np.flatnonzero(floor > 1)[-1] if floor.max() > 1 else 0)
     rho = _INV_LEVELS[:n] + 2.0 / xk
     corr = fam.size / (2.0 ** lam[0] - 1.0) * rho ** (lam[-1] - lam[0])
     ok = (corr <= 0.5 * tol) & (xk >= SHIFT_FLOOR)
-    ok[:first] = False
+    ok[:len(lam)] = False
     K = int(ok.argmax())
     if not ok[K]:
         K = n - 1
     return K, float(corr[K])
 
 
-def _walk(fam: FactorialFamily, floor: np.ndarray, target: Optional[float] = None,
+def _walk(fam: FactorialFamily, counts: Optional[np.ndarray], target: float = 0.0,
           gain: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One pass over the terms of levels 0..K (K + 1 = len(floor)).
+    """One pass over the terms of levels 0..K: with fixed ``counts``
+    (K + 1 = len(counts)) each level keeps exactly that many; without
+    them (K + 1 = len(gain)) a level keeps the smallest count whose
+    remainder, the next term over the local geometric gap scaled by the
+    level's ``gain``, is below ``target``, or every term its coefficient
+    row holds.
 
     The levels still walking advance in chunks of counts (1..32, 33..64,
     65..128, ...).  A chunk forms numer and shift + i once: their
     magnitudes drive the stop rule, and the running product of their
     quotients gives the terms t_{k,i+1} of the levels that stop in it.
-    With a ``target`` a level keeps the smallest count past its pole
-    window (``floor``) whose remainder, the next term over the local
-    geometric gap scaled by the level's ``gain``, is below ``target``, or
-    every term its coefficient row holds.  Without one it keeps exactly
-    ``floor`` terms.
 
     A chunk reads each walking level from index 0: a coefficient row that
     grows rounds its earlier entries anew, and the kept terms must all
     come from the final row.
 
     Returns the counts kept, the remainder each leaves at its last count
-    walked (0 without a target), and an array of max(counts) columns whose
-    row k starts with the terms of level k, for ``_sums``.
+    walked (0 with fixed counts), and an array of max(counts) columns
+    whose row k starts with the terms of level k, for ``_sums``.
     """
-    K = len(floor) - 1
-    planning = target is not None
-    most = int(floor.max())
-    if planning and most > fam.max_terms:
-        raise CutProximityError(
-            f"{fam.name}: a level must clear a pole window of {most} terms; "
-            "too close to the expansion's cut for this tolerance"
-        )
+    planning = counts is None
+    K = len(gain if planning else counts) - 1
     # the stop rule at count c reads the ratio at index c; fixed counts
     # need no index past the last kept term
-    limit = fam.max_terms if planning else most - 1
+    limit = fam.max_terms if planning else int(counts.max()) - 1
     walk = np.arange(K + 1)                   # levels still walking
     rows = slice(0, K + 1)                    # the same, as an index
     stop = np.zeros(K + 1, dtype=np.int64)
@@ -387,23 +357,20 @@ def _walk(fam: FactorialFamily, floor: np.ndarray, target: Optional[float] = Non
             den = fam.shift[rows, None] + i
             if planning:
                 first = max(lo, 1)            # count 0 keeps no term
-                counts = i[first:]
                 # t_1 is given by ``size``, the ratios take it on from there
                 r = np.abs(num[:, first:]) / np.abs(den[:, first:])
                 mags = t[rows, None] * np.minimum(np.multiply.accumulate(r, axis=1), 1e280)   # saturate, not overflow
                 walked = mags / (1.0 - np.minimum(r, 0.95))
                 ok = walked <= target
-                if most > 1:
-                    ok &= counts >= floor[rows, None]
                 idx = _LEVEL_INDEX[:len(walk)]
                 at = ok.argmax(axis=1)
                 met = ok[idx, at]
-                at = np.where(met, at, len(counts) - 1)
+                at = np.where(met, at, ok.shape[1] - 1)
                 left[rows] = walked[idx, at]
                 n = np.where(met, at + first, 0)
             else:
-                met = floor[rows] < len(i)
-                n = np.where(met, floor[rows], 0)
+                met = counts[rows] < len(i)
+                n = np.where(met, counts[rows], 0)
             if len(i) > limit:                # the last chunk: unmet rows ran out
                 if planning and fam.max_terms >= N_CAP and not met.all():
                     raise CutProximityError(
@@ -449,34 +416,31 @@ def _sums(fam: FactorialFamily, n: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return kept.sum(axis=1)
 
 
-def _plan(fam: FactorialFamily, tol: float,
-          enforce_cut_guard: bool) -> Tuple[DyadicPlan, np.ndarray, np.ndarray]:
+def _plan(fam: FactorialFamily, tol: float) -> Tuple[DyadicPlan, np.ndarray, np.ndarray]:
     """The plan of ``plan_truncation`` with the counts and terms its walk
     kept."""
     if not (1e-14 < tol < 1e-1):
         raise DomainError("tol must lie in (1e-14, 1e-1)")
-    if enforce_cut_guard and fam.cut_distance < CUT_GUARD:
+    if fam.shift.real.min() < 0.0:
         raise CutProximityError(
-            f"{fam.name}: relative distance from the cut is below {CUT_GUARD}"
+            f"{fam.name}: a level shift has negative real part; "
+            "the argument lies across the expansion's cut"
         )
-    floor = fam.floor
     if fam.ladder:
-        K, tail = _ladder_depth(fam, tol, floor)
+        K, tail = _ladder_depth(fam, tol)
     else:
         tails = fam.tails()
         K = int(np.argmax(tails <= 0.5 * tol))
         tail = tails[K]
     budget = (tol - min(tail, 0.5 * tol)) / fam.safety
-    n_terms, left, terms = _walk(fam, floor[:K + 1], budget / (K + 1),
-                                 _romberg_gains(K, fam.ladder))
+    n_terms, left, terms = _walk(fam, None, budget / (K + 1), _romberg_gains(K, fam.ladder))
     predicted = tail + fam.safety * left.sum()
     plan = DyadicPlan(K=K, n_terms=n_terms.tolist(), steps=len(fam.ladder),
                       predicted_error=max(float(predicted), _TINY))
     return plan, n_terms, terms
 
 
-def plan_truncation(fam: FactorialFamily, tol: float,
-                    enforce_cut_guard: bool = True) -> DyadicPlan:
+def plan_truncation(fam: FactorialFamily, tol: float) -> DyadicPlan:
     """Choose the number of dyadic levels K, the Richardson steps and the
     per-series term counts so the predicted error stays below ``tol``.
 
@@ -487,14 +451,14 @@ def plan_truncation(fam: FactorialFamily, tol: float,
     without a ladder), and every level gets an even share of what the
     tail or the modeled correction left.  The remainder after n terms is
     the next term over the local geometric gap; every level walks its
-    exact term magnitudes (``_walk``) and keeps the smallest count past
-    its pole window whose remainder fits its share.  A level whose
-    coefficient row runs out stops growing, and the prediction reports
-    the shortfall.  Callers prepared to pay for pole-window clearing may
-    disable the cut-distance guard; the term-count cap still bounds the
-    damage.
+    exact term magnitudes (``_walk``) and keeps the smallest count whose
+    remainder fits its share.  A level whose coefficient row runs out
+    stops growing, and the prediction reports the shortfall.  A shift
+    with negative real part puts Pochhammer poles on the walk, where the
+    terms dip and spike again past any stop, so it raises
+    CutProximityError.
     """
-    return _plan(fam, tol, enforce_cut_guard)[0]
+    return _plan(fam, tol)[0]
 
 
 def level_sums(fam: FactorialFamily, n_terms: Sequence[int]) -> np.ndarray:
@@ -531,5 +495,5 @@ def evaluate(fam: FactorialFamily, tol: float,
     plan is assembled as it stands."""
     if plan is not None:
         return (plan, *assemble(fam, plan))
-    plan, n_terms, terms = _plan(fam, tol, True)
+    plan, n_terms, terms = _plan(fam, tol)
     return (plan, *_weigh(fam, plan, _sums(fam, n_terms, terms)))

@@ -24,6 +24,7 @@ __all__ = [
     "quad_contour",
     "ei_plus_reference",
     "ei_series_reference",
+    "ei_left_series_reference",
     "ei_classical_real",
     "psi_reference",
     "erfc_reference",
@@ -175,6 +176,20 @@ def ei_plus_reference(x: complex, abs_tol: float = 1e-11) -> complex:
     return quad_contour(f, contour, abs_tol, tail_direction=1.0 + 0.0j)
 
 
+def _ei_entire(x: complex) -> complex:
+    """The entire part sum_{n>=1} x^n / (n n!) of Ei."""
+    term = 1.0 + 0.0j
+    s = 0.0 + 0.0j
+    n = 0
+    while True:
+        n += 1
+        term *= x / n
+        inc = term / n
+        s += inc
+        if abs(inc) <= 1e-18 * max(abs(s), 1.0) and n > 4 or n > 600:
+            return s
+
+
 def ei_series_reference(x: complex) -> complex:
     """e^{-x} Ei^+(x) from the entire series gamma + ln x + sum x^n/(n n!) - i pi,
     with the log branch cut placed along the negative imaginary axis.
@@ -190,19 +205,14 @@ def ei_series_reference(x: complex) -> complex:
     if arg < -math.pi / 2:
         arg += 2.0 * math.pi  # branch cut along -i R^+
     ln_cut = math.log(abs(x)) + 1j * arg
-    term = 1.0 + 0.0j
-    s = 0.0 + 0.0j
-    n = 0
-    while True:
-        n += 1
-        term *= x / n
-        inc = term / n
-        s += inc
-        if abs(inc) <= 1e-18 * max(abs(s), 1.0) and n > 4:
-            break
-        if n > 600:
-            break
-    return cmath.exp(-x) * (EULER_GAMMA + ln_cut + s - 1j * math.pi)
+    return cmath.exp(-x) * (EULER_GAMMA + ln_cut + _ei_entire(x) - 1j * math.pi)
+
+
+def ei_left_series_reference(x: complex) -> complex:
+    """e^x Ei(-x) = e^x (gamma + Log x + sum (-x)^n/(n n!)), for Re x <= 0
+    where its Laplace integral diverges; it loses about (|x| + Re x) / ln 10
+    digits to cancellation."""
+    return cmath.exp(x) * (EULER_GAMMA + cmath.log(x) + _ei_entire(-x))
 
 
 def ei_classical_real(x: float) -> float:

@@ -58,6 +58,8 @@ _ONES = _frozen(np.ones(MAX_LEVELS + 1))
 # Level k of Ei and digamma is 2^-k sigma(2^-k z) with sigma(z) = 1/(1 + e^-z)
 # = 1/2 + z/4 - z^3/48 + ...: the K-level tail runs in 2^-K, 2^-2K, 2^-4K, 2^-6K.
 _SIGMA_LADDER = (1.0, 2.0, 4.0, 6.0)
+_EPS = float(np.finfo(float).eps)
+_ON_CUT = 1e-12        # relative distance from an Ei cut that counts as on it
 
 
 @dataclass(frozen=True)
@@ -108,48 +110,63 @@ _EI_LEFT = _ei_template(-1.0)
 def _ei_family(w: complex, template: tuple, name: str, ladder: tuple = ()) -> FactorialFamily:
     """The exponential-integral family in w over a template of
     ``_ei_template``: level k has shift 2^k w, every weight 1.  Its cut
-    is the ray w in -R^+."""
+    is the ray w in -R^+; the planner takes it for Re w >= 0."""
     a, den, numer = template
     shift = _LEVELS * w
-    return FactorialFamily(
-        name, shift, _ONES, numer, size=np.abs(a / (den * shift)), safety=10.0,
-        cut_distance=1.0 if w.real >= 0 else abs(w.imag) / abs(w), ladder=ladder)
+    return FactorialFamily(name, shift, _ONES, numer, size=np.abs(a / (den * shift)),
+                           safety=10.0, ladder=ladder)
 
 
 def ei_stokes_family(x: complex) -> FactorialFamily:
     """Stokes-sector exponential-integral family: c = i pi in y = -i x / pi,
     base ratio 1/2, level-k ratio 1/|1 + e^{-i pi 2^-k}|; cut along the
-    closed negative imaginary axis.  It has no ladder: its plans are
-    plain truncations, whose discarded tail pi 2^-(K+1)/x the acceptance
-    suite checks."""
+    closed negative imaginary axis, and Re y >= 0 for Im x >= 0.  It has
+    no ladder: its plans are plain truncations, whose discarded tail
+    pi 2^-(K+1)/x the acceptance suite checks."""
     x = complex(x)
     if x == 0:
         raise DomainError("ei_stokes undefined at x = 0")
     return _ei_family(-1j * x / math.pi, _EI_STOKES, "ei-stokes")
 
 
+def _stokes(y: complex, tol: float, plan: Optional[DyadicPlan], flip: bool = False,
+            jump: complex = 0.0) -> EvalResult:
+    """G(y) = e^{-y} Ei^+(y) at Im y >= 0, where every shift of the Stokes
+    family has Re >= 0; conjugated if ``flip``, less ``jump``, whose
+    rounding joins the estimate."""
+    plan, total, corr = evaluate(ei_stokes_family(y), tol, plan)
+    value = total.conjugate() if flip else total
+    return _result(value - jump, plan.predicted_error + corr + 8.0 * _EPS * abs(jump), plan, tol,
+                   relative=False)
+
+
 def ei_stokes(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) -> EvalResult:
     """e^{-x} Ei^+(x) through the dyadic factorial expansion valid across
-    the Stokes ray R^+ (cut along the closed negative imaginary axis).
+    the Stokes ray R^+, for |x| >= 0.2 off the closed negative imaginary
+    axis (the cut; within rounding of it counts as on it).
 
-    With ``plan`` given, the caller owns the truncation (and may evaluate
-    closer to the cut than the planner's guard allows); otherwise a plan
-    meeting ``tol`` is derived first.
+    e^{-x} Ei^+ is real on the negative real axis and jumps by
+    2 pi i e^{-x} across R^+ (DLMF 6.4), so below the real axis it is
+    conj G(conj x), less that jump for Re x > 0.  With ``plan`` given (for
+    conj x below the real axis) the caller owns the truncation; otherwise
+    a plan meeting ``tol`` is derived first.
     """
     x = complex(x)
-    if x.real == 0.0 and x.imag <= 0.0:
+    if x.imag <= 0.0 and abs(x.real) <= _ON_CUT * abs(x):
         raise DomainError("ei_stokes is undefined on the closed negative imaginary axis")
     if abs(x) < 0.2:
         raise DomainError("ei_stokes requires |x| >= 0.2 (use the classical series below)")
-    plan, total, corr = evaluate(ei_stokes_family(x), tol, plan)
-    return _result(total, plan.predicted_error + corr, plan, tol, relative=False)
+    if x.imag >= 0.0:
+        return _stokes(x, tol, plan)
+    return _stokes(x.conjugate(), tol, plan, True, 2j * math.pi * cmath.exp(-x) if x.real > 0 else 0.0)
 
 
 def ei_left_family(x: complex) -> FactorialFamily:
     """Left-plane exponential-integral family: c = -1 in x.  The base
     series, of ratio 1/(e-1), is minus the classical factorial series of
     Phi(1/e, 1, x); level k has ratio 1/(1 + e^{2^-k}).  The levels sum to
-    e^x Ei(-x); the cut is the negative real axis."""
+    e^x Ei(-x); the cut is the negative real axis, and the planner takes
+    Re x >= 0."""
     x = complex(x)
     if x == 0:
         raise DomainError("ei_left undefined at x = 0")
@@ -157,19 +174,23 @@ def ei_left_family(x: complex) -> FactorialFamily:
 
 
 def ei_left(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) -> EvalResult:
-    """e^x Ei(-x) for x off the negative real axis, via the dyadic
-    factorial expansion in the left Borel plane.
+    """e^x Ei(-x) for x off the negative real axis (the cut; within
+    rounding of it counts as on it).
 
-    Its base series is minus the classical factorial series of the Lerch
-    function Phi(1/e, 1, x); the value carries the sign of e^x Ei(-x)
-    itself, negative on R^+.
+    For Re x >= 0, the dyadic factorial expansion in the left Borel plane,
+    whose base series is minus the classical factorial series of the Lerch
+    function Phi(1/e, 1, x).  For Re x < 0, the Stokes expansion G(-x)
+    below the real axis and conj G(-conj x) above it (``plan`` is then one
+    for that point).  The value carries the sign of e^x Ei(-x) itself,
+    negative on R^+.
     """
     x = complex(x)
-    fam = ei_left_family(x)
-    if x.imag == 0.0 and x.real < 0.0:
+    if x.real >= 0.0:
+        plan, total, corr = evaluate(ei_left_family(x), tol, plan)
+        return _result(total, plan.predicted_error + corr, plan, tol, relative=False)
+    if abs(x.imag) <= _ON_CUT * abs(x):
         raise DomainError("ei_left is cut along the negative real axis")
-    plan, total, corr = evaluate(fam, tol, plan)
-    return _result(total, plan.predicted_error + corr, plan, tol, relative=False)
+    return _stokes(-x if x.imag < 0 else -x.conjugate(), tol, plan, x.imag > 0)
 
 
 def ei_left_base_stream() -> "CoefficientStream":
@@ -225,7 +246,7 @@ def psi_family(x: complex) -> FactorialFamily:
     size[0] = 0.0
     return FactorialFamily(
         "psi-dyadic", shift, _PSI_WEIGHT, _PSI_NUMER,
-        size=size, safety=4.0, cut_distance=1.0 if x.real > 0 else 0.0, ladder=_SIGMA_LADDER)
+        size=size, safety=4.0, ladder=_SIGMA_LADDER)
 
 
 def psi_dyadic(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) -> EvalResult:
@@ -458,7 +479,7 @@ def incomplete_gamma_dyadic(s: float, x: complex, tol: float = 4e-9,
     r = _gamma_eval(s - 1.0, x, tol * abs(x) / (abs(x) + 1.0 - s), plan)
     head = x ** (s - 1.0) * cmath.exp(-x)
     # near s = 1 the head carries the value, and its rounding the error
-    err = abs(s - 1.0) * r.error_estimate + 8.0 * np.finfo(float).eps * abs(head)
+    err = abs(s - 1.0) * r.error_estimate + 8.0 * _EPS * abs(head)
     return _result((s - 1.0) * r.value + head, err, r.plan, tol, relative=True)
 
 

@@ -1,3 +1,4 @@
+import cmath
 import io
 import json
 import math
@@ -48,6 +49,17 @@ class TestEval:
         assert rows.shape[1] == 9
         assert rows[:, 8].max() < 3e-8
 
+    def test_ei_left_oracle_in_the_left_half_plane(self, tmp_path):
+        # the Laplace integral of e^x Ei(-x) diverges for Re x < 0, so the
+        # oracle column comes from the entire series there
+        out = tmp_path / "left.csv"
+        rc = run(["eval", "--function", "ei-left", "--x-start", "1", "--x-stop", "20",
+                  "--points", "5", "--ray-angle", "170", "--tol", "1e-9", "--with-oracle",
+                  "--out", str(out)])
+        assert rc == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert rows[:, 0].max() < 0 and rows[:, 8].max() <= 1e-9
+
     def test_domain_error_exit_code(self):
         # ray pointing into the negative-imaginary cut
         rc = run(["eval", "--function", "ei-stokes", "--x-start", "1", "--x-stop", "3",
@@ -81,6 +93,18 @@ class TestPlan:
     def test_plan_prints_the_richardson_steps(self, fn, steps, capsys):
         assert run(["plan", "--function", fn, "--x-start", "5", "--points", "1"]) == 0
         assert f"steps = {steps} " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fn, angle", [("ei-stokes", -60.0), ("ei-left", 170.0), ("psi", 0.0),
+                                           ("erfc", 0.0), ("inc-gamma", 0.0), ("airy", 0.0),
+                                           ("bessel-k", 0.0)])
+    def test_plan_is_the_executed_plan(self, fn, angle, capsys):
+        # below the real axis ei_stokes plans at conj x, and ei_left in the
+        # left half-plane plans the Stokes family at -x
+        assert run(["plan", "--function", fn, "--x-start", "3", "--points", "1",
+                    "--ray-angle", str(angle), "--tol", "1e-8"]) == 0
+        x = 3.0 * cmath.exp(1j * math.radians(angle))
+        plan = cli._evaluator(fn, 0.5)(x, 1e-8).plan
+        assert f"  n_terms = {plan.n_terms}\n" in capsys.readouterr().out
 
     def test_plan_at_origin_is_a_domain_error(self):
         for fn in ("ei-stokes", "ei-left", "psi"):

@@ -1,9 +1,9 @@
-"""Soundness of the laddered evaluators: each value meets its tolerance
-and its error_estimate bounds the true error, at the order edges where
-plain truncation used to miss and over randomized domains.
+"""Soundness of the evaluators: each value meets its tolerance and its
+error_estimate bounds the true error, at the order edges where plain
+truncation used to miss, beside the Ei cuts, and over randomized domains.
 
 erfc, incomplete gamma, Airy and Bessel-K take relative tolerances;
-ei_left and psi_dyadic absolute ones.
+ei_stokes, ei_left and psi_dyadic absolute ones.
 """
 
 import cmath
@@ -67,6 +67,48 @@ def test_ei_left_near_its_cut(x):
         assert_sound(ei_left(x, tol), ref, tol)
 
 
+def _ei_stokes_reference(x):
+    """e^{-x} Ei^+(x): -e^{-x} E_1(-x), which is analytic across the
+    negative imaginary axis, less the Stokes jump 2 pi i e^{-x} right of it."""
+    mp = _mp()
+    z = mp.mpc(x.real, x.imag)
+    v = -mp.exp(-z) * mp.e1(-z)
+    if x.real > 0 and x.imag <= 0:
+        v -= 2j * mp.pi * mp.exp(-z)
+    return complex(v)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-8])
+@pytest.mark.parametrize("angle", [-1.48, -1.50, -1.52])
+@pytest.mark.parametrize("r", [30.0, 40.0])
+def test_ei_stokes_near_its_cut_at_large_argument(r, angle, tol):
+    # these points used to be planned on the family at x itself, whose
+    # pole-window levels cancel terms up to 4e7 and left errors up to 485 tol
+    x = r * cmath.exp(1j * angle)
+    res = ei_stokes(x, tol)
+    assert_sound(res, _ei_stokes_reference(x), tol)
+    assert res.tol_met
+
+
+@pytest.mark.parametrize("r", [0.5, 3.0, 20.0])
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_ei_jump_across_the_cuts(r, side):
+    # 0.01 rad either side of each cut, against the one branch that runs
+    # across it: the evaluators differ from it by the Stokes jump
+    # 2 pi i e^{-y} on one side only (y = x for ei_stokes, y = -x for ei_left)
+    mp = _mp()
+    tol = 1e-10
+    x = r * cmath.exp(1j * (-math.pi / 2 + side * 0.01))   # side 1: Re x > 0
+    across = complex(-mp.exp(-x) * mp.e1(-x))
+    jump = 2j * math.pi * cmath.exp(-x) if side > 0 else 0.0
+    assert_sound(ei_stokes(x, tol), across - jump, tol)
+    x = r * cmath.exp(1j * (math.pi + side * 0.01))       # side 1: Im x < 0
+    # -e^x E_1(x) continued from above: E_1 gains 2 pi i below the cut
+    across = complex(-mp.exp(x) * (mp.e1(x) - (2j * mp.pi if side > 0 else 0)))
+    jump = 2j * math.pi * cmath.exp(x) if side > 0 else 0.0
+    assert_sound(ei_left(x, tol), across - jump, tol)
+
+
 # Randomized gate: x log-uniform over the ranges of perfbench's
 # point-values workload, tol log-uniform in [1e-10, 1e-6], every order over
 # its whole documented range.  derandomize keeps the draws, and so the
@@ -101,6 +143,30 @@ def test_gate_ei_left(r, deg, tol):
     mp = _mp()
     ref = complex(-mp.exp(x) * mp.e1(x))
     _check_laddered(ei_left(x, tol), ref, tol)
+
+
+# The Ei gates draw the plane less a 0.01-rad sector about each cut, with
+# |x| from 0.2 to 60.
+EI_RADIUS = _log_uniform(0.2, 60.0)
+
+
+@GATE
+@given(r=EI_RADIUS, angle=st.floats(-math.pi / 2 + 0.01, 1.5 * math.pi - 0.01), tol=TOL)
+def test_gate_ei_stokes(r, angle, tol):
+    x = r * cmath.exp(1j * angle)
+    res = ei_stokes(x, tol)
+    assert_sound(res, _ei_stokes_reference(x), tol)
+    assert res.tol_met
+
+
+@GATE
+@given(r=EI_RADIUS, angle=st.floats(-math.pi + 0.01, math.pi - 0.01), tol=TOL)
+def test_gate_ei_left_plane(r, angle, tol):
+    x = r * cmath.exp(1j * angle)
+    mp = _mp()
+    res = ei_left(x, tol)
+    _check_laddered(res, complex(-mp.exp(x) * mp.e1(x)), tol)
+    assert res.tol_met
 
 
 @GATE

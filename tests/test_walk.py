@@ -58,7 +58,7 @@ def _padded_level_sums(fam, n_terms):
 def _same_walk(fam, tol):
     """The planner's walk and the fixed-count walk of its plan agree, with
     each other and with the padded reference."""
-    plan, n_terms, terms = dyadic._plan(fam, tol, True)
+    plan, n_terms, terms = dyadic._plan(fam, tol)
     sums = level_sums(fam, plan.n_terms)
     assert np.array_equal(sums, dyadic._sums(fam, n_terms, terms))
     assert np.array_equal(sums, _padded_level_sums(fam, plan.n_terms))
@@ -84,7 +84,8 @@ def test_ei_stokes(r, deg, tol):
     x = r * cmath.exp(1j * math.radians(deg))
     planned = ei_stokes(x, tol)
     _replans(planned, ei_stokes(x, tol, plan=planned.plan))
-    _same_walk(ei_stokes_family(x), tol)
+    # below the real axis ei_stokes walks the family at conj x
+    _same_walk(ei_stokes_family(x if x.imag >= 0 else x.conjugate()), tol)
 
 
 @WALK
