@@ -101,11 +101,11 @@ def _oracle_value(name: str, x: complex, s: float) -> complex:
             return oracle.ei_plus_reference(x)
         return oracle.ei_series_reference(x)
     if name == "ei-left":
-        if x.real <= 0:
-            # the Laplace integral below diverges there
-            return oracle.ei_left_series_reference(x)
-        f = lambda p: np.exp(-x * p) / (1.0 + p)
-        return -oracle.quad_adaptive(f, 0.0, math.inf, 1e-12)
+        # the Laplace integral of e^{-xp} / (1 + p) on the ray p = t conj(x)/|x|: there
+        # e^{-xp} = e^{-|x| t} decays for every x, and the ray misses p = -1 off the cut
+        d = x.conjugate() / abs(x)
+        return -d * oracle.quad_adaptive(lambda t: np.exp(-abs(x) * t) / (1.0 + d * t),
+                                         0.0, math.inf, 1e-12)
     if name == "psi":
         return oracle.psi_reference(x + 1.0)
     if name == "erfc":

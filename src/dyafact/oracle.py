@@ -24,7 +24,6 @@ __all__ = [
     "quad_contour",
     "ei_plus_reference",
     "ei_series_reference",
-    "ei_left_series_reference",
     "ei_classical_real",
     "psi_reference",
     "erfc_reference",
@@ -206,13 +205,6 @@ def ei_series_reference(x: complex) -> complex:
         arg += 2.0 * math.pi  # branch cut along -i R^+
     ln_cut = math.log(abs(x)) + 1j * arg
     return cmath.exp(-x) * (EULER_GAMMA + ln_cut + _ei_entire(x) - 1j * math.pi)
-
-
-def ei_left_series_reference(x: complex) -> complex:
-    """e^x Ei(-x) = e^x (gamma + Log x + sum (-x)^n/(n n!)), for Re x <= 0
-    where its Laplace integral diverges; it loses about (|x| + Re x) / ln 10
-    digits to cancellation."""
-    return cmath.exp(x) * (EULER_GAMMA + cmath.log(x) + _ei_entire(-x))
 
 
 def ei_classical_real(x: float) -> float:

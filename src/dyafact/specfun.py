@@ -59,6 +59,7 @@ _ONES = _frozen(np.ones(MAX_LEVELS + 1))
 # = 1/2 + z/4 - z^3/48 + ...: the K-level tail runs in 2^-K, 2^-2K, 2^-4K, 2^-6K.
 _SIGMA_LADDER = (1.0, 2.0, 4.0, 6.0)
 _EPS = float(np.finfo(float).eps)
+_EULER_GAMMA = 0.5772156649015329
 _ON_CUT = 1e-12        # relative distance from an Ei cut that counts as on it
 
 
@@ -173,16 +174,40 @@ def ei_left_family(x: complex) -> FactorialFamily:
     return _ei_family(x, _EI_LEFT, "ei-left", _SIGMA_LADDER)
 
 
+def _ei_left_series(x: complex, tol: float, plan: Optional[DyadicPlan]) -> EvalResult:
+    """e^x (gamma + Log x + sum_{n>=1} (-x)^n / (n n!)) for |x| < 0.2, where
+    it cancels almost nothing.  n terms leave a tail below |x|^{n+1} /
+    ((n+1) (n+1)! (1 - |x|)); the sum stops once that fits in half of tol,
+    or at ``plan.n_terms[0]``.  Its plan is that one series (K = 0), and
+    its estimate adds 8 eps times every size summed for rounding."""
+    if plan is None and not (1e-14 < tol < 1e-1):
+        raise DomainError("tol must lie in (1e-14, 1e-1)")
+    power, total, sizes, n = 1.0 + 0.0j, 0.0j, 0.0, 0
+    while True:
+        n += 1
+        power *= -x / n
+        total += power / n
+        sizes += abs(power) / n
+        tail = abs(power * x) / ((n + 1) ** 2 * (1.0 - abs(x)))
+        if n >= plan.n_terms[0] if plan is not None else tail <= 0.5 * tol:
+            break
+    log, scale = cmath.log(x), cmath.exp(x)
+    estimate = tail + 8.0 * _EPS * abs(scale) * (_EULER_GAMMA + abs(log) + sizes)
+    return _result(scale * (_EULER_GAMMA + log + total), estimate, DyadicPlan(0, [n], estimate),
+                   tol, relative=False)
+
+
 def ei_left(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) -> EvalResult:
     """e^x Ei(-x) for x off the negative real axis (the cut; within
     rounding of it counts as on it).
 
     For Re x >= 0, the dyadic factorial expansion in the left Borel plane,
     whose base series is minus the classical factorial series of the Lerch
-    function Phi(1/e, 1, x).  For Re x < 0, the Stokes expansion G(-x)
-    below the real axis and conj G(-conj x) above it (``plan`` is then one
-    for that point).  The value carries the sign of e^x Ei(-x) itself,
-    negative on R^+.
+    function Phi(1/e, 1, x).  For Re x < 0 and |x| >= 0.2, the Stokes
+    expansion G(-x) below the real axis and conj G(-conj x) above it;
+    below 0.2, where its levels shrink only like pi 2^-(k+1)/|x|, the
+    series at 0.  ``plan`` is one for the point actually planned.  The
+    value carries the sign of e^x Ei(-x) itself, negative on R^+.
     """
     x = complex(x)
     if x.real >= 0.0:
@@ -190,6 +215,8 @@ def ei_left(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) -
         return _result(total, plan.predicted_error + corr, plan, tol, relative=False)
     if abs(x.imag) <= _ON_CUT * abs(x):
         raise DomainError("ei_left is cut along the negative real axis")
+    if abs(x) < 0.2:
+        return _ei_left_series(x, tol, plan)
     return _stokes(-x if x.imag < 0 else -x.conjugate(), tol, plan, x.imag > 0)
 
 

@@ -60,6 +60,17 @@ class TestEval:
         rows = np.loadtxt(out, delimiter=",", skiprows=1)
         assert rows[:, 0].max() < 0 and rows[:, 8].max() <= 1e-9
 
+    def test_ei_left_oracle_near_the_imaginary_axis(self, tmp_path):
+        # there the entire series would cancel e^{|x|} digits; the oracle
+        # integrates along the ray through conj x instead
+        out = tmp_path / "left.csv"
+        rc = run(["eval", "--function", "ei-left", "--x-start", "1", "--x-stop", "40",
+                  "--points", "5", "--ray-angle", "95", "--tol", "1e-9", "--with-oracle",
+                  "--out", str(out)])
+        assert rc == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert rows[:, 8].max() <= 1e-9
+
     def test_domain_error_exit_code(self):
         # ray pointing into the negative-imaginary cut
         rc = run(["eval", "--function", "ei-stokes", "--x-start", "1", "--x-stop", "3",

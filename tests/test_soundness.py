@@ -67,6 +67,19 @@ def test_ei_left_near_its_cut(x):
         assert_sound(ei_left(x, tol), ref, tol)
 
 
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+@pytest.mark.parametrize("angle", [1.7, 2.5, 3.1, -2.0, -3.1])
+@pytest.mark.parametrize("r", [0.19, 1e-2, 1e-4, 1e-6])
+def test_ei_left_at_small_argument_in_the_left_half_plane(r, angle, tol):
+    # the Stokes levels there shrink like pi 2^-(k+1)/|x|: at |x| = 1e-4 and
+    # tol 1e-12 that family missed tol by up to 14x with tol_met set
+    x = r * cmath.exp(1j * angle)
+    mp = _mp()
+    res = ei_left(x, tol)
+    assert_sound(res, complex(-mp.exp(x) * mp.e1(x)), tol)
+    assert res.tol_met
+
+
 def _ei_stokes_reference(x):
     """e^{-x} Ei^+(x): -e^{-x} E_1(-x), which is analytic across the
     negative imaginary axis, less the Stokes jump 2 pi i e^{-x} right of it."""
