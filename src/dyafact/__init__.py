@@ -19,6 +19,7 @@ from .dyadic import (
     FactorialFamily,
     dyadic_cauchy_deriv_partial,
     dyadic_cauchy_partial,
+    dyadic_reciprocal_levels,
     dyadic_reciprocal_partial,
     level_sums,
     plan_truncation,

@@ -25,6 +25,7 @@ from .scalar import DomainError, PoleError, ln_gamma, polylog
 
 __all__ = [
     "CutProximityError",
+    "dyadic_reciprocal_levels",
     "dyadic_reciprocal_partial",
     "dyadic_cauchy_partial",
     "dyadic_cauchy_deriv_partial",
@@ -61,28 +62,42 @@ class CutProximityError(DomainError):
     expansion's cut), or a level that needs more than N_CAP terms."""
 
 
-def dyadic_reciprocal_partial(p: complex, n: int) -> complex:
-    """Partial dyadic decomposition of 1/p:
+def dyadic_reciprocal_levels(p, K: int) -> np.ndarray:
+    """Level table of the dyadic decomposition of 1/p over an array of p:
+    row k is the partial
 
-        1/(1 - e^{-p}) - sum_{k=1}^{n} 2^{-k} / (e^{-p/2^k} + 1)
+        1/(1 - e^{-p}) - sum_{j=1}^{k} 2^{-j} / (e^{-p/2^j} + 1)
 
-    which equals 1/(2^n (1 - e^{-p/2^n})) exactly and converges to 1/p.
+    for k = 0..K, taken as the base row followed by a running sum down the
+    levels.  Row k equals 1/(2^k (1 - e^{-p/2^k})) exactly and converges to
+    1/p.  Any p = 0, or a denominator within DENOM_GUARD of 0, raises
+    PoleError.
     """
-    p = complex(p)
-    if p == 0:
-        raise PoleError("dyadic_reciprocal_partial undefined at p = 0")
-    if n < 0 or n > MAX_LEVELS:
+    p = np.atleast_1d(np.asarray(p, dtype=complex))
+    if (p == 0).any():
+        raise PoleError("dyadic reciprocal undefined at p = 0")
+    if K < 0 or K > MAX_LEVELS:
         raise DomainError(f"level count must be in [0, {MAX_LEVELS}]")
-    base_den = complex(-np.expm1(-p))  # 1 - e^{-p}
-    if abs(base_den) < DENOM_GUARD:
-        raise PoleError(f"denominator 1 - e^-p within {DENOM_GUARD} of 0 at p = {p}")
-    total = 1.0 / base_den
-    for k in range(1, n + 1):
-        den = cmath.exp(-p / 2.0**k) + 1.0
-        if abs(den) < DENOM_GUARD:
-            raise PoleError(f"level-{k} denominator within {DENOM_GUARD} of 0 at p = {p}")
-        total -= 2.0**-k / den
-    return total
+    base_den = -np.expm1(-p)  # 1 - e^{-p}
+    bad = np.abs(base_den) < DENOM_GUARD
+    if bad.any():
+        raise PoleError(f"denominator 1 - e^-p within {DENOM_GUARD} of 0 at p = {p[bad][0]}")
+    scale = _INV_LEVELS[1:K + 1, None]
+    den = np.exp(-p * scale) + 1.0
+    bad = np.abs(den) < DENOM_GUARD
+    if bad.any():
+        k, j = np.argwhere(bad)[0]
+        raise PoleError(f"level-{k + 1} denominator within {DENOM_GUARD} of 0 at p = {p[j]}")
+    table = np.empty((K + 1, len(p)), dtype=complex)
+    table[0] = 1.0 / base_den
+    table[1:] = -scale / den
+    return np.cumsum(table, axis=0, out=table)
+
+
+def dyadic_reciprocal_partial(p: complex, n: int) -> complex:
+    """Partial dyadic decomposition of 1/p at level n: the last row of
+    ``dyadic_reciprocal_levels`` at a single p."""
+    return complex(dyadic_reciprocal_levels(p, n)[-1, 0])
 
 
 def dyadic_cauchy_partial(s: complex, p: complex, beta: complex, K: int) -> complex:

@@ -3,9 +3,11 @@ the resolvent of a Hermitian matrix from its unitary evolution sampled at
 dyadic times, the inverse of a positive matrix from its semigroup, and
 fractional powers through the matrix polylogarithm.
 
-All matrix functions go through one cached spectral decomposition; the
-truncated-double-sum form of the resolvent is kept only as a small
-demonstration of why those limits must not be interchanged.
+All matrix functions go through one cached spectral decomposition.  The
+resolvent and the inverse take every level of the reciprocal identity
+over the whole spectrum from one table, and trace their errors in the
+eigenbasis.  The truncated-double-sum form of the resolvent is kept only
+as a small demonstration of why those limits must not be interchanged.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable, List, TextIO, Tuple
 
 import numpy as np
 
-from .dyadic import MAX_LEVELS, dyadic_reciprocal_partial, ramified_partial
+from .dyadic import MAX_LEVELS, dyadic_reciprocal_levels, ramified_partial
 from .scalar import DomainError
 
 __all__ = [
@@ -66,7 +68,10 @@ class HermitianOperator:
 
     def apply_scalar(self, f) -> np.ndarray:
         """V diag(f(lambda_j)) V^*, the spectral calculus for f."""
-        fw = np.array([f(w) for w in self.eigenvalues], dtype=complex)
+        return self.spectral_matrix(np.array([f(w) for w in self.eigenvalues], dtype=complex))
+
+    def spectral_matrix(self, fw: np.ndarray) -> np.ndarray:
+        """V diag(fw) V^*: the matrix taking the values fw on the eigenvectors."""
         return (self.eigenvectors * fw) @ self.eigenvectors.conj().T
 
 
@@ -78,13 +83,18 @@ class OperatorSeriesReport:
     error_curve: List[Tuple[int, float]] = field(default_factory=list)
 
 
+def _trace_levels(K: int, step: int) -> List[int]:
+    """Levels 0, step, 2 step, ... below K, then K."""
+    return list(range(0, K, step)) + [K]
+
+
 def _traced(partial_at: Callable[[int], np.ndarray], K: int, step: int,
             error: Callable[[np.ndarray], float]) -> OperatorSeriesReport:
-    """The level-K partial with its error at levels 0, step, 2 step, ...
-    below K and at K itself, which is taken from the returned partial."""
+    """The level-K partial with its error at the trace levels; the error
+    at K is taken from the returned partial."""
     partial = partial_at(K)
-    curve = [(k, error(partial_at(k))) for k in range(0, K, step)]
-    return OperatorSeriesReport(partial, curve + [(K, error(partial))])
+    curve = [(k, error(partial if k == K else partial_at(k))) for k in _trace_levels(K, step)]
+    return OperatorSeriesReport(partial, curve)
 
 
 def evolution(op: HermitianOperator, t: float) -> np.ndarray:
@@ -99,35 +109,41 @@ def resolvent_dyadic(op: HermitianOperator, lam: float, K: int,
         i (1 - e^{-lam} U_1)^{-1} - i sum_{k=1}^{K} 2^{-k} (1 + e^{-lam/2^k} U_{2^-k})^{-1}
 
     applied to v; every inner inverse is a scalar function of A.  lam > 0
-    (conjugate the identity for the other half plane).
+    (conjugate the identity for the other half plane).  The series acts on
+    the coefficients c = V^* v: the partial is V (i f_K o c) with f_K the
+    level-K reciprocal at lam + i w, and the error at level k is
+    ||(i f_k - 1/(w - i lam)) o c||_2, so no n x n matrix is formed.
     """
     if lam <= 0:
         raise DomainError("resolvent_dyadic requires lam > 0")
     if K < 0 or K > MAX_LEVELS:
         raise DomainError(f"level count must be in [0, {MAX_LEVELS}]")
-    v = np.asarray(v, dtype=complex)
-    ref = op.apply_scalar(lambda w: 1.0 / (w - 1j * lam)) @ v
-
-    def partial_at(k: int) -> np.ndarray:
-        # scalar dyadic reciprocal at p = lam + i w
-        return op.apply_scalar(lambda w: 1j * dyadic_reciprocal_partial(lam + 1j * w, k)) @ v
-
-    report = _traced(partial_at, K, max(1, K // 8), lambda approx: float(np.linalg.norm(approx - ref)))
-    return report.partial, report
+    w, vecs = op.eigenvalues, op.eigenvectors
+    c = vecs.conj().T @ np.asarray(v, dtype=complex)
+    # i times the scalar dyadic reciprocal at p = lam + i w, every level
+    table = 1j * dyadic_reciprocal_levels(lam + 1j * w, K)
+    miss = (table - 1.0 / (w - 1j * lam)) * c
+    curve = [(k, float(np.linalg.norm(miss[k]))) for k in _trace_levels(K, max(1, K // 8))]
+    partial = vecs @ (table[K] * c)
+    return partial, OperatorSeriesReport(partial, curve)
 
 
 def inverse_dyadic(op: HermitianOperator, K: int) -> Tuple[np.ndarray, OperatorSeriesReport]:
     """A^{-1} for positive definite A via the semigroup series
 
         (1 - T_1)^{-1} - sum_{k=1}^{K} 2^{-k} (1 + T_{1/2^k})^{-1},  T_t = e^{-tA}.
+
+    The error at level k is the 2-norm of a matrix diagonal in the
+    eigenbasis, max_j |f_k(w_j) - 1/w_j|.
     """
     _require_positive(op)
     if K < 0 or K > MAX_LEVELS:
         raise DomainError(f"level count must be in [0, {MAX_LEVELS}]")
-    ref = op.apply_scalar(lambda w: 1.0 / w)
-    report = _traced(lambda k: op.apply_scalar(lambda w: dyadic_reciprocal_partial(w, k)),
-                     K, 1, lambda approx: float(np.linalg.norm(approx - ref, ord=2)))
-    return report.partial, report
+    w = op.eigenvalues
+    table = dyadic_reciprocal_levels(w, K)
+    miss = np.abs(table - 1.0 / w).max(axis=1)
+    partial = op.spectral_matrix(table[K])
+    return partial, OperatorSeriesReport(partial, [(k, float(miss[k])) for k in range(K + 1)])
 
 
 def fractional_power_dyadic(op: HermitianOperator, s: float, K: int

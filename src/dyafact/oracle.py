@@ -162,17 +162,19 @@ def quad_contour(f: Callable[[np.ndarray], np.ndarray], contour: Contour,
 
 def ei_plus_reference(x: complex, abs_tol: float = 1e-11) -> complex:
     """e^{-x} Ei^+(x) by quadrature of the Borel integral of 1/(1-p) along
-    the contour [0, -i] then horizontally to +infinity (pole passed below).
+    the ray p = t e^{i phi}, phi = -min(pi/4, (pi/2 + arg x)/2), which
+    passes below the pole and keeps |e^{-p x}| <= 1: p x turns at most
+    halfway from the positive real axis to the imaginary one, so the
+    integrand neither grows nor oscillates much faster than it decays.
 
-    Valid on the sector Re x > 0.05 |x|; outside it the horizontal tail
-    stops damping and a ContourError is raised.
+    Valid on the sector Re x > 0.05 |x|; outside it a ContourError is raised.
     """
     x = complex(x)
     if x.real <= 0.05 * abs(x):
         raise ContourError("ei_plus_reference contour requires Re x > 0.05 |x|")
     f = lambda p: np.exp(-p * x) / (1.0 - p)
-    contour = Contour((0.0 + 0.0j, -1.0j))
-    return quad_contour(f, contour, abs_tol, tail_direction=1.0 + 0.0j)
+    ray = cmath.exp(-1j * min(math.pi / 4.0, (math.pi / 2.0 + cmath.phase(x)) / 2.0))
+    return quad_contour(f, Contour((0.0 + 0.0j, ray)), abs_tol, tail_direction=ray)
 
 
 def _ei_entire(x: complex) -> complex:

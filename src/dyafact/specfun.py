@@ -201,22 +201,25 @@ def ei_left(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) -
     """e^x Ei(-x) for x off the negative real axis (the cut; within
     rounding of it counts as on it).
 
-    For Re x >= 0, the dyadic factorial expansion in the left Borel plane,
-    whose base series is minus the classical factorial series of the Lerch
-    function Phi(1/e, 1, x).  For Re x < 0 and |x| >= 0.2, the Stokes
-    expansion G(-x) below the real axis and conj G(-conj x) above it;
-    below 0.2, where its levels shrink only like pi 2^-(k+1)/|x|, the
-    series at 0.  ``plan`` is one for the point actually planned.  The
-    value carries the sign of e^x Ei(-x) itself, negative on R^+.
+    Below |x| = 0.2, the series at 0: there the rounding of both dyadic
+    families grows like eps/|x|, and the Stokes levels shrink only like
+    pi 2^-(k+1)/|x|.  From 0.2 on, for Re x >= 0, the dyadic factorial expansion in the left
+    Borel plane, whose base series is minus the classical factorial series
+    of the Lerch function Phi(1/e, 1, x); for Re x < 0, the Stokes
+    expansion G(-x) below the real axis and conj G(-conj x) above it.
+    ``plan`` is one for the point actually planned.  The value carries the
+    sign of e^x Ei(-x) itself, negative on R^+.
     """
     x = complex(x)
-    if x.real >= 0.0:
-        plan, total, corr = evaluate(ei_left_family(x), tol, plan)
-        return _result(total, plan.predicted_error + corr, plan, tol, relative=False)
-    if abs(x.imag) <= _ON_CUT * abs(x):
+    if x == 0:
+        raise DomainError("ei_left undefined at x = 0")
+    if x.real < 0.0 and abs(x.imag) <= _ON_CUT * abs(x):
         raise DomainError("ei_left is cut along the negative real axis")
     if abs(x) < 0.2:
         return _ei_left_series(x, tol, plan)
+    if x.real >= 0.0:
+        plan, total, corr = evaluate(ei_left_family(x), tol, plan)
+        return _result(total, plan.predicted_error + corr, plan, tol, relative=False)
     return _stokes(-x if x.imag < 0 else -x.conjugate(), tol, plan, x.imag > 0)
 
 
@@ -333,7 +336,6 @@ class _GammaCoeffs:
         self._level: Dict[int, np.ndarray] = {}
         self._ratios = np.full((MAX_LEVELS + 1, _GAMMA_TERMS + 1), np.nan)
         self._have = np.zeros(MAX_LEVELS + 1, dtype=np.int64)  # entries filled per level
-        self._levels: Dict[float, Tuple[np.ndarray, np.ndarray]] = {}
         self._shift: Optional[_GammaCoeffs] = _GammaCoeffs(s + 1.0) if s < 0 else None
         if self._shift is None and s > 0:
             self._gamma_s = math.gamma(s)
@@ -376,19 +378,18 @@ class _GammaCoeffs:
         level k approaches as k grows."""
         return abs(polylog(self.s, -1.0))
 
-    def levels(self, s: float) -> Tuple[np.ndarray, np.ndarray]:
-        """The argument-free half of the family at order ``s`` (as the
-        caller gave it; the cache key rounds it to 12 digits), built once:
-        the level weights, 1 for the base and -2^{ks} for level k, and
+    @functools.cached_property
+    def levels(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The argument-free half of the family, built once: the level
+        weights, 1 for the base and -2^{ks} for level k, and
         |weight_k t_{k,1}| |x|, which is |c_0| for the base and
         2^{k(s-1)} |Li_s(-1)| for level k (its first coefficient's limit)."""
-        if s not in self._levels:
-            weight = -(_LEVELS ** s)
-            weight[0] = 1.0
-            lead = _LEVELS ** (s - 1.0) * self.deep_first
-            lead[0] = abs(self.base(0))
-            self._levels[s] = (_frozen(weight), _frozen(lead))
-        return self._levels[s]
+        s = self.s
+        weight = -(_LEVELS ** s)
+        weight[0] = 1.0
+        lead = _LEVELS ** (s - 1.0) * self.deep_first
+        lead[0] = abs(self.base(0))
+        return _frozen(weight), _frozen(lead)
 
     def ratios(self, k: np.ndarray, i: np.ndarray) -> np.ndarray:
         """Term ratios c_{k,i} / c_{k,i-1} (c_{k,-1} = 1) for a column of
@@ -443,11 +444,11 @@ _GAMMA_LOCK = threading.Lock()
 
 
 def _gamma_coeffs(s: float) -> _GammaCoeffs:
-    key = round(float(s), 12)
+    s = float(s)
     with _GAMMA_LOCK:
-        if key not in _GAMMA_CACHE:
-            _GAMMA_CACHE[key] = _GammaCoeffs(key)
-        return _GAMMA_CACHE[key]
+        if s not in _GAMMA_CACHE:
+            _GAMMA_CACHE[s] = _GammaCoeffs(s)
+        return _GAMMA_CACHE[s]
 
 
 def _gamma_ladder(s: float) -> tuple:
@@ -463,7 +464,7 @@ def _gamma_family(s: float, x: complex, coeffs: _GammaCoeffs) -> FactorialFamily
     coefficient rows; it reads the leading level terms from Li_s(-1),
     which the first coefficients approach, so planning builds no row past
     the levels it keeps."""
-    weight, lead = coeffs.levels(s)
+    weight, lead = coeffs.levels
     return FactorialFamily("incomplete-gamma", _LEVELS * x, weight, coeffs.ratios, lead / abs(x),
                            safety=4.0, max_terms=_GAMMA_TERMS, ladder=_gamma_ladder(s))
 

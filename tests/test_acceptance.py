@@ -43,7 +43,8 @@ def report(name, passed, detail):
 
 def _ei_plus_truncated_kernel(x: float, K: int) -> complex:
     """Laplace integral of the K-level partial dyadic Cauchy kernel, on
-    the contour of ``oracle.ei_plus_reference`` (0 -> -i -> +infinity).
+    the contour 0 -> -i -> +infinity, which passes below p = 1 as the Ei+
+    integral does.
 
     With s = i pi and t = i pi p, the Ei+ integrand 1/(1 - p) is
     i pi / (s - t); its dyadic decomposition summed to level K telescopes

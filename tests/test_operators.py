@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from dyafact.dyadic import ramified_partial
+from dyafact import operators
+from dyafact.dyadic import dyadic_reciprocal_levels, dyadic_reciprocal_partial, ramified_partial
 from dyafact.operators import (
     HermitianOperator,
     evolution,
@@ -15,7 +16,9 @@ from dyafact.operators import (
     resolvent_dyadic,
     write_matrix_text,
 )
-from dyafact.scalar import DomainError
+from dyafact.scalar import DomainError, PoleError
+
+EPS = np.finfo(float).eps
 
 
 def random_hermitian(n, rng):
@@ -179,10 +182,13 @@ class TestErrorTrace:
     def test_trace_ends_at_K_once(self, mode, K, monkeypatch):
         rng = np.random.default_rng(11)
         op = random_spd(8, rng, np.linspace(0.5, 8.0, 8))
-        calls = []
+        calls, tables = [], []
         raw = HermitianOperator.apply_scalar
         monkeypatch.setattr(HermitianOperator, "apply_scalar",
                             lambda self, f: calls.append(f) or raw(self, f))
+        raw_levels = operators.dyadic_reciprocal_levels
+        monkeypatch.setattr(operators, "dyadic_reciprocal_levels",
+                            lambda p, k: tables.append(k) or raw_levels(p, k))
         if mode == "resolvent":
             v = np.ones(8, dtype=complex) / math.sqrt(8.0)
             partial, report = resolvent_dyadic(op, 1.0, K, v)
@@ -198,9 +204,66 @@ class TestErrorTrace:
         assert all(a < b for a, b in zip(levels[:-1], levels[1:]))
         assert levels[-1] == K
         assert report.error_curve[-1][1] == pytest.approx(err, rel=1e-6)
-        # one reference plus one evaluation per traced level: the returned
-        # partial is the last trace point, not a second evaluation
-        assert len(calls) == len(levels) + 1
+        if mode == "power":
+            # one reference plus one evaluation per traced level: the returned
+            # partial is the last trace point, not a second evaluation
+            assert len(calls) == len(levels) + 1
+        else:
+            # every traced level and the partial come from one level table
+            assert tables == [K] and not calls
+
+
+class TestLevelTable:
+    """Resolvent and inverse take every level over the whole spectrum from
+    one table; they must match the scalar identity eigenvalue by eigenvalue
+    and the dense error norms."""
+
+    @pytest.mark.parametrize("K", [0, 1, 16, 40])
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    def test_inverse_matches_the_scalar_identity(self, n, K):
+        rng = np.random.default_rng(100 * n + K)
+        op = random_spd(n, rng, np.exp(rng.uniform(math.log(0.05), math.log(20.0), n)))
+        partial, report = inverse_dyadic(op, K)
+        ref = op.apply_scalar(lambda t: dyadic_reciprocal_partial(t, K))
+        assert np.abs(partial - ref).max() <= 1e-13 * np.abs(ref).max()
+        exact = op.apply_scalar(lambda t: 1.0 / t)
+        assert [k for k, _ in report.error_curve] == list(range(K + 1))
+        # the dense norm resolves the error only down to its own rounding
+        for k, err in report.error_curve:
+            dense = np.linalg.norm(op.apply_scalar(lambda t: dyadic_reciprocal_partial(t, k)) - exact, 2)
+            assert abs(err - dense) <= 1e-6 * dense + 4 * n * EPS * np.abs(exact).max()
+
+    @pytest.mark.parametrize("K", [0, 1, 16, 40])
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    def test_resolvent_matches_the_scalar_identity(self, n, K):
+        rng = np.random.default_rng(200 * n + K)
+        op = random_hermitian(n, rng)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        lam = 0.7
+        partial, report = resolvent_dyadic(op, lam, K, v)
+        ref = op.apply_scalar(lambda t: 1j * dyadic_reciprocal_partial(lam + 1j * t, K)) @ v
+        assert np.abs(partial - ref).max() <= 1e-13 * np.abs(ref).max()
+        exact = op.apply_scalar(lambda t: 1.0 / (t - 1j * lam)) @ v
+        assert [k for k, _ in report.error_curve] == list(range(0, K, max(1, K // 8))) + [K]
+        for k, err in report.error_curve:
+            approx = op.apply_scalar(lambda t: 1j * dyadic_reciprocal_partial(lam + 1j * t, k)) @ v
+            dense = np.linalg.norm(approx - exact)
+            assert abs(err - dense) <= 1e-6 * dense + 4 * n * EPS * np.abs(exact).max()
+
+    @pytest.mark.parametrize("K", [0, 1, 16, 40])
+    def test_table_rows_are_the_scalar_partials(self, K):
+        p = np.array([0.05, 1.0, 20.0, 0.7 + 3.0j, 0.7 - 0.01j])
+        table = dyadic_reciprocal_levels(p, K)
+        assert table.shape == (K + 1, len(p))
+        for k in range(K + 1):
+            closed = 1.0 / (2.0**k * -np.expm1(-p / 2.0**k))
+            assert np.abs(table[k] - closed).max() <= 1e-13 * np.abs(closed).max()
+            assert all(table[k, j] == dyadic_reciprocal_partial(pj, k) for j, pj in enumerate(p))
+
+    @pytest.mark.parametrize("K", [0, 1, 16, 40])
+    def test_eigenvalue_at_zero_is_a_pole(self, K):
+        with pytest.raises(PoleError):
+            dyadic_reciprocal_levels(np.array([1.0, 0.0, 2.0]), K)
 
 
 class TestMasterOracleProperties:

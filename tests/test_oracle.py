@@ -62,6 +62,18 @@ class TestEiPlus:
         with pytest.raises(oracle.ContourError):
             oracle.ei_plus_reference(-2.0 + 0.05j)
 
+    @pytest.mark.parametrize("x", [5.21 - 29.54j, 3.93 - 22.28j, 5.0, 2.0 + 3.0j, 10.0 - 1.0j,
+                                   0.5 + 0.01j])
+    def test_against_mpmath_near_the_negative_imaginary_axis(self, x):
+        # the contour 0 -> -i -> +infinity let |e^{-px}| grow to e^{|Im x|}
+        # on its dip and left 8.6e-5 at 5.21 - 29.54i
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            z = mpmath.mpc(x.real, x.imag)
+            # Ei^+ right of the negative imaginary axis: -E_1(-x) less the Stokes jump
+            ref = complex(-mpmath.exp(-z) * (mpmath.e1(-z) + 2j * mpmath.pi * (x.imag <= 0)))
+        assert abs(oracle.ei_plus_reference(x) - ref) <= 1e-10
+
     def test_quadrature_vs_series_reference(self):
         # oracle-vs-oracle agreement on the overlap domain
         for x in (1.0, 5.0, 14.0, 2.0 + 2.0j, 4.0 - 1.5j):

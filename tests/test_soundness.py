@@ -80,6 +80,19 @@ def test_ei_left_at_small_argument_in_the_left_half_plane(r, angle, tol):
     assert res.tol_met
 
 
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+@pytest.mark.parametrize("angle", [0.0, 0.8, 1.5, -1.5])
+@pytest.mark.parametrize("r", [0.19, 1e-2, 1e-4, 1e-5, 1e-6])
+def test_ei_left_at_small_argument_in_the_right_half_plane(r, angle, tol):
+    # the c = -1 family's levels lose about eps/|x| to rounding: at |x| = 1e-6
+    # and tol 1e-12 it missed tol by hundreds of times with tol_met set
+    x = r * cmath.exp(1j * angle)
+    mp = _mp()
+    res = ei_left(x, tol)
+    assert_sound(res, complex(-mp.exp(x) * mp.e1(x)), tol)
+    assert res.tol_met
+
+
 def _ei_stokes_reference(x):
     """e^{-x} Ei^+(x): -e^{-x} E_1(-x), which is analytic across the
     negative imaginary axis, less the Stokes jump 2 pi i e^{-x} right of it."""

@@ -158,20 +158,20 @@ class TestTemplates:
         s = 0.25
         incomplete_gamma_dyadic(s, 1.0, 1e-10)
         co = specfun._gamma_coeffs(s)
-        have, rows, levels = co._have.copy(), dict(co._level), co.levels(s)
+        have, rows, levels = co._have.copy(), dict(co._level), co.levels
         base = co._base
         incomplete_gamma_dyadic(s, 3.0, 1e-8)
         assert specfun._gamma_coeffs(s) is co
         assert np.array_equal(co._have, have)
-        assert co.levels(s) is levels and co._base is base
+        assert co.levels is levels and co._base is base
         assert all(co._level[k] is row for k, row in rows.items()) and co._level.keys() == rows.keys()
 
     def test_incomplete_gamma_weights_take_the_order_as_given(self):
-        # orders that round to one cache key share coefficient rows, but
-        # each keeps its own level weights 2^{ks}
+        # the coefficient rows and the level weights 2^{ks} are both built
+        # at the order as given, however close it lies to another
         s = 0.25 + 3e-13
         fam = specfun._gamma_family(s, 2.0 + 0j, specfun._gamma_coeffs(s))
-        assert specfun._gamma_coeffs(s) is specfun._gamma_coeffs(0.25)
+        assert specfun._gamma_coeffs(s).s == s
         expected = -(2.0 ** np.arange(dyadic.MAX_LEVELS + 1)) ** s
         expected[0] = 1.0
         assert np.array_equal(fam.weight, expected)
