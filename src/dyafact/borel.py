@@ -41,6 +41,7 @@ from .dyadic import (
     MAX_LEVELS,
     DyadicPlan,
     FactorialFamily,
+    NumerTable,
     amplification,
     evaluate,
 )
@@ -275,6 +276,7 @@ def _is_half_integer(nu: float) -> bool:
     return abs(2.0 * nu - round(2.0 * nu)) < 1e-12 and round(2.0 * nu) % 2 == 1
 
 
+@functools.lru_cache(maxsize=256)
 def _h_ladder(nu: float) -> tuple:
     """The kernel grows like p^(nu-1/2) and p^(-nu-1/2) at large p, so the
     level tails run in two ladders, a + n and 3/2 + nu + n with
@@ -317,21 +319,26 @@ def _h_levels(table: CoefficientTable) -> _HLevels:
 
 def _h_family(table: CoefficientTable, u: complex) -> FactorialFamily:
     """The h-expansion at argument u over the coefficient table: the
-    table's ``h_levels`` with u_k = 2^k u.  The planner sees sizes relative
-    to h ~ 1/|u|, so its tolerance is relative; each row supports M - 2
-    planned terms.
+    table's ``h_levels`` with u_k = 2^k u, whose ratio array, with the
+    argument's column 0, is the family's numerator table; its walks read
+    33 columns first, as its levels keep at most 30 terms over perfbench's
+    point-values inputs.  The planner sees sizes relative to h ~ 1/|u|,
+    so its tolerance is relative; each row supports M - 2 planned terms.
     """
     lv = table.h_levels
     uk = lv.scale * u
     ratio = lv.ratio.copy()
     ratio[:, 0] = lv.first / uk
+    ratio.flags.writeable = False
 
     def numer(k, i):
         return ratio[k, i]
 
-    size = np.abs(lv.weighted_first / (uk * (uk + 1.0))) * abs(u)
-    return FactorialFamily("h-expansion", uk + 1.0, lv.weight, numer, size, safety=1.3,
-                           max_terms=table.M - 2, ladder=lv.ladder)
+    shift = uk + 1.0
+    size = np.abs(lv.weighted_first / (uk * shift)) * abs(u)
+    return FactorialFamily("h-expansion", shift, lv.weight, numer, size, safety=1.3,
+                           max_terms=table.M - 2, ladder=lv.ladder,
+                           table=NumerTable(numer, table.K + 1, array=ratio, first=33))
 
 
 def _bessel_h_eval(nu: float, u: complex, tol: float,

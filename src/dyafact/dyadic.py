@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -32,6 +33,7 @@ __all__ = [
     "ramified_partial",
     "DyadicPlan",
     "FactorialFamily",
+    "NumerTable",
     "plan_truncation",
     "level_sums",
     "romberg",
@@ -52,9 +54,19 @@ LADDER_LEVELS = 16       # h-table depth: laddered plans at tol >= 1e-10 keep <=
 # Richardson error growth an evaluator accepts: at tol 1e-10 the levels then
 # need about 5e-13, which the coefficient rows (1e-13 and better) deliver
 MAX_AMPLIFICATION = 100.0
-_LEVEL_INDEX = np.arange(MAX_LEVELS + 1)
-_INV_LEVELS = 2.0 ** -_LEVEL_INDEX               # 2^-k for every described level
+# Columns of a walk's first chunk, unless the family's table says otherwise:
+# over perfbench's point-values inputs (seeds 21-25) 94 % of the planned
+# walks stop every level within 64 terms.
+FIRST_CHUNK = 65
+_INDEX = np.arange(1025)                         # shared row and column index
+_INV_LEVELS = 2.0 ** -_INDEX[:MAX_LEVELS + 1]    # 2^-k for every described level
 _TINY = np.finfo(float).tiny
+_EPS = float(np.finfo(float).eps)
+
+
+def _index(n: int) -> np.ndarray:
+    """0, 1, ..., n - 1, a view of the shared index where it reaches."""
+    return _INDEX[:n] if n <= len(_INDEX) else np.arange(n)
 
 
 class CutProximityError(DomainError):
@@ -209,7 +221,7 @@ class DyadicPlan:
     def __post_init__(self):
         if len(self.n_terms) != self.K + 1:
             raise DomainError("n_terms must have K + 1 entries")
-        if any(n < 1 for n in self.n_terms):
+        if min(self.n_terms, default=1) < 1:
             raise DomainError("every series keeps at least one term")
         if not (self.predicted_error > 0):
             raise DomainError("predicted_error must be positive")
@@ -219,6 +231,57 @@ class DyadicPlan:
     @property
     def terms_total(self) -> int:
         return sum(self.n_terms)
+
+    @classmethod
+    def _planned(cls, K: int, n_terms: List[int], predicted_error: float,
+                 steps: int) -> "DyadicPlan":
+        """A plan of the planner, valid by construction, made without the
+        checks of ``__post_init__``."""
+        plan = object.__new__(cls)
+        plan.__dict__.update(K=K, n_terms=n_terms, predicted_error=predicted_error, steps=steps)
+        return plan
+
+
+class NumerTable:
+    """The numerators numer(k, i) of a family for every described level k,
+    as one (levels x columns) array that the planner's walk slices.
+
+    ``numer`` is the one definition; the table holds its values over the
+    ``first`` columns that a walk's first chunk reads (or the prebuilt
+    ``array``) and doubles its width, less one, when a walk reads past it.
+    A grown array is built aside and published whole under ``lock``, so a
+    reader holds either the old array or the new one.  Every row is filled
+    over the whole width.
+    """
+
+    def __init__(self, numer: Callable[[np.ndarray, np.ndarray], np.ndarray], levels: int,
+                 lock: Optional[threading.Lock] = None, array: Optional[np.ndarray] = None,
+                 first: int = FIRST_CHUNK):
+        self.numer = numer
+        self.first = first
+        self._levels = levels
+        self._lock = lock if lock is not None else threading.Lock()
+        self.array = self._columns(0, first) if array is None else array
+
+    def _columns(self, lo: int, hi: int) -> np.ndarray:
+        out = self.numer(np.arange(self._levels)[:, None], np.arange(lo, hi)[None, :])
+        out.flags.writeable = False
+        return out
+
+    def read(self, levels, need, width: int) -> np.ndarray:
+        """The array, at least ``width`` columns wide.  ``levels`` and
+        ``need`` (the entries those rows must hold) concern tables filled
+        level by level; this one fills every row."""
+        a = self.array
+        if a.shape[1] < width:
+            with self._lock:
+                a = self.array
+                if a.shape[1] < width:
+                    grown = np.concatenate(
+                        [a, self._columns(a.shape[1], max(width, 2 * a.shape[1] - 1))], axis=1)
+                    grown.flags.writeable = False
+                    a = self.array = grown
+        return a
 
 
 @dataclass(frozen=True)
@@ -235,7 +298,9 @@ class FactorialFamily:
     the shape sum_m c_{k,m} Gamma(m) / (x_k)_m with the coefficients and
     Gamma(m) folded into the numerators, so no factor ever overflows.
     ``numer(k, i)`` takes an integer column of levels and a row (or
-    matrix) of indices and broadcasts.
+    matrix) of indices and broadcasts.  ``table`` holds its values, built
+    once per order (a ``NumerTable`` or a table of the same interface);
+    without one the family tabulates ``numer`` itself.
 
     The planner sees only magnitudes in the units of its tolerance:
     ``size[k]`` = |weight_k t_{k,1}| and the term ratios
@@ -259,6 +324,11 @@ class FactorialFamily:
     safety: float
     max_terms: int = N_CAP
     ladder: Tuple[float, ...] = ()
+    table: Optional[NumerTable] = None
+
+    def __post_init__(self):
+        if self.table is None:
+            object.__setattr__(self, "table", NumerTable(self.numer, len(self.shift)))
 
     def tails(self) -> np.ndarray:
         """safety * (size of every described level beyond K), for each K."""
@@ -289,9 +359,10 @@ def romberg(partial_sums: Sequence, ladder: Sequence[float]) -> Tuple[complex, c
     return value, value - before
 
 
-def amplification(ladder: Sequence[float]) -> float:
+@functools.lru_cache(maxsize=256)
+def amplification(ladder: Tuple[float, ...]) -> float:
     """prod (f + 1) / (f - 1), f = 2^lambda: the most the Richardson steps
-    of ``ladder`` can magnify errors in the partial sums."""
+    of ``ladder`` can magnify errors in the partial sums.  Cached."""
     return math.prod((2.0 ** lam + 1.0) / (2.0 ** lam - 1.0) for lam in ladder)
 
 
@@ -330,6 +401,7 @@ def _ladder_depth(fam: FactorialFamily, tol: float) -> Tuple[int, float]:
     return K, float(corr[K])
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _walk(fam: FactorialFamily, counts: Optional[np.ndarray], target: float = 0.0,
           gain: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One pass over the terms of levels 0..K: with fixed ``counts``
@@ -339,101 +411,100 @@ def _walk(fam: FactorialFamily, counts: Optional[np.ndarray], target: float = 0.
     level's ``gain``, is below ``target``, or every term its coefficient
     row holds.
 
-    The levels still walking advance in chunks of counts (1..32, 33..64,
-    65..128, ...).  A chunk forms numer and shift + i once: their
-    magnitudes drive the stop rule, and the running product of their
-    quotients gives the terms t_{k,i+1} of the levels that stop in it.
-
-    A chunk reads each walking level from index 0: a coefficient row that
-    grows rounds its earlier entries anew, and the kept terms must all
-    come from the final row.
+    The numerators come from slices of the family's table.  Fixed counts
+    take one pass over max(counts) columns.  The planner's walk reads the
+    table's ``first`` columns of every level in its first chunk; the
+    levels still walking read again from column 0 over twice as many,
+    less one, and so on, as a coefficient row that grows rounds its
+    earlier entries anew and the kept terms must all come from the final
+    row.  A table filled level by level may hold NaN past a row's filled
+    entries: a level stops only where its row is filled, and the next
+    chunk asks for the entries it lacks.  A chunk forms the quotients
+    numer / (shift + i) once: their magnitudes drive the stop rule, and
+    their running product gives the terms t_{k,i+1}.
 
     Returns the counts kept, the remainder each leaves at its last count
     walked (0 with fixed counts), and an array of max(counts) columns
     whose row k starts with the terms of level k, for ``_sums``.
     """
-    planning = counts is None
-    K = len(gain if planning else counts) - 1
-    # the stop rule at count c reads the ratio at index c; fixed counts
-    # need no index past the last kept term
-    limit = fam.max_terms if planning else int(counts.max()) - 1
-    walk = np.arange(K + 1)                   # levels still walking
+    if counts is not None:
+        K, width = len(counts) - 1, int(counts.max())
+        rows = slice(0, K + 1)
+        num = fam.table.read(rows, counts, width)[rows, :width]
+        terms = np.multiply.accumulate(num / (fam.shift[rows, None] + _index(width)), axis=1)
+        return counts, np.zeros(K + 1), terms
+    K = len(gain) - 1
+    limit = fam.max_terms
+    first = fam.size[:K + 1] * gain           # |t_1| of each level
+    walk = _index(K + 1)                      # levels still walking
     rows = slice(0, K + 1)                    # the same, as an index
-    stop = np.zeros(K + 1, dtype=np.int64)
-    left = np.zeros(K + 1)                    # remainder at the last count walked
-    if planning:
-        t = fam.size[:K + 1] * gain           # |t_c| at the chunk's first count c
-    terms = np.zeros((K + 1, 0), dtype=complex)
-    lo, hi = 0, 33
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        while len(walk):
-            i = np.arange(min(hi, limit + 1))
-            num = fam.numer(walk[:, None], i[None, :])
-            den = fam.shift[rows, None] + i
-            if planning:
-                first = max(lo, 1)            # count 0 keeps no term
-                # t_1 is given by ``size``, the ratios take it on from there
-                r = np.abs(num[:, first:]) / np.abs(den[:, first:])
-                mags = t[rows, None] * np.minimum(np.multiply.accumulate(r, axis=1), 1e280)   # saturate, not overflow
-                walked = mags / (1.0 - np.minimum(r, 0.95))
-                ok = walked <= target
-                idx = _LEVEL_INDEX[:len(walk)]
-                at = ok.argmax(axis=1)
-                met = ok[idx, at]
-                at = np.where(met, at, ok.shape[1] - 1)
-                left[rows] = walked[idx, at]
-                n = np.where(met, at + first, 0)
-            else:
-                met = counts[rows] < len(i)
-                n = np.where(met, counts[rows], 0)
-            if len(i) > limit:                # the last chunk: unmet rows ran out
-                if planning and fam.max_terms >= N_CAP and not met.all():
-                    raise CutProximityError(
-                        f"{fam.name}: a level needs more than {N_CAP} terms; "
-                        "argument is too close to the expansion's cut for this tolerance"
-                    )
-                n = np.where(met, n, fam.max_terms if planning else len(i))
-                met[:] = True
-            stop[rows] = n
-            width = int(n.max())
-            if width:
-                run = np.multiply.accumulate(num[:, :width] / den[:, :width], axis=1)
-                if lo:
-                    grown = np.zeros((K + 1, max(width, terms.shape[1])), dtype=complex)
-                    grown[:, :terms.shape[1]] = terms
-                    grown[rows, :width] = run
-                    terms = grown
-                else:
-                    terms = run
-            going = ~met
-            walk = walk[going]
-            if planning and len(walk):
-                t[walk] = mags[going, -1]
-            rows = walk
-            lo, hi = hi, 2 * hi - 1
-    return stop, left, terms
+    lo, hi = 0, fam.table.first
+    while True:
+        width = min(hi, limit + 1)
+        last = width > limit                  # unmet rows run out in this chunk
+        # the stop rule at count c reads the ratio at index c
+        num = fam.table.read(rows, width if last else lo + 1, width)[rows, :width]
+        quot = num / (fam.shift[rows, None] + _index(width))
+        r = np.abs(quot[:, 1:])
+        # t_1 is given by ``size``, the ratios take it on from there
+        mags = first[rows, None] * np.minimum(np.multiply.accumulate(r, axis=1), 1e280)   # saturate, not overflow
+        walked = mags / (1.0 - np.minimum(r, 0.95))
+        ok = walked <= target
+        idx = _index(len(walked))
+        at = ok.argmax(axis=1)
+        met = ok[idx, at]
+        done = met.all()
+        if not done:
+            at = np.where(met, at, ok.shape[1] - 1)
+        remainder = walked[idx, at]           # at the last count walked
+        n = at + 1 if done else np.where(met, at + 1, 0)
+        if last and not done:
+            if fam.max_terms >= N_CAP:
+                raise CutProximityError(
+                    f"{fam.name}: a level needs more than {N_CAP} terms; "
+                    "argument is too close to the expansion's cut for this tolerance"
+                )
+            n = np.where(met, n, fam.max_terms)
+            done = True
+        kept = int(n.max())
+        run = np.multiply.accumulate(quot[:, :kept], axis=1)
+        if lo:
+            stop[rows], left[rows] = n, remainder
+            if kept:
+                grown = np.zeros((K + 1, max(kept, terms.shape[1])), dtype=complex)
+                grown[:, :terms.shape[1]] = terms
+                grown[rows, :kept] = run
+                terms = grown
+        else:                                 # the first chunk holds every level
+            stop, left, terms = n, remainder, run
+        if done:
+            return stop, left, terms
+        walk = rows = walk[~met]
+        lo, hi = width, 2 * hi - 1
 
 
-def _sums(fam: FactorialFamily, n: np.ndarray, terms: np.ndarray) -> np.ndarray:
+def _sums(fam: FactorialFamily, n: np.ndarray, terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Sums of the first n[k] entries of each row of ``terms`` (weights
-    not applied).  A Pochhammer factor within 1e-12 of zero raises
-    PoleError; terms from the first one that overflows on are dropped."""
+    not applied), and the sums of their magnitudes.  A Pochhammer factor
+    within 1e-12 of zero raises PoleError; terms from the first one that
+    overflows on are dropped."""
     re = fam.shift.real[:len(n)]
     if re.min() < POCH_GUARD:
         # |shift + i| over i >= 0 is least at the integer nearest -Re shift
         i = np.maximum(np.rint(-re), 0.0)
         if np.any((np.abs(fam.shift[:len(n)] + i) < POCH_GUARD) & (i < n)):
             raise PoleError("factorial-series denominator within 1e-12 of a pole")
-    kept = np.where(np.arange(terms.shape[1]) < n[:, None], terms, 0j)
+    kept = np.where(_index(terms.shape[1]) < n[:, None], terms, 0j)
     size = np.abs(kept)
-    if not size.max() < 1e250:
-        kept = np.where(np.logical_and.accumulate(size < 1e250, axis=1), kept, 0j)
-    return kept.sum(axis=1)
+    if not np.maximum.reduce(size, axis=None) < 1e250:
+        alive = np.logical_and.accumulate(size < 1e250, axis=1)
+        kept, size = np.where(alive, kept, 0j), np.where(alive, size, 0.0)
+    return np.add.reduce(kept, axis=1), np.add.reduce(size, axis=1)
 
 
 def _plan(fam: FactorialFamily, tol: float) -> Tuple[DyadicPlan, np.ndarray, np.ndarray]:
-    """The plan of ``plan_truncation`` with the counts and terms its walk
-    kept."""
+    """The plan of ``plan_truncation`` with the level sums its walk kept
+    and the sums of their magnitudes."""
     if not (1e-14 < tol < 1e-1):
         raise DomainError("tol must lie in (1e-14, 1e-1)")
     if fam.shift.real.min() < 0.0:
@@ -450,9 +521,8 @@ def _plan(fam: FactorialFamily, tol: float) -> Tuple[DyadicPlan, np.ndarray, np.
     budget = (tol - min(tail, 0.5 * tol)) / fam.safety
     n_terms, left, terms = _walk(fam, None, budget / (K + 1), _romberg_gains(K, fam.ladder))
     predicted = tail + fam.safety * left.sum()
-    plan = DyadicPlan(K=K, n_terms=n_terms.tolist(), steps=len(fam.ladder),
-                      predicted_error=max(float(predicted), _TINY))
-    return plan, n_terms, terms
+    plan = DyadicPlan._planned(K, n_terms.tolist(), max(float(predicted), _TINY), len(fam.ladder))
+    return (plan, *_sums(fam, n_terms, terms))
 
 
 def plan_truncation(fam: FactorialFamily, tol: float) -> DyadicPlan:
@@ -484,31 +554,41 @@ def level_sums(fam: FactorialFamily, n_terms: Sequence[int]) -> np.ndarray:
     the first one that overflows on are dropped.
     """
     n, _, terms = _walk(fam, np.asarray(n_terms, dtype=np.int64))
-    return _sums(fam, n, terms)
+    return _sums(fam, n, terms)[0]
 
 
-def _weigh(fam: FactorialFamily, plan: DyadicPlan, sums: np.ndarray) -> Tuple[complex, float]:
-    partial = np.add.accumulate(fam.weight[:plan.K + 1] * sums)
-    value, corr = romberg(partial.tolist(), fam.ladder[:plan.steps])
-    return complex(value), float(abs(corr))
+def _weigh(fam: FactorialFamily, plan: DyadicPlan, sums: np.ndarray,
+           magnitudes: np.ndarray) -> Tuple[complex, float]:
+    K, ladder = plan.K, fam.ladder[:plan.steps]
+    weight = fam.weight[:K + 1]
+    partial = np.add.accumulate(weight * sums)
+    value, corr = romberg(partial[K - plan.steps:].tolist(), ladder)
+    # each kept term carries a rounding error of about eps times its size
+    # into the value, through its level's weight and Richardson gain
+    rounding = _EPS * float(np.abs(weight) * _romberg_gains(K, ladder) @ magnitudes)
+    return complex(value), float(abs(corr)) + rounding
 
 
 def assemble(fam: FactorialFamily, plan: DyadicPlan) -> Tuple[complex, float]:
     """The plan's value over the family (weighted level sums, then the
-    plan's Richardson steps) and the size of its last correction."""
+    plan's Richardson steps) and the error it adds to the plan's
+    prediction, in the units of the value: the size of its last
+    correction plus the rounding of the kept terms, eps times their
+    magnitudes, each through its level's weight and Richardson gain."""
     if plan.steps > len(fam.ladder):
         raise DomainError(f"{fam.name}: the ladder has {len(fam.ladder)} steps, "
                           f"the plan asks for {plan.steps}")
-    return _weigh(fam, plan, level_sums(fam, plan.n_terms))
+    n, _, terms = _walk(fam, np.asarray(plan.n_terms, dtype=np.int64))
+    return _weigh(fam, plan, *_sums(fam, n, terms))
 
 
 def evaluate(fam: FactorialFamily, tol: float,
              plan: Optional[DyadicPlan] = None) -> Tuple[DyadicPlan, complex, float]:
-    """The family's value at ``tol``: the plan, the value and the size of
-    its last Richardson correction.  Without a ``plan`` the planner's walk
-    also yields the level sums, so the terms are formed once; a given
-    plan is assembled as it stands."""
+    """The family's value at ``tol``: the plan, the value and the error
+    ``assemble`` adds to the plan's prediction.  Without a ``plan`` the
+    planner's walk also yields the level sums, so the terms are formed
+    once; a given plan is assembled as it stands."""
     if plan is not None:
         return (plan, *assemble(fam, plan))
-    plan, n_terms, terms = _plan(fam, tol)
-    return (plan, *_weigh(fam, plan, _sums(fam, n_terms, terms)))
+    plan, sums, magnitudes = _plan(fam, tol)
+    return (plan, *_weigh(fam, plan, sums, magnitudes))

@@ -21,10 +21,12 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .dyadic import (
+    FIRST_CHUNK,
     MAX_AMPLIFICATION,
     MAX_LEVELS,
     DyadicPlan,
     FactorialFamily,
+    NumerTable,
     amplification,
     evaluate,
     level_sums,
@@ -61,13 +63,17 @@ _SIGMA_LADDER = (1.0, 2.0, 4.0, 6.0)
 _EPS = float(np.finfo(float).eps)
 _EULER_GAMMA = 0.5772156649015329
 _ON_CUT = 1e-12        # relative distance from an Ei cut that counts as on it
+# guards every build and growth of a per-order cache: the numerator
+# tables, the incomplete-gamma coefficient rows and their cache
+_BUILD_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
 class EvalResult:
     """Value with its error estimate and the executed plan.  The estimate
     is the plan's prediction plus the size of the last Richardson
-    correction the evaluation made.  ``tol_met`` says whether the estimate
+    correction the evaluation made and the rounding of the kept terms
+    (``dyadic.assemble``).  ``tol_met`` says whether the estimate
     is within the requested tolerance in the evaluator's units: absolute
     for Ei and digamma, relative to |value| for erfc, incomplete gamma,
     Airy and Bessel-K."""
@@ -97,11 +103,12 @@ def _geometric(a: np.ndarray, den: np.ndarray):
 def _ei_template(c: complex) -> tuple:
     """The argument-free half of the exponential-integral family with
     Borel-plane scale c: a_k = e^{-c 2^-k} over den_k = 1 + a_k, the base
-    a_0 = e^{-c} over den_0 = 1 - e^{-c}, and their numerators."""
+    a_0 = e^{-c} over den_0 = 1 - e^{-c}, and the table of their
+    numerators."""
     a = np.exp(-c / _LEVELS)
     den = 1.0 + a
     den[0] = 1.0 - a[0]
-    return _frozen(a), _frozen(den), _geometric(a, den)
+    return _frozen(a), _frozen(den), NumerTable(_geometric(a, den), len(a), _BUILD_LOCK)
 
 
 _EI_STOKES = _ei_template(1j * math.pi)
@@ -112,10 +119,10 @@ def _ei_family(w: complex, template: tuple, name: str, ladder: tuple = ()) -> Fa
     """The exponential-integral family in w over a template of
     ``_ei_template``: level k has shift 2^k w, every weight 1.  Its cut
     is the ray w in -R^+; the planner takes it for Re w >= 0."""
-    a, den, numer = template
+    a, den, table = template
     shift = _LEVELS * w
-    return FactorialFamily(name, shift, _ONES, numer, size=np.abs(a / (den * shift)),
-                           safety=10.0, ladder=ladder)
+    return FactorialFamily(name, shift, _ONES, table.numer, size=np.abs(a / (den * shift)),
+                           safety=10.0, ladder=ladder, table=table)
 
 
 def ei_stokes_family(x: complex) -> FactorialFamily:
@@ -256,7 +263,8 @@ def ei_left_classical_stream(n_max: int = 400) -> "CoefficientStream":
     return CoefficientStream(lambda k: coeffs[k])
 
 
-_PSI_NUMER = _geometric(_ONES, 2.0 * _ONES)
+# digamma levels keep at most 27 terms over perfbench's point-values inputs
+_PSI_TABLE = NumerTable(_geometric(_ONES, 2.0 * _ONES), len(_ONES), _BUILD_LOCK, first=33)
 _PSI_WEIGHT = _frozen((_LEVELS > 1).astype(float))
 
 
@@ -272,11 +280,11 @@ def psi_family(x: complex) -> FactorialFamily:
         raise DomainError("psi_dyadic undefined at x = 0")
     shift = _LEVELS * x + 1.0
     shift[0] = x
-    size = 1.0 / (2.0 * np.abs(shift))
+    size = 0.5 / np.abs(shift)
     size[0] = 0.0
     return FactorialFamily(
-        "psi-dyadic", shift, _PSI_WEIGHT, _PSI_NUMER,
-        size=size, safety=4.0, ladder=_SIGMA_LADDER)
+        "psi-dyadic", shift, _PSI_WEIGHT, _PSI_TABLE.numer,
+        size=size, safety=4.0, ladder=_SIGMA_LADDER, table=_PSI_TABLE)
 
 
 def psi_dyadic(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) -> EvalResult:
@@ -328,22 +336,31 @@ class _GammaCoeffs:
     (-1, 0) are reduced to s + 1 by one derivative shift.
     """
 
+    first = FIRST_CHUNK   # columns of a walk's first chunk over ``read``
+
     def __init__(self, s: float):
         if not (-1.0 < s < 1.0) or s == 0.0:
             raise DomainError("incomplete-gamma expansion implemented for s in (-1,1), s != 0")
         self.s = s
         self._base: list = []
         self._level: Dict[int, np.ndarray] = {}
-        self._ratios = np.full((MAX_LEVELS + 1, _GAMMA_TERMS + 1), np.nan)
-        self._have = np.zeros(MAX_LEVELS + 1, dtype=np.int64)  # entries filled per level
+        # the term ratios of every level (NaN past a row's filled entries)
+        # and the entries filled per level, published together
+        self._table = (np.full((MAX_LEVELS + 1, _GAMMA_TERMS + 1), np.nan),
+                       np.zeros(MAX_LEVELS + 1, dtype=np.int64))
         self._shift: Optional[_GammaCoeffs] = _GammaCoeffs(s + 1.0) if s < 0 else None
         if self._shift is None and s > 0:
             self._gamma_s = math.gamma(s)
 
     def base(self, m: int) -> float:
-        if len(self._base) <= m:
-            self._base = self._base_row(max(m + 1, 2 * len(self._base)))
-        return self._base[m]
+        return self._base_upto(m + 1)[m]
+
+    def _base_upto(self, n: int) -> list:
+        """The base stream's coefficients, at least n of them."""
+        row = self._base
+        if len(row) < n:
+            row = self._base = self._base_row(max(n, 2 * len(row)))
+        return row
 
     def _base_row(self, n: int) -> list:
         """c_0..c_{n-1} of the base stream, every sum at once in log form:
@@ -362,8 +379,7 @@ class _GammaCoeffs:
     def row(self, k: int, n: int) -> np.ndarray:
         """The first n coefficients of level k (k = 0: the base stream)."""
         if k == 0:
-            self.base(n - 1)
-            return np.array(self._base[:n])
+            return np.array(self._base_upto(n)[:n])
         cached = self._level.get(k, ())
         if len(cached) < n:
             cached = self._level[k] = self._level_row(k, max(n, 2 * len(cached)))
@@ -391,21 +407,41 @@ class _GammaCoeffs:
         lead[0] = abs(self.base(0))
         return _frozen(weight), _frozen(lead)
 
+    def read(self, levels, need, width: int = 0) -> np.ndarray:
+        """The numerator table of the family (``NumerTable``'s interface):
+        the term ratios c_{k,i} / c_{k,i-1} (c_{k,-1} = 1) of every level as
+        one array of _GAMMA_TERMS + 1 columns, whatever ``width``, NaN past
+        the entries a row holds, with rows ``levels`` (a slice or an index
+        array) filled over their first ``need`` entries at least.  A short
+        row is refilled from a coefficient row of at least _GAMMA_ROW
+        entries and twice its length before; the refilled array is built
+        aside and published whole under the build lock."""
+        ratios, have = self._table
+        if not (have[levels] < need).any():
+            return ratios
+        with _BUILD_LOCK:
+            ratios, have = self._table
+            ids = _LEVEL_IDS[levels]
+            need = np.broadcast_to(need, ids.shape)
+            short = have[ids] < need
+            if short.any():
+                ratios, have = ratios.copy(), have.copy()
+                for k, n in zip(ids[short].tolist(), need[short].tolist()):
+                    n = max(n, _GAMMA_ROW, min(2 * int(have[k]), _GAMMA_TERMS + 1))
+                    c = self.row(k, n)
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        ratios[k, :n] = c / np.append(1.0, c[:-1])
+                    have[k] = n
+                ratios.flags.writeable = False
+                self._table = (ratios, have)
+        return ratios
+
     def ratios(self, k: np.ndarray, i: np.ndarray) -> np.ndarray:
-        """Term ratios c_{k,i} / c_{k,i-1} (c_{k,-1} = 1) for a column of
-        levels k and indices i <= _GAMMA_TERMS (broadcast), read from one
-        array.  A level's entries are filled, by doubling, only when an
-        index past them is asked for."""
-        need = np.max(i, axis=-1) + 1
-        short = need > self._have[k[:, 0]]
-        if short.any():
-            for lvl, n in zip(k[short, 0], np.broadcast_to(need, short.shape)[short]):
-                n = max(n, min(2 * self._have[lvl], _GAMMA_TERMS + 1))
-                c = self.row(lvl, n)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    self._ratios[lvl, :n] = c / np.append(1.0, c[:-1])
-                self._have[lvl] = n
-        return self._ratios[k, i]
+        """Term ratios c_{k,i} / c_{k,i-1} for a column of levels k and
+        indices i <= _GAMMA_TERMS (broadcast), read from ``read``'s table;
+        a level's entries are filled, by doubling, only when an index past
+        them is asked for."""
+        return self.read(k[:, 0], np.max(i, axis=-1) + 1)[k, i]
 
     def _level_row(self, k: int, n: int) -> np.ndarray:
         """c_{k,0..n-1}, all m from one sampling on shared Gauss nodes."""
@@ -440,17 +476,19 @@ class _GammaCoeffs:
 
 _GAMMA_CACHE: Dict[float, _GammaCoeffs] = {}
 _GAMMA_TERMS = 150  # terms a level may keep: the base coefficients overflow near m = 185
-_GAMMA_LOCK = threading.Lock()
+_GAMMA_ROW = 33     # entries a level's row starts with: most levels keep fewer than 32 terms
+_LEVEL_IDS = np.arange(MAX_LEVELS + 1)
 
 
 def _gamma_coeffs(s: float) -> _GammaCoeffs:
     s = float(s)
-    with _GAMMA_LOCK:
+    with _BUILD_LOCK:
         if s not in _GAMMA_CACHE:
             _GAMMA_CACHE[s] = _GammaCoeffs(s)
         return _GAMMA_CACHE[s]
 
 
+@functools.lru_cache(maxsize=256)
 def _gamma_ladder(s: float) -> tuple:
     """Level k carries 2^-k(1-s) Li_s(-e^{-z/2^k}), analytic at z = 0: the
     K-level tail runs in 2^-(n+1-s)K, n = 0, 1, ..."""
@@ -466,7 +504,8 @@ def _gamma_family(s: float, x: complex, coeffs: _GammaCoeffs) -> FactorialFamily
     the levels it keeps."""
     weight, lead = coeffs.levels
     return FactorialFamily("incomplete-gamma", _LEVELS * x, weight, coeffs.ratios, lead / abs(x),
-                           safety=4.0, max_terms=_GAMMA_TERMS, ladder=_gamma_ladder(s))
+                           safety=4.0, max_terms=_GAMMA_TERMS, ladder=_gamma_ladder(s),
+                           table=coeffs)
 
 
 def _gamma_eval(s: float, x: complex, tol: float, plan: Optional[DyadicPlan]) -> EvalResult:

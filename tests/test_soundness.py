@@ -11,11 +11,12 @@ import importlib.util
 import math
 import pathlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyafact import oracle
+from dyafact import borel, dyadic, oracle, specfun
 from dyafact.borel import airy_from_h, bessel_k_dyadic
 from dyafact.dyadic import LADDER_LEVELS, DyadicPlan
 from dyafact.specfun import ei_left, ei_stokes, erfc_dyadic, incomplete_gamma_dyadic, psi_dyadic
@@ -271,3 +272,55 @@ def test_point_values_meet_their_tolerance():
     missed = [it for it in _point_values_inputs(21)
               if not evaluators[it["fn"]](it, complex(*it["x"])).tol_met]
     assert missed == []
+
+
+def _kept_rounding(fam, plan):
+    """eps * sum_k |weight_k| gain_k sum_j |t_kj| over the plan's kept
+    terms, in the units of the value, from products of numer itself."""
+    n = np.asarray(plan.n_terms)
+    k = np.arange(len(n))[:, None]
+    j = np.arange(n.max())[None, :]
+    i = np.minimum(j, n[:, None] - 1)
+    terms = np.cumprod(fam.numer(k, i) / (fam.shift[k] + i), axis=1)
+    sizes = np.where(j < n[:, None], np.abs(terms), 0.0).sum(axis=1)
+    gain = dyadic._romberg_gains(plan.K, fam.ladder[:plan.steps])
+    weight = np.abs(fam.weight[:plan.K + 1])
+    return np.finfo(float).eps * float(np.sum(weight * gain * sizes))
+
+
+def _h_family(nu, u):
+    return borel._h_family(borel.get_table(nu, 66, LADDER_LEVELS), complex(u))
+
+
+# Each family with the evaluator whose estimate, in the value's units,
+# holds the family's plan, value and added error (None: the estimate scales
+# them by a front factor)
+ROUNDING_CASES = [
+    ("ei-stokes", lambda: specfun.ei_stokes_family(0.3 + 0.1j),
+     lambda tol: ei_stokes((0.3 + 0.1j), tol)),
+    ("ei-stokes", lambda: specfun.ei_stokes_family(12.0), lambda tol: ei_stokes(12.0, tol)),
+    ("ei-left", lambda: specfun.ei_left_family(0.4 - 0.2j), lambda tol: ei_left(0.4 - 0.2j, tol)),
+    ("psi", lambda: specfun.psi_family(0.25), lambda tol: psi_dyadic(0.25, tol)),
+    ("erfc", lambda: specfun._gamma_family(0.5, 0.4 + 0j, specfun._gamma_coeffs(0.5)), None),
+    ("inc-gamma", lambda: specfun._gamma_family(-0.5, 0.5 + 0j, specfun._gamma_coeffs(-0.5)),
+     None),
+    ("airy", lambda: _h_family(1.0 / 3.0, 1.5), lambda tol: borel.airy_h(1.5, tol)),
+    ("bessel-k", lambda: _h_family(0.7, 1.2), lambda tol: borel._bessel_h_eval(0.7, 1.2, tol)),
+]
+
+
+@pytest.mark.parametrize("name, family, evaluator", ROUNDING_CASES)
+@pytest.mark.parametrize("tol", [1e-12, 1e-8])
+def test_estimate_holds_the_rounding_of_the_kept_terms(name, family, evaluator, tol):
+    fam = family()
+    assert bool(fam.ladder) == (name != "ei-stokes")
+    plan, value, added = dyadic.evaluate(fam, tol)
+    # the walk sums the same magnitudes in another order
+    rounding = _kept_rounding(fam, plan) * (1.0 - 1e-12)
+    assert rounding > 0.0
+    assert added >= rounding
+    assert dyadic.evaluate(fam, tol, plan)[2] >= rounding
+    if evaluator is not None:
+        res = evaluator(tol)
+        assert res.plan == plan
+        assert res.error_estimate >= rounding

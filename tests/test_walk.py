@@ -1,14 +1,19 @@
 """The planner's walk also sums the terms it plans, over per-order
-templates built once.
+templates and numerator tables built once.
 
 A plan passed back with ``plan=`` re-walks the levels with fixed counts;
 it must give the value the planned call gave, and ``level_sums`` must give
 the sums the planner's walk kept.  The draws cover the ranges of
-perfbench's point-values workload for all seven evaluators.
+perfbench's point-values workload for all seven evaluators.  Every table
+holds numer(k, i) bit for bit, also once grown, and tables grown by two
+threads at once give the values of a serial run.
 """
 
 import cmath
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,7 +22,7 @@ from hypothesis import strategies as st
 
 from dyafact import borel, dyadic, specfun
 from dyafact.borel import airy_from_h, airy_h, bessel_k_dyadic, get_table
-from dyafact.dyadic import LADDER_LEVELS, FactorialFamily, level_sums
+from dyafact.dyadic import FIRST_CHUNK, LADDER_LEVELS, FactorialFamily, NumerTable, level_sums
 from dyafact.scalar import PoleError
 from dyafact.specfun import (
     ei_left,
@@ -58,9 +63,9 @@ def _padded_level_sums(fam, n_terms):
 def _same_walk(fam, tol):
     """The planner's walk and the fixed-count walk of its plan agree, with
     each other and with the padded reference."""
-    plan, n_terms, terms = dyadic._plan(fam, tol)
+    plan, walked, _ = dyadic._plan(fam, tol)
     sums = level_sums(fam, plan.n_terms)
-    assert np.array_equal(sums, dyadic._sums(fam, n_terms, terms))
+    assert np.array_equal(sums, walked)
     assert np.array_equal(sums, _padded_level_sums(fam, plan.n_terms))
     again = dyadic.evaluate(fam, tol, plan)
     planned = dyadic.evaluate(fam, tol)
@@ -152,19 +157,22 @@ class TestTemplates:
         for family in (ei_stokes_family, ei_left_family, psi_family):
             a, b = family(2.0 + 0.5j), family(7.0 - 1.0j)
             assert a.numer is b.numer and a.weight is b.weight
+            assert a.table is b.table and a.table.numer is a.numer
             assert not np.array_equal(a.shift, b.shift)
 
     def test_incomplete_gamma(self):
         s = 0.25
         incomplete_gamma_dyadic(s, 1.0, 1e-10)
         co = specfun._gamma_coeffs(s)
-        have, rows, levels = co._have.copy(), dict(co._level), co.levels
+        table, rows, levels = co._table, dict(co._level), co.levels
         base = co._base
         incomplete_gamma_dyadic(s, 3.0, 1e-8)
         assert specfun._gamma_coeffs(s) is co
-        assert np.array_equal(co._have, have)
+        assert co._table is table
         assert co.levels is levels and co._base is base
         assert all(co._level[k] is row for k, row in rows.items()) and co._level.keys() == rows.keys()
+        a, b = (specfun._gamma_family(s, complex(x), co) for x in (1.0, 3.0))
+        assert a.table is b.table is co
 
     def test_incomplete_gamma_weights_take_the_order_as_given(self):
         # the coefficient rows and the level weights 2^{ks} are both built
@@ -183,6 +191,106 @@ class TestTemplates:
         airy_from_h(5.0, 1e-8)
         assert get_table(1.0 / 3.0, 66, LADDER_LEVELS) is table
         assert borel._KERNELS[table.nu] is kernel and table.h_levels is levels
+        # the argument's numerator table is the template's ratios but for column 0
+        fam = borel._h_family(table, 3.0 + 0j)
+        assert np.array_equal(fam.table.array[:, 1:], levels.ratio[:, 1:])
+
+
+def _whole(numer, levels, width):
+    k = np.arange(levels)[:, None]
+    return numer(k, np.arange(width)[None, :])
+
+
+class TestTables:
+    """Each template's numerator table holds numer(k, i) bit for bit, on
+    either side of a growth; a grown array is a new one, and the array a
+    reader held stays as it was."""
+
+    @pytest.mark.parametrize("c", [1j * math.pi, -1.0])
+    def test_exponential_integral(self, c):
+        table = specfun._ei_template(c)[2]          # fresh, FIRST_CHUNK columns
+        before = table.array
+        assert before.shape == (dyadic.MAX_LEVELS + 1, FIRST_CHUNK)
+        assert np.array_equal(before, _whole(table.numer, dyadic.MAX_LEVELS + 1, FIRST_CHUNK))
+        grown = table.read(slice(0, 3), FIRST_CHUNK + 1, FIRST_CHUNK + 1)
+        assert grown.shape[1] == 2 * FIRST_CHUNK - 1 and table.array is grown
+        assert grown.dtype == before.dtype
+        assert np.array_equal(grown, _whole(table.numer, dyadic.MAX_LEVELS + 1, grown.shape[1]))
+        assert np.array_equal(grown[:, :FIRST_CHUNK], before)
+        assert before.shape[1] == FIRST_CHUNK and not grown.flags.writeable
+
+    def test_digamma(self):
+        table = NumerTable(specfun._PSI_TABLE.numer, dyadic.MAX_LEVELS + 1, first=33)
+        assert np.array_equal(table.array, _whole(table.numer, dyadic.MAX_LEVELS + 1, 33))
+        grown = table.read(slice(0, 2), 40, 40)
+        assert grown.shape[1] == 65
+        assert np.array_equal(grown, _whole(table.numer, dyadic.MAX_LEVELS + 1, 65))
+        assert table.read(slice(0, 2), 1, 65) is grown
+
+    def test_incomplete_gamma_through_ratios(self):
+        co = specfun._GammaCoeffs(0.37)               # fresh: no row built
+        k = np.arange(4)[:, None]
+        before = co.read(slice(0, 4), 1)             # rows start with 33 entries
+        assert np.array_equal(co._table[1][:5], [33, 33, 33, 33, 0])
+        assert np.isnan(before[:4, 33:]).all() and np.isnan(before[4:]).all()
+        assert np.array_equal(before[:4, :33], co.ratios(k, np.arange(33)[None, :]))
+        grown = co.ratios(np.array([[0], [2]]), np.array([[40]]))   # past the boundary
+        assert np.array_equal(co._table[1][:4], [66, 33, 66, 33])
+        ratios = co._table[0]
+        assert ratios is not before and np.isnan(before[:4, 33:]).all()
+        assert np.array_equal(grown[:, 0], ratios[[0, 2], 40])
+        for lvl, n in ((0, 66), (1, 33), (2, 66), (3, 33)):
+            c = co.row(lvl, n)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                assert np.array_equal(ratios[lvl, :n], c / np.append(1.0, c[:-1]))
+            assert np.array_equal(ratios[lvl, :n], co.ratios(np.array([[lvl]]), np.arange(n)[None, :])[0])
+            assert np.isnan(ratios[lvl, n:]).all()
+
+    def test_h_expansion_through_its_closure(self):
+        table = get_table(0.7, 66, LADDER_LEVELS)
+        fam = borel._h_family(table, 2.5 + 0j)
+        assert fam.table.array.shape == (table.K + 1, table.M - 1)
+        assert np.array_equal(fam.table.array, _whole(fam.numer, table.K + 1, table.M - 1))
+        assert fam.table.read(slice(0, table.K + 1), 1, fam.max_terms + 1) is fam.table.array
+
+
+def _ei_grid():
+    """Ei-Stokes points beside the Stokes line at tol 1e-12: level 1 keeps
+    73 to 105 terms, past a fresh table's FIRST_CHUNK columns."""
+    return [ei_stokes(x, 1e-12).value for x in (5.0 + 0.3j, 2.0 + 0.05j, 0.5 + 0.01j, 3.0 - 0.1j)]
+
+
+def _gamma_grid(s):
+    return [incomplete_gamma_dyadic(s, x, 1e-10).value for x in (0.3, 0.7, 2.0, 6.0, 15.0)]
+
+
+def test_tables_grown_by_two_threads_give_the_serial_values(monkeypatch):
+    s = -0.4321                                  # an order no other test builds
+
+    def fresh():
+        monkeypatch.setattr(specfun, "_GAMMA_CACHE", {})
+        monkeypatch.setattr(specfun, "_EI_STOKES", specfun._ei_template(1j * math.pi))
+
+    fresh()
+    start = threading.Barrier(2, timeout=60)
+
+    def together(task, *args):
+        start.wait()
+        return task(*args)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)               # switch threads as often as it can
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            jobs = [pool.submit(together, _gamma_grid, s), pool.submit(together, _ei_grid)]
+            threaded = [job.result(timeout=120) for job in jobs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert specfun._EI_STOKES[2].array.shape[1] > FIRST_CHUNK
+    fresh()
+    serial = [_gamma_grid(s), _ei_grid()]
+    assert specfun._EI_STOKES[2].array.shape[1] > FIRST_CHUNK
+    assert threaded == serial
 
 
 class TestGuards:
@@ -210,3 +318,13 @@ class TestGuards:
     def test_counts_across_chunks(self, n_terms):
         fam = ei_left_family(0.7 - 0.4j)
         assert np.array_equal(level_sums(fam, n_terms), _padded_level_sums(fam, n_terms))
+
+    @pytest.mark.parametrize("x", [-5.0 + 0.3j, -0.5 + 0.01j])
+    def test_walk_past_the_first_table_width_near_a_cut(self, x):
+        # ei_left beside its cut walks the Stokes family at -conj x, whose
+        # level 1 keeps more terms than a first chunk reads
+        fam = ei_stokes_family(-x.conjugate())
+        plan = dyadic.plan_truncation(fam, 1e-12)
+        assert max(plan.n_terms) > FIRST_CHUNK
+        _same_walk(fam, 1e-12)
+        assert ei_left(x, 1e-12).plan == plan
