@@ -336,9 +336,9 @@ def _h_family(table: CoefficientTable, u: complex) -> FactorialFamily:
 
     shift = uk + 1.0
     size = np.abs(lv.weighted_first / (uk * shift)) * abs(u)
-    return FactorialFamily("h-expansion", shift, lv.weight, numer, size, safety=1.3,
-                           max_terms=table.M - 2, ladder=lv.ladder,
-                           table=NumerTable(numer, table.K + 1, array=ratio, first=33))
+    return FactorialFamily("h-expansion", shift, lv.weight,
+                           NumerTable(numer, table.K + 1, array=ratio, first=33), size,
+                           safety=1.3, max_terms=table.M - 2, ladder=lv.ladder)
 
 
 def _bessel_h_eval(nu: float, u: complex, tol: float,

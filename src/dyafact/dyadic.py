@@ -34,6 +34,7 @@ __all__ = [
     "DyadicPlan",
     "FactorialFamily",
     "NumerTable",
+    "TABLE_COLUMNS",
     "plan_truncation",
     "level_sums",
     "romberg",
@@ -58,6 +59,9 @@ MAX_AMPLIFICATION = 100.0
 # over perfbench's point-values inputs (seeds 21-25) 94 % of the planned
 # walks stop every level within 64 terms.
 FIRST_CHUNK = 65
+# Widest a NumerTable grows: the point-values walks of seeds 21-40 read at
+# most 129 columns.  A walk past it forms its columns per chunk.
+TABLE_COLUMNS = 2 * FIRST_CHUNK - 1
 _INDEX = np.arange(1025)                         # shared row and column index
 _INV_LEVELS = 2.0 ** -_INDEX[:MAX_LEVELS + 1]    # 2^-k for every described level
 _TINY = np.finfo(float).tiny
@@ -221,7 +225,7 @@ class DyadicPlan:
     def __post_init__(self):
         if len(self.n_terms) != self.K + 1:
             raise DomainError("n_terms must have K + 1 entries")
-        if min(self.n_terms, default=1) < 1:
+        if any(n < 1 for n in self.n_terms):
             raise DomainError("every series keeps at least one term")
         if not (self.predicted_error > 0):
             raise DomainError("predicted_error must be positive")
@@ -232,15 +236,6 @@ class DyadicPlan:
     def terms_total(self) -> int:
         return sum(self.n_terms)
 
-    @classmethod
-    def _planned(cls, K: int, n_terms: List[int], predicted_error: float,
-                 steps: int) -> "DyadicPlan":
-        """A plan of the planner, valid by construction, made without the
-        checks of ``__post_init__``."""
-        plan = object.__new__(cls)
-        plan.__dict__.update(K=K, n_terms=n_terms, predicted_error=predicted_error, steps=steps)
-        return plan
-
 
 class NumerTable:
     """The numerators numer(k, i) of a family for every described level k,
@@ -248,40 +243,43 @@ class NumerTable:
 
     ``numer`` is the one definition; the table holds its values over the
     ``first`` columns that a walk's first chunk reads (or the prebuilt
-    ``array``) and doubles its width, less one, when a walk reads past it.
-    A grown array is built aside and published whole under ``lock``, so a
-    reader holds either the old array or the new one.  Every row is filled
-    over the whole width.
+    ``array``) and doubles its width, less one, when a walk reads past
+    it, up to TABLE_COLUMNS.  A grown array is built aside and published
+    whole under the table's lock, so a reader holds either the old array
+    or the new one.  Columns past the widest array are formed for the
+    rows that read them and not kept.
     """
 
     def __init__(self, numer: Callable[[np.ndarray, np.ndarray], np.ndarray], levels: int,
-                 lock: Optional[threading.Lock] = None, array: Optional[np.ndarray] = None,
-                 first: int = FIRST_CHUNK):
+                 array: Optional[np.ndarray] = None, first: int = FIRST_CHUNK):
         self.numer = numer
         self.first = first
-        self._levels = levels
-        self._lock = lock if lock is not None else threading.Lock()
-        self.array = self._columns(0, first) if array is None else array
+        self._levels = np.arange(levels)
+        self._lock = threading.Lock()
+        if array is None:
+            array = self._columns(slice(None), 0, first)
+            array.flags.writeable = False
+        self.array = array
 
-    def _columns(self, lo: int, hi: int) -> np.ndarray:
-        out = self.numer(np.arange(self._levels)[:, None], np.arange(lo, hi)[None, :])
-        out.flags.writeable = False
-        return out
+    def _columns(self, rows, lo: int, hi: int) -> np.ndarray:
+        return self.numer(self._levels[rows][:, None], np.arange(lo, hi)[None, :])
 
-    def read(self, levels, need, width: int) -> np.ndarray:
-        """The array, at least ``width`` columns wide.  ``levels`` and
-        ``need`` (the entries those rows must hold) concern tables filled
-        level by level; this one fills every row."""
+    def read(self, rows, need, width: int) -> np.ndarray:
+        """numer over the levels ``rows`` (a slice or an index array) and
+        columns 0..width-1.  ``need``, the entries those rows must hold,
+        concerns tables filled level by level; this one fills every row."""
         a = self.array
         if a.shape[1] < width:
+            if width > TABLE_COLUMNS:
+                return self._columns(rows, 0, width)
             with self._lock:
                 a = self.array
                 if a.shape[1] < width:
-                    grown = np.concatenate(
-                        [a, self._columns(a.shape[1], max(width, 2 * a.shape[1] - 1))], axis=1)
+                    hi = min(max(width, 2 * a.shape[1] - 1), TABLE_COLUMNS)
+                    grown = np.concatenate([a, self._columns(slice(None), a.shape[1], hi)], axis=1)
                     grown.flags.writeable = False
                     a = self.array = grown
-        return a
+        return a[rows, :width]
 
 
 @dataclass(frozen=True)
@@ -298,9 +296,9 @@ class FactorialFamily:
     the shape sum_m c_{k,m} Gamma(m) / (x_k)_m with the coefficients and
     Gamma(m) folded into the numerators, so no factor ever overflows.
     ``numer(k, i)`` takes an integer column of levels and a row (or
-    matrix) of indices and broadcasts.  ``table`` holds its values, built
-    once per order (a ``NumerTable`` or a table of the same interface);
-    without one the family tabulates ``numer`` itself.
+    matrix) of indices and broadcasts; it is the ``numer`` of ``table``,
+    which holds its values, built once per order (a ``NumerTable`` or a
+    table of the same interface).
 
     The planner sees only magnitudes in the units of its tolerance:
     ``size[k]`` = |weight_k t_{k,1}| and the term ratios
@@ -319,16 +317,15 @@ class FactorialFamily:
     name: str
     shift: np.ndarray
     weight: np.ndarray
-    numer: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    table: NumerTable
     size: np.ndarray
     safety: float
     max_terms: int = N_CAP
     ladder: Tuple[float, ...] = ()
-    table: Optional[NumerTable] = None
 
-    def __post_init__(self):
-        if self.table is None:
-            object.__setattr__(self, "table", NumerTable(self.numer, len(self.shift)))
+    @property
+    def numer(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        return self.table.numer
 
     def tails(self) -> np.ndarray:
         """safety * (size of every described level beyond K), for each K."""
@@ -430,7 +427,7 @@ def _walk(fam: FactorialFamily, counts: Optional[np.ndarray], target: float = 0.
     if counts is not None:
         K, width = len(counts) - 1, int(counts.max())
         rows = slice(0, K + 1)
-        num = fam.table.read(rows, counts, width)[rows, :width]
+        num = fam.table.read(rows, counts, width)
         terms = np.multiply.accumulate(num / (fam.shift[rows, None] + _index(width)), axis=1)
         return counts, np.zeros(K + 1), terms
     K = len(gain) - 1
@@ -443,7 +440,7 @@ def _walk(fam: FactorialFamily, counts: Optional[np.ndarray], target: float = 0.
         width = min(hi, limit + 1)
         last = width > limit                  # unmet rows run out in this chunk
         # the stop rule at count c reads the ratio at index c
-        num = fam.table.read(rows, width if last else lo + 1, width)[rows, :width]
+        num = fam.table.read(rows, width if last else lo + 1, width)
         quot = num / (fam.shift[rows, None] + _index(width))
         r = np.abs(quot[:, 1:])
         # t_1 is given by ``size``, the ratios take it on from there
@@ -521,7 +518,8 @@ def _plan(fam: FactorialFamily, tol: float) -> Tuple[DyadicPlan, np.ndarray, np.
     budget = (tol - min(tail, 0.5 * tol)) / fam.safety
     n_terms, left, terms = _walk(fam, None, budget / (K + 1), _romberg_gains(K, fam.ladder))
     predicted = tail + fam.safety * left.sum()
-    plan = DyadicPlan._planned(K, n_terms.tolist(), max(float(predicted), _TINY), len(fam.ladder))
+    plan = DyadicPlan(K=K, n_terms=n_terms.tolist(), steps=len(fam.ladder),
+                      predicted_error=max(float(predicted), _TINY))
     return (plan, *_sums(fam, n_terms, terms))
 
 

@@ -63,9 +63,6 @@ _SIGMA_LADDER = (1.0, 2.0, 4.0, 6.0)
 _EPS = float(np.finfo(float).eps)
 _EULER_GAMMA = 0.5772156649015329
 _ON_CUT = 1e-12        # relative distance from an Ei cut that counts as on it
-# guards every build and growth of a per-order cache: the numerator
-# tables, the incomplete-gamma coefficient rows and their cache
-_BUILD_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -108,7 +105,7 @@ def _ei_template(c: complex) -> tuple:
     a = np.exp(-c / _LEVELS)
     den = 1.0 + a
     den[0] = 1.0 - a[0]
-    return _frozen(a), _frozen(den), NumerTable(_geometric(a, den), len(a), _BUILD_LOCK)
+    return _frozen(a), _frozen(den), NumerTable(_geometric(a, den), len(a))
 
 
 _EI_STOKES = _ei_template(1j * math.pi)
@@ -121,8 +118,8 @@ def _ei_family(w: complex, template: tuple, name: str, ladder: tuple = ()) -> Fa
     is the ray w in -R^+; the planner takes it for Re w >= 0."""
     a, den, table = template
     shift = _LEVELS * w
-    return FactorialFamily(name, shift, _ONES, table.numer, size=np.abs(a / (den * shift)),
-                           safety=10.0, ladder=ladder, table=table)
+    return FactorialFamily(name, shift, _ONES, table, size=np.abs(a / (den * shift)),
+                           safety=10.0, ladder=ladder)
 
 
 def ei_stokes_family(x: complex) -> FactorialFamily:
@@ -264,7 +261,7 @@ def ei_left_classical_stream(n_max: int = 400) -> "CoefficientStream":
 
 
 # digamma levels keep at most 27 terms over perfbench's point-values inputs
-_PSI_TABLE = NumerTable(_geometric(_ONES, 2.0 * _ONES), len(_ONES), _BUILD_LOCK, first=33)
+_PSI_TABLE = NumerTable(_geometric(_ONES, 2.0 * _ONES), len(_ONES), first=33)
 _PSI_WEIGHT = _frozen((_LEVELS > 1).astype(float))
 
 
@@ -283,8 +280,8 @@ def psi_family(x: complex) -> FactorialFamily:
     size = 0.5 / np.abs(shift)
     size[0] = 0.0
     return FactorialFamily(
-        "psi-dyadic", shift, _PSI_WEIGHT, _PSI_TABLE.numer,
-        size=size, safety=4.0, ladder=_SIGMA_LADDER, table=_PSI_TABLE)
+        "psi-dyadic", shift, _PSI_WEIGHT, _PSI_TABLE,
+        size=size, safety=4.0, ladder=_SIGMA_LADDER)
 
 
 def psi_dyadic(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) -> EvalResult:
@@ -407,19 +404,25 @@ class _GammaCoeffs:
         lead[0] = abs(self.base(0))
         return _frozen(weight), _frozen(lead)
 
-    def read(self, levels, need, width: int = 0) -> np.ndarray:
+    def read(self, levels, need, width: int) -> np.ndarray:
         """The numerator table of the family (``NumerTable``'s interface):
-        the term ratios c_{k,i} / c_{k,i-1} (c_{k,-1} = 1) of every level as
-        one array of _GAMMA_TERMS + 1 columns, whatever ``width``, NaN past
-        the entries a row holds, with rows ``levels`` (a slice or an index
-        array) filled over their first ``need`` entries at least.  A short
-        row is refilled from a coefficient row of at least _GAMMA_ROW
-        entries and twice its length before; the refilled array is built
-        aside and published whole under the build lock."""
+        the term ratios of the levels ``levels`` (a slice or an index
+        array) over columns 0..width-1, each row filled over its first
+        ``need`` entries at least and NaN past the entries it holds."""
+        return self._filled(levels, need)[levels, :width]
+
+    def _filled(self, levels, need) -> np.ndarray:
+        """The term ratios c_{k,i} / c_{k,i-1} (c_{k,-1} = 1) of every level
+        as one array of _GAMMA_TERMS + 1 columns, NaN past the entries a
+        row holds, with rows ``levels`` filled over their first ``need``
+        entries at least.  A short row is refilled from a coefficient row
+        of at least _GAMMA_ROW entries and twice its length before; the
+        refilled array is built aside and published whole under
+        _GAMMA_LOCK."""
         ratios, have = self._table
         if not (have[levels] < need).any():
             return ratios
-        with _BUILD_LOCK:
+        with _GAMMA_LOCK:
             ratios, have = self._table
             ids = _LEVEL_IDS[levels]
             need = np.broadcast_to(need, ids.shape)
@@ -438,10 +441,12 @@ class _GammaCoeffs:
 
     def ratios(self, k: np.ndarray, i: np.ndarray) -> np.ndarray:
         """Term ratios c_{k,i} / c_{k,i-1} for a column of levels k and
-        indices i <= _GAMMA_TERMS (broadcast), read from ``read``'s table;
-        a level's entries are filled, by doubling, only when an index past
-        them is asked for."""
-        return self.read(k[:, 0], np.max(i, axis=-1) + 1)[k, i]
+        indices i <= _GAMMA_TERMS (broadcast), read from the table of
+        ``read``; a level's entries are filled, by doubling, only when an
+        index past them is asked for."""
+        return self._filled(k[:, 0], np.max(i, axis=-1) + 1)[k, i]
+
+    numer = ratios    # the family's numerators, as ``NumerTable.numer``
 
     def _level_row(self, k: int, n: int) -> np.ndarray:
         """c_{k,0..n-1}, all m from one sampling on shared Gauss nodes."""
@@ -478,11 +483,13 @@ _GAMMA_CACHE: Dict[float, _GammaCoeffs] = {}
 _GAMMA_TERMS = 150  # terms a level may keep: the base coefficients overflow near m = 185
 _GAMMA_ROW = 33     # entries a level's row starts with: most levels keep fewer than 32 terms
 _LEVEL_IDS = np.arange(MAX_LEVELS + 1)
+# guards the coefficient cache and every refill of a table's rows
+_GAMMA_LOCK = threading.Lock()
 
 
 def _gamma_coeffs(s: float) -> _GammaCoeffs:
     s = float(s)
-    with _BUILD_LOCK:
+    with _GAMMA_LOCK:
         if s not in _GAMMA_CACHE:
             _GAMMA_CACHE[s] = _GammaCoeffs(s)
         return _GAMMA_CACHE[s]
@@ -503,9 +510,8 @@ def _gamma_family(s: float, x: complex, coeffs: _GammaCoeffs) -> FactorialFamily
     which the first coefficients approach, so planning builds no row past
     the levels it keeps."""
     weight, lead = coeffs.levels
-    return FactorialFamily("incomplete-gamma", _LEVELS * x, weight, coeffs.ratios, lead / abs(x),
-                           safety=4.0, max_terms=_GAMMA_TERMS, ladder=_gamma_ladder(s),
-                           table=coeffs)
+    return FactorialFamily("incomplete-gamma", _LEVELS * x, weight, coeffs, lead / abs(x),
+                           safety=4.0, max_terms=_GAMMA_TERMS, ladder=_gamma_ladder(s))
 
 
 def _gamma_eval(s: float, x: complex, tol: float, plan: Optional[DyadicPlan]) -> EvalResult:

@@ -22,7 +22,14 @@ from hypothesis import strategies as st
 
 from dyafact import borel, dyadic, specfun
 from dyafact.borel import airy_from_h, airy_h, bessel_k_dyadic, get_table
-from dyafact.dyadic import FIRST_CHUNK, LADDER_LEVELS, FactorialFamily, NumerTable, level_sums
+from dyafact.dyadic import (
+    FIRST_CHUNK,
+    LADDER_LEVELS,
+    TABLE_COLUMNS,
+    FactorialFamily,
+    NumerTable,
+    level_sums,
+)
 from dyafact.scalar import PoleError
 from dyafact.specfun import (
     ei_left,
@@ -208,30 +215,42 @@ class TestTables:
 
     @pytest.mark.parametrize("c", [1j * math.pi, -1.0])
     def test_exponential_integral(self, c):
+        levels = dyadic.MAX_LEVELS + 1
         table = specfun._ei_template(c)[2]          # fresh, FIRST_CHUNK columns
         before = table.array
-        assert before.shape == (dyadic.MAX_LEVELS + 1, FIRST_CHUNK)
-        assert np.array_equal(before, _whole(table.numer, dyadic.MAX_LEVELS + 1, FIRST_CHUNK))
-        grown = table.read(slice(0, 3), FIRST_CHUNK + 1, FIRST_CHUNK + 1)
-        assert grown.shape[1] == 2 * FIRST_CHUNK - 1 and table.array is grown
+        assert before.shape == (levels, FIRST_CHUNK) and not before.flags.writeable
+        assert np.array_equal(before, _whole(table.numer, levels, FIRST_CHUNK))
+        head = table.read(slice(0, 3), FIRST_CHUNK + 1, FIRST_CHUNK + 1)
+        grown = table.array
+        assert grown.shape[1] == 2 * FIRST_CHUNK - 1 == TABLE_COLUMNS
         assert grown.dtype == before.dtype
-        assert np.array_equal(grown, _whole(table.numer, dyadic.MAX_LEVELS + 1, grown.shape[1]))
+        assert np.array_equal(grown, _whole(table.numer, levels, grown.shape[1]))
+        assert np.array_equal(head, grown[:3, :FIRST_CHUNK + 1])
         assert np.array_equal(grown[:, :FIRST_CHUNK], before)
         assert before.shape[1] == FIRST_CHUNK and not grown.flags.writeable
+        # past the widest table the rows read are formed, and nothing is kept
+        rows = np.array([1, 4])
+        past = table.read(rows, 1, 3 * TABLE_COLUMNS)
+        assert np.array_equal(past, _whole(table.numer, levels, 3 * TABLE_COLUMNS)[rows])
+        assert table.array is grown
 
     def test_digamma(self):
         table = NumerTable(specfun._PSI_TABLE.numer, dyadic.MAX_LEVELS + 1, first=33)
         assert np.array_equal(table.array, _whole(table.numer, dyadic.MAX_LEVELS + 1, 33))
-        grown = table.read(slice(0, 2), 40, 40)
+        assert np.array_equal(table.read(slice(0, 2), 40, 40), table.array[:2, :40])
+        grown = table.array
         assert grown.shape[1] == 65
         assert np.array_equal(grown, _whole(table.numer, dyadic.MAX_LEVELS + 1, 65))
-        assert table.read(slice(0, 2), 1, 65) is grown
+        table.read(slice(0, 2), 1, 65)
+        assert table.array is grown
 
     def test_incomplete_gamma_through_ratios(self):
         co = specfun._GammaCoeffs(0.37)               # fresh: no row built
         k = np.arange(4)[:, None]
-        before = co.read(slice(0, 4), 1)             # rows start with 33 entries
+        head = co.read(slice(0, 4), 1, 40)            # rows start with 33 entries
+        before = co._table[0]
         assert np.array_equal(co._table[1][:5], [33, 33, 33, 33, 0])
+        assert np.array_equal(head, before[:4, :40], equal_nan=True)
         assert np.isnan(before[:4, 33:]).all() and np.isnan(before[4:]).all()
         assert np.array_equal(before[:4, :33], co.ratios(k, np.arange(33)[None, :]))
         grown = co.ratios(np.array([[0], [2]]), np.array([[40]]))   # past the boundary
@@ -251,7 +270,9 @@ class TestTables:
         fam = borel._h_family(table, 2.5 + 0j)
         assert fam.table.array.shape == (table.K + 1, table.M - 1)
         assert np.array_equal(fam.table.array, _whole(fam.numer, table.K + 1, table.M - 1))
-        assert fam.table.read(slice(0, table.K + 1), 1, fam.max_terms + 1) is fam.table.array
+        ratio = fam.table.array
+        assert np.array_equal(fam.table.read(slice(0, table.K + 1), 1, fam.max_terms + 1), ratio)
+        assert fam.table.array is ratio
 
 
 def _ei_grid():
@@ -306,8 +327,8 @@ class TestGuards:
 
     def test_terms_past_an_overflow_are_dropped(self):
         # t_j = 1e100^j / j!: t_3 reaches 1e250, so levels keep t_1 + t_2
-        fam = FactorialFamily("overflow", np.ones(2, dtype=complex), np.ones(2),
-                              lambda k, i: np.full(np.broadcast(k, i).shape, 1e100),
+        table = NumerTable(lambda k, i: np.full(np.broadcast(k, i).shape, 1e100), 2)
+        fam = FactorialFamily("overflow", np.ones(2, dtype=complex), np.ones(2), table,
                               size=np.full(2, 1e100), safety=1.0)
         for n_terms in ([1, 2], [5, 40], [60, 3]):
             sums = level_sums(fam, n_terms)
@@ -328,3 +349,13 @@ class TestGuards:
         assert max(plan.n_terms) > FIRST_CHUNK
         _same_walk(fam, 1e-12)
         assert ei_left(x, 1e-12).plan == plan
+
+    def test_a_walk_past_the_widest_table_keeps_it_bounded(self, monkeypatch):
+        # at |x| ~ 1e-10 level 1 keeps 175 terms: the walk forms the columns
+        # past TABLE_COLUMNS for the levels still walking and keeps none
+        monkeypatch.setattr(specfun, "_EI_STOKES", specfun._ei_template(1j * math.pi))
+        fam = ei_stokes_family(1e-10 + 1e-10j)
+        plan = dyadic.plan_truncation(fam, 1e-13)
+        assert max(plan.n_terms) > TABLE_COLUMNS
+        _same_walk(fam, 1e-13)
+        assert fam.table.array.shape == (dyadic.MAX_LEVELS + 1, TABLE_COLUMNS)
