@@ -329,16 +329,10 @@ def _h_family(table: CoefficientTable, u: complex) -> FactorialFamily:
     uk = lv.scale * u
     ratio = lv.ratio.copy()
     ratio[:, 0] = lv.first / uk
-    ratio.flags.writeable = False
-
-    def numer(k, i):
-        return ratio[k, i]
-
     shift = uk + 1.0
     size = np.abs(lv.weighted_first / (uk * shift)) * abs(u)
-    return FactorialFamily("h-expansion", shift, lv.weight,
-                           NumerTable(numer, table.K + 1, array=ratio, first=33), size,
-                           safety=1.3, max_terms=table.M - 2, ladder=lv.ladder)
+    return FactorialFamily("h-expansion", shift, lv.weight, NumerTable(_frozen(ratio), first=33),
+                           size, safety=1.3, ladder=lv.ladder)
 
 
 def _bessel_h_eval(nu: float, u: complex, tol: float,
@@ -401,8 +395,8 @@ def bessel_h(nu: float, x: complex, tol: float = 1e-10) -> EvalResult:
     Direct dyadic expansion for |nu| < 3/2; exact finite form at
     half-integer orders.  Larger orders go through bessel_k_dyadic.
     """
-    if abs(nu) > 5.0:
-        raise DomainError("bessel_h restricted to |nu| <= 5")
+    if not abs(nu) <= 5.0:
+        raise DomainError("bessel_h restricted to finite |nu| <= 5")
     return _bessel_h_eval(nu, x, tol)
 
 
@@ -416,8 +410,8 @@ def bessel_k_dyadic(nu: float, x: float, tol: float = 1e-9) -> EvalResult:
     and K_mu with mu = frac(|nu|).  Every term is positive, so the
     recurrence keeps the seeds' relative accuracy."""
     nu = abs(nu)
-    if nu > 5.0:
-        raise DomainError("bessel_k_dyadic restricted to |nu| <= 5")
+    if not nu <= 5.0:
+        raise DomainError("bessel_k_dyadic restricted to finite |nu| <= 5")
     if not (x > 0):
         raise DomainError("bessel_k_dyadic requires x > 0")
 

@@ -16,9 +16,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import threading
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,7 +48,6 @@ __all__ = [
 MAX_LEVELS = 60          # 2^-60 is below binary64 resolution
 DENOM_GUARD = 1e-8       # singular-denominator threshold (absolute)
 POCH_GUARD = 1e-12       # Pochhammer factor treated as a pole
-N_CAP = 200_000          # terms any one series may keep
 SHIFT_FLOOR = 32.0       # |x_K| from which a ladder's tail expansion holds
 LADDER_LEVELS = 16       # h-table depth: laddered plans at tol >= 1e-10 keep <= 15 levels
 # Richardson error growth an evaluator accepts: at tol 1e-10 the levels then
@@ -59,9 +57,11 @@ MAX_AMPLIFICATION = 100.0
 # over perfbench's point-values inputs (seeds 21-25) 94 % of the planned
 # walks stop every level within 64 terms.
 FIRST_CHUNK = 65
-# Widest a NumerTable grows: the point-values walks of seeds 21-40 read at
-# most 129 columns.  A walk past it forms its columns per chunk.
-TABLE_COLUMNS = 2 * FIRST_CHUNK - 1
+# Columns of the closed-form numerator tables (Ei and digamma), built whole
+# at import: at tol 1.01e-14 and every shift at least 1e-12 from a pole the
+# widest walks keep 192 terms (Ei-Stokes at |x| = 4e-12), 122 (Ei-left)
+# and 49 (digamma).
+TABLE_COLUMNS = 257
 _INDEX = np.arange(1025)                         # shared row and column index
 _INV_LEVELS = 2.0 ** -_INDEX[:MAX_LEVELS + 1]    # 2^-k for every described level
 _TINY = np.finfo(float).tiny
@@ -74,8 +74,8 @@ def _index(n: int) -> np.ndarray:
 
 
 class CutProximityError(DomainError):
-    """A level shift with negative real part (the argument lies across the
-    expansion's cut), or a level that needs more than N_CAP terms."""
+    """A level shift with negative real part: the argument lies across the
+    expansion's cut."""
 
 
 def dyadic_reciprocal_levels(p, K: int) -> np.ndarray:
@@ -237,49 +237,26 @@ class DyadicPlan:
         return sum(self.n_terms)
 
 
+@dataclass(frozen=True)
 class NumerTable:
     """The numerators numer(k, i) of a family for every described level k,
-    as one (levels x columns) array that the planner's walk slices.
+    as one read-only (levels x columns) array that the planner's walk
+    slices, and the columns ``first`` of a walk's first chunk.  A level
+    keeps at most ``columns - 1`` planned terms."""
 
-    ``numer`` is the one definition; the table holds its values over the
-    ``first`` columns that a walk's first chunk reads (or the prebuilt
-    ``array``) and doubles its width, less one, when a walk reads past
-    it, up to TABLE_COLUMNS.  A grown array is built aside and published
-    whole under the table's lock, so a reader holds either the old array
-    or the new one.  Columns past the widest array are formed for the
-    rows that read them and not kept.
-    """
+    array: np.ndarray
+    first: int = FIRST_CHUNK
 
-    def __init__(self, numer: Callable[[np.ndarray, np.ndarray], np.ndarray], levels: int,
-                 array: Optional[np.ndarray] = None, first: int = FIRST_CHUNK):
-        self.numer = numer
-        self.first = first
-        self._levels = np.arange(levels)
-        self._lock = threading.Lock()
-        if array is None:
-            array = self._columns(slice(None), 0, first)
-            array.flags.writeable = False
-        self.array = array
-
-    def _columns(self, rows, lo: int, hi: int) -> np.ndarray:
-        return self.numer(self._levels[rows][:, None], np.arange(lo, hi)[None, :])
+    @property
+    def columns(self) -> int:
+        return self.array.shape[1]
 
     def read(self, rows, need, width: int) -> np.ndarray:
-        """numer over the levels ``rows`` (a slice or an index array) and
-        columns 0..width-1.  ``need``, the entries those rows must hold,
-        concerns tables filled level by level; this one fills every row."""
-        a = self.array
-        if a.shape[1] < width:
-            if width > TABLE_COLUMNS:
-                return self._columns(rows, 0, width)
-            with self._lock:
-                a = self.array
-                if a.shape[1] < width:
-                    hi = min(max(width, 2 * a.shape[1] - 1), TABLE_COLUMNS)
-                    grown = np.concatenate([a, self._columns(slice(None), a.shape[1], hi)], axis=1)
-                    grown.flags.writeable = False
-                    a = self.array = grown
-        return a[rows, :width]
+        """The numerators of the levels ``rows`` (a slice or an index
+        array) over columns 0..width-1.  ``need``, the entries those rows
+        must hold, concerns tables filled level by level; this one is
+        whole."""
+        return self.array[rows, :width]
 
 
 @dataclass(frozen=True)
@@ -295,18 +272,16 @@ class FactorialFamily:
 
     the shape sum_m c_{k,m} Gamma(m) / (x_k)_m with the coefficients and
     Gamma(m) folded into the numerators, so no factor ever overflows.
-    ``numer(k, i)`` takes an integer column of levels and a row (or
-    matrix) of indices and broadcasts; it is the ``numer`` of ``table``,
-    which holds its values, built once per order (a ``NumerTable`` or a
-    table of the same interface).
+    ``table`` holds numer(k, i) over its columns, built once per order (a
+    ``NumerTable`` or a table of the same interface); a level keeps at
+    most ``table.columns - 1`` planned terms.
 
     The planner sees only magnitudes in the units of its tolerance:
     ``size[k]`` = |weight_k t_{k,1}| and the term ratios
     |t_{k,i+1}/t_{k,i}| = |numer / (shift + i)|.  ``safety`` scales every
     remainder estimate.  The planner takes only families whose shifts all
     have Re >= 0, where no Pochhammer factor comes near a pole; the
-    evaluators map their arguments there.  ``max_terms`` caps each series
-    (for a tabulated family, the terms its coefficient rows support).
+    evaluators map their arguments there.
 
     ``ladder`` holds the exponents lambda_j, in increasing order, of the
     tail sum_j a_j 2^(-lambda_j K) that the K-level partial sums leave;
@@ -320,21 +295,12 @@ class FactorialFamily:
     table: NumerTable
     size: np.ndarray
     safety: float
-    max_terms: int = N_CAP
     ladder: Tuple[float, ...] = ()
-
-    @property
-    def numer(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-        return self.table.numer
 
     def tails(self) -> np.ndarray:
         """safety * (size of every described level beyond K), for each K."""
         beyond = np.add.accumulate(self.size[::-1])[::-1]
         return self.safety * np.append(beyond[1:], 0.0)
-
-    def ratios(self, k: np.ndarray, i: np.ndarray) -> np.ndarray:
-        """|t_{k,i+1} / t_{k,i}|."""
-        return np.abs(self.numer(k, i)) / np.abs(self.shift[k] + i)
 
 
 def romberg(partial_sums: Sequence, ladder: Sequence[float]) -> Tuple[complex, complex]:
@@ -405,8 +371,8 @@ def _walk(fam: FactorialFamily, counts: Optional[np.ndarray], target: float = 0.
     (K + 1 = len(counts)) each level keeps exactly that many; without
     them (K + 1 = len(gain)) a level keeps the smallest count whose
     remainder, the next term over the local geometric gap scaled by the
-    level's ``gain``, is below ``target``, or every term its coefficient
-    row holds.
+    level's ``gain``, is below ``target``, or the ``table.columns - 1``
+    terms its table supports.
 
     The numerators come from slices of the family's table.  Fixed counts
     take one pass over max(counts) columns.  The planner's walk reads the
@@ -424,21 +390,24 @@ def _walk(fam: FactorialFamily, counts: Optional[np.ndarray], target: float = 0.
     walked (0 with fixed counts), and an array of max(counts) columns
     whose row k starts with the terms of level k, for ``_sums``.
     """
+    columns = fam.table.columns
     if counts is not None:
         K, width = len(counts) - 1, int(counts.max())
+        if K >= len(fam.shift) or width > columns:
+            raise DomainError(f"{fam.name}: a plan takes at most {len(fam.shift) - 1} levels "
+                              f"of at most {columns} terms")
         rows = slice(0, K + 1)
         num = fam.table.read(rows, counts, width)
         terms = np.multiply.accumulate(num / (fam.shift[rows, None] + _index(width)), axis=1)
         return counts, np.zeros(K + 1), terms
     K = len(gain) - 1
-    limit = fam.max_terms
     first = fam.size[:K + 1] * gain           # |t_1| of each level
     walk = _index(K + 1)                      # levels still walking
     rows = slice(0, K + 1)                    # the same, as an index
     lo, hi = 0, fam.table.first
     while True:
-        width = min(hi, limit + 1)
-        last = width > limit                  # unmet rows run out in this chunk
+        width = min(hi, columns)
+        last = width == columns               # unmet rows run out in this chunk
         # the stop rule at count c reads the ratio at index c
         num = fam.table.read(rows, width if last else lo + 1, width)
         quot = num / (fam.shift[rows, None] + _index(width))
@@ -456,12 +425,7 @@ def _walk(fam: FactorialFamily, counts: Optional[np.ndarray], target: float = 0.
         remainder = walked[idx, at]           # at the last count walked
         n = at + 1 if done else np.where(met, at + 1, 0)
         if last and not done:
-            if fam.max_terms >= N_CAP:
-                raise CutProximityError(
-                    f"{fam.name}: a level needs more than {N_CAP} terms; "
-                    "argument is too close to the expansion's cut for this tolerance"
-                )
-            n = np.where(met, n, fam.max_terms)
+            n = np.where(met, n, columns - 1)
             done = True
         kept = int(n.max())
         run = np.multiply.accumulate(quot[:, :kept], axis=1)
@@ -548,8 +512,10 @@ def level_sums(fam: FactorialFamily, n_terms: Sequence[int]) -> np.ndarray:
     """The m-sums of levels 0..len(n_terms)-1, n_terms[k] terms each
     (weights not applied): the planner's walk with the counts fixed.
 
-    A Pochhammer factor within 1e-12 of zero raises PoleError; terms from
-    the first one that overflows on are dropped.
+    More levels than the family describes, or a count past its table's
+    columns, raise DomainError.  A Pochhammer factor within 1e-12 of zero
+    raises PoleError; terms from the first one that overflows on are
+    dropped.
     """
     n, _, terms = _walk(fam, np.asarray(n_terms, dtype=np.int64))
     return _sums(fam, n, terms)[0]
@@ -572,7 +538,8 @@ def assemble(fam: FactorialFamily, plan: DyadicPlan) -> Tuple[complex, float]:
     plan's Richardson steps) and the error it adds to the plan's
     prediction, in the units of the value: the size of its last
     correction plus the rounding of the kept terms, eps times their
-    magnitudes, each through its level's weight and Richardson gain."""
+    magnitudes, each through its level's weight and Richardson gain.  A
+    plan outside the family (``level_sums``) raises DomainError."""
     if plan.steps > len(fam.ladder):
         raise DomainError(f"{fam.name}: the ladder has {len(fam.ladder)} steps, "
                           f"the plan asks for {plan.steps}")

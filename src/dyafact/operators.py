@@ -108,14 +108,14 @@ def resolvent_dyadic(op: HermitianOperator, lam: float, K: int,
 
         i (1 - e^{-lam} U_1)^{-1} - i sum_{k=1}^{K} 2^{-k} (1 + e^{-lam/2^k} U_{2^-k})^{-1}
 
-    applied to v; every inner inverse is a scalar function of A.  lam > 0
-    (conjugate the identity for the other half plane).  The series acts on
-    the coefficients c = V^* v: the partial is V (i f_K o c) with f_K the
-    level-K reciprocal at lam + i w, and the error at level k is
-    ||(i f_k - 1/(w - i lam)) o c||_2, so no n x n matrix is formed.
+    applied to v; every inner inverse is a scalar function of A.  lam is
+    finite and > 0 (conjugate the identity for the other half plane).  The
+    series acts on the coefficients c = V^* v: the partial is V (i f_K o c)
+    with f_K the level-K reciprocal at lam + i w, and the error at level k
+    is ||(i f_k - 1/(w - i lam)) o c||_2, so no n x n matrix is formed.
     """
-    if lam <= 0:
-        raise DomainError("resolvent_dyadic requires lam > 0")
+    if not 0 < lam < math.inf:
+        raise DomainError("resolvent_dyadic requires a finite lam > 0")
     if K < 0 or K > MAX_LEVELS:
         raise DomainError(f"level count must be in [0, {MAX_LEVELS}]")
     w, vecs = op.eigenvalues, op.eigenvectors
@@ -159,8 +159,8 @@ def fractional_power_dyadic(op: HermitianOperator, s: float, K: int
     w = op.eigenvalues
     if w.min() <= 1e-3 or w.max() >= 1e3:
         raise DomainError("fractional_power_dyadic needs the spectrum inside (1e-3, 1e3)")
-    if s >= 1.0 or abs(s - round(s)) < 1e-12:
-        raise DomainError("fractional_power_dyadic requires non-integer s < 1")
+    if not math.isfinite(s) or s >= 1.0 or abs(s - round(s)) < 1e-12:
+        raise DomainError("fractional_power_dyadic requires a finite non-integer s < 1")
     if K < 0 or K > MAX_LEVELS:
         raise DomainError(f"level count must be in [0, {MAX_LEVELS}]")
     ref = op.apply_scalar(lambda t: math.pi * t ** (s - 1.0))
@@ -182,8 +182,8 @@ def resolvent_double_sum(op: HermitianOperator, lam: float, K: int, J: int
     """
     if op.dim > 8 or J > 1000:
         raise DomainError("double-sum demonstration limited to dim <= 8, J <= 1000")
-    if lam <= 0:
-        raise DomainError("resolvent_double_sum requires lam > 0")
+    if not 0 < lam < math.inf:
+        raise DomainError("resolvent_double_sum requires a finite lam > 0")
 
     def f(w: float) -> complex:
         z1 = cmath.exp(-lam - 1j * w)

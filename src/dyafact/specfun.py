@@ -24,6 +24,7 @@ from .dyadic import (
     FIRST_CHUNK,
     MAX_AMPLIFICATION,
     MAX_LEVELS,
+    TABLE_COLUMNS,
     DyadicPlan,
     FactorialFamily,
     NumerTable,
@@ -91,10 +92,12 @@ def _result(value: complex, estimate: float, plan: DyadicPlan, tol: float,
     return EvalResult(value, estimate, plan, bool(estimate <= bound))
 
 
-def _geometric(a: np.ndarray, den: np.ndarray):
-    """Numerators of a family with geometric coefficients: term 1 of
-    level k is a_k / (den_k x_k), and t_{i+1} / t_i = i / (den_k (x_k + i))."""
-    return lambda k, i: np.where(i == 0, a[k], i) / den[k]
+def _geometric(a: np.ndarray, den: np.ndarray, first: int = FIRST_CHUNK) -> NumerTable:
+    """The numerator table of a family with geometric coefficients, over
+    TABLE_COLUMNS columns: term 1 of level k is a_k / (den_k x_k), and
+    t_{i+1} / t_i = i / (den_k (x_k + i))."""
+    i = np.arange(TABLE_COLUMNS)
+    return NumerTable(_frozen(np.where(i == 0, a[:, None], i) / den[:, None]), first)
 
 
 def _ei_template(c: complex) -> tuple:
@@ -105,7 +108,7 @@ def _ei_template(c: complex) -> tuple:
     a = np.exp(-c / _LEVELS)
     den = 1.0 + a
     den[0] = 1.0 - a[0]
-    return _frozen(a), _frozen(den), NumerTable(_geometric(a, den), len(a))
+    return _frozen(a), _frozen(den), _geometric(a, den)
 
 
 _EI_STOKES = _ei_template(1j * math.pi)
@@ -261,7 +264,7 @@ def ei_left_classical_stream(n_max: int = 400) -> "CoefficientStream":
 
 
 # digamma levels keep at most 27 terms over perfbench's point-values inputs
-_PSI_TABLE = NumerTable(_geometric(_ONES, 2.0 * _ONES), len(_ONES), first=33)
+_PSI_TABLE = _geometric(_ONES, 2.0 * _ONES, first=33)
 _PSI_WEIGHT = _frozen((_LEVELS > 1).astype(float))
 
 
@@ -315,6 +318,12 @@ def psi_half_difference(x: complex, n: int) -> complex:
 # ---------------------------------------------------------------------------
 
 
+_GAMMA_TERMS = 150  # terms a level may keep: the base coefficients overflow near m = 185
+_GAMMA_ROW = 33     # entries a level's row starts with: most levels keep fewer than 32 terms
+_LEVEL_IDS = np.arange(MAX_LEVELS + 1)
+_NONE_FILLED = _frozen(np.zeros(MAX_LEVELS + 1, dtype=np.int64))
+
+
 class _GammaCoeffs:
     """Per-order coefficient streams of the ramified-polylog expansion of
     Gamma(1-s) e^x x^{-s} Gamma(s, x).
@@ -333,7 +342,8 @@ class _GammaCoeffs:
     (-1, 0) are reduced to s + 1 by one derivative shift.
     """
 
-    first = FIRST_CHUNK   # columns of a walk's first chunk over ``read``
+    first = FIRST_CHUNK          # columns of a walk's first chunk over ``read``
+    columns = _GAMMA_TERMS + 1   # columns of ``read``: a level keeps at most _GAMMA_TERMS terms
 
     def __init__(self, s: float):
         if not (-1.0 < s < 1.0) or s == 0.0:
@@ -341,10 +351,10 @@ class _GammaCoeffs:
         self.s = s
         self._base: list = []
         self._level: Dict[int, np.ndarray] = {}
-        # the term ratios of every level (NaN past a row's filled entries)
-        # and the entries filled per level, published together
-        self._table = (np.full((MAX_LEVELS + 1, _GAMMA_TERMS + 1), np.nan),
-                       np.zeros(MAX_LEVELS + 1, dtype=np.int64))
+        # the term ratios of every level (NaN past a row's filled entries,
+        # allocated at the first read) and the entries filled per level,
+        # published together
+        self._table: Tuple[Optional[np.ndarray], np.ndarray] = (None, _NONE_FILLED)
         self._shift: Optional[_GammaCoeffs] = _GammaCoeffs(s + 1.0) if s < 0 else None
         if self._shift is None and s > 0:
             self._gamma_s = math.gamma(s)
@@ -406,47 +416,35 @@ class _GammaCoeffs:
 
     def read(self, levels, need, width: int) -> np.ndarray:
         """The numerator table of the family (``NumerTable``'s interface):
-        the term ratios of the levels ``levels`` (a slice or an index
-        array) over columns 0..width-1, each row filled over its first
-        ``need`` entries at least and NaN past the entries it holds."""
-        return self._filled(levels, need)[levels, :width]
-
-    def _filled(self, levels, need) -> np.ndarray:
-        """The term ratios c_{k,i} / c_{k,i-1} (c_{k,-1} = 1) of every level
-        as one array of _GAMMA_TERMS + 1 columns, NaN past the entries a
-        row holds, with rows ``levels`` filled over their first ``need``
-        entries at least.  A short row is refilled from a coefficient row
-        of at least _GAMMA_ROW entries and twice its length before; the
-        refilled array is built aside and published whole under
-        _GAMMA_LOCK."""
+        the term ratios c_{k,i} / c_{k,i-1} (c_{k,-1} = 1) of the levels
+        ``levels`` (a slice or an index array) over columns 0..width-1,
+        each row filled over its first ``need`` entries at least and NaN
+        past the entries it holds.  A short row is refilled from a
+        coefficient row of at least _GAMMA_ROW entries and twice its
+        length before; the refilled table is built aside and published
+        whole under _GAMMA_LOCK."""
         ratios, have = self._table
-        if not (have[levels] < need).any():
-            return ratios
-        with _GAMMA_LOCK:
-            ratios, have = self._table
-            ids = _LEVEL_IDS[levels]
-            need = np.broadcast_to(need, ids.shape)
-            short = have[ids] < need
-            if short.any():
-                ratios, have = ratios.copy(), have.copy()
-                for k, n in zip(ids[short].tolist(), need[short].tolist()):
-                    n = max(n, _GAMMA_ROW, min(2 * int(have[k]), _GAMMA_TERMS + 1))
-                    c = self.row(k, n)
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        ratios[k, :n] = c / np.append(1.0, c[:-1])
-                    have[k] = n
-                ratios.flags.writeable = False
-                self._table = (ratios, have)
-        return ratios
-
-    def ratios(self, k: np.ndarray, i: np.ndarray) -> np.ndarray:
-        """Term ratios c_{k,i} / c_{k,i-1} for a column of levels k and
-        indices i <= _GAMMA_TERMS (broadcast), read from the table of
-        ``read``; a level's entries are filled, by doubling, only when an
-        index past them is asked for."""
-        return self._filled(k[:, 0], np.max(i, axis=-1) + 1)[k, i]
-
-    numer = ratios    # the family's numerators, as ``NumerTable.numer``
+        if (have[levels] < need).any():
+            with _GAMMA_LOCK:
+                ratios, have = self._table
+                ids = _LEVEL_IDS[levels]
+                need = np.broadcast_to(need, ids.shape)
+                short = have[ids] < need
+                if short.any():
+                    if ratios is None:
+                        ratios = np.full((MAX_LEVELS + 1, self.columns), np.nan)
+                    else:
+                        ratios = ratios.copy()
+                    have = have.copy()
+                    for k, n in zip(ids[short].tolist(), need[short].tolist()):
+                        n = max(n, _GAMMA_ROW, min(2 * int(have[k]), self.columns))
+                        c = self.row(k, n)
+                        with np.errstate(divide="ignore", invalid="ignore"):
+                            ratios[k, :n] = c / np.append(1.0, c[:-1])
+                        have[k] = n
+                    ratios.flags.writeable = False
+                    self._table = (ratios, have)
+        return ratios[levels, :width]
 
     def _level_row(self, k: int, n: int) -> np.ndarray:
         """c_{k,0..n-1}, all m from one sampling on shared Gauss nodes."""
@@ -480,9 +478,6 @@ class _GammaCoeffs:
 
 
 _GAMMA_CACHE: Dict[float, _GammaCoeffs] = {}
-_GAMMA_TERMS = 150  # terms a level may keep: the base coefficients overflow near m = 185
-_GAMMA_ROW = 33     # entries a level's row starts with: most levels keep fewer than 32 terms
-_LEVEL_IDS = np.arange(MAX_LEVELS + 1)
 # guards the coefficient cache and every refill of a table's rows
 _GAMMA_LOCK = threading.Lock()
 
@@ -511,7 +506,7 @@ def _gamma_family(s: float, x: complex, coeffs: _GammaCoeffs) -> FactorialFamily
     the levels it keeps."""
     weight, lead = coeffs.levels
     return FactorialFamily("incomplete-gamma", _LEVELS * x, weight, coeffs, lead / abs(x),
-                           safety=4.0, max_terms=_GAMMA_TERMS, ladder=_gamma_ladder(s))
+                           safety=4.0, ladder=_gamma_ladder(s))
 
 
 def _gamma_eval(s: float, x: complex, tol: float, plan: Optional[DyadicPlan]) -> EvalResult:
@@ -543,8 +538,8 @@ def incomplete_gamma_dyadic(s: float, x: complex, tol: float = 4e-9,
     x = complex(x)
     if x.real <= 0:
         raise DomainError("incomplete_gamma_dyadic requires Re x > 0")
-    if s >= 1.0 or abs(s - round(s)) < 1e-12:
-        raise DomainError("incomplete_gamma_dyadic requires non-integer s < 1")
+    if not math.isfinite(s) or s >= 1.0 or abs(s - round(s)) < 1e-12:
+        raise DomainError("incomplete_gamma_dyadic requires a finite non-integer s < 1")
     if amplification(_gamma_ladder(s)) <= MAX_AMPLIFICATION:
         return _gamma_eval(s, x, tol, plan)
     # |s - 1| Gamma(s - 1, x) < x^(s-1) e^-x <= Gamma(s, x) (x + 1 - s) / x

@@ -270,3 +270,8 @@ class TestBessel:
             bessel_k_dyadic(6.0, 2.0)
         with pytest.raises(DomainError):
             bessel_h(2.0, 10.0, 1e-8)  # needs the recurrence wrapper
+        for nu in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                bessel_k_dyadic(nu, 2.0)
+            with pytest.raises(DomainError):
+                bessel_h(nu, 2.0)

@@ -87,6 +87,12 @@ class TestEval:
                 assert run([cmd, "--function", fn] + grid) == 2
                 assert "finite" in capsys.readouterr().err
 
+    def test_non_finite_order_is_a_domain_error(self, capsys):
+        for fn in ("inc-gamma", "bessel-k"):
+            for s in ("nan", "inf", "-inf"):
+                assert run(["eval", "--function", fn, f"--s={s}", "--x-start", "2"]) == 2
+                assert "finite" in capsys.readouterr().err
+
     def test_unknown_function(self):
         rc = run(["eval", "--function", "zeta", "--x-start", "1", "--points", "1"])
         assert rc == 2
@@ -208,6 +214,16 @@ class TestOperator:
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert float(lines[-1].split("=")[-1]) <= 1e-6
+
+    def test_rejects_a_non_finite_lambda_or_order(self, tmp_path, capsys):
+        mpath = tmp_path / "spd.txt"
+        self._write_matrix(mpath, np.diag([0.5, 1.0, 2.0]).astype(complex))
+        for args in (["--mode", "resolvent", "--lambda", "nan"],
+                     ["--mode", "resolvent", "--lambda", "inf"],
+                     ["--mode", "power", "--s", "nan"]):
+            assert run(["operator", "--matrix", str(mpath)] + args) == 2
+            out = capsys.readouterr()
+            assert out.out == "" and "finite" in out.err
 
     def test_rejects_non_hermitian(self, tmp_path):
         mpath = tmp_path / "bad.txt"

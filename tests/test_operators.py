@@ -120,8 +120,9 @@ class TestResolvent:
 
     def test_lambda_domain(self):
         op = random_hermitian(4, np.random.default_rng(6))
-        with pytest.raises(DomainError):
-            resolvent_dyadic(op, -1.0, 10, np.ones(4, dtype=complex))
+        for lam in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                resolvent_dyadic(op, lam, 10, np.ones(4, dtype=complex))
 
 
 class TestInverse:
@@ -172,6 +173,12 @@ class TestFractionalPower:
         op = HermitianOperator.from_matrix(np.diag([1e-4, 1.0]).astype(complex))
         with pytest.raises(DomainError):
             fractional_power_dyadic(op, 0.5, 40)
+
+    def test_non_finite_order(self):
+        op = HermitianOperator.from_matrix(np.diag([0.5, 2.0]).astype(complex))
+        for s in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                fractional_power_dyadic(op, s, 40)
 
 
 class TestErrorTrace:
@@ -306,6 +313,12 @@ class TestDoubleSum:
         op = HermitianOperator.from_matrix(np.eye(9, dtype=complex))
         with pytest.raises(DomainError):
             resolvent_double_sum(op, 1.0, 5, 100)
+
+    def test_lambda_domain(self):
+        op = HermitianOperator.from_matrix(np.diag([0.5, 1.0]).astype(complex))
+        for lam in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                resolvent_double_sum(op, lam, 3, 10)
 
 
 class TestMatrixIO:

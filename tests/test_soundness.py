@@ -276,12 +276,14 @@ def test_point_values_meet_their_tolerance():
 
 def _kept_rounding(fam, plan):
     """eps * sum_k |weight_k| gain_k sum_j |t_kj| over the plan's kept
-    terms, in the units of the value, from products of numer itself."""
+    terms, in the units of the value, from products of the numerators the
+    family's table holds."""
     n = np.asarray(plan.n_terms)
     k = np.arange(len(n))[:, None]
     j = np.arange(n.max())[None, :]
     i = np.minimum(j, n[:, None] - 1)
-    terms = np.cumprod(fam.numer(k, i) / (fam.shift[k] + i), axis=1)
+    numer = fam.table.read(slice(0, len(n)), n, n.max())[k, i]
+    terms = np.cumprod(numer / (fam.shift[k] + i), axis=1)
     sizes = np.where(j < n[:, None], np.abs(terms), 0.0).sum(axis=1)
     gain = dyadic._romberg_gains(plan.K, fam.ladder[:plan.steps])
     weight = np.abs(fam.weight[:plan.K + 1])

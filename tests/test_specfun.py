@@ -5,15 +5,17 @@ import numpy as np
 import pytest
 
 from dyafact import oracle
-from dyafact.dyadic import CutProximityError, DyadicPlan, level_sums
+from dyafact.dyadic import TABLE_COLUMNS, CutProximityError, DyadicPlan, level_sums
 from dyafact.oracle import verify_strange_identity
 from dyafact.scalar import DomainError
 from dyafact.specfun import (
+    _GAMMA_TERMS,
     _GammaCoeffs,
     ei_left,
     ei_left_base_stream,
     ei_left_family,
     ei_stokes,
+    ei_stokes_family,
     erfc_dyadic,
     incomplete_gamma_dyadic,
     psi_dyadic,
@@ -168,6 +170,9 @@ class TestIncompleteGamma:
             incomplete_gamma_dyadic(0.5, -1.0)
         with pytest.raises(DomainError):
             incomplete_gamma_dyadic(0.0, 1.0)
+        for s in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                incomplete_gamma_dyadic(s, 2.0)
 
     def test_coefficients_match_stirling_formula(self):
         # the stable coefficient routes agree with the Stirling-number
@@ -262,3 +267,30 @@ class TestErfc:
         a = erfc_dyadic(x).value
         b = incomplete_gamma_dyadic(0.5, x).value / math.sqrt(math.pi)
         assert a == b
+
+
+class TestCallerPlans:
+    """A caller's plan is assembled as it stands when it lies inside the
+    family's levels and its table's columns, and is a domain error outside
+    them."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: ei_stokes(5.0, plan=DyadicPlan(61, [2] * 62, 1e-3)),
+        lambda: psi_dyadic(2.0, plan=DyadicPlan(61, [2] * 62, 1e-3)),
+        lambda: ei_left(2.0, plan=DyadicPlan(0, [TABLE_COLUMNS + 1], 1e-3)),
+        lambda: incomplete_gamma_dyadic(0.5, 2.0, plan=DyadicPlan(0, [200], 1e-3)),
+        lambda: incomplete_gamma_dyadic(0.5, 2.0, plan=DyadicPlan(61, [2] * 62, 1e-3)),
+        lambda: level_sums(ei_stokes_family(5.0), [TABLE_COLUMNS + 1]),
+    ])
+    def test_outside_the_family(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+    def test_as_wide_as_the_table(self):
+        # every column of a table is read, and the estimate of the plain
+        # truncation holds the distance to the planned value
+        for x in (5.0, 2.0 - 1.0j):
+            plan = DyadicPlan(60, [TABLE_COLUMNS] * 61, 1e-3)
+            assert abs(ei_stokes(x, plan=plan).value - ei_stokes(x, 1e-12).value) <= 1e-12
+        r = incomplete_gamma_dyadic(0.5, 2.0, plan=DyadicPlan(40, [_GAMMA_TERMS + 1] * 41, 1e-3))
+        assert abs(r.value - incomplete_gamma_dyadic(0.5, 2.0, 1e-12).value) <= r.error_estimate

@@ -4,8 +4,9 @@ templates and numerator tables built once.
 A plan passed back with ``plan=`` re-walks the levels with fixed counts;
 it must give the value the planned call gave, and ``level_sums`` must give
 the sums the planner's walk kept.  The draws cover the ranges of
-perfbench's point-values workload for all seven evaluators.  Every table
-holds numer(k, i) bit for bit, also once grown, and tables grown by two
+perfbench's point-values workload for all seven evaluators.  Every
+closed-form table is one read-only array equal to its closed form bit for
+bit, the widest walks fit in it, and incomplete-gamma rows filled by two
 threads at once give the values of a serial run.
 """
 
@@ -14,6 +15,7 @@ import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -61,8 +63,9 @@ def _padded_level_sums(fam, n_terms):
     den = fam.shift[k] + i
     if np.any(np.abs(den) < dyadic.POCH_GUARD):
         raise PoleError("factorial-series denominator within 1e-12 of a pole")
+    numer = fam.table.read(slice(0, len(n)), n, n.max())[k, i]
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.cumprod(fam.numer(k, i) / den, axis=1)
+        terms = np.cumprod(numer / den, axis=1)
         alive = np.logical_and.accumulate(np.abs(terms) < 1e250, axis=1)
     return np.where((j < n[:, None]) & alive, terms, 0.0).sum(axis=1)
 
@@ -163,8 +166,7 @@ class TestTemplates:
     def test_exponential_integral_and_digamma(self):
         for family in (ei_stokes_family, ei_left_family, psi_family):
             a, b = family(2.0 + 0.5j), family(7.0 - 1.0j)
-            assert a.numer is b.numer and a.weight is b.weight
-            assert a.table is b.table and a.table.numer is a.numer
+            assert a.table is b.table and a.weight is b.weight
             assert not np.array_equal(a.shift, b.shift)
 
     def test_incomplete_gamma(self):
@@ -203,81 +205,98 @@ class TestTemplates:
         assert np.array_equal(fam.table.array[:, 1:], levels.ratio[:, 1:])
 
 
-def _whole(numer, levels, width):
-    k = np.arange(levels)[:, None]
-    return numer(k, np.arange(width)[None, :])
-
-
 class TestTables:
-    """Each template's numerator table holds numer(k, i) bit for bit, on
-    either side of a growth; a grown array is a new one, and the array a
-    reader held stays as it was."""
+    """Each closed-form numerator table is one read-only array of
+    TABLE_COLUMNS columns, equal to its closed form bit for bit, that
+    ``read`` slices; the h table is its template's ratios but for column
+    0; incomplete gamma fills its rows level by level through ``read``."""
+
+    @staticmethod
+    def _closed_form(table, a, den):
+        k = np.arange(dyadic.MAX_LEVELS + 1)[:, None]
+        i = np.arange(TABLE_COLUMNS)[None, :]
+        closed = np.where(i == 0, a[k], i) / den[k]
+        assert table.array.shape == (dyadic.MAX_LEVELS + 1, TABLE_COLUMNS) == closed.shape
+        assert table.columns == TABLE_COLUMNS and table.array.dtype == closed.dtype
+        assert np.array_equal(table.array, closed)
+        assert not table.array.flags.writeable
+        with pytest.raises(ValueError):
+            table.array[0, 0] = 0.0
+        with pytest.raises(FrozenInstanceError):
+            table.array = closed
+        rows = np.array([1, 4])
+        assert np.array_equal(table.read(rows, 1, 40), closed[rows, :40])
+        whole = table.read(slice(0, 3), 1, TABLE_COLUMNS)
+        assert np.shares_memory(whole, table.array) and np.array_equal(whole, closed[:3])
 
     @pytest.mark.parametrize("c", [1j * math.pi, -1.0])
     def test_exponential_integral(self, c):
-        levels = dyadic.MAX_LEVELS + 1
-        table = specfun._ei_template(c)[2]          # fresh, FIRST_CHUNK columns
-        before = table.array
-        assert before.shape == (levels, FIRST_CHUNK) and not before.flags.writeable
-        assert np.array_equal(before, _whole(table.numer, levels, FIRST_CHUNK))
-        head = table.read(slice(0, 3), FIRST_CHUNK + 1, FIRST_CHUNK + 1)
-        grown = table.array
-        assert grown.shape[1] == 2 * FIRST_CHUNK - 1 == TABLE_COLUMNS
-        assert grown.dtype == before.dtype
-        assert np.array_equal(grown, _whole(table.numer, levels, grown.shape[1]))
-        assert np.array_equal(head, grown[:3, :FIRST_CHUNK + 1])
-        assert np.array_equal(grown[:, :FIRST_CHUNK], before)
-        assert before.shape[1] == FIRST_CHUNK and not grown.flags.writeable
-        # past the widest table the rows read are formed, and nothing is kept
-        rows = np.array([1, 4])
-        past = table.read(rows, 1, 3 * TABLE_COLUMNS)
-        assert np.array_equal(past, _whole(table.numer, levels, 3 * TABLE_COLUMNS)[rows])
-        assert table.array is grown
+        a, den, table = specfun._EI_STOKES if c == 1j * math.pi else specfun._EI_LEFT
+        assert np.array_equal(a, np.exp(-c / 2.0 ** np.arange(dyadic.MAX_LEVELS + 1)))
+        self._closed_form(table, a, den)
 
     def test_digamma(self):
-        table = NumerTable(specfun._PSI_TABLE.numer, dyadic.MAX_LEVELS + 1, first=33)
-        assert np.array_equal(table.array, _whole(table.numer, dyadic.MAX_LEVELS + 1, 33))
-        assert np.array_equal(table.read(slice(0, 2), 40, 40), table.array[:2, :40])
-        grown = table.array
-        assert grown.shape[1] == 65
-        assert np.array_equal(grown, _whole(table.numer, dyadic.MAX_LEVELS + 1, 65))
-        table.read(slice(0, 2), 1, 65)
-        assert table.array is grown
+        ones = np.ones(dyadic.MAX_LEVELS + 1)
+        self._closed_form(specfun._PSI_TABLE, ones, 2.0 * ones)
+        assert specfun._PSI_TABLE.first == 33
 
     def test_incomplete_gamma_through_ratios(self):
-        co = specfun._GammaCoeffs(0.37)               # fresh: no row built
-        k = np.arange(4)[:, None]
+        co = specfun._GammaCoeffs(0.37)               # fresh: no row built, no table
+        assert co._table[0] is None and co.columns == specfun._GAMMA_TERMS + 1
         head = co.read(slice(0, 4), 1, 40)            # rows start with 33 entries
         before = co._table[0]
+        assert before.shape == (dyadic.MAX_LEVELS + 1, co.columns)
         assert np.array_equal(co._table[1][:5], [33, 33, 33, 33, 0])
         assert np.array_equal(head, before[:4, :40], equal_nan=True)
         assert np.isnan(before[:4, 33:]).all() and np.isnan(before[4:]).all()
-        assert np.array_equal(before[:4, :33], co.ratios(k, np.arange(33)[None, :]))
-        grown = co.ratios(np.array([[0], [2]]), np.array([[40]]))   # past the boundary
+        grown = co.read(np.array([0, 2]), 41, 41)     # past the boundary
         assert np.array_equal(co._table[1][:4], [66, 33, 66, 33])
         ratios = co._table[0]
         assert ratios is not before and np.isnan(before[:4, 33:]).all()
-        assert np.array_equal(grown[:, 0], ratios[[0, 2], 40])
+        assert not ratios.flags.writeable
+        assert np.array_equal(grown, ratios[[0, 2], :41])
         for lvl, n in ((0, 66), (1, 33), (2, 66), (3, 33)):
             c = co.row(lvl, n)
             with np.errstate(divide="ignore", invalid="ignore"):
                 assert np.array_equal(ratios[lvl, :n], c / np.append(1.0, c[:-1]))
-            assert np.array_equal(ratios[lvl, :n], co.ratios(np.array([[lvl]]), np.arange(n)[None, :])[0])
+            assert np.array_equal(ratios[lvl, :n], co.read(np.array([lvl]), n, n)[0])
             assert np.isnan(ratios[lvl, n:]).all()
 
-    def test_h_expansion_through_its_closure(self):
+    def test_the_order_shift_helper_holds_no_table(self):
+        # an order s < 0 builds its rows from those of its order-(s + 1)
+        # helper, which it never reads as a table
+        incomplete_gamma_dyadic(-0.5, 2.0, 1e-10)
+        helper = specfun._gamma_coeffs(-0.5)._shift
+        assert helper.s == 0.5 and len(helper._level) > 0
+        assert helper._table[0] is None
+
+    def test_h_expansion(self):
         table = get_table(0.7, 66, LADDER_LEVELS)
+        lv = table.h_levels
         fam = borel._h_family(table, 2.5 + 0j)
-        assert fam.table.array.shape == (table.K + 1, table.M - 1)
-        assert np.array_equal(fam.table.array, _whole(fam.numer, table.K + 1, table.M - 1))
         ratio = fam.table.array
-        assert np.array_equal(fam.table.read(slice(0, table.K + 1), 1, fam.max_terms + 1), ratio)
-        assert fam.table.array is ratio
+        assert ratio.shape == (table.K + 1, table.M - 1) == lv.ratio.shape
+        assert fam.table.columns == table.M - 1 and not ratio.flags.writeable
+        assert np.array_equal(ratio[:, 1:], lv.ratio[:, 1:])
+        assert np.array_equal(ratio[:, 0], lv.first / (lv.scale * (2.5 + 0j)))
+        assert np.array_equal(fam.table.read(slice(0, table.K + 1), 1, table.M - 1), ratio)
+
+
+@pytest.mark.parametrize("family, terms", [(ei_stokes_family, 192), (ei_left_family, 122),
+                                           (psi_family, 49)])
+def test_the_widest_walks_fit_in_the_table(family, terms):
+    # at tol 1.01e-14 and |x| = 4e-12, every shift at least 1e-12 from a
+    # pole, the widest walks keep fewer terms than a table supports
+    widest = 0
+    for deg in (0.0, 10.0, 45.0, 90.0):
+        fam = family(4e-12 * cmath.exp(1j * math.radians(deg)))
+        widest = max(widest, max(dyadic.plan_truncation(fam, 1.01e-14).n_terms))
+    assert widest == terms < TABLE_COLUMNS - 1
 
 
 def _ei_grid():
     """Ei-Stokes points beside the Stokes line at tol 1e-12: level 1 keeps
-    73 to 105 terms, past a fresh table's FIRST_CHUNK columns."""
+    73 to 105 terms, past a walk's first chunk."""
     return [ei_stokes(x, 1e-12).value for x in (5.0 + 0.3j, 2.0 + 0.05j, 0.5 + 0.01j, 3.0 - 0.1j)]
 
 
@@ -286,13 +305,11 @@ def _gamma_grid(s):
 
 
 def test_tables_grown_by_two_threads_give_the_serial_values(monkeypatch):
+    # the incomplete-gamma rows of a fresh order are filled while an
+    # Ei-Stokes grid reads its table, which no walk replaces
     s = -0.4321                                  # an order no other test builds
-
-    def fresh():
-        monkeypatch.setattr(specfun, "_GAMMA_CACHE", {})
-        monkeypatch.setattr(specfun, "_EI_STOKES", specfun._ei_template(1j * math.pi))
-
-    fresh()
+    ei_array = specfun._EI_STOKES[2].array
+    monkeypatch.setattr(specfun, "_GAMMA_CACHE", {})
     start = threading.Barrier(2, timeout=60)
 
     def together(task, *args):
@@ -307,10 +324,10 @@ def test_tables_grown_by_two_threads_give_the_serial_values(monkeypatch):
             threaded = [job.result(timeout=120) for job in jobs]
     finally:
         sys.setswitchinterval(interval)
-    assert specfun._EI_STOKES[2].array.shape[1] > FIRST_CHUNK
-    fresh()
+    assert specfun._EI_STOKES[2].array is ei_array
+    monkeypatch.setattr(specfun, "_GAMMA_CACHE", {})
     serial = [_gamma_grid(s), _ei_grid()]
-    assert specfun._EI_STOKES[2].array.shape[1] > FIRST_CHUNK
+    assert specfun._EI_STOKES[2].array is ei_array
     assert threaded == serial
 
 
@@ -327,7 +344,7 @@ class TestGuards:
 
     def test_terms_past_an_overflow_are_dropped(self):
         # t_j = 1e100^j / j!: t_3 reaches 1e250, so levels keep t_1 + t_2
-        table = NumerTable(lambda k, i: np.full(np.broadcast(k, i).shape, 1e100), 2)
+        table = NumerTable(np.full((2, 61), 1e100))
         fam = FactorialFamily("overflow", np.ones(2, dtype=complex), np.ones(2), table,
                               size=np.full(2, 1e100), safety=1.0)
         for n_terms in ([1, 2], [5, 40], [60, 3]):
@@ -350,12 +367,9 @@ class TestGuards:
         _same_walk(fam, 1e-12)
         assert ei_left(x, 1e-12).plan == plan
 
-    def test_a_walk_past_the_widest_table_keeps_it_bounded(self, monkeypatch):
-        # at |x| ~ 1e-10 level 1 keeps 175 terms: the walk forms the columns
-        # past TABLE_COLUMNS for the levels still walking and keeps none
-        monkeypatch.setattr(specfun, "_EI_STOKES", specfun._ei_template(1j * math.pi))
+    def test_a_walk_of_175_terms_reads_inside_the_table(self):
+        # at |x| ~ 1e-10 level 1 keeps 175 terms, read from the one table
         fam = ei_stokes_family(1e-10 + 1e-10j)
         plan = dyadic.plan_truncation(fam, 1e-13)
-        assert max(plan.n_terms) > TABLE_COLUMNS
+        assert max(plan.n_terms) == 175
         _same_walk(fam, 1e-13)
-        assert fam.table.array.shape == (dyadic.MAX_LEVELS + 1, TABLE_COLUMNS)
