@@ -30,7 +30,7 @@ import functools
 import math
 import threading
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -185,19 +185,21 @@ def _build_base_row(kern: BorelKernel, M: int, target: float) -> np.ndarray:
     return refined(row, (96, 192, 384), 100.0 * target, f"d_m row of order {kern.nu}", 1e-30)
 
 
-def _build_level_row(kern: BorelKernel, k: int, M: int, target: float) -> np.ndarray:
+def _build_level_row(samples: Callable[[int], np.ndarray], k: int, M: int, target: float,
+                     nu: float) -> np.ndarray:
     """All d_km for one level from shared samples of F(2^k tau - 1) on
-    dyadic panels of the scaled variable tau."""
+    dyadic panels of the scaled variable tau.  ``samples(refine)`` holds F
+    on the nodes of a deeper level K; level k's nodes p = 2^k tau - 1 are,
+    bit for bit, its first ``len(tau)`` nodes (see ``CoefficientTable.build``)."""
     eps = 2.0**-k
 
     def row(refine: int) -> np.ndarray:
         tau, w = panel_nodes(dyadic_edges(eps, _TAU_HI + 8.0, refine))
-        f = kern.eval_raw(2.0**k * tau - 1.0) * w * np.exp(tau - eps) * 2.0**k
+        f = samples(refine)[:len(tau)] * w * np.exp(tau - eps) * 2.0**k
         q = np.exp(-np.logaddexp(tau, 0.0))     # (1 + e^tau)^-m = q^m
         return geometric_sums(f * q * q, q, M - 1)
 
-    return refined(row, (2, 4, 8), 100.0 * target, f"level {k} d_km row of order {kern.nu}",
-                   1e-30)
+    return refined(row, (2, 4, 8), 100.0 * target, f"level {k} d_km row of order {nu}", 1e-30)
 
 
 @dataclass
@@ -213,10 +215,24 @@ class CoefficientTable:
 
     @staticmethod
     def build(kern: BorelKernel, M: int, K: int, target: float = 1e-13) -> "CoefficientTable":
+        """d_m and the d_km of levels 1..K to ``target``.  In units of 2^-k
+        the dyadic edges of level k are those of level K less its top
+        panels, and scaling by 2^(K-k) is exact, so level k's kernel
+        nodes 2^k tau - 1 are the first of level K's, bit for bit: F is
+        sampled once per panel refinement on level K's nodes, when a
+        level first asks for that refinement, and every level reads its
+        prefix.  ``kern`` must reach p = 2^K (_TAU_HI + 8) - 1."""
         if K > MAX_LEVELS:
             raise DomainError(f"table depth capped at {MAX_LEVELS} levels")
         dm = _build_base_row(kern, M, target)
-        dkm = np.array([_build_level_row(kern, k, M, target) for k in range(1, K + 1)])
+
+        @functools.cache
+        def samples(refine: int) -> np.ndarray:
+            tau, _ = panel_nodes(dyadic_edges(2.0**-K, _TAU_HI + 8.0, refine))
+            return kern.eval_raw(2.0**K * tau - 1.0)
+
+        dkm = np.array([_build_level_row(samples, k, M, target, kern.nu)
+                        for k in range(1, K + 1)]).reshape(K, M - 1)
         return CoefficientTable(nu=kern.nu, M=M, K=K, dm=dm, dkm=dkm)
 
     def d(self, m: int) -> float:

@@ -474,6 +474,9 @@ def _plan(fam: FactorialFamily, tol: float) -> Tuple[DyadicPlan, np.ndarray, np.
             "the argument lies across the expansion's cut"
         )
     if fam.ladder:
+        if len(fam.shift) <= len(fam.ladder):
+            raise DomainError(f"{fam.name}: {len(fam.ladder)} Richardson steps need "
+                              f"{len(fam.ladder) + 1} levels, the family describes {len(fam.shift)}")
         K, tail = _ladder_depth(fam, tol)
     else:
         tails = fam.tails()
@@ -503,7 +506,8 @@ def plan_truncation(fam: FactorialFamily, tol: float) -> DyadicPlan:
     stops growing, and the prediction reports the shortfall.  A shift
     with negative real part puts Pochhammer poles on the walk, where the
     terms dip and spike again past any stop, so it raises
-    CutProximityError.
+    CutProximityError.  A laddered family that describes no more levels
+    than its ladder has steps raises DomainError.
     """
     return _plan(fam, tol)[0]
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dyafact import borel, oracle
-from dyafact._gauss import QuadratureError, refined
+from dyafact._gauss import QuadratureError, dyadic_edges, geometric_sums, panel_nodes, refined
 from dyafact.borel import (
     BorelKernel,
     CoefficientTable,
@@ -152,6 +152,26 @@ class TestCoefficients:
             col = [table.dk(k, m) for m in range(2, 10)]
             assert all(a > b > 0 for a, b in zip(col[:-1], col[1:]))
 
+    def test_a_table_without_levels(self, kern):
+        # K = 0 keeps the (K, M - 1) shape, so the h-levels stack the base row alone
+        t = CoefficientTable.build(kern, 10, 0)
+        assert t.dkm.shape == (0, 9)
+        assert t.h_levels.ratio.shape == (1, 9)
+        assert np.array_equal(t.h_levels.first, t.dm[:1])
+
+
+@pytest.mark.parametrize("refine", [2, 4, 8])
+@pytest.mark.parametrize("K", [16, 34, 60])
+def test_level_nodes_nest_in_the_deepest_level(refine, K):
+    # in units of 2^-k the dyadic edges of level k are those of level K
+    # less its top panels, and a power of two scales them exactly, so
+    # level k's kernel samples are the first of level K's, bit for bit
+    deepest = 2.0**K * panel_nodes(dyadic_edges(2.0**-K, borel._TAU_HI + 8.0, refine))[0]
+    for k in range(K):
+        tau = 2.0**k * panel_nodes(dyadic_edges(2.0**-k, borel._TAU_HI + 8.0, refine))[0]
+        assert len(tau) < len(deepest)
+        assert np.array_equal(tau, deepest[:len(tau)])
+
 
 class TestRefinement:
     def test_a_row_that_never_settles_raises(self):
@@ -222,6 +242,35 @@ class TestColdBuilds:
         monkeypatch.setattr(borel, "_TABLES", {})
         call()
         assert sorted(builds) == ["BorelKernel", "CoefficientTable"]
+
+    def test_one_kernel_sampling_per_refinement(self, monkeypatch):
+        # d_m takes two or three samplings, the 16 levels share as many
+        kern = get_kernel(NU_AIRY, 2.0**16 * (borel._TAU_HI + 8.0))
+        calls = []
+        raw = BorelKernel.eval_raw
+        monkeypatch.setattr(BorelKernel, "eval_raw", lambda self, p: calls.append(1) or raw(self, p))
+        CoefficientTable.build(kern, 66, 16)
+        assert len(calls) <= 6
+
+    @pytest.mark.parametrize("nu", [NU_AIRY, 0.7, 1.2])
+    def test_levels_equal_rows_sampled_level_by_level(self, nu):
+        # each level sampling F on its own nodes gives the same rows, bit for bit
+        M, K, target = 66, 16, 1e-13
+        kern = get_kernel(nu, 2.0**K * (borel._TAU_HI + 8.0))
+
+        def alone(k):
+            eps = 2.0**-k
+
+            def row(refine):
+                tau, w = panel_nodes(dyadic_edges(eps, borel._TAU_HI + 8.0, refine))
+                f = kern.eval_raw(2.0**k * tau - 1.0) * w * np.exp(tau - eps) * 2.0**k
+                q = np.exp(-np.logaddexp(tau, 0.0))
+                return geometric_sums(f * q * q, q, M - 1)
+
+            return refined(row, (2, 4, 8), 100.0 * target, f"level {k}", 1e-30)
+
+        table = CoefficientTable.build(kern, M, K, target)
+        assert np.array_equal(table.dkm, np.array([alone(k) for k in range(1, K + 1)]))
 
 
 class TestAiryFromH:

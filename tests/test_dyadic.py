@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from dyafact.dyadic import (
     dyadic_cauchy_deriv_partial,
     dyadic_cauchy_partial,
     dyadic_reciprocal_partial,
+    evaluate,
     level_sums,
     plan_truncation,
     ramified_partial,
@@ -214,6 +216,21 @@ class TestPlanner:
     def test_tol_domain(self):
         with pytest.raises(DomainError):
             plan_truncation(ei_stokes_family(5.0), 0.5)
+
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4])
+    def test_too_few_levels_for_the_ladder(self, levels):
+        # four Richardson steps need five partial sums: a psi family cut to
+        # at most four levels is outside the planner's domain
+        fam = specfun.psi_family(5.0)
+        assert len(fam.ladder) == 4
+        cut = dataclasses.replace(fam, shift=fam.shift[:levels], weight=fam.weight[:levels],
+                                  size=fam.size[:levels])
+        for call in (plan_truncation, evaluate):
+            with pytest.raises(DomainError, match="psi-dyadic: 4 Richardson steps need 5 levels"):
+                call(cut, 1e-10)
+        five = dataclasses.replace(fam, shift=fam.shift[:5], weight=fam.weight[:5],
+                                   size=fam.size[:5])
+        assert plan_truncation(five, 1e-10).K == 4
 
 
 class TestDyadicPlan:
