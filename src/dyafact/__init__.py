@@ -44,7 +44,6 @@ from .borel import (
     airy_h,
     bessel_h,
     bessel_k_dyadic,
-    get_kernel,
     get_table,
 )
 from .operators import (

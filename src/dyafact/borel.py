@@ -30,7 +30,7 @@ import functools
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -55,7 +55,6 @@ __all__ = [
     "airy_from_h",
     "bessel_h",
     "bessel_k_dyadic",
-    "get_kernel",
     "get_table",
 ]
 
@@ -248,39 +247,23 @@ class CoefficientTable:
 
 
 # ---------------------------------------------------------------------------
-# caches
+# cache
 # ---------------------------------------------------------------------------
 
-_KERNELS: Dict[float, BorelKernel] = {}
-_TABLES: Dict[float, CoefficientTable] = {}
 _BUILD_LOCK = threading.Lock()
 
 
-def get_kernel(nu: float, p_far: float = 0.0) -> BorelKernel:
-    key = round(abs(float(nu)), 12)
-    with _BUILD_LOCK:
-        k = _KERNELS.get(key)
-        if k is None or k.p_far < p_far:
-            k = BorelKernel.build(key, p_far=max(p_far, 4000.0))
-            _KERNELS[key] = k
-            _TABLES.pop(key, None)
-        return k
-
-
 def get_table(nu: float, M: int, K: int) -> CoefficientTable:
-    """Coefficient table for |nu|, grown on demand (monotone sizes)."""
-    key = round(abs(float(nu)), 12)
+    """The table of order |nu| with d_m up to m = M and K levels, on a
+    kernel of its own that reaches level K.  Each (order, M, K) is built
+    once, under a lock, and never replaced or grown."""
     with _BUILD_LOCK:
-        t = _TABLES.get(key)
-        if t is not None and t.M >= M and t.K >= K:
-            return t
-        M = max(M, t.M if t else 0, 12)
-        K = max(K, t.K if t else 0, 8)
-    kern = get_kernel(key, p_far=2.0**K * (_TAU_HI + 8.0))
-    table = CoefficientTable.build(kern, M, K)
-    with _BUILD_LOCK:
-        _TABLES[key] = table
-    return table
+        return _table(round(abs(float(nu)), 12), M, K)
+
+
+@functools.cache
+def _table(nu: float, M: int, K: int) -> CoefficientTable:
+    return CoefficientTable.build(BorelKernel.build(nu, p_far=2.0**K * (_TAU_HI + 8.0)), M, K)
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +352,13 @@ def _bessel_h_eval(nu: float, u: complex, tol: float,
     if nu >= 1.5:
         raise DomainError("direct h-expansion limited to |nu| < 3/2; "
                           "use bessel_k_dyadic for larger orders")
-    if plan is not None:
-        table = get_table(nu, max(n + 2 for n in plan.n_terms), plan.K)
-    else:
-        # the Richardson steps keep every plan within LADDER_LEVELS levels;
-        # at |u| = 1 and tol 1e-12 the shallow levels keep up to 43 terms
-        table = get_table(nu, 66, LADDER_LEVELS)
+    # the Richardson steps keep every planned plan within LADDER_LEVELS levels, and at
+    # |u| = 1 and tol 1e-12 shallow levels keep up to 43 terms; a caller's plan that
+    # does not fit that table gets one of its own size
+    M, K = 66, LADDER_LEVELS
+    if plan is not None and (plan.K > K or max(plan.n_terms) + 2 > M):
+        M, K = max(plan.n_terms) + 2, plan.K
+    table = get_table(nu, M, K)
     plan, total, corr = evaluate(_h_family(table, u), tol, plan)
     value = 1.0 / u + total  # F(0) = P_{nu-1/2}(1) = 1
     return _result(value, plan.predicted_error * abs(value) + corr, plan, tol, relative=True)

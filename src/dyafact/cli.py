@@ -77,6 +77,12 @@ def _write_rows(header: Sequence[str], rows: Sequence[Sequence[float]],
             raise IOError(str(exc))
 
 
+def _real(x: complex, name: str) -> float:
+    if abs(x.imag) > 1e-12 * abs(x):     # off the real axis, not a value at Re x
+        raise DomainError(f"{name} takes real x only")
+    return x.real
+
+
 def _evaluator(name: str, s: float):
     if name == "ei-stokes":
         return lambda x, tol: specfun.ei_stokes(x, tol)
@@ -85,13 +91,13 @@ def _evaluator(name: str, s: float):
     if name == "psi":
         return lambda x, tol: specfun.psi_dyadic(x, tol)
     if name == "erfc":
-        return lambda x, tol: specfun.erfc_dyadic(x.real, tol)
+        return lambda x, tol: specfun.erfc_dyadic(_real(x, name), tol)
     if name == "inc-gamma":
         return lambda x, tol: specfun.incomplete_gamma_dyadic(s, x, tol)
     if name == "airy":
-        return lambda x, tol: borel.airy_from_h(x.real, tol)
+        return lambda x, tol: borel.airy_from_h(_real(x, name), tol)
     if name == "bessel-k":
-        return lambda x, tol: borel.bessel_k_dyadic(s, x.real, tol)
+        return lambda x, tol: borel.bessel_k_dyadic(s, _real(x, name), tol)
     raise DomainError(f"unknown function id: {name}")
 
 

@@ -319,7 +319,8 @@ def psi_half_difference(x: complex, n: int) -> complex:
 
 
 _GAMMA_TERMS = 150  # terms a level may keep: the base coefficients overflow near m = 185
-_GAMMA_ROW = 33     # entries a level's row starts with: most levels keep fewer than 32 terms
+# the widths a row grows through: most levels keep < 32 terms, a second chunk reads 65
+_GAMMA_WIDTHS = (33, 66, _GAMMA_TERMS + 1)
 _LEVEL_IDS = np.arange(MAX_LEVELS + 1)
 _NONE_FILLED = _frozen(np.zeros(MAX_LEVELS + 1, dtype=np.int64))
 
@@ -349,8 +350,7 @@ class _GammaCoeffs:
         if not (-1.0 < s < 1.0) or s == 0.0:
             raise DomainError("incomplete-gamma expansion implemented for s in (-1,1), s != 0")
         self.s = s
-        self._base: list = []
-        self._level: Dict[int, np.ndarray] = {}
+        self._rows: Dict[int, np.ndarray] = {}
         # the term ratios of every level (NaN past a row's filled entries,
         # allocated at the first read) and the entries filled per level,
         # published together
@@ -359,17 +359,7 @@ class _GammaCoeffs:
         if self._shift is None and s > 0:
             self._gamma_s = math.gamma(s)
 
-    def base(self, m: int) -> float:
-        return self._base_upto(m + 1)[m]
-
-    def _base_upto(self, n: int) -> list:
-        """The base stream's coefficients, at least n of them."""
-        row = self._base
-        if len(row) < n:
-            row = self._base = self._base_row(max(n, 2 * len(row)))
-        return row
-
-    def _base_row(self, n: int) -> list:
+    def _base_row(self, n: int) -> np.ndarray:
         """c_0..c_{n-1} of the base stream, every sum at once in log form:
         n(n-1)...(n-m+1) = n!/(n-m)!.  Terms peak near n = 1.6 m and fall
         below 1e-18 of the peak well before 3 m + 100.  Past m ~ 185 the
@@ -381,16 +371,27 @@ class _GammaCoeffs:
         with np.errstate(over="ignore"):
             logs = log_fact[j] - log_fact[np.maximum(j - m, 0)] - j - self.s * np.log(j)
             sums = np.where(j >= m, np.exp(logs), 0.0).sum(axis=1)
-        return (sums * (-1.0) ** np.arange(n)).tolist()
+        return sums * (-1.0) ** np.arange(n)
 
     def row(self, k: int, n: int) -> np.ndarray:
-        """The first n coefficients of level k (k = 0: the base stream)."""
-        if k == 0:
-            return np.array(self._base_upto(n)[:n])
-        cached = self._level.get(k, ())
-        if len(cached) < n:
-            cached = self._level[k] = self._level_row(k, max(n, 2 * len(cached)))
-        return cached[:n]
+        """The first n coefficients of level k (k = 0: the base stream).
+        A row grows only through the widths _GAMMA_WIDTHS, a quadrature
+        row (k >= 1) by one entry more for the order s - 1 that shifts
+        onto it, and each build only appends past the entries the row
+        holds, so no entry changes once made: what a call reads does not
+        depend on the calls made before it."""
+        if k and self._shift is not None:
+            # one order shift: (-1)^m g_s^{(m)}(1) = -c_{s+1,m+1} + m c_{s+1,m}
+            c = self._shift.row(k, n + 1)
+            return -c[1:] + np.arange(n) * c[:-1]
+        with _GAMMA_LOCK:
+            held = self._rows.get(k, np.empty(0))
+            for width in _GAMMA_WIDTHS:
+                width += k > 0
+                if len(held) < min(n, width):
+                    built = self._level_row(k, width) if k else self._base_row(width)
+                    held = self._rows[k] = _frozen(np.append(held, built[len(held):]))
+        return held[:n]
 
     def level(self, k: int, m: int) -> float:
         return float(self.row(k, m + 1)[m])
@@ -411,7 +412,7 @@ class _GammaCoeffs:
         weight = -(_LEVELS ** s)
         weight[0] = 1.0
         lead = _LEVELS ** (s - 1.0) * self.deep_first
-        lead[0] = abs(self.base(0))
+        lead[0] = abs(self.level(0, 0))
         return _frozen(weight), _frozen(lead)
 
     def read(self, levels, need, width: int) -> np.ndarray:
@@ -419,10 +420,9 @@ class _GammaCoeffs:
         the term ratios c_{k,i} / c_{k,i-1} (c_{k,-1} = 1) of the levels
         ``levels`` (a slice or an index array) over columns 0..width-1,
         each row filled over its first ``need`` entries at least and NaN
-        past the entries it holds.  A short row is refilled from a
-        coefficient row of at least _GAMMA_ROW entries and twice its
-        length before; the refilled table is built aside and published
-        whole under _GAMMA_LOCK."""
+        past the entries it holds.  A short row is refilled to the next
+        of _GAMMA_WIDTHS that holds ``need``; the refilled table is built
+        aside and published whole under _GAMMA_LOCK."""
         ratios, have = self._table
         if (have[levels] < need).any():
             with _GAMMA_LOCK:
@@ -437,7 +437,7 @@ class _GammaCoeffs:
                         ratios = ratios.copy()
                     have = have.copy()
                     for k, n in zip(ids[short].tolist(), need[short].tolist()):
-                        n = max(n, _GAMMA_ROW, min(2 * int(have[k]), self.columns))
+                        n = next(w for w in _GAMMA_WIDTHS if w >= n)
                         c = self.row(k, n)
                         with np.errstate(divide="ignore", invalid="ignore"):
                             ratios[k, :n] = c / np.append(1.0, c[:-1])
@@ -447,11 +447,8 @@ class _GammaCoeffs:
         return ratios[levels, :width]
 
     def _level_row(self, k: int, n: int) -> np.ndarray:
-        """c_{k,0..n-1}, all m from one sampling on shared Gauss nodes."""
-        if self._shift is not None:
-            # one order shift: (-1)^m g_s^{(m)}(1) = -c_{s+1,m+1} + m c_{s+1,m}
-            c = self._shift.row(k, n + 1)
-            return -c[1:] + np.arange(n) * c[:-1]
+        """c_{k,0..n-1} of an order s > 0, all m from one sampling on
+        shared Gauss nodes."""
         s, eps = self.s, 2.0**-k
         m = np.arange(n)
         # below t_lo the integrand is g(0) t^{s-1} to 1e-15 relative:
@@ -478,8 +475,8 @@ class _GammaCoeffs:
 
 
 _GAMMA_CACHE: Dict[float, _GammaCoeffs] = {}
-# guards the coefficient cache and every refill of a table's rows
-_GAMMA_LOCK = threading.Lock()
+# guards the coefficient cache, every row build and every refill of a table
+_GAMMA_LOCK = threading.RLock()
 
 
 def _gamma_coeffs(s: float) -> _GammaCoeffs:
@@ -514,7 +511,12 @@ def _gamma_eval(s: float, x: complex, tol: float, plan: Optional[DyadicPlan]) ->
     # Gamma(s, x) >= x^s e^-x / (x + 1 - s) for real x > 0 and s < 1, so
     # this bounds the normalized series from below
     scale = math.gamma(1.0 - s) / (abs(x) + 1.0 - s)
-    plan, total, corr = evaluate(fam, tol * scale, plan)
+    normalized = tol * scale
+    if plan is None and normalized <= 1e-14:
+        raise DomainError(f"tol {tol:g} is {normalized:.3g} on the normalized series at |x| = "
+                          f"{abs(x):g}, not above 1e-14: tol must exceed {1e-14 / scale:.3g} there")
+    # a loose tol at small |x| passes the planner's 1e-1: plan tighter, at 0.09
+    plan, total, corr = evaluate(fam, min(normalized, 0.09), plan)
     front = x**s * cmath.exp(-x) / math.gamma(1.0 - s)
     return _result(front * total, (plan.predicted_error + corr) * abs(front), plan, tol,
                    relative=True)
@@ -526,8 +528,12 @@ def incomplete_gamma_dyadic(s: float, x: complex, tol: float = 4e-9,
 
     Evaluates the normalized factorial expansion of
     Gamma(1-s) e^x x^{-s} Gamma(s, x) (base stream at argument 1/e minus
-    the dyadic polylog levels) and maps back; ``tol`` is relative to the
-    normalized series, which the exponential rescaling preserves.
+    the dyadic polylog levels) and maps back; ``tol`` is relative to
+    |Gamma(s, x)|.  The series is planned at tol Gamma(1-s) / (|x| + 1 - s),
+    tol times a lower bound on its size, which the planner takes in
+    (1e-14, 1e-1).  A loose tol at small |x| that maps to 1e-1 or more is
+    planned at 0.09; a tight tol at large |x| that maps to 1e-14 or less
+    raises DomainError naming both (erfc at x = 20 takes tol > 1.2e-13).
 
     Near s = 1 the ladder's first step factor 2^(1-s) tends to 1.  Orders
     whose ladder would magnify level errors more than MAX_AMPLIFICATION
@@ -552,7 +558,9 @@ def incomplete_gamma_dyadic(s: float, x: complex, tol: float = 4e-9,
 
 
 def erfc_dyadic(x: float, tol: float = 4e-9) -> EvalResult:
-    """erfc(sqrt(x)) for x > 0, via Gamma(1/2, x) / sqrt(pi)."""
+    """erfc(sqrt(x)) for x > 0, via Gamma(1/2, x) / sqrt(pi), with
+    ``tol`` relative; ``incomplete_gamma_dyadic`` says which tolerances
+    each end of the x range accepts."""
     if not (x > 0):
         raise DomainError("erfc_dyadic requires x > 0")
     r = incomplete_gamma_dyadic(0.5, x, tol)

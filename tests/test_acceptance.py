@@ -184,8 +184,7 @@ def test_criterion_05_left_base_series_term_count():
 def test_criterion_06_airy_reproduction():
     """Ai via the dyadic pipeline: rel err <= 1e-10 on [4, 20] with <= 40
     total terms at x = 20, <= 200 at x = 2; build < 10 s, cached < 0.5 s."""
-    borel._KERNELS.clear()
-    borel._TABLES.clear()
+    borel._table.cache_clear()
     t0 = time.perf_counter()
     r20 = borel.airy_from_h(20.0, 1e-10)
     t_build = time.perf_counter() - t0

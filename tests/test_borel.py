@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from dyafact.borel import (
     airy_h,
     bessel_h,
     bessel_k_dyadic,
-    get_kernel,
     get_table,
 )
 from dyafact.dyadic import DyadicPlan
@@ -23,7 +23,7 @@ NU_AIRY = 1.0 / 3.0
 
 @pytest.fixture(scope="module")
 def kern():
-    return get_kernel(NU_AIRY)
+    return BorelKernel.build(NU_AIRY)
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +81,7 @@ class TestKernel:
 
     def test_large_p_power_law(self):
         # log F / log p approaches nu - 1/2 within 2% by p = 1e3
-        kern = get_kernel(NU_AIRY)
+        kern = BorelKernel.build(NU_AIRY)
         p1, p2 = 1e3, 2e3
         slope = (math.log(kern.eval_raw(p2)) - math.log(kern.eval_raw(p1))) / math.log(p2 / p1)
         assert abs(slope - (NU_AIRY - 0.5)) < 0.02 * abs(NU_AIRY - 0.5) + 0.01
@@ -206,8 +206,8 @@ class TestAiryH:
         assert r.terms_total <= 150
 
     def test_truncation_error_monotone_in_depth(self):
-        # deepening the plan never worsens the result beyond noise
-        get_table(NU_AIRY, 34, 34)
+        # deepening the plan never worsens the result beyond noise; plans
+        # past LADDER_LEVELS levels read tables of their own size
         for x in (4.0, 10.0, 20.0):
             u = 4.0 / 3.0 * x**1.5
             f = lambda p: np.exp(-u * p) * oracle.legendre_kernel_reference(NU_AIRY, p)
@@ -238,14 +238,13 @@ class TestColdBuilds:
             raw = cls.build
             monkeypatch.setattr(cls, "build", staticmethod(
                 lambda *a, raw=raw, name=cls.__name__, **kw: builds.append(name) or raw(*a, **kw)))
-        monkeypatch.setattr(borel, "_KERNELS", {})
-        monkeypatch.setattr(borel, "_TABLES", {})
+        monkeypatch.setattr(borel, "_table", functools.cache(borel._table.__wrapped__))
         call()
         assert sorted(builds) == ["BorelKernel", "CoefficientTable"]
 
     def test_one_kernel_sampling_per_refinement(self, monkeypatch):
         # d_m takes two or three samplings, the 16 levels share as many
-        kern = get_kernel(NU_AIRY, 2.0**16 * (borel._TAU_HI + 8.0))
+        kern = BorelKernel.build(NU_AIRY, 2.0**16 * (borel._TAU_HI + 8.0))
         calls = []
         raw = BorelKernel.eval_raw
         monkeypatch.setattr(BorelKernel, "eval_raw", lambda self, p: calls.append(1) or raw(self, p))
@@ -256,7 +255,7 @@ class TestColdBuilds:
     def test_levels_equal_rows_sampled_level_by_level(self, nu):
         # each level sampling F on its own nodes gives the same rows, bit for bit
         M, K, target = 66, 16, 1e-13
-        kern = get_kernel(nu, 2.0**K * (borel._TAU_HI + 8.0))
+        kern = BorelKernel.build(nu, 2.0**K * (borel._TAU_HI + 8.0))
 
         def alone(k):
             eps = 2.0**-k

@@ -93,6 +93,16 @@ class TestEval:
                 assert run(["eval", "--function", fn, f"--s={s}", "--x-start", "2"]) == 2
                 assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd", ["eval", "plan"])
+    @pytest.mark.parametrize("fn", ["erfc", "airy", "bessel-k"])
+    def test_real_x_functions_reject_complex_x(self, cmd, fn, capsys):
+        # evaluating Re x would print its row under the complex x, and the
+        # oracle, also given Re x, would agree with it
+        assert run([cmd, "--function", fn, "--s", "0.7", "--x-start", "2",
+                    "--ray-angle", "30", "--with-oracle"]) == 2
+        out = capsys.readouterr()
+        assert "real x only" in out.err and out.out == ""
+
     def test_unknown_function(self):
         rc = run(["eval", "--function", "zeta", "--x-start", "1", "--points", "1"])
         assert rc == 2

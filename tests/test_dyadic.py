@@ -343,7 +343,7 @@ def _family_and_term(name):
         co = specfun._gamma_coeffs(s)
 
         def term(k, j):
-            c = co.base(j - 1) if k == 0 else co.level(k, j - 1)
+            c = co.level(k, j - 1)
             return c / pochhammer(2.0**k * x, j)
         return specfun._gamma_family(s, x, co), term
     table, u = borel.get_table(1.0 / 3.0, 34, 34), 6.0 + 1.0j
@@ -392,7 +392,7 @@ class TestAllocation:
     def test_exhausted_rows_report_the_shortfall(self):
         # an 8-column table supports 6 planned terms per level; Airy's h at
         # u = 2 needs far more for 1e-10, and the prediction must say so
-        kern = borel.get_kernel(1.0 / 3.0, p_far=2.0**8 * 78.0)
+        kern = borel.BorelKernel.build(1.0 / 3.0, p_far=2.0**8 * 78.0)
         table = borel.CoefficientTable.build(kern, 8, 8)
         plan = plan_truncation(borel._h_family(table, 2.0), 1e-10)
         assert max(plan.n_terms) <= 6

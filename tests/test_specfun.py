@@ -188,7 +188,7 @@ class TestIncompleteGamma:
             stirl = (-1.0) ** m * sum(
                 stirling[m][j] * polylog(0.5 - j, math.exp(-1.0)).real
                 for j in range(m + 1))
-            assert co.base(m) == pytest.approx(stirl, rel=1e-9)
+            assert co.level(0, m) == pytest.approx(stirl, rel=1e-9)
         for (k, m) in ((1, 3), (2, 6), (4, 2)):
             z = -math.exp(-(2.0 ** -k))
             stirl = (-1.0) ** m * sum(
@@ -209,7 +209,7 @@ class TestIncompleteGamma:
                 ref = (-1) ** m * mpmath.fsum(
                     mpmath.rf(n - m + 1, m) * mpmath.mpf(n) ** (-s) * mpmath.exp(-n)
                     for n in range(max(m, 1), 4 * m + 200))
-            assert co.base(m) == pytest.approx(float(ref), rel=1e-12)
+            assert co.level(0, m) == pytest.approx(float(ref), rel=1e-12)
 
 
 class TestGammaSmallOrders:
@@ -241,6 +241,28 @@ class TestGammaSmallOrders:
                     ref = -a * J if m == 0 else mpmath.factorial(m) * mpmath.exp(-m * eps) * J
                     ref = float(ref / mpmath.gamma(s))
                 assert co.level(k, m) == pytest.approx(ref, rel=1e-12)
+
+
+class TestGammaTolerance:
+    """The planner takes the normalized series at tol Gamma(1-s) / (|x| + 1 - s)
+    in (1e-14, 1e-1): a caller's tol that maps past 1e-1 is planned at
+    0.09 and still met, one that maps to 1e-14 or less is a domain error
+    naming both tolerances."""
+
+    @pytest.mark.parametrize("call, caller, normalized", [
+        (lambda: erfc_dyadic(20.0, 1e-13), "1e-13", "8.65e-15"),
+        (lambda: incomplete_gamma_dyadic(0.25, 20.0, 5e-14), "5e-14", "2.95e-15"),
+    ], ids=["erfc", "inc-gamma"])
+    def test_tight_end_is_a_domain_error(self, call, caller, normalized):
+        with pytest.raises(DomainError, match=f"tol {caller} is {normalized} "):
+            call()
+
+    @pytest.mark.parametrize("s, x, tol", [(0.8, 0.01, 0.01), (0.5, 0.01, 0.05)])
+    def test_loose_end_meets_tol(self, s, x, tol):
+        r = incomplete_gamma_dyadic(s, x, tol)
+        ref = oracle.inc_gamma_reference(s, x)
+        err = abs(r.value - ref)
+        assert r.tol_met and err <= r.error_estimate <= tol * abs(ref)
 
 
 class TestErfc:

@@ -6,11 +6,13 @@ it must give the value the planned call gave, and ``level_sums`` must give
 the sums the planner's walk kept.  The draws cover the ranges of
 perfbench's point-values workload for all seven evaluators.  Every
 closed-form table is one read-only array equal to its closed form bit for
-bit, the widest walks fit in it, and incomplete-gamma rows filled by two
-threads at once give the values of a serial run.
+bit, the widest walks fit in it, incomplete-gamma rows filled by two
+threads at once give the values of a serial run, and no earlier call
+changes what a later one returns.
 """
 
 import cmath
+import functools
 import math
 import sys
 import threading
@@ -173,13 +175,14 @@ class TestTemplates:
         s = 0.25
         incomplete_gamma_dyadic(s, 1.0, 1e-10)
         co = specfun._gamma_coeffs(s)
-        table, rows, levels = co._table, dict(co._level), co.levels
-        base = co._base
+        table, rows, levels = co._table, dict(co._rows), co.levels
         incomplete_gamma_dyadic(s, 3.0, 1e-8)
         assert specfun._gamma_coeffs(s) is co
         assert co._table is table
-        assert co.levels is levels and co._base is base
-        assert all(co._level[k] is row for k, row in rows.items()) and co._level.keys() == rows.keys()
+        assert co.levels is levels
+        # the base stream is row 0
+        assert 0 in rows
+        assert all(co._rows[k] is row for k, row in rows.items()) and co._rows.keys() == rows.keys()
         a, b = (specfun._gamma_family(s, complex(x), co) for x in (1.0, 3.0))
         assert a.table is b.table is co
 
@@ -193,13 +196,18 @@ class TestTemplates:
         expected[0] = 1.0
         assert np.array_equal(fam.weight, expected)
 
-    def test_h_expansion(self):
+    def test_h_expansion(self, monkeypatch):
         airy_from_h(2.0, 1e-10)
         table = get_table(1.0 / 3.0, 66, LADDER_LEVELS)
-        kernel, levels = borel._KERNELS[table.nu], table.h_levels
+        levels = table.h_levels
+        builds = []
+        for cls in (borel.BorelKernel, borel.CoefficientTable):
+            raw = cls.build
+            monkeypatch.setattr(cls, "build", staticmethod(
+                lambda *a, raw=raw, name=cls.__name__, **kw: builds.append(name) or raw(*a, **kw)))
         airy_from_h(5.0, 1e-8)
         assert get_table(1.0 / 3.0, 66, LADDER_LEVELS) is table
-        assert borel._KERNELS[table.nu] is kernel and table.h_levels is levels
+        assert builds == [] and table.h_levels is levels
         # the argument's numerator table is the template's ratios but for column 0
         fam = borel._h_family(table, 3.0 + 0j)
         assert np.array_equal(fam.table.array[:, 1:], levels.ratio[:, 1:])
@@ -267,7 +275,7 @@ class TestTables:
         # helper, which it never reads as a table
         incomplete_gamma_dyadic(-0.5, 2.0, 1e-10)
         helper = specfun._gamma_coeffs(-0.5)._shift
-        assert helper.s == 0.5 and len(helper._level) > 0
+        assert helper.s == 0.5 and len(helper._rows) > 0
         assert helper._table[0] is None
 
     def test_h_expansion(self):
@@ -294,6 +302,35 @@ def test_the_widest_walks_fit_in_the_table(family, terms):
     assert widest == terms < TABLE_COLUMNS - 1
 
 
+class TestHistory:
+    """A call's value, estimate and plan do not depend on the calls made
+    before it: no coefficient cache rebuilds what it handed out."""
+
+    @staticmethod
+    def _h_grid():
+        return ([airy_from_h(x, 1e-10) for x in (1.5, 3.0, 6.0, 10.0)]
+                + [bessel_k_dyadic(nu, x, 1e-9) for nu in (0.7, 2.7) for x in (0.8, 2.0, 5.0, 12.0)])
+
+    def test_h_expansion_after_a_deep_plan(self, monkeypatch):
+        # fresh tables, then one 20-level plan= call for each direct order
+        # the grid runs (Airy 1/3, Bessel-K 0.7, and 0.3 = |0.7 - 1| for 2.7)
+        monkeypatch.setattr(borel, "_table", functools.cache(borel._table.__wrapped__))
+        before = self._h_grid()
+        deep = dyadic.DyadicPlan(K=20, n_terms=[12] * 21, predicted_error=1e-12)
+        for nu in (1.0 / 3.0, 0.7, 0.3):
+            borel._bessel_h_eval(nu, 4.0, 1e-10, plan=deep)
+        assert self._h_grid() == before
+
+    @pytest.mark.parametrize("s", [-0.5, 0.25])
+    def test_incomplete_gamma_after_widening_calls(self, s, monkeypatch):
+        monkeypatch.setattr(specfun, "_GAMMA_CACHE", {})
+        fresh = _gamma_grid(s)
+        monkeypatch.setattr(specfun, "_GAMMA_CACHE", {})
+        for x in (0.05, 0.3):                      # rows past their first widths
+            incomplete_gamma_dyadic(s, x, 1e-12)
+        assert _gamma_grid(s) == fresh
+
+
 def _ei_grid():
     """Ei-Stokes points beside the Stokes line at tol 1e-12: level 1 keeps
     73 to 105 terms, past a walk's first chunk."""
@@ -301,7 +338,7 @@ def _ei_grid():
 
 
 def _gamma_grid(s):
-    return [incomplete_gamma_dyadic(s, x, 1e-10).value for x in (0.3, 0.7, 2.0, 6.0, 15.0)]
+    return [incomplete_gamma_dyadic(s, x, 1e-10) for x in (0.3, 0.7, 2.0, 6.0, 15.0)]
 
 
 def test_tables_grown_by_two_threads_give_the_serial_values(monkeypatch):
