@@ -1,7 +1,7 @@
 """Fixed-order Gauss-Legendre panels for the evaluator-side coefficient
 integrals (smooth, exponentially decaying integrands sampled once on
-shared nodes for a whole coefficient row), and the check that a row
-agrees between two panel refinements.
+shared nodes for a whole stack of coefficient rows), and the check that
+each row agrees between two panel refinements.
 
 Deliberately separate from the oracle module's adaptive Gauss-Kronrod
 quadrature so reference values never share a code path with the
@@ -10,13 +10,14 @@ expansions they check.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
 _ORDER = 48
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(_ORDER)
-__all__ = ["QuadratureError", "dyadic_edges", "panel_nodes", "geometric_sums", "refined"]
+_CHUNK = 1 << 13   # entries of one temporary of a stacked row build
+__all__ = ["QuadratureError", "dyadic_edges", "panel_nodes", "chunks", "geometric_sums", "refined"]
 
 
 class QuadratureError(RuntimeError):
@@ -44,29 +45,62 @@ def panel_nodes(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return pts, wts
 
 
+def chunks(count: int, width: int) -> List[slice]:
+    """Slices over ``count`` items (stacked rows, or nodes) of ``width``
+    entries each, as many items to a slice as keep one temporary within
+    _CHUNK entries (at least one), so a stacked build holds no larger
+    temporaries than a row-by-row one."""
+    step = max(1, _CHUNK // width)
+    return [slice(i, i + step) for i in range(0, count, step)]
+
+
 def geometric_sums(p: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
-    """[sum(p q^j) for j = 0..n-1]: a coefficient row whose m-dependence
-    is a power of one node factor, by one multiplication per power, which
-    is cheaper than an exponential per entry.  Terms past the floating
+    """[sum(p q^j) for j = 0..n-1] for each row of ``p`` (one row or a
+    stack): coefficient rows whose m-dependence is a power of one node
+    factor.  With ``q`` the shape of ``p`` each power costs one
+    multiplication per entry, and a row's sums do not depend on the rows
+    stacked with it.  With one row of ``q`` under a stack of rows the
+    powers q^j are formed once, by doubling, _CHUNK entries of them at a
+    time, and every row is one row of p @ powers.  Terms past the floating
     range underflow to 0."""
-    out = np.empty(n)
-    p = np.array(p, dtype=float)
+    p = np.asarray(p, dtype=float)
+    out = np.zeros(p.shape[:-1] + (n,))
     with np.errstate(under="ignore"):
-        for j in range(n):
-            out[j] = p.sum()
-            p *= q
+        if np.shape(q) == p.shape:
+            p = p.copy()
+            for j in range(n):
+                out[..., j] = p.sum(axis=-1)
+                p *= q
+            return out
+        for nodes in chunks(len(q), n):
+            qc = q[nodes]
+            powers = np.empty((n, len(qc)))
+            powers[0] = 1.0
+            h = 1
+            while h < n:                 # q^(h..2h-1) = q^(0..h-1) q^h
+                c = min(h, n - h)
+                np.multiply(powers[:c], powers[h - 1] * qc, out=powers[h:h + c])
+                h += c
+            out += p[:, nodes] @ powers.T
     return out
 
 
-def refined(row: Callable[[int], np.ndarray], refinements: Sequence[int], rtol: float,
-            what: str, floor: float = 0.0) -> np.ndarray:
-    """``row(r)`` at the first refinement r that agrees with the one before
-    to ``rtol``, relative to max(|row(r)|, floor).  Raises QuadratureError,
-    naming ``what``, when the last pair still disagrees."""
-    a = row(refinements[0])
+def refined(rows: Callable[[int, np.ndarray], np.ndarray], refinements: Sequence[int],
+            rtol: float, names: Sequence[str], floor: float = 0.0) -> np.ndarray:
+    """Stacked rows, row i named ``names[i]``: ``rows(r, live)`` gives the
+    rows ``live`` (an index array) at refinement r.  Each row is the one at
+    the first refinement r that agrees with the one before to ``rtol``,
+    relative to max(|row(r)|, floor), by its own check alone; a settled
+    row takes no part in later refinements.  Raises QuadratureError,
+    naming the first row whose last pair still disagrees."""
+    live = np.arange(len(names))
+    a = rows(refinements[0], live)
+    out = np.empty_like(a)
     for r in refinements[1:]:
-        b = row(r)
-        if not np.max(np.abs(a - b) / np.maximum(np.abs(b), floor)) > rtol:
-            return b
-        a = b
-    raise QuadratureError(f"{what} did not converge")
+        b = rows(r, live)
+        done = ~(np.max(np.abs(a - b) / np.maximum(np.abs(b), floor), axis=1) > rtol)
+        out[live[done]] = b[done]
+        live, a = live[~done], b[~done]
+        if not len(live):
+            return out
+    raise QuadratureError(f"{names[live[0]]} did not converge")

@@ -30,11 +30,11 @@ import functools
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ._gauss import dyadic_edges, geometric_sums, panel_nodes, refined
+from ._gauss import chunks, dyadic_edges, geometric_sums, panel_nodes, refined
 from .dyadic import (
     LADDER_LEVELS,
     MAX_AMPLIFICATION,
@@ -174,31 +174,65 @@ def _build_base_row(kern: BorelKernel, M: int, target: float) -> np.ndarray:
     """All d_m, m in [2, M], from one shared kernel sampling: the m
     dependence is a power of one factor at each quadrature node."""
 
-    def row(n_panels: int) -> np.ndarray:
+    def row(n_panels: int, live: np.ndarray) -> np.ndarray:
         t, w = panel_nodes(np.linspace(0.0, 50.0 + 42.0, n_panels + 1))
         u = t + 1.0
         # e^{-(m-1)u} (1 - e^{-u})^{-m} = e^u q^m with q = 1 / (e^u - 1) < 1
         q = 1.0 / np.expm1(u)
-        return geometric_sums(kern.eval_raw(t) * w * np.exp(u) * q * q, q, M - 1)
+        return geometric_sums(kern.eval_raw(t) * w * np.exp(u) * q * q, q, M - 1)[None]
 
-    return refined(row, (96, 192, 384), 100.0 * target, f"d_m row of order {kern.nu}", 1e-30)
+    return refined(row, (96, 192, 384), 100.0 * target, [f"d_m row of order {kern.nu}"], 1e-30)[0]
 
 
-def _build_level_row(samples: Callable[[int], np.ndarray], k: int, M: int, target: float,
-                     nu: float) -> np.ndarray:
-    """All d_km for one level from shared samples of F(2^k tau - 1) on
-    dyadic panels of the scaled variable tau.  ``samples(refine)`` holds F
-    on the nodes of a deeper level K; level k's nodes p = 2^k tau - 1 are,
-    bit for bit, its first ``len(tau)`` nodes (see ``CoefficientTable.build``)."""
-    eps = 2.0**-k
+def _build_level_rows(kern: BorelKernel, M: int, K: int, target: float) -> np.ndarray:
+    """All d_km, k in [1, K], m in [2, M]: level k integrates
+    F(2^k tau - 1) e^{tau - 2^-k} 2^k (1 + e^tau)^-m over dyadic panels of
+    tau in [2^-k, _TAU_HI + 8].
 
-    def row(refine: int) -> np.ndarray:
-        tau, w = panel_nodes(dyadic_edges(eps, _TAU_HI + 8.0, refine))
-        f = samples(refine)[:len(tau)] * w * np.exp(tau - eps) * 2.0**k
-        q = np.exp(-np.logaddexp(tau, 0.0))     # (1 + e^tau)^-m = q^m
-        return geometric_sums(f * q * q, q, M - 1)
+    In units of 2^-k the edges of level k are those of level K less its
+    top panels, and scaling by 2^(K-k) is exact, so level k's kernel nodes
+    2^k tau - 1 are the first of level K's, bit for bit: F is sampled once
+    per refinement on level K's nodes, and level k reads a prefix.  In
+    tau itself level k's panels are level K's above its own bottom halving
+    [2^-k, ~2^(1-k)], so the powers q^m, q = 1 / (1 + e^tau), are formed
+    once on level K's nodes above its bottom halving, and every level's
+    sums over them are one row of A @ powers, A holding each level's
+    samples times its weights (0 below the level's panels).  The bottom
+    halvings, the same panels in units of 2^-k at every level, add a
+    small stacked sum of their own.  Each level settles by its own
+    refinement check."""
+    levels = np.arange(1, K + 1)
+    # the factor 2^k e^{-2^-k} of each level, and 2^(K-k), which maps level
+    # K's bottom halving onto level k's
+    scale = 2.0**levels * np.exp(-(2.0**-levels))
+    stretch = 2.0 ** (K - levels)
 
-    return refined(row, (2, 4, 8), 100.0 * target, f"level {k} d_km row of order {nu}", 1e-30)
+    def rows(refine: int, live: np.ndarray) -> np.ndarray:
+        edges = dyadic_edges(2.0**-K, _TAU_HI + 8.0, refine)
+        tau, w = panel_nodes(edges)
+        nb = len(tau) // (len(edges) - 1) * refine            # nodes of one halving
+        f = kern.eval_raw(2.0**K * tau - 1.0)
+        ks = levels[live]
+        # above the bottom halvings, on tau[nb:], level k holds the samples
+        # f[nb:] from node (K - k) nb on: window (k - 1) nb over f[nb:]
+        # padded in front by (K - 1) nb zeros
+        window = np.lib.stride_tricks.sliding_window_view(
+            np.append(np.zeros((K - 1) * nb), f[nb:]), len(tau) - nb)
+        q = np.exp(-np.logaddexp(tau[nb:], 0.0))
+        weight = w[nb:] * np.exp(tau[nb:]) * q * q
+        top = np.zeros((len(ks), M - 1))
+        for nodes in chunks(len(q), max(len(ks), M - 1)):
+            a = window[(ks - 1) * nb, nodes]
+            a *= weight[nodes]
+            top += geometric_sums(a, q[nodes], M - 1)
+        # the bottom halving of level k: level K's, stretched by 2^(K-k)
+        tb = stretch[live, None] * tau[:nb]
+        qb = np.exp(-np.logaddexp(tb, 0.0))
+        bottom = (f[:nb] * w[:nb] * 2.0**K) * np.exp(tb - 2.0**-ks[:, None]) * qb * qb
+        return scale[live, None] * top + geometric_sums(bottom, qb, M - 1)
+
+    return refined(rows, (2, 4, 8), 100.0 * target,
+                   [f"level {k} d_km row of order {kern.nu}" for k in levels], 1e-30)
 
 
 @dataclass
@@ -214,24 +248,13 @@ class CoefficientTable:
 
     @staticmethod
     def build(kern: BorelKernel, M: int, K: int, target: float = 1e-13) -> "CoefficientTable":
-        """d_m and the d_km of levels 1..K to ``target``.  In units of 2^-k
-        the dyadic edges of level k are those of level K less its top
-        panels, and scaling by 2^(K-k) is exact, so level k's kernel
-        nodes 2^k tau - 1 are the first of level K's, bit for bit: F is
-        sampled once per panel refinement on level K's nodes, when a
-        level first asks for that refinement, and every level reads its
-        prefix.  ``kern`` must reach p = 2^K (_TAU_HI + 8) - 1."""
+        """d_m and the d_km of levels 1..K to ``target``, every level in
+        one stacked pass per refinement (``_build_level_rows``).  ``kern``
+        must reach p = 2^K (_TAU_HI + 8) - 1."""
         if K > MAX_LEVELS:
             raise DomainError(f"table depth capped at {MAX_LEVELS} levels")
         dm = _build_base_row(kern, M, target)
-
-        @functools.cache
-        def samples(refine: int) -> np.ndarray:
-            tau, _ = panel_nodes(dyadic_edges(2.0**-K, _TAU_HI + 8.0, refine))
-            return kern.eval_raw(2.0**K * tau - 1.0)
-
-        dkm = np.array([_build_level_row(samples, k, M, target, kern.nu)
-                        for k in range(1, K + 1)]).reshape(K, M - 1)
+        dkm = _build_level_rows(kern, M, K, target) if K else np.empty((0, M - 1))
         return CoefficientTable(nu=kern.nu, M=M, K=K, dm=dm, dkm=dkm)
 
     def d(self, m: int) -> float:

@@ -16,7 +16,7 @@ import functools
 import math
 import threading
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .dyadic import (
     level_sums,
 )
 from .scalar import DomainError, polylog
-from ._gauss import dyadic_edges, geometric_sums, panel_nodes, refined
+from ._gauss import chunks, dyadic_edges, geometric_sums, panel_nodes, refined
 
 __all__ = [
     "EvalResult",
@@ -355,7 +355,8 @@ class _GammaCoeffs:
         # allocated at the first read) and the entries filled per level,
         # published together
         self._table: Tuple[Optional[np.ndarray], np.ndarray] = (None, _NONE_FILLED)
-        self._shift: Optional[_GammaCoeffs] = _GammaCoeffs(s + 1.0) if s < 0 else None
+        # an order s < 0 reads its level rows off the cached order s + 1
+        self._shift: Optional[_GammaCoeffs] = _gamma_coeffs(s + 1.0) if s < 0 else None
         if self._shift is None and s > 0:
             self._gamma_s = math.gamma(s)
 
@@ -373,25 +374,40 @@ class _GammaCoeffs:
             sums = np.where(j >= m, np.exp(logs), 0.0).sum(axis=1)
         return sums * (-1.0) ** np.arange(n)
 
+    def _fill(self, ks: Sequence[int], n: int) -> None:
+        """Make every level of ``ks`` (0: the base stream) hold its first n
+        coefficients.  A row grows only through the widths _GAMMA_WIDTHS,
+        a quadrature row (k >= 1) by one entry more for the order s - 1
+        that shifts onto it, and each build only appends past the entries
+        the row holds, so no entry changes once made: what a call reads
+        does not depend on the calls made before it.  The quadrature rows
+        short of one width are built together (``_level_rows``); an order
+        s < 0 fills those of its order s + 1 instead."""
+        if self._shift is not None:
+            self._shift._fill([k for k in ks if k], n + 1)
+            ks = [k for k in ks if not k]
+        with _GAMMA_LOCK:
+            for width in _GAMMA_WIDTHS:
+                short = [k for k in ks if len(self._rows.get(k, ())) < min(n, width + (k > 0))]
+                if 0 in short:
+                    self._append(0, self._base_row(width))
+                    short.remove(0)
+                if short:
+                    for k, built in zip(short, self._level_rows(short, width + 1)):
+                        self._append(k, built)
+
+    def _append(self, k: int, built: np.ndarray) -> None:
+        held = self._rows.get(k, np.empty(0))
+        self._rows[k] = _frozen(np.append(held, built[len(held):]))
+
     def row(self, k: int, n: int) -> np.ndarray:
-        """The first n coefficients of level k (k = 0: the base stream).
-        A row grows only through the widths _GAMMA_WIDTHS, a quadrature
-        row (k >= 1) by one entry more for the order s - 1 that shifts
-        onto it, and each build only appends past the entries the row
-        holds, so no entry changes once made: what a call reads does not
-        depend on the calls made before it."""
+        """The first n coefficients of level k (k = 0: the base stream)."""
+        self._fill([k], n)
         if k and self._shift is not None:
             # one order shift: (-1)^m g_s^{(m)}(1) = -c_{s+1,m+1} + m c_{s+1,m}
             c = self._shift.row(k, n + 1)
             return -c[1:] + np.arange(n) * c[:-1]
-        with _GAMMA_LOCK:
-            held = self._rows.get(k, np.empty(0))
-            for width in _GAMMA_WIDTHS:
-                width += k > 0
-                if len(held) < min(n, width):
-                    built = self._level_row(k, width) if k else self._base_row(width)
-                    held = self._rows[k] = _frozen(np.append(held, built[len(held):]))
-        return held[:n]
+        return self._rows[k][:n]
 
     def level(self, k: int, m: int) -> float:
         return float(self.row(k, m + 1)[m])
@@ -421,8 +437,9 @@ class _GammaCoeffs:
         ``levels`` (a slice or an index array) over columns 0..width-1,
         each row filled over its first ``need`` entries at least and NaN
         past the entries it holds.  A short row is refilled to the next
-        of _GAMMA_WIDTHS that holds ``need``; the refilled table is built
-        aside and published whole under _GAMMA_LOCK."""
+        of _GAMMA_WIDTHS that holds ``need``, every level refilled to one
+        width in one ``_fill``; the refilled table is built aside and
+        published whole under _GAMMA_LOCK."""
         ratios, have = self._table
         if (have[levels] < need).any():
             with _GAMMA_LOCK:
@@ -436,41 +453,58 @@ class _GammaCoeffs:
                     else:
                         ratios = ratios.copy()
                     have = have.copy()
+                    by_width: Dict[int, list] = {}
                     for k, n in zip(ids[short].tolist(), need[short].tolist()):
-                        n = next(w for w in _GAMMA_WIDTHS if w >= n)
-                        c = self.row(k, n)
+                        by_width.setdefault(next(w for w in _GAMMA_WIDTHS if w >= n), []).append(k)
+                    for n, ks in by_width.items():
+                        self._fill(ks, n)
+                        c = np.array([self.row(k, n) for k in ks])
                         with np.errstate(divide="ignore", invalid="ignore"):
-                            ratios[k, :n] = c / np.append(1.0, c[:-1])
-                        have[k] = n
+                            ratios[ks, :n] = c / np.hstack([np.ones((len(ks), 1)), c[:, :-1]])
+                        have[ks] = n
                     ratios.flags.writeable = False
                     self._table = (ratios, have)
         return ratios[levels, :width]
 
-    def _level_row(self, k: int, n: int) -> np.ndarray:
-        """c_{k,0..n-1} of an order s > 0, all m from one sampling on
-        shared Gauss nodes."""
-        s, eps = self.s, 2.0**-k
+    def _level_rows(self, ks: Sequence[int], n: int) -> np.ndarray:
+        """c_{k,0..n-1} of an order s > 0 for each level of ``ks``: every
+        level of width n sits on the same Gauss nodes in t, so one pass per
+        refinement samples them all, sharing log t and e^t, and each
+        level's row is built from its own entries alone and settles by its
+        own check."""
+        s = self.s
         m = np.arange(n)
+        eps = 2.0 ** -np.array(ks, dtype=float)
+        a = np.array([math.exp(-e) for e in eps])
         # below t_lo the integrand is g(0) t^{s-1} to 1e-15 relative:
         # g(0) = (1 + e^{-eps})^{-(m+1)}, integral g(0) t_lo^s / s
         t_lo = 1e-15 / n
-        head = np.exp(-(m + 1) * np.log1p(math.exp(-eps)) + s * math.log(t_lo)) / s
+        log_g0 = np.array([math.log1p(x) for x in a])
+        head = np.exp(-(m + 1) * log_g0[:, None] + s * math.log(t_lo)) / s
 
-        def integrals(refine: int) -> np.ndarray:
-            # m = 0: t^{s-1} / (e^t + a); m >= 1: t^{s-1} e^t (e^t + a)^{-(m+1)}
-            # = [t^{s-1} e^t q] q^m with q = 1 / (e^t + a) < 1, a = e^{-eps}
+        def integrals(refine: int, live: np.ndarray) -> np.ndarray:
+            # m = 0: t^{s-1} q; m >= 1: t^{s-1} e^t q^{m+1}, with
+            # q = 1 / (e^t + a) < 1, each times the Gauss weight
             t, w = panel_nodes(dyadic_edges(t_lo, 54.0 + 8.0 * s, refine))
-            lse = np.logaddexp(t, -eps)
-            first = (s - 1.0) * np.log(t) - lse
-            q = np.exp(-lse)
-            m0 = np.exp(first) @ w
-            return head + np.append(m0, geometric_sums(np.exp(first + t) * w * q, q, n - 1))
+            e_t = np.exp(t)
+            g = np.exp((s - 1.0) * np.log(t)) * w
+            out = head[live]
+            for rows in chunks(len(live), len(t)):
+                q = e_t + a[live[rows], None]
+                np.divide(1.0, q, out=q)
+                p = g * q
+                out[rows, 0] += p.sum(axis=1)
+                p *= e_t
+                p *= q
+                out[rows, 1:] += geometric_sums(p, q, n - 1)
+            return out
 
-        b = refined(integrals, (1, 2, 4), 1e-12, f"level {k} coefficients of order {s}")
+        b = refined(integrals, (1, 2, 4), 1e-12,
+                    [f"level {k} coefficients of order {s}" for k in ks])
         # c_0 = -a J_0 / Gamma(s) = Li_s(-e^{-eps}); c_m = m! e^{-m eps} J_m / Gamma(s)
         lgm = np.array([math.lgamma(i + 1.0) for i in range(n)])
-        out = np.exp(lgm - m * eps + np.log(b)) / self._gamma_s
-        out[0] = -math.exp(-eps) * b[0] / self._gamma_s
+        out = np.exp(lgm - m * eps[:, None] + np.log(b)) / self._gamma_s
+        out[:, 0] = -a * b[:, 0] / self._gamma_s
         return out
 
 

@@ -139,6 +139,22 @@ class TestCoefficients:
                 i += 1
             assert table.d(m + 2) == pytest.approx(total, rel=1e-8)
 
+    @pytest.mark.parametrize("nu", [NU_AIRY, 0.7])
+    def test_dkm_vs_adaptive_quadrature(self, nu):
+        # d_km = Int_{2^-k}^{78} F(2^k tau - 1) e^{tau - 2^-k} 2^k (1 + e^tau)^-m dtau,
+        # by adaptive quadrature of the hypergeometric oracle at the table's order
+        table = get_table(nu, 66, 16)
+        for k in (1, 6, 16):
+            eps = 2.0**-k
+
+            for m in (2, 3, 40):
+                def f(tau):
+                    return (oracle.legendre_kernel_reference(table.nu, 2.0**k * tau - 1.0)
+                            * np.exp(tau - eps) * 2.0**k * np.exp(-m * np.logaddexp(tau, 0.0)))
+
+                ref = oracle.quad_adaptive(f, eps, borel._TAU_HI + 8.0, 0.0).real
+                assert table.dk(k, m) == pytest.approx(ref, rel=1e-13)
+
     def test_dkm_growth_trend(self, table):
         # d_{k+1,m} / d_{k,m} tracks the 2^k scaling of the level variable
         # (band checked for k in [3, 6]; the k = 2 ratio sits just above)
@@ -176,17 +192,51 @@ def test_level_nodes_nest_in_the_deepest_level(refine, K):
 class TestRefinement:
     def test_a_row_that_never_settles_raises(self):
         with pytest.raises(QuadratureError, match="test row"):
-            refined(lambda r: np.array([1.0, 1.0 + 1e-3 * r]), (2, 4, 8), 1e-12, "test row")
+            refined(lambda r, live: np.array([[1.0, 1.0 + 1e-3 * r]])[live], (2, 4, 8), 1e-12,
+                    ["test row"])
 
     def test_a_settled_row_returns_the_finer_refinement(self):
         seen = []
 
-        def row(r):
+        def row(r, live):
             seen.append(r)
-            return np.array([2.0, 1.0 + (0.5 if r == 1 else 1e-15 * r)])
+            return np.array([[2.0, 1.0 + (0.5 if r == 1 else 1e-15 * r)]])[live]
 
-        assert refined(row, (1, 2, 4, 8), 1e-12, "test row")[1] == 1.0 + 4e-15
+        assert refined(row, (1, 2, 4, 8), 1e-12, ["test row"])[0, 1] == 1.0 + 4e-15
         assert seen == [1, 2, 4]
+
+    def test_each_stacked_row_settles_by_its_own_check(self):
+        # row 0 settles at 2, row 1 at 4 and row 2 at 8; a settled row is
+        # not asked for again, and keeps the refinement its check accepted
+        seen = []
+
+        def rows(r, live):
+            seen.append((r, live.tolist()))
+            late = np.array([1.0, 2.0, 4.0])[live]
+            second = 1.0 + np.where(r >= late, 1e-15 * r, 1e-3 * r)
+            return np.stack([np.full(len(live), 3.0), second], 1)
+
+        out = refined(rows, (1, 2, 4, 8), 1e-12, ["a", "b", "c"])
+        assert seen == [(1, [0, 1, 2]), (2, [0, 1, 2]), (4, [1, 2]), (8, [2])]
+        assert np.array_equal(out[:, 1], 1.0 + 1e-15 * np.array([2.0, 4.0, 8.0]))
+        with pytest.raises(QuadratureError, match="^c did not converge"):
+            refined(rows, (1, 2, 4), 1e-12, ["a", "b", "c"])
+
+    @pytest.mark.parametrize("shape", [(1, 300), (5, 300), (3, 5000)])
+    def test_geometric_sums_of_a_stack(self, shape):
+        # a row of q per row, or one row of q under the whole stack, give
+        # the sums of each row alone to rounding
+        rng = np.random.default_rng(7)
+        p = rng.random(shape)
+        q = rng.random(shape) * 0.9
+        n = 40
+        alone = np.array([[np.sum(pr * qr**j) for j in range(n)] for pr, qr in zip(p, q)])
+        stacked = geometric_sums(p, q, n)
+        assert np.array_equal(stacked[-1], geometric_sums(p[-1], q[-1], n))
+        assert np.allclose(stacked, alone, rtol=1e-13, atol=0.0)
+        shared = geometric_sums(p, q[0], n)
+        assert np.allclose(shared, [[np.sum(pr * q[0]**j) for j in range(n)] for pr in p],
+                           rtol=1e-13, atol=0.0)
 
 
 class TestAiryH:
@@ -253,7 +303,9 @@ class TestColdBuilds:
 
     @pytest.mark.parametrize("nu", [NU_AIRY, 0.7, 1.2])
     def test_levels_equal_rows_sampled_level_by_level(self, nu):
-        # each level sampling F on its own nodes gives the same rows, bit for bit
+        # each level sampling F on its own nodes, with the power q^m of each
+        # node formed one multiplication at a time, gives the same rows to
+        # 1e-14: the table sums over powers shared by every level instead
         M, K, target = 66, 16, 1e-13
         kern = BorelKernel.build(nu, 2.0**K * (borel._TAU_HI + 8.0))
 
@@ -264,12 +316,24 @@ class TestColdBuilds:
                 tau, w = panel_nodes(dyadic_edges(eps, borel._TAU_HI + 8.0, refine))
                 f = kern.eval_raw(2.0**k * tau - 1.0) * w * np.exp(tau - eps) * 2.0**k
                 q = np.exp(-np.logaddexp(tau, 0.0))
-                return geometric_sums(f * q * q, q, M - 1)
+                p, out = f * q * q, np.empty(M - 1)
+                with np.errstate(under="ignore"):
+                    for j in range(M - 1):
+                        out[j] = p.sum()
+                        p *= q
+                return out
 
-            return refined(row, (2, 4, 8), 100.0 * target, f"level {k}", 1e-30)
+            a = row(2)
+            for r in (4, 8):
+                b = row(r)
+                if not np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-30)) > 100.0 * target:
+                    return b
+                a = b
+            raise QuadratureError(f"level {k}")
 
         table = CoefficientTable.build(kern, M, K, target)
-        assert np.array_equal(table.dkm, np.array([alone(k) for k in range(1, K + 1)]))
+        reference = np.array([alone(k) for k in range(1, K + 1)])
+        assert np.max(np.abs(table.dkm - reference) / np.abs(reference)) <= 1e-14
 
 
 class TestAiryFromH:

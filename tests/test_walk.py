@@ -16,6 +16,7 @@ import functools
 import math
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError
 
@@ -270,13 +271,48 @@ class TestTables:
             assert np.array_equal(ratios[lvl, :n], co.read(np.array([lvl]), n, n)[0])
             assert np.isnan(ratios[lvl, n:]).all()
 
-    def test_the_order_shift_helper_holds_no_table(self):
-        # an order s < 0 builds its rows from those of its order-(s + 1)
-        # helper, which it never reads as a table
+    def test_the_order_shift_helper_is_the_cached_order(self, monkeypatch):
+        # an order s < 0 builds its rows from those of the cached order
+        # s + 1, which erfc reads as a table of its own; the rows are those
+        # a private helper of order s + 1 gives, bit for bit
+        monkeypatch.setattr(specfun, "_GAMMA_CACHE", {})
+        erfc_dyadic(2.0, 1e-10)
         incomplete_gamma_dyadic(-0.5, 2.0, 1e-10)
-        helper = specfun._gamma_coeffs(-0.5)._shift
-        assert helper.s == 0.5 and len(helper._rows) > 0
-        assert helper._table[0] is None
+        co = specfun._gamma_coeffs(-0.5)
+        assert co._shift is specfun._gamma_coeffs(0.5) and co._shift._table[0] is not None
+        private = specfun._GammaCoeffs(0.5)
+        for k, n in ((1, 33), (4, 66), (9, 151)):
+            c = private.row(k, n + 1)
+            assert np.array_equal(co.row(k, n), -c[1:] + np.arange(n) * c[:-1])
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, -0.5])
+    def test_level_rows_do_not_depend_on_their_batch(self, s, monkeypatch):
+        # every level row built in a batched read equals, bit for bit, the
+        # row of a fresh order that builds that level alone, and reading
+        # the levels in another grouping gives the same table
+        def fresh():
+            monkeypatch.setattr(specfun, "_GAMMA_CACHE", {})
+            return specfun._gamma_coeffs(s)
+
+        def quadrature_rows(co):
+            return (co._shift or co)._rows
+
+        levels = np.arange(1, 13)
+        co = fresh()
+        co.read(levels, 33, 33)
+        co.read(levels[::3], 66, 66)
+        batched = dict(quadrature_rows(co))
+        assert {len(batched[k]) for k in levels} == {34, 67}
+        for k in levels.tolist():
+            alone = fresh()
+            alone.row(k, len(batched[k]) - 1)
+            assert np.array_equal(quadrature_rows(alone)[k], batched[k])
+        regrouped = fresh()
+        for group in (levels[::-3], levels[1::2], levels):
+            regrouped.read(group, 33, 33)
+        regrouped.read(levels[::3], 66, 66)
+        for a, b in zip(regrouped._table, co._table):
+            assert np.array_equal(a, b, equal_nan=True)
 
     def test_h_expansion(self):
         table = get_table(0.7, 66, LADDER_LEVELS)
@@ -329,6 +365,32 @@ class TestHistory:
         for x in (0.05, 0.3):                      # rows past their first widths
             incomplete_gamma_dyadic(s, x, 1e-12)
         assert _gamma_grid(s) == fresh
+
+
+class TestBuildMemory:
+    """A build that stacks its levels holds no larger temporaries than the
+    level-by-level build did: tracemalloc peaks of a fresh 16-level table
+    and of a fresh order's first incomplete-gamma call, each at most 10 %
+    above the level-by-level build's (2.12 and 0.71 MB)."""
+
+    @staticmethod
+    def _peak_mb(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    def test_coefficient_table(self, monkeypatch):
+        get_table(0.7, 10, 2)                     # every module the build loads
+        monkeypatch.setattr(borel, "_table", functools.cache(borel._table.__wrapped__))
+        assert self._peak_mb(lambda: get_table(0.7, 66, 16)) <= 1.1 * 2.12
+
+    def test_incomplete_gamma_rows(self, monkeypatch):
+        incomplete_gamma_dyadic(0.7, 1.0, 1e-8)
+        monkeypatch.setattr(specfun, "_GAMMA_CACHE", {})
+        assert self._peak_mb(lambda: incomplete_gamma_dyadic(0.3, 0.3, 1e-12)) <= 1.1 * 0.71
 
 
 def _ei_grid():
