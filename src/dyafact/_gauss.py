@@ -10,18 +10,26 @@ expansions they check.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
+from .scalar import QuadratureError
+
 _ORDER = 48
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(_ORDER)
 _CHUNK = 1 << 13   # entries of one temporary of a stacked row build
 __all__ = ["QuadratureError", "dyadic_edges", "panel_nodes", "chunks", "geometric_sums", "refined"]
 
 
-class QuadratureError(RuntimeError):
-    """Panel refinement failed to converge."""
+@functools.lru_cache(maxsize=None)
+def _rule() -> Tuple[np.ndarray, np.ndarray]:
+    """The _ORDER-point Gauss-Legendre nodes and weights on [-1, 1], made
+    on first use so that importing this module loads no numpy.polynomial."""
+    from numpy.polynomial.legendre import leggauss
+    nodes, weights = leggauss(_ORDER)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def dyadic_edges(lo: float, hi: float, refine: int) -> np.ndarray:
@@ -38,10 +46,11 @@ def dyadic_edges(lo: float, hi: float, refine: int) -> np.ndarray:
 
 def panel_nodes(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Gauss nodes and weights of every panel between consecutive edges."""
+    nodes, weights = _rule()
     mids = 0.5 * (edges[:-1] + edges[1:])
     halfs = 0.5 * (edges[1:] - edges[:-1])
-    pts = (mids[:, None] + halfs[:, None] * _NODES[None, :]).ravel()
-    wts = (halfs[:, None] * _WEIGHTS[None, :]).ravel()
+    pts = (mids[:, None] + halfs[:, None] * nodes[None, :]).ravel()
+    wts = (halfs[:, None] * weights[None, :]).ravel()
     return pts, wts
 
 

@@ -36,17 +36,20 @@ import numpy as np
 
 from ._gauss import chunks, dyadic_edges, geometric_sums, panel_nodes, refined
 from .dyadic import (
+    _EPS,
     LADDER_LEVELS,
     MAX_AMPLIFICATION,
     MAX_LEVELS,
     DyadicPlan,
+    EvalResult,
     FactorialFamily,
     NumerTable,
+    _frozen,
+    _result,
     amplification,
     evaluate,
 )
 from .scalar import DomainError
-from .specfun import _EPS, EvalResult, _frozen, _result
 
 __all__ = [
     "BorelKernel",

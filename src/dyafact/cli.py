@@ -5,13 +5,18 @@ dyadic / classical / asymptotic comparisons.
 Output is data (CSV or JSON), never plots; figures are reproduced as
 plot-ready files.  Exit codes: 0 success, 2 domain error, 3
 nonconvergence, 4 I/O error.
+
+Each command imports the modules it uses when it runs: a cold ``eval``
+of an Ei, digamma, erfc or incomplete-gamma grid loads ``specfun`` and
+one of Airy or Bessel-K loads ``borel`` (each with the ``dyadic`` core),
+only ``--with-oracle``, ``figure`` and ``compare`` load ``oracle``, only
+``operator`` loads ``operators`` and only ``--format json`` loads ``json``.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -19,9 +24,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from . import borel, operators, oracle, specfun
-from .scalar import DomainError, PoleError, factorial_series_eval
-from ._gauss import QuadratureError
+from .scalar import (DomainError, NonconvergenceError, PoleError, QuadratureError,
+                     factorial_series_eval)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -64,6 +68,7 @@ def _write_rows(header: Sequence[str], rows: Sequence[Sequence[float]],
         lines += [",".join(_fmt(v) for v in row) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
+        import json
         text = json.dumps({"columns": list(header),
                            "rows": [[float(v) for v in row] for row in rows]},
                           indent=1) + "\n"
@@ -84,6 +89,12 @@ def _real(x: complex, name: str) -> float:
 
 
 def _evaluator(name: str, s: float):
+    if name in ("airy", "bessel-k"):
+        from . import borel
+        if name == "airy":
+            return lambda x, tol: borel.airy_from_h(_real(x, name), tol)
+        return lambda x, tol: borel.bessel_k_dyadic(s, _real(x, name), tol)
+    from . import specfun
     if name == "ei-stokes":
         return lambda x, tol: specfun.ei_stokes(x, tol)
     if name == "ei-left":
@@ -94,14 +105,11 @@ def _evaluator(name: str, s: float):
         return lambda x, tol: specfun.erfc_dyadic(_real(x, name), tol)
     if name == "inc-gamma":
         return lambda x, tol: specfun.incomplete_gamma_dyadic(s, x, tol)
-    if name == "airy":
-        return lambda x, tol: borel.airy_from_h(_real(x, name), tol)
-    if name == "bessel-k":
-        return lambda x, tol: borel.bessel_k_dyadic(s, _real(x, name), tol)
     raise DomainError(f"unknown function id: {name}")
 
 
 def _oracle_value(name: str, x: complex, s: float) -> complex:
+    from . import oracle
     if name == "ei-stokes":
         if x.real > 0.06 * abs(x):
             return oracle.ei_plus_reference(x)
@@ -166,6 +174,7 @@ def cmd_plan(cfg: RunConfig) -> int:
 
 
 def cmd_figure(figure_id: str, fmt: str, out: Optional[str]) -> int:
+    from . import borel, oracle, specfun
     if figure_id == "fig-terms":
         # term magnitudes m = 1..30 of the first five Stokes-expansion
         # series at x = 5, as the planner sees them
@@ -209,6 +218,7 @@ def cmd_figure(figure_id: str, fmt: str, out: Optional[str]) -> int:
 def _classical_ei_left_terms(x: float, tol: float, ref: float) -> Optional[int]:
     """Terms of the classical (half-plane) factorial series of e^x E_1(x)
     needed for ``tol`` relative accuracy, or None past 400 terms."""
+    from . import specfun
     stream = specfun.ei_left_classical_stream()
     for n in range(1, 400):
         val = -factorial_series_eval(stream, x, n)
@@ -218,6 +228,7 @@ def _classical_ei_left_terms(x: float, tol: float, ref: float) -> Optional[int]:
 
 
 def cmd_compare(function: str, x: float, tol: float) -> int:
+    from . import oracle, specfun
     if function == "ei-stokes":
         sys.stdout.write(
             "function: ei-stokes on R^+\n"
@@ -256,6 +267,7 @@ def cmd_compare(function: str, x: float, tol: float) -> int:
 
 
 def cmd_operator(matrix_path: str, mode: str, lam: float, s: float, levels: int) -> int:
+    from . import operators
     try:
         with open(matrix_path) as fh:
             a = operators.read_matrix_text(fh)
@@ -349,7 +361,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (DomainError, PoleError) as exc:
         sys.stderr.write(f"domain error: {exc}\n")
         return EXIT_DOMAIN
-    except (oracle.NonconvergenceError, QuadratureError) as exc:
+    except (NonconvergenceError, QuadratureError) as exc:
         sys.stderr.write(f"nonconvergence: {exc}\n")
         return EXIT_NONCONV
     except IOError as exc:

@@ -31,6 +31,7 @@ __all__ = [
     "dyadic_cauchy_deriv_partial",
     "ramified_partial",
     "DyadicPlan",
+    "EvalResult",
     "FactorialFamily",
     "NumerTable",
     "TABLE_COLUMNS",
@@ -66,6 +67,12 @@ _INDEX = np.arange(1025)                         # shared row and column index
 _INV_LEVELS = 2.0 ** -_INDEX[:MAX_LEVELS + 1]    # 2^-k for every described level
 _TINY = np.finfo(float).tiny
 _EPS = float(np.finfo(float).eps)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, read-only: templates are shared by every family of an order."""
+    a.flags.writeable = False
+    return a
 
 
 def _index(n: int) -> np.ndarray:
@@ -235,6 +242,32 @@ class DyadicPlan:
     @property
     def terms_total(self) -> int:
         return sum(self.n_terms)
+
+
+@dataclass(frozen=True)
+class EvalResult:
+    """Value with its error estimate and the executed plan.  The estimate
+    is the plan's prediction plus the size of the last Richardson
+    correction the evaluation made and the rounding of the kept terms
+    (``dyadic.assemble``).  ``tol_met`` says whether the estimate
+    is within the requested tolerance in the evaluator's units: absolute
+    for Ei and digamma, relative to |value| for erfc, incomplete gamma,
+    Airy and Bessel-K."""
+
+    value: complex
+    error_estimate: float
+    plan: DyadicPlan
+    tol_met: bool
+
+    @property
+    def terms_total(self) -> int:
+        return self.plan.terms_total
+
+
+def _result(value: complex, estimate: float, plan: DyadicPlan, tol: float,
+            relative: bool) -> EvalResult:
+    bound = tol * abs(value) if relative else tol
+    return EvalResult(value, estimate, plan, bool(estimate <= bound))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .scalar import NonconvergenceError
+
 __all__ = [
     "NonconvergenceError",
     "ContourError",
@@ -35,10 +37,6 @@ __all__ = [
 ]
 
 EULER_GAMMA = 0.5772156649015328606
-
-
-class NonconvergenceError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
 
 
 class ContourError(ValueError):

@@ -16,6 +16,8 @@ from typing import Callable
 __all__ = [
     "DomainError",
     "PoleError",
+    "NonconvergenceError",
+    "QuadratureError",
     "ln_gamma",
     "pochhammer",
     "polylog",
@@ -32,6 +34,14 @@ class DomainError(ValueError):
 
 class PoleError(ZeroDivisionError):
     """Evaluation at (or too close to) a pole."""
+
+
+class NonconvergenceError(RuntimeError):
+    """Adaptive quadrature failed to reach the requested tolerance."""
+
+
+class QuadratureError(RuntimeError):
+    """Panel refinement failed to converge."""
 
 
 # Stirling's series coefficients B_{2n}/(2n(2n-1)) for ln Gamma.

@@ -15,19 +15,22 @@ import cmath
 import functools
 import math
 import threading
-from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .dyadic import (
+    _EPS,
     FIRST_CHUNK,
     MAX_AMPLIFICATION,
     MAX_LEVELS,
     TABLE_COLUMNS,
     DyadicPlan,
+    EvalResult,
     FactorialFamily,
     NumerTable,
+    _frozen,
+    _result,
     amplification,
     evaluate,
     level_sums,
@@ -50,46 +53,13 @@ __all__ = [
     "erfc_dyadic",
 ]
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """``a``, read-only: templates are shared by every family of an order."""
-    a.flags.writeable = False
-    return a
-
-
 _LEVELS = _frozen(2.0 ** np.arange(MAX_LEVELS + 1))   # 2^k for every described level
 _ONES = _frozen(np.ones(MAX_LEVELS + 1))
 # Level k of Ei and digamma is 2^-k sigma(2^-k z) with sigma(z) = 1/(1 + e^-z)
 # = 1/2 + z/4 - z^3/48 + ...: the K-level tail runs in 2^-K, 2^-2K, 2^-4K, 2^-6K.
 _SIGMA_LADDER = (1.0, 2.0, 4.0, 6.0)
-_EPS = float(np.finfo(float).eps)
 _EULER_GAMMA = 0.5772156649015329
 _ON_CUT = 1e-12        # relative distance from an Ei cut that counts as on it
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    """Value with its error estimate and the executed plan.  The estimate
-    is the plan's prediction plus the size of the last Richardson
-    correction the evaluation made and the rounding of the kept terms
-    (``dyadic.assemble``).  ``tol_met`` says whether the estimate
-    is within the requested tolerance in the evaluator's units: absolute
-    for Ei and digamma, relative to |value| for erfc, incomplete gamma,
-    Airy and Bessel-K."""
-
-    value: complex
-    error_estimate: float
-    plan: DyadicPlan
-    tol_met: bool
-
-    @property
-    def terms_total(self) -> int:
-        return self.plan.terms_total
-
-
-def _result(value: complex, estimate: float, plan: DyadicPlan, tol: float,
-            relative: bool) -> EvalResult:
-    bound = tol * abs(value) if relative else tol
-    return EvalResult(value, estimate, plan, bool(estimate <= bound))
 
 
 def _geometric(a: np.ndarray, den: np.ndarray, first: int = FIRST_CHUNK) -> NumerTable:

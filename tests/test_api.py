@@ -1,7 +1,7 @@
-"""The package's public surface: every exported name resolves, the package
-re-exports only exported names, and loading it needs no scipy."""
+"""The package's public surface: every exported name resolves from its home
+module on first access, the package re-exports only exported names, and
+loading it needs no scipy."""
 
-import ast
 import importlib
 import os
 import pathlib
@@ -23,12 +23,34 @@ def test_exported_names_resolve(name):
 
 
 def test_package_reexports_only_exported_names():
-    stale = []
-    for node in ast.parse((SRC / "__init__.py").read_text()).body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            exported = getattr(importlib.import_module(f"dyafact.{node.module}"), "__all__", ())
-            stale += [f"{node.module}.{a.name}" for a in node.names if a.name not in exported]
+    # the package's name map: each name is exported by its home module, and
+    # resolves to that module's very object
+    stale = [f"{home}.{name}" for name, home in dyafact._HOME.items()
+             if name not in getattr(importlib.import_module(f"dyafact.{home}"), "__all__", ())]
     assert stale == []
+    assert [name for name, home in dyafact._HOME.items()
+            if getattr(dyafact, name) is not getattr(importlib.import_module(f"dyafact.{home}"), name)] == []
+    listed = set(dir(dyafact))
+    assert set(dyafact._HOME) - listed == set()
+    # every other public name the package lists is one of its modules
+    assert [n for n in listed - set(dyafact._HOME) if not n.startswith("_") and n not in MODULES] == []
+    with pytest.raises(AttributeError):
+        dyafact.no_such_name
+
+
+def test_exception_types_have_one_home():
+    from dyafact import _gauss, oracle, scalar
+    assert oracle.NonconvergenceError is scalar.NonconvergenceError
+    assert _gauss.QuadratureError is scalar.QuadratureError
+    assert "NonconvergenceError" in oracle.__all__ and "QuadratureError" in _gauss.__all__
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    code = "import sys, dyafact\nprint(sorted(m for m in sys.modules if m.startswith('dyafact')))\n"
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert proc.stdout.strip().splitlines()[-1] == "['dyafact']"
 
 
 def test_import_and_scipy_free_evaluations_load_no_scipy():

@@ -1,7 +1,12 @@
+import ast
 import cmath
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -106,6 +111,31 @@ class TestEval:
     def test_unknown_function(self):
         rc = run(["eval", "--function", "zeta", "--x-start", "1", "--points", "1"])
         assert rc == 2
+
+    def test_an_oracle_that_does_not_converge_exits_3(self, monkeypatch, capsys):
+        from dyafact import oracle
+
+        def fails(x):
+            raise oracle.NonconvergenceError("integrand does not decay")
+
+        monkeypatch.setattr(oracle, "psi_reference", fails)
+        rc = run(["eval", "--function", "psi", "--x-start", "2", "--with-oracle"])
+        assert rc == cli.EXIT_NONCONV == 3
+        out = capsys.readouterr()
+        assert out.out == "" and "nonconvergence: integrand does not decay" in out.err
+
+    def test_a_coefficient_build_that_does_not_converge_exits_3(self, monkeypatch, capsys):
+        from dyafact import _gauss, borel
+
+        def fails(nu, M, K):
+            raise _gauss.QuadratureError("level 3 did not converge")
+
+        # every evaluation reads its table through borel._table, cached or not
+        monkeypatch.setattr(borel, "_table", fails)
+        rc = run(["eval", "--function", "bessel-k", "--s", "0.7", "--x-start", "2"])
+        assert rc == cli.EXIT_NONCONV == 3
+        out = capsys.readouterr()
+        assert out.out == "" and "nonconvergence: level 3 did not converge" in out.err
 
 
 class TestPlan:
@@ -248,3 +278,52 @@ class TestOperator:
 
     def test_missing_file(self):
         assert run(["operator", "--matrix", "/nonexistent/m.txt"]) == 4
+
+
+class TestColdLoads:
+    """What a cold command loads: each case runs ``cli.main`` in a fresh
+    interpreter and reads the watched modules off its ``sys.modules``."""
+
+    WATCHED = ("dyafact.specfun", "dyafact.borel", "dyafact.operators", "dyafact.oracle",
+               "numpy.polynomial", "json")
+
+    def _loaded(self, argv):
+        code = ("import sys\nfrom dyafact import cli\n"
+                f"rc = cli.main({argv!r})\n"
+                f"print(repr((rc, [m for m in {self.WATCHED!r} if m in sys.modules])))\n")
+        src = str(pathlib.Path(cli.__file__).parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, check=True)
+        return ast.literal_eval(proc.stdout.strip().splitlines()[-1])
+
+    @pytest.mark.parametrize("fn", ["psi", "ei-stokes"])
+    def test_a_specfun_grid_loads_specfun_alone(self, fn):
+        rc, loaded = self._loaded(["eval", "--function", fn, "--x-start", "1", "--x-stop", "8",
+                                   "--points", "4", "--tol", "1e-10"])
+        assert (rc, loaded) == (0, ["dyafact.specfun"])
+
+    @pytest.mark.parametrize("fn", ["airy", "bessel-k"])
+    def test_a_borel_grid_loads_no_specfun_operators_or_oracle(self, fn):
+        rc, loaded = self._loaded(["eval", "--function", fn, "--s", "0.7", "--x-start", "1",
+                                   "--x-stop", "8", "--points", "4", "--tol", "1e-10"])
+        assert rc == 0 and "dyafact.borel" in loaded
+        assert not {"dyafact.specfun", "dyafact.operators", "dyafact.oracle"} & set(loaded)
+
+    def test_with_oracle_loads_the_oracle(self):
+        rc, loaded = self._loaded(["eval", "--function", "psi", "--x-start", "2",
+                                   "--points", "2", "--x-stop", "3", "--with-oracle"])
+        assert rc == 0 and loaded == ["dyafact.specfun", "dyafact.oracle"]
+
+    def test_json_format_loads_json(self):
+        rc, loaded = self._loaded(["eval", "--function", "psi", "--x-start", "2",
+                                   "--format", "json"])
+        assert rc == 0 and loaded == ["dyafact.specfun", "json"]
+
+    def test_operator_loads_the_operators(self, tmp_path):
+        mpath = tmp_path / "spd.txt"
+        with open(mpath, "w") as fh:
+            operators.write_matrix_text(np.diag([0.5, 1.0, 2.0]).astype(complex), fh)
+        rc, loaded = self._loaded(["operator", "--matrix", str(mpath), "--mode", "inverse",
+                                   "--levels", "20"])
+        assert (rc, loaded) == (0, ["dyafact.operators"])
