@@ -44,7 +44,6 @@ _HOMES = {
         "incomplete_gamma_dyadic",
         "psi_dyadic",
         "psi_family",
-        "psi_half_difference",
     ),
     "borel": (
         "BorelKernel",

@@ -284,11 +284,9 @@ class NumerTable:
     def columns(self) -> int:
         return self.array.shape[1]
 
-    def read(self, rows, need, width: int) -> np.ndarray:
+    def read(self, rows, width: int) -> np.ndarray:
         """The numerators of the levels ``rows`` (a slice or an index
-        array) over columns 0..width-1.  ``need``, the entries those rows
-        must hold, concerns tables filled level by level; this one is
-        whole."""
+        array) over columns 0..width-1."""
         return self.array[rows, :width]
 
 
@@ -305,9 +303,8 @@ class FactorialFamily:
 
     the shape sum_m c_{k,m} Gamma(m) / (x_k)_m with the coefficients and
     Gamma(m) folded into the numerators, so no factor ever overflows.
-    ``table`` holds numer(k, i) over its columns, built once per order (a
-    ``NumerTable`` or a table of the same interface); a level keeps at
-    most ``table.columns - 1`` planned terms.
+    ``table`` holds numer(k, i) over its columns, built once per order; a
+    level keeps at most ``table.columns - 1`` planned terms.
 
     The planner sees only magnitudes in the units of its tolerance:
     ``size[k]`` = |weight_k t_{k,1}| and the term ratios
@@ -411,13 +408,9 @@ def _walk(fam: FactorialFamily, counts: Optional[np.ndarray], target: float = 0.
     take one pass over max(counts) columns.  The planner's walk reads the
     table's ``first`` columns of every level in its first chunk; the
     levels still walking read again from column 0 over twice as many,
-    less one, and so on, as a coefficient row that grows rounds its
-    earlier entries anew and the kept terms must all come from the final
-    row.  A table filled level by level may hold NaN past a row's filled
-    entries: a level stops only where its row is filled, and the next
-    chunk asks for the entries it lacks.  A chunk forms the quotients
-    numer / (shift + i) once: their magnitudes drive the stop rule, and
-    their running product gives the terms t_{k,i+1}.
+    less one, and so on.  A chunk forms the quotients numer / (shift + i)
+    once: their magnitudes drive the stop rule, and their running product
+    gives the terms t_{k,i+1}.
 
     Returns the counts kept, the remainder each leaves at its last count
     walked (0 with fixed counts), and an array of max(counts) columns
@@ -430,7 +423,7 @@ def _walk(fam: FactorialFamily, counts: Optional[np.ndarray], target: float = 0.
             raise DomainError(f"{fam.name}: a plan takes at most {len(fam.shift) - 1} levels "
                               f"of at most {columns} terms")
         rows = slice(0, K + 1)
-        num = fam.table.read(rows, counts, width)
+        num = fam.table.read(rows, width)
         terms = np.multiply.accumulate(num / (fam.shift[rows, None] + _index(width)), axis=1)
         return counts, np.zeros(K + 1), terms
     K = len(gain) - 1
@@ -442,8 +435,7 @@ def _walk(fam: FactorialFamily, counts: Optional[np.ndarray], target: float = 0.
         width = min(hi, columns)
         last = width == columns               # unmet rows run out in this chunk
         # the stop rule at count c reads the ratio at index c
-        num = fam.table.read(rows, width if last else lo + 1, width)
-        quot = num / (fam.shift[rows, None] + _index(width))
+        quot = fam.table.read(rows, width) / (fam.shift[rows, None] + _index(width))
         r = np.abs(quot[:, 1:])
         # t_1 is given by ``size``, the ratios take it on from there
         mags = first[rows, None] * np.minimum(np.multiply.accumulate(r, axis=1), 1e280)   # saturate, not overflow

@@ -1,6 +1,5 @@
 """Dyadic factorial evaluators: the exponential integral on and off its
-Stokes ray, the digamma function, the half-difference identity, and the
-incomplete gamma / erfc family.
+Stokes ray, the digamma function, and the incomplete gamma / erfc family.
 
 Every evaluator returns an :class:`EvalResult` carrying the value, an
 a-priori error estimate and the truncation plan actually executed.  Sign
@@ -15,7 +14,8 @@ import cmath
 import functools
 import math
 import threading
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .dyadic import (
     _result,
     amplification,
     evaluate,
-    level_sums,
 )
 from .scalar import DomainError, polylog
 from ._gauss import chunks, dyadic_edges, geometric_sums, panel_nodes, refined
@@ -48,7 +47,6 @@ __all__ = [
     "ei_left_base_stream",
     "ei_left_classical_stream",
     "psi_dyadic",
-    "psi_half_difference",
     "incomplete_gamma_dyadic",
     "erfc_dyadic",
 ]
@@ -267,228 +265,142 @@ def psi_dyadic(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None
     return _result(cmath.log(x) + total, plan.predicted_error + corr, plan, tol, relative=False)
 
 
-def psi_half_difference(x: complex, n: int) -> complex:
-    """Partial sum  sum_{m=1}^{n} Gamma(m) / (2^m (x)_m), converging to
-
-        (1/2) Psi((x+1)/2) - (1/2) Psi(x/2)  =  Int_0^1 t^{x-1}/(1+t) dt
-
-    for Re x > 0.  All terms are positive on the positive real axis; the
-    first is 1/(2x).
-    """
-    x = complex(x)
-    if x.real <= 0:
-        raise DomainError("psi_half_difference requires Re x > 0")
-    if n < 1:
-        raise DomainError("psi_half_difference requires n >= 1")
-    return complex(level_sums(psi_family(x), [n])[0])
-
-
 # ---------------------------------------------------------------------------
 # incomplete gamma / erfc
 # ---------------------------------------------------------------------------
 
 
 _GAMMA_TERMS = 150  # terms a level may keep: the base coefficients overflow near m = 185
-# the widths a row grows through: most levels keep < 32 terms, a second chunk reads 65
-_GAMMA_WIDTHS = (33, 66, _GAMMA_TERMS + 1)
-_LEVEL_IDS = np.arange(MAX_LEVELS + 1)
-_NONE_FILLED = _frozen(np.zeros(MAX_LEVELS + 1, dtype=np.int64))
+# terms of the shift from a = 1 to a level's a = e^{-2^-k}: level 1, the
+# slowest, reaches rounding with about 110 at m = 151
+_SHIFT_TERMS = 120
 
 
-class _GammaCoeffs:
-    """Per-order coefficient streams of the ramified-polylog expansion of
-    Gamma(1-s) e^x x^{-s} Gamma(s, x).
+@dataclass(frozen=True)
+class _GammaTemplate:
+    """The argument-free half of the incomplete-gamma family of one order
+    s, built whole at its first use and read-only: the coefficients
+    c_{k,m} of the ramified-polylog expansion of
+    Gamma(1-s) e^x x^{-s} Gamma(s, x) (row 0 the base stream), their term
+    ratios c_{k,m} / c_{k,m-1} (c_{k,-1} = 1) over _GAMMA_TERMS + 1
+    columns, and the level weights and leads of ``_gamma_build``."""
 
-    Base coefficients come from the everywhere-positive sum
+    coeffs: np.ndarray
+    table: NumerTable
+    weight: np.ndarray
+    lead: np.ndarray
 
-        c_m = (-1)^m sum_{n >= max(m,1)} n(n-1)...(n-m+1) n^{-s} e^{-n},
 
-    level coefficients from the positive-integrand representation
+def _base_row(s: float, n: int) -> np.ndarray:
+    """c_0..c_{n-1} of the base stream of order s, from the
+    everywhere-positive sum
 
-        (-1)^m g_k^{(m)}(1) = m! e^{-m eps} / Gamma(s) *
-            Int_0^inf t^{s-1} e^t (e^t + e^{-eps})^{-(m+1)} dt,
+        c_m = (-1)^m sum_{j >= max(m,1)} j(j-1)...(j-m+1) j^{-s} e^{-j},
 
-    both stable for every m (the Stirling-number form of the same
-    derivatives cancels catastrophically past m ~ 20).  Orders s in
-    (-1, 0) are reduced to s + 1 by one derivative shift.
-    """
-
-    first = FIRST_CHUNK          # columns of a walk's first chunk over ``read``
-    columns = _GAMMA_TERMS + 1   # columns of ``read``: a level keeps at most _GAMMA_TERMS terms
-
-    def __init__(self, s: float):
-        if not (-1.0 < s < 1.0) or s == 0.0:
-            raise DomainError("incomplete-gamma expansion implemented for s in (-1,1), s != 0")
-        self.s = s
-        self._rows: Dict[int, np.ndarray] = {}
-        # the term ratios of every level (NaN past a row's filled entries,
-        # allocated at the first read) and the entries filled per level,
-        # published together
-        self._table: Tuple[Optional[np.ndarray], np.ndarray] = (None, _NONE_FILLED)
-        # an order s < 0 reads its level rows off the cached order s + 1
-        self._shift: Optional[_GammaCoeffs] = _gamma_coeffs(s + 1.0) if s < 0 else None
-        if self._shift is None and s > 0:
-            self._gamma_s = math.gamma(s)
-
-    def _base_row(self, n: int) -> np.ndarray:
-        """c_0..c_{n-1} of the base stream, every sum at once in log form:
-        n(n-1)...(n-m+1) = n!/(n-m)!.  Terms peak near n = 1.6 m and fall
-        below 1e-18 of the peak well before 3 m + 100.  Past m ~ 185 the
-        sums overflow to inf, which level_sums drops."""
-        N = 3 * n + 100
-        j = np.arange(1, N + 1)
-        log_fact = np.array([math.lgamma(i + 1.0) for i in range(N + 1)])
-        m = np.arange(n)[:, None]
+    in log form, j(j-1)...(j-m+1) = j!/(j-m)!, over _gauss.chunks of m.
+    Terms peak near j = 1.6 m and fall below 1e-18 of the peak well
+    before 3 n + 100.  Past m ~ 185 the sums overflow to inf."""
+    N = 3 * n + 100
+    j = np.arange(1, N + 1)
+    log_fact = np.array([math.lgamma(i + 1.0) for i in range(N + 1)])
+    sums = np.empty(n)
+    for rows in chunks(n, N):
+        m = np.arange(n)[rows, None]
         with np.errstate(over="ignore"):
-            logs = log_fact[j] - log_fact[np.maximum(j - m, 0)] - j - self.s * np.log(j)
-            sums = np.where(j >= m, np.exp(logs), 0.0).sum(axis=1)
-        return sums * (-1.0) ** np.arange(n)
-
-    def _fill(self, ks: Sequence[int], n: int) -> None:
-        """Make every level of ``ks`` (0: the base stream) hold its first n
-        coefficients.  A row grows only through the widths _GAMMA_WIDTHS,
-        a quadrature row (k >= 1) by one entry more for the order s - 1
-        that shifts onto it, and each build only appends past the entries
-        the row holds, so no entry changes once made: what a call reads
-        does not depend on the calls made before it.  The quadrature rows
-        short of one width are built together (``_level_rows``); an order
-        s < 0 fills those of its order s + 1 instead."""
-        if self._shift is not None:
-            self._shift._fill([k for k in ks if k], n + 1)
-            ks = [k for k in ks if not k]
-        with _GAMMA_LOCK:
-            for width in _GAMMA_WIDTHS:
-                short = [k for k in ks if len(self._rows.get(k, ())) < min(n, width + (k > 0))]
-                if 0 in short:
-                    self._append(0, self._base_row(width))
-                    short.remove(0)
-                if short:
-                    for k, built in zip(short, self._level_rows(short, width + 1)):
-                        self._append(k, built)
-
-    def _append(self, k: int, built: np.ndarray) -> None:
-        held = self._rows.get(k, np.empty(0))
-        self._rows[k] = _frozen(np.append(held, built[len(held):]))
-
-    def row(self, k: int, n: int) -> np.ndarray:
-        """The first n coefficients of level k (k = 0: the base stream)."""
-        self._fill([k], n)
-        if k and self._shift is not None:
-            # one order shift: (-1)^m g_s^{(m)}(1) = -c_{s+1,m+1} + m c_{s+1,m}
-            c = self._shift.row(k, n + 1)
-            return -c[1:] + np.arange(n) * c[:-1]
-        return self._rows[k][:n]
-
-    def level(self, k: int, m: int) -> float:
-        return float(self.row(k, m + 1)[m])
-
-    @functools.cached_property
-    def deep_first(self) -> float:
-        """|Li_s(-1)|, which the first coefficient Li_s(-e^{-2^-k}) of
-        level k approaches as k grows."""
-        return abs(polylog(self.s, -1.0))
-
-    @functools.cached_property
-    def levels(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The argument-free half of the family, built once: the level
-        weights, 1 for the base and -2^{ks} for level k, and
-        |weight_k t_{k,1}| |x|, which is |c_0| for the base and
-        2^{k(s-1)} |Li_s(-1)| for level k (its first coefficient's limit)."""
-        s = self.s
-        weight = -(_LEVELS ** s)
-        weight[0] = 1.0
-        lead = _LEVELS ** (s - 1.0) * self.deep_first
-        lead[0] = abs(self.level(0, 0))
-        return _frozen(weight), _frozen(lead)
-
-    def read(self, levels, need, width: int) -> np.ndarray:
-        """The numerator table of the family (``NumerTable``'s interface):
-        the term ratios c_{k,i} / c_{k,i-1} (c_{k,-1} = 1) of the levels
-        ``levels`` (a slice or an index array) over columns 0..width-1,
-        each row filled over its first ``need`` entries at least and NaN
-        past the entries it holds.  A short row is refilled to the next
-        of _GAMMA_WIDTHS that holds ``need``, every level refilled to one
-        width in one ``_fill``; the refilled table is built aside and
-        published whole under _GAMMA_LOCK."""
-        ratios, have = self._table
-        if (have[levels] < need).any():
-            with _GAMMA_LOCK:
-                ratios, have = self._table
-                ids = _LEVEL_IDS[levels]
-                need = np.broadcast_to(need, ids.shape)
-                short = have[ids] < need
-                if short.any():
-                    if ratios is None:
-                        ratios = np.full((MAX_LEVELS + 1, self.columns), np.nan)
-                    else:
-                        ratios = ratios.copy()
-                    have = have.copy()
-                    by_width: Dict[int, list] = {}
-                    for k, n in zip(ids[short].tolist(), need[short].tolist()):
-                        by_width.setdefault(next(w for w in _GAMMA_WIDTHS if w >= n), []).append(k)
-                    for n, ks in by_width.items():
-                        self._fill(ks, n)
-                        c = np.array([self.row(k, n) for k in ks])
-                        with np.errstate(divide="ignore", invalid="ignore"):
-                            ratios[ks, :n] = c / np.hstack([np.ones((len(ks), 1)), c[:, :-1]])
-                        have[ks] = n
-                    ratios.flags.writeable = False
-                    self._table = (ratios, have)
-        return ratios[levels, :width]
-
-    def _level_rows(self, ks: Sequence[int], n: int) -> np.ndarray:
-        """c_{k,0..n-1} of an order s > 0 for each level of ``ks``: every
-        level of width n sits on the same Gauss nodes in t, so one pass per
-        refinement samples them all, sharing log t and e^t, and each
-        level's row is built from its own entries alone and settles by its
-        own check."""
-        s = self.s
-        m = np.arange(n)
-        eps = 2.0 ** -np.array(ks, dtype=float)
-        a = np.array([math.exp(-e) for e in eps])
-        # below t_lo the integrand is g(0) t^{s-1} to 1e-15 relative:
-        # g(0) = (1 + e^{-eps})^{-(m+1)}, integral g(0) t_lo^s / s
-        t_lo = 1e-15 / n
-        log_g0 = np.array([math.log1p(x) for x in a])
-        head = np.exp(-(m + 1) * log_g0[:, None] + s * math.log(t_lo)) / s
-
-        def integrals(refine: int, live: np.ndarray) -> np.ndarray:
-            # m = 0: t^{s-1} q; m >= 1: t^{s-1} e^t q^{m+1}, with
-            # q = 1 / (e^t + a) < 1, each times the Gauss weight
-            t, w = panel_nodes(dyadic_edges(t_lo, 54.0 + 8.0 * s, refine))
-            e_t = np.exp(t)
-            g = np.exp((s - 1.0) * np.log(t)) * w
-            out = head[live]
-            for rows in chunks(len(live), len(t)):
-                q = e_t + a[live[rows], None]
-                np.divide(1.0, q, out=q)
-                p = g * q
-                out[rows, 0] += p.sum(axis=1)
-                p *= e_t
-                p *= q
-                out[rows, 1:] += geometric_sums(p, q, n - 1)
-            return out
-
-        b = refined(integrals, (1, 2, 4), 1e-12,
-                    [f"level {k} coefficients of order {s}" for k in ks])
-        # c_0 = -a J_0 / Gamma(s) = Li_s(-e^{-eps}); c_m = m! e^{-m eps} J_m / Gamma(s)
-        lgm = np.array([math.lgamma(i + 1.0) for i in range(n)])
-        out = np.exp(lgm - m * eps[:, None] + np.log(b)) / self._gamma_s
-        out[:, 0] = -a * b[:, 0] / self._gamma_s
-        return out
+            logs = log_fact[j] - log_fact[np.maximum(j - m, 0)] - j - s * np.log(j)
+            sums[rows] = np.where(j >= m, np.exp(logs), 0.0).sum(axis=1)
+    return sums * (-1.0) ** np.arange(n)
 
 
-_GAMMA_CACHE: Dict[float, _GammaCoeffs] = {}
-# guards the coefficient cache, every row build and every refill of a table
-_GAMMA_LOCK = threading.RLock()
+def _level_coeffs(s: float, n: int) -> np.ndarray:
+    """c_{k,0..n-1} of an order s > 0 for every level k = 1..MAX_LEVELS,
+    from the positive-integrand representation
+
+        c_{k,0} = -a L_0(a) / Gamma(s),  c_{k,m} = m! a^m J_m(a) / Gamma(s),
+        L_j(a) = Int_0^inf t^{s-1} (e^t + a)^{-(j+1)} dt,
+        J_m(a) = Int_0^inf t^{s-1} e^t (e^t + a)^{-(m+1)} dt,
+
+    a = e^{-2^-k}, stable for every m (the Stirling-number form of the
+    same derivatives cancels catastrophically past m ~ 20).  Since
+    dJ_m/da = -(m+1) J_{m+1} and dL_j/da = -(j+1) L_{j+1},
+
+        J_m(a) = sum_i C(m+i, i) (1-a)^i J_{m+i}(1),
+        L_0(a) = sum_i (1-a)^i L_i(1),
+
+    series of positive terms that converge the faster the deeper the
+    level.  So the rows L_i(1) and J_{i+1}(1) are the only quadrature:
+    one stack of two rows on shared Gauss nodes, each settling by its own
+    check, and _SHIFT_TERMS terms of the shift give every level."""
+    N = n + _SHIFT_TERMS
+    # below t_lo the integrands are 2^{-(i+1)} t^{s-1} to 1e-15 relative
+    t_lo = 1e-15 / N
+    heads = 0.5 ** np.arange(1, N + 2) * t_lo ** s / s
+
+    def integrals(refine: int, live: np.ndarray) -> np.ndarray:
+        # L_i(1): t^{s-1} q^{i+1}, J_{i+1}(1): t^{s-1} e^t q^{i+2}, with
+        # q = 1 / (e^t + 1) < 1, each times the Gauss weight
+        t, w = panel_nodes(dyadic_edges(t_lo, 54.0 + 8.0 * s, refine))
+        e_t = np.exp(t)
+        q = 1.0 / (e_t + 1.0)
+        p = np.exp((s - 1.0) * np.log(t)) * w * q
+        p = np.stack([p, p * e_t * q])[live]
+        return np.stack([heads[:N], heads[1:]])[live] + geometric_sums(
+            p, np.broadcast_to(q, p.shape), N)
+
+    L, J = refined(integrals, (1, 2, 4), 1e-12,
+                   [f"{row} at a = 1 of order {s}" for row in ("L_i", "J_i")])
+    eps = 2.0 ** -np.arange(1.0, MAX_LEVELS + 1)
+    a = np.exp(-eps)
+    i = np.arange(_SHIFT_TERMS)
+    with np.errstate(under="ignore"):
+        powers = (-np.expm1(-eps)) ** i[:, None]             # (1-a)^i
+    m = np.arange(1, n)[:, None]
+    # C(m+i, i) as the running product of (m + i) / i
+    binom = np.multiply.accumulate(np.where(i > 0, (m + i) / np.maximum(i, 1), 1.0), axis=1)
+    out = np.empty((MAX_LEVELS, n))
+    out[:, 0] = -a * (L[:_SHIFT_TERMS] @ powers)
+    out[:, 1:] = ((binom * J[m + i - 1]) @ powers).T
+    out[:, 1:] *= np.multiply.accumulate(np.arange(1.0, n)) * np.exp(-eps[:, None] * m.T)
+    return out / math.gamma(s)
 
 
-def _gamma_coeffs(s: float) -> _GammaCoeffs:
-    s = float(s)
+@functools.cache
+def _gamma_build(s: float) -> _GammaTemplate:
+    """The template of order s, whole.  Level k >= 1 enters with weight
+    -2^{ks} and the base with 1; the leads |weight_k t_{k,1}| |x| are |c_0|
+    for the base and 2^{k(s-1)} |Li_s(-1)| for level k, the limit of its
+    first coefficient Li_s(-e^{-2^-k}).  Orders s in (-1, 0) take their
+    level rows from the cached order s + 1 by one derivative shift,
+    (-1)^m g_s^{(m)}(1) = -c_{s+1,m+1} + m c_{s+1,m}, which is why an
+    order s > 0 holds one column more than its table."""
+    if not (-1.0 < s < 1.0) or s == 0.0:
+        raise DomainError("incomplete-gamma expansion implemented for s in (-1,1), s != 0")
+    n = _GAMMA_TERMS + 1
+    if s < 0:
+        c = _gamma_build(s + 1.0).coeffs
+        coeffs = -c[:, 1:] + np.arange(n) * c[:, :-1]
+    else:
+        coeffs = np.empty((MAX_LEVELS + 1, n + 1))
+        coeffs[1:] = _level_coeffs(s, n + 1)
+    coeffs[0] = _base_row(s, coeffs.shape[1])
+    c = coeffs[:, :n]
+    ratios = c / np.hstack([_ONES[:, None], c[:, :-1]])
+    weight = -(_LEVELS ** s)
+    weight[0] = 1.0
+    lead = _LEVELS ** (s - 1.0) * abs(polylog(s, -1.0))
+    lead[0] = abs(c[0, 0])
+    return _GammaTemplate(_frozen(coeffs), NumerTable(_frozen(ratios)), _frozen(weight),
+                          _frozen(lead))
+
+
+_GAMMA_LOCK = threading.Lock()
+
+
+def _gamma_template(s: float) -> _GammaTemplate:
+    """The template of order s, built once, under a lock, and never
+    replaced."""
     with _GAMMA_LOCK:
-        if s not in _GAMMA_CACHE:
-            _GAMMA_CACHE[s] = _GammaCoeffs(s)
-        return _GAMMA_CACHE[s]
+        return _gamma_build(float(s))
 
 
 @functools.lru_cache(maxsize=256)
@@ -498,20 +410,19 @@ def _gamma_ladder(s: float) -> tuple:
     return tuple(n + 1.0 - s for n in range(4))
 
 
-def _gamma_family(s: float, x: complex, coeffs: _GammaCoeffs) -> FactorialFamily:
+def _gamma_family(s: float, x: complex) -> FactorialFamily:
     """Level k of the normalized incomplete-gamma expansion is
     sum_m c_{k,m} / (2^k x)_{m+1}, entering with weight -2^{ks} (the base
-    with 1).  The planner walks the exact term ratios of the cached
-    coefficient rows; it reads the leading level terms from Li_s(-1),
-    which the first coefficients approach, so planning builds no row past
-    the levels it keeps."""
-    weight, lead = coeffs.levels
-    return FactorialFamily("incomplete-gamma", _LEVELS * x, weight, coeffs, lead / abs(x),
+    with 1).  The planner walks the exact term ratios of the order's
+    template; it reads the leading level terms from Li_s(-1), which the
+    first coefficients approach."""
+    t = _gamma_template(s)
+    return FactorialFamily("incomplete-gamma", _LEVELS * x, t.weight, t.table, t.lead / abs(x),
                            safety=4.0, ladder=_gamma_ladder(s))
 
 
 def _gamma_eval(s: float, x: complex, tol: float, plan: Optional[DyadicPlan]) -> EvalResult:
-    fam = _gamma_family(s, x, _gamma_coeffs(s))
+    fam = _gamma_family(s, x)
     # Gamma(s, x) >= x^s e^-x / (x + 1 - s) for real x > 0 and s < 1, so
     # this bounds the normalized series from below
     scale = math.gamma(1.0 - s) / (abs(x) + 1.0 - s)
@@ -546,6 +457,8 @@ def incomplete_gamma_dyadic(s: float, x: complex, tol: float = 4e-9,
     the one of order s - 1.
     """
     x = complex(x)
+    if not cmath.isfinite(x):
+        raise DomainError(f"incomplete_gamma_dyadic requires a finite x, not x = {x}")
     if x.real <= 0:
         raise DomainError("incomplete_gamma_dyadic requires Re x > 0")
     if not math.isfinite(s) or s >= 1.0 or abs(s - round(s)) < 1e-12:
@@ -565,8 +478,8 @@ def erfc_dyadic(x: float, tol: float = 4e-9) -> EvalResult:
     """erfc(sqrt(x)) for x > 0, via Gamma(1/2, x) / sqrt(pi), with
     ``tol`` relative; ``incomplete_gamma_dyadic`` says which tolerances
     each end of the x range accepts."""
-    if not (x > 0):
-        raise DomainError("erfc_dyadic requires x > 0")
+    if isinstance(x, complex) or not (0 < x < math.inf):
+        raise DomainError(f"erfc_dyadic requires a finite real x > 0, not x = {x}")
     r = incomplete_gamma_dyadic(0.5, x, tol)
     rt = math.sqrt(math.pi)
     return _result(r.value / rt, r.error_estimate / rt, r.plan, tol, relative=True)

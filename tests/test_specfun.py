@@ -10,7 +10,7 @@ from dyafact.oracle import verify_strange_identity
 from dyafact.scalar import DomainError
 from dyafact.specfun import (
     _GAMMA_TERMS,
-    _GammaCoeffs,
+    _gamma_template,
     ei_left,
     ei_left_base_stream,
     ei_left_family,
@@ -19,7 +19,6 @@ from dyafact.specfun import (
     erfc_dyadic,
     incomplete_gamma_dyadic,
     psi_dyadic,
-    psi_half_difference,
 )
 from dyafact.scalar import polylog
 
@@ -119,23 +118,6 @@ class TestPsi:
             psi_dyadic(-1.0, 1e-8)
 
 
-class TestPsiHalfDifference:
-    def test_ln2(self):
-        assert psi_half_difference(1.0, 60).real == pytest.approx(math.log(2.0), rel=1e-12)
-
-    def test_one_minus_ln2(self):
-        assert psi_half_difference(2.0, 60).real == pytest.approx(1.0 - math.log(2.0), rel=1e-11)
-
-    def test_first_term(self):
-        x = 3.7 + 0.4j
-        assert psi_half_difference(x, 1) == pytest.approx(1.0 / (2 * x))
-
-    def test_matches_psi_oracle(self):
-        for x in (1.5, 4.0):
-            ref = 0.5 * (oracle.psi_reference((x + 1) / 2) - oracle.psi_reference(x / 2))
-            assert psi_half_difference(x, 80).real == pytest.approx(ref.real, rel=1e-11)
-
-
 class TestStrangeIdentity:
     def test_residuals(self):
         for x in (0.5, 1.0):
@@ -163,6 +145,21 @@ class TestIncompleteGamma:
         r = incomplete_gamma_dyadic(0.5, x)
         assert r.value.real * math.exp(x) * math.sqrt(x) == pytest.approx(1.0, abs=0.02)
 
+    @pytest.mark.parametrize("call, x", [
+        (erfc_dyadic, math.inf),
+        (erfc_dyadic, math.nan),
+        (erfc_dyadic, 2 + 1j),
+        (lambda x: incomplete_gamma_dyadic(0.3, x), math.inf),
+        (lambda x: incomplete_gamma_dyadic(0.3, x), complex(2.0, math.inf)),
+        (lambda x: incomplete_gamma_dyadic(0.3, x), complex(math.inf, 1.0)),
+        (lambda x: incomplete_gamma_dyadic(0.3, x), math.nan),
+    ], ids=["erfc-inf", "erfc-nan", "erfc-complex", "inf", "inf-imag", "inf-real", "nan"])
+    def test_non_finite_or_complex_x_is_a_domain_error_naming_it(self, call, x):
+        with pytest.raises(DomainError) as err:
+            call(x)
+        x_text = str(x if call is erfc_dyadic else complex(x))
+        assert f"x = {x_text}" in str(err.value)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             incomplete_gamma_dyadic(1.5, 1.0)
@@ -183,18 +180,18 @@ class TestIncompleteGamma:
             row = stirling[k] + [0]
             stirling.append([-k * row[j] + (row[j - 1] if j else 0) for j in range(k + 2)])
 
-        co = _GammaCoeffs(0.5)
+        co = _gamma_template(0.5).coeffs
         for m in (1, 4, 8, 12):
             stirl = (-1.0) ** m * sum(
                 stirling[m][j] * polylog(0.5 - j, math.exp(-1.0)).real
                 for j in range(m + 1))
-            assert co.level(0, m) == pytest.approx(stirl, rel=1e-9)
+            assert co[0, m] == pytest.approx(stirl, rel=1e-9)
         for (k, m) in ((1, 3), (2, 6), (4, 2)):
             z = -math.exp(-(2.0 ** -k))
             stirl = (-1.0) ** m * sum(
                 stirling[m][j] * polylog(0.5 - j, z).real
                 for j in range(m + 1))
-            assert co.level(k, m) == pytest.approx(stirl, rel=1e-8)
+            assert co[k, m] == pytest.approx(stirl, rel=1e-8)
 
 
     @pytest.mark.parametrize("s", [0.25, -0.5])
@@ -202,14 +199,14 @@ class TestIncompleteGamma:
         # c_m = (-1)^m sum_{n >= max(m,1)} n (n-1) ... (n-m+1) n^-s e^-n, up to the
         # largest index a plan keeps
         mpmath = pytest.importorskip("mpmath")
-        co = _GammaCoeffs(s)
+        co = _gamma_template(s).coeffs
         for m in (0, 5, 50, 120, 150):
             with mpmath.workdps(30):
                 # the terms peak near n = 1.6 m and are below 1e-40 of it by 4 m + 200
                 ref = (-1) ** m * mpmath.fsum(
                     mpmath.rf(n - m + 1, m) * mpmath.mpf(n) ** (-s) * mpmath.exp(-n)
                     for n in range(max(m, 1), 4 * m + 200))
-            assert co.level(0, m) == pytest.approx(float(ref), rel=1e-12)
+            assert co[0, m] == pytest.approx(float(ref), rel=1e-12)
 
 
 class TestGammaSmallOrders:
@@ -226,21 +223,25 @@ class TestGammaSmallOrders:
     @pytest.mark.parametrize("s", [0.01, 0.25, 0.75])
     def test_level_rows_vs_quadrature(self, s):
         # c_{k,0} = -a J_0 / Gamma(s), c_{k,m} = m! e^{-m eps} J_m / Gamma(s) with
-        # J_m = Int_0^inf t^{s-1} e^{[m>0] t} (e^t + a)^{-(m+1)} dt, a = e^{-eps}
+        # J_m = Int_0^inf t^{s-1} e^{[m>0] t} (e^t + a)^{-(m+1)} dt, a = e^{-eps},
+        # over the deepest level and past the columns of a first chunk
         mpmath = pytest.importorskip("mpmath")
-        co = _GammaCoeffs(s)
-        for k in (1, 5, 20):
-            for m in (0, 1, 3, 8):
-                with mpmath.workdps(20):
+        co = _gamma_template(s).coeffs
+        for k in (1, 5, 20, 60):
+            for m in (0, 1, 3, 8, 66, 90):
+                with mpmath.workdps(40):
                     eps = mpmath.mpf(2) ** -k
                     a = mpmath.exp(-eps)
                     g = lambda t: mpmath.exp((m > 0) * t) / (mpmath.exp(t) + a) ** (m + 1)
-                    # t = u^{1/s} on [0, 1] absorbs t^{s-1}
-                    J = (mpmath.quad(lambda u: g(u ** (1 / mpmath.mpf(s))), [0, 1]) / s
-                         + mpmath.quad(lambda t: t ** (s - 1) * g(t), [1, mpmath.inf]))
+                    # the integrand falls on the scale 2/m: split it at
+                    # t = 2^j / m, and let t = u^{1/s} below the first split
+                    # absorb t^{s-1}
+                    cuts = [mpmath.mpf(2) ** j / max(m, 1) for j in range(-8, 9)]
+                    J = (mpmath.quad(lambda u: g(u ** (1 / mpmath.mpf(s))), [0, cuts[0] ** s]) / s
+                         + mpmath.quad(lambda t: t ** (s - 1) * g(t), cuts + [mpmath.inf]))
                     ref = -a * J if m == 0 else mpmath.factorial(m) * mpmath.exp(-m * eps) * J
                     ref = float(ref / mpmath.gamma(s))
-                assert co.level(k, m) == pytest.approx(ref, rel=1e-12)
+                assert co[k, m] == pytest.approx(ref, rel=1e-12)
 
 
 class TestGammaTolerance:

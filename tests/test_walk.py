@@ -6,9 +6,9 @@ it must give the value the planned call gave, and ``level_sums`` must give
 the sums the planner's walk kept.  The draws cover the ranges of
 perfbench's point-values workload for all seven evaluators.  Every
 closed-form table is one read-only array equal to its closed form bit for
-bit, the widest walks fit in it, incomplete-gamma rows filled by two
-threads at once give the values of a serial run, and no earlier call
-changes what a later one returns.
+bit, the widest walks fit in it, threads that first use one
+incomplete-gamma order at once share one build and give the values of a
+serial run, and no earlier call changes what a later one returns.
 """
 
 import cmath
@@ -66,11 +66,21 @@ def _padded_level_sums(fam, n_terms):
     den = fam.shift[k] + i
     if np.any(np.abs(den) < dyadic.POCH_GUARD):
         raise PoleError("factorial-series denominator within 1e-12 of a pole")
-    numer = fam.table.read(slice(0, len(n)), n, n.max())[k, i]
+    numer = fam.table.read(slice(0, len(n)), n.max())[k, i]
     with np.errstate(over="ignore", invalid="ignore"):
         terms = np.cumprod(numer / den, axis=1)
         alive = np.logical_and.accumulate(np.abs(terms) < 1e250, axis=1)
     return np.where((j < n[:, None]) & alive, terms, 0.0).sum(axis=1)
+
+
+def _fresh_gamma_templates(monkeypatch):
+    """An empty incomplete-gamma template cache for this test; returns
+    the orders built, in the order of their builds."""
+    builds = []
+    raw = specfun._gamma_build.__wrapped__
+    monkeypatch.setattr(specfun, "_gamma_build",
+                        functools.cache(lambda s: builds.append(s) or raw(s)))
+    return builds
 
 
 def _same_walk(fam, tol):
@@ -130,7 +140,7 @@ def test_erfc(x, tol):
     again = incomplete_gamma_dyadic(0.5, x, tol, plan=planned.plan)
     assert again.plan == planned.plan
     assert _relative(planned.value, again.value / math.sqrt(math.pi)) <= 1e-15
-    _same_walk(specfun._gamma_family(0.5, complex(x), specfun._gamma_coeffs(0.5)), tol)
+    _same_walk(specfun._gamma_family(0.5, complex(x)), tol)
 
 
 @WALK
@@ -138,7 +148,7 @@ def test_erfc(x, tol):
 def test_incomplete_gamma(s, x, tol):
     planned = incomplete_gamma_dyadic(s, x, tol)
     _replans(planned, incomplete_gamma_dyadic(s, x, tol, plan=planned.plan))
-    _same_walk(specfun._gamma_family(s, complex(x), specfun._gamma_coeffs(s)), tol)
+    _same_walk(specfun._gamma_family(s, complex(x)), tol)
 
 
 @WALK
@@ -175,27 +185,23 @@ class TestTemplates:
     def test_incomplete_gamma(self):
         s = 0.25
         incomplete_gamma_dyadic(s, 1.0, 1e-10)
-        co = specfun._gamma_coeffs(s)
-        table, rows, levels = co._table, dict(co._rows), co.levels
+        template = specfun._gamma_template(s)
         incomplete_gamma_dyadic(s, 3.0, 1e-8)
-        assert specfun._gamma_coeffs(s) is co
-        assert co._table is table
-        assert co.levels is levels
-        # the base stream is row 0
-        assert 0 in rows
-        assert all(co._rows[k] is row for k, row in rows.items()) and co._rows.keys() == rows.keys()
-        a, b = (specfun._gamma_family(s, complex(x), co) for x in (1.0, 3.0))
-        assert a.table is b.table is co
+        assert specfun._gamma_template(s) is template
+        a, b = (specfun._gamma_family(s, complex(x)) for x in (1.0, 3.0))
+        assert a.table is b.table is template.table
+        assert a.weight is b.weight is template.weight
+        assert not np.array_equal(a.shift, b.shift)
 
     def test_incomplete_gamma_weights_take_the_order_as_given(self):
         # the coefficient rows and the level weights 2^{ks} are both built
         # at the order as given, however close it lies to another
         s = 0.25 + 3e-13
-        fam = specfun._gamma_family(s, 2.0 + 0j, specfun._gamma_coeffs(s))
-        assert specfun._gamma_coeffs(s).s == s
+        fam = specfun._gamma_family(s, 2.0 + 0j)
         expected = -(2.0 ** np.arange(dyadic.MAX_LEVELS + 1)) ** s
         expected[0] = 1.0
         assert np.array_equal(fam.weight, expected)
+        assert specfun._gamma_template(s) is not specfun._gamma_template(0.25)
 
     def test_h_expansion(self, monkeypatch):
         airy_from_h(2.0, 1e-10)
@@ -218,7 +224,8 @@ class TestTables:
     """Each closed-form numerator table is one read-only array of
     TABLE_COLUMNS columns, equal to its closed form bit for bit, that
     ``read`` slices; the h table is its template's ratios but for column
-    0; incomplete gamma fills its rows level by level through ``read``."""
+    0; an incomplete-gamma table is the term ratios of its order's
+    coefficient rows, built whole."""
 
     @staticmethod
     def _closed_form(table, a, den):
@@ -234,8 +241,8 @@ class TestTables:
         with pytest.raises(FrozenInstanceError):
             table.array = closed
         rows = np.array([1, 4])
-        assert np.array_equal(table.read(rows, 1, 40), closed[rows, :40])
-        whole = table.read(slice(0, 3), 1, TABLE_COLUMNS)
+        assert np.array_equal(table.read(rows, 40), closed[rows, :40])
+        whole = table.read(slice(0, 3), TABLE_COLUMNS)
         assert np.shares_memory(whole, table.array) and np.array_equal(whole, closed[:3])
 
     @pytest.mark.parametrize("c", [1j * math.pi, -1.0])
@@ -250,69 +257,35 @@ class TestTables:
         assert specfun._PSI_TABLE.first == 33
 
     def test_incomplete_gamma_through_ratios(self):
-        co = specfun._GammaCoeffs(0.37)               # fresh: no row built, no table
-        assert co._table[0] is None and co.columns == specfun._GAMMA_TERMS + 1
-        head = co.read(slice(0, 4), 1, 40)            # rows start with 33 entries
-        before = co._table[0]
-        assert before.shape == (dyadic.MAX_LEVELS + 1, co.columns)
-        assert np.array_equal(co._table[1][:5], [33, 33, 33, 33, 0])
-        assert np.array_equal(head, before[:4, :40], equal_nan=True)
-        assert np.isnan(before[:4, 33:]).all() and np.isnan(before[4:]).all()
-        grown = co.read(np.array([0, 2]), 41, 41)     # past the boundary
-        assert np.array_equal(co._table[1][:4], [66, 33, 66, 33])
-        ratios = co._table[0]
-        assert ratios is not before and np.isnan(before[:4, 33:]).all()
-        assert not ratios.flags.writeable
-        assert np.array_equal(grown, ratios[[0, 2], :41])
-        for lvl, n in ((0, 66), (1, 33), (2, 66), (3, 33)):
-            c = co.row(lvl, n)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                assert np.array_equal(ratios[lvl, :n], c / np.append(1.0, c[:-1]))
-            assert np.array_equal(ratios[lvl, :n], co.read(np.array([lvl]), n, n)[0])
-            assert np.isnan(ratios[lvl, n:]).all()
+        template = specfun._gamma_template(0.37)
+        columns = specfun._GAMMA_TERMS + 1
+        assert template.coeffs.shape == (dyadic.MAX_LEVELS + 1, columns + 1)
+        c = template.coeffs[:, :columns]
+        table = template.table
+        assert table.columns == columns and table.first == FIRST_CHUNK
+        assert np.array_equal(table.array, c / np.hstack([np.ones((len(c), 1)), c[:, :-1]]))
+        assert np.isfinite(table.array).all()
+        for a in (template.coeffs, table.array, template.weight, template.lead):
+            assert not a.flags.writeable
+        with pytest.raises(FrozenInstanceError):
+            template.table = table
+        rows = np.array([0, 2, 60])
+        assert np.array_equal(table.read(rows, 41), table.array[rows, :41])
 
     def test_the_order_shift_helper_is_the_cached_order(self, monkeypatch):
-        # an order s < 0 builds its rows from those of the cached order
-        # s + 1, which erfc reads as a table of its own; the rows are those
-        # a private helper of order s + 1 gives, bit for bit
-        monkeypatch.setattr(specfun, "_GAMMA_CACHE", {})
+        # an order s < 0 takes its level rows from the cached order s + 1,
+        # which erfc reads as a template of its own, by one derivative
+        # shift; its base row is its own
+        builds = _fresh_gamma_templates(monkeypatch)
         erfc_dyadic(2.0, 1e-10)
+        half = specfun._gamma_template(0.5)
         incomplete_gamma_dyadic(-0.5, 2.0, 1e-10)
-        co = specfun._gamma_coeffs(-0.5)
-        assert co._shift is specfun._gamma_coeffs(0.5) and co._shift._table[0] is not None
-        private = specfun._GammaCoeffs(0.5)
-        for k, n in ((1, 33), (4, 66), (9, 151)):
-            c = private.row(k, n + 1)
-            assert np.array_equal(co.row(k, n), -c[1:] + np.arange(n) * c[:-1])
-
-    @pytest.mark.parametrize("s", [0.25, 0.5, -0.5])
-    def test_level_rows_do_not_depend_on_their_batch(self, s, monkeypatch):
-        # every level row built in a batched read equals, bit for bit, the
-        # row of a fresh order that builds that level alone, and reading
-        # the levels in another grouping gives the same table
-        def fresh():
-            monkeypatch.setattr(specfun, "_GAMMA_CACHE", {})
-            return specfun._gamma_coeffs(s)
-
-        def quadrature_rows(co):
-            return (co._shift or co)._rows
-
-        levels = np.arange(1, 13)
-        co = fresh()
-        co.read(levels, 33, 33)
-        co.read(levels[::3], 66, 66)
-        batched = dict(quadrature_rows(co))
-        assert {len(batched[k]) for k in levels} == {34, 67}
-        for k in levels.tolist():
-            alone = fresh()
-            alone.row(k, len(batched[k]) - 1)
-            assert np.array_equal(quadrature_rows(alone)[k], batched[k])
-        regrouped = fresh()
-        for group in (levels[::-3], levels[1::2], levels):
-            regrouped.read(group, 33, 33)
-        regrouped.read(levels[::3], 66, 66)
-        for a, b in zip(regrouped._table, co._table):
-            assert np.array_equal(a, b, equal_nan=True)
+        assert builds == [0.5, -0.5] and specfun._gamma_template(0.5) is half
+        c, shifted = half.coeffs, specfun._gamma_template(-0.5).coeffs
+        n = specfun._GAMMA_TERMS + 1
+        assert shifted.shape == (dyadic.MAX_LEVELS + 1, n)
+        assert np.array_equal(shifted[1:], -c[1:, 1:] + np.arange(n) * c[1:, :-1])
+        assert np.array_equal(shifted[0], specfun._base_row(-0.5, n))
 
     def test_h_expansion(self):
         table = get_table(0.7, 66, LADDER_LEVELS)
@@ -323,7 +296,7 @@ class TestTables:
         assert fam.table.columns == table.M - 1 and not ratio.flags.writeable
         assert np.array_equal(ratio[:, 1:], lv.ratio[:, 1:])
         assert np.array_equal(ratio[:, 0], lv.first / (lv.scale * (2.5 + 0j)))
-        assert np.array_equal(fam.table.read(slice(0, table.K + 1), 1, table.M - 1), ratio)
+        assert np.array_equal(fam.table.read(slice(0, table.K + 1), table.M - 1), ratio)
 
 
 @pytest.mark.parametrize("family, terms", [(ei_stokes_family, 192), (ei_left_family, 122),
@@ -359,10 +332,10 @@ class TestHistory:
 
     @pytest.mark.parametrize("s", [-0.5, 0.25])
     def test_incomplete_gamma_after_widening_calls(self, s, monkeypatch):
-        monkeypatch.setattr(specfun, "_GAMMA_CACHE", {})
+        _fresh_gamma_templates(monkeypatch)
         fresh = _gamma_grid(s)
-        monkeypatch.setattr(specfun, "_GAMMA_CACHE", {})
-        for x in (0.05, 0.3):                      # rows past their first widths
+        _fresh_gamma_templates(monkeypatch)
+        for x in (0.05, 0.3):                      # levels that keep up to 77 terms
             incomplete_gamma_dyadic(s, x, 1e-12)
         assert _gamma_grid(s) == fresh
 
@@ -389,7 +362,7 @@ class TestBuildMemory:
 
     def test_incomplete_gamma_rows(self, monkeypatch):
         incomplete_gamma_dyadic(0.7, 1.0, 1e-8)
-        monkeypatch.setattr(specfun, "_GAMMA_CACHE", {})
+        _fresh_gamma_templates(monkeypatch)
         assert self._peak_mb(lambda: incomplete_gamma_dyadic(0.3, 0.3, 1e-12)) <= 1.1 * 0.71
 
 
@@ -404,30 +377,30 @@ def _gamma_grid(s):
 
 
 def test_tables_grown_by_two_threads_give_the_serial_values(monkeypatch):
-    # the incomplete-gamma rows of a fresh order are filled while an
-    # Ei-Stokes grid reads its table, which no walk replaces
+    # threads, more than cores, first use one fresh order s < 0 at once:
+    # all get the one template of a single build (and of one build of the
+    # order s + 1 it shifts), and the values of a serial run
     s = -0.4321                                  # an order no other test builds
-    ei_array = specfun._EI_STOKES[2].array
-    monkeypatch.setattr(specfun, "_GAMMA_CACHE", {})
-    start = threading.Barrier(2, timeout=60)
+    builds = _fresh_gamma_templates(monkeypatch)
+    start = threading.Barrier(4, timeout=60)
 
-    def together(task, *args):
+    def first_use():
         start.wait()
-        return task(*args)
+        return _gamma_grid(s), specfun._gamma_template(s)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)               # switch threads as often as it can
     try:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            jobs = [pool.submit(together, _gamma_grid, s), pool.submit(together, _ei_grid)]
-            threaded = [job.result(timeout=120) for job in jobs]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            jobs = [pool.submit(first_use) for _ in range(4)]
+            grids, templates = zip(*[job.result(timeout=120) for job in jobs])
     finally:
         sys.setswitchinterval(interval)
-    assert specfun._EI_STOKES[2].array is ei_array
-    monkeypatch.setattr(specfun, "_GAMMA_CACHE", {})
-    serial = [_gamma_grid(s), _ei_grid()]
-    assert specfun._EI_STOKES[2].array is ei_array
-    assert threaded == serial
+    assert all(t is templates[0] for t in templates)
+    assert sorted(builds) == [s, s + 1.0]
+    _fresh_gamma_templates(monkeypatch)
+    serial = _gamma_grid(s)
+    assert all(grid == serial for grid in grids)
 
 
 class TestGuards:
@@ -439,7 +412,7 @@ class TestGuards:
             with pytest.raises(PoleError):
                 level_sums(fam, n_terms)
         with pytest.raises(PoleError):
-            specfun.psi_half_difference(1e-13, 1)
+            level_sums(psi_family(1e-13), [1])
 
     def test_terms_past_an_overflow_are_dropped(self):
         # t_j = 1e100^j / j!: t_3 reaches 1e250, so levels keep t_1 + t_2
