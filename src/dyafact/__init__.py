@@ -18,8 +18,6 @@ _HOMES = {
         "PoleError",
         "factorial_series_eval",
         "factorial_to_borel",
-        "ln_gamma",
-        "pochhammer",
         "polylog",
     ),
     "dyadic": (
@@ -27,7 +25,6 @@ _HOMES = {
         "DyadicPlan",
         "EvalResult",
         "FactorialFamily",
-        "dyadic_cauchy_deriv_partial",
         "dyadic_cauchy_partial",
         "dyadic_reciprocal_levels",
         "dyadic_reciprocal_partial",
@@ -61,7 +58,6 @@ _HOMES = {
         "fractional_power_dyadic",
         "inverse_dyadic",
         "read_matrix_text",
-        "resolvent_double_sum",
         "resolvent_dyadic",
         "write_matrix_text",
     ),

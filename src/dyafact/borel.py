@@ -49,7 +49,7 @@ from .dyadic import (
     amplification,
     evaluate,
 )
-from .scalar import DomainError
+from .scalar import DomainError, _finite_x
 
 __all__ = [
     "BorelKernel",
@@ -363,7 +363,7 @@ def _h_family(table: CoefficientTable, u: complex) -> FactorialFamily:
 def _bessel_h_eval(nu: float, u: complex, tol: float,
                    plan: Optional[DyadicPlan] = None) -> EvalResult:
     nu = abs(nu)
-    u = complex(u)
+    u = _finite_x("h-expansion", u)
     if u.real <= 0:
         raise DomainError("h-expansion requires Re x > 0")
     if abs(u) < 1.0:
@@ -372,7 +372,7 @@ def _bessel_h_eval(nu: float, u: complex, tol: float,
         # polynomial kernel, vanishing branch jump: h is a finite sum
         deg = int(round(nu - 0.5))
         tc = _taylor_coeffs(nu, deg + 2)
-        val = sum(math.factorial(i) * tc[i] / u ** (i + 1) for i in range(deg + 1))
+        val = complex(sum(math.factorial(i) * tc[i] / u ** (i + 1) for i in range(deg + 1)))
         plan = DyadicPlan(K=0, n_terms=[deg + 1], predicted_error=1e-16)
         return _result(val, 1e-16, plan, tol, relative=True)
     if nu >= 1.5:
@@ -407,8 +407,7 @@ _BESSEL_C = math.sqrt(2.0 * math.pi)
 def airy_from_h(x: float, tol: float = 1e-10) -> EvalResult:
     """Ai(x) for x > 0 through the normalization map
     Ai(x) = C x^{5/4} e^{-(2/3) x^{3/2}} h((4/3) x^{3/2})."""
-    if not (x > 0):
-        raise DomainError("airy_from_h requires x > 0")
+    x = _finite_x("airy_from_h", x, real=True)
     u = 4.0 / 3.0 * x**1.5
     r = airy_h(u, tol)
     front = _AIRY_C * x**1.25 * math.exp(-2.0 / 3.0 * x**1.5)
@@ -438,8 +437,7 @@ def bessel_k_dyadic(nu: float, x: float, tol: float = 1e-9) -> EvalResult:
     nu = abs(nu)
     if not nu <= 5.0:
         raise DomainError("bessel_k_dyadic restricted to finite |nu| <= 5")
-    if not (x > 0):
-        raise DomainError("bessel_k_dyadic requires x > 0")
+    x = _finite_x("bessel_k_dyadic", x, real=True)
 
     def k_direct(mu: float) -> EvalResult:
         r = _bessel_h_eval(mu, 2.0 * x, tol)

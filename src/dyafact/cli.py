@@ -217,10 +217,11 @@ def cmd_figure(figure_id: str, fmt: str, out: Optional[str]) -> int:
 
 def _classical_ei_left_terms(x: float, tol: float, ref: float) -> Optional[int]:
     """Terms of the classical (half-plane) factorial series of e^x E_1(x)
-    needed for ``tol`` relative accuracy, or None past 400 terms."""
+    needed for ``tol`` relative accuracy, or None past
+    ``specfun.EI_LEFT_CLASSICAL_TERMS`` terms."""
     from . import specfun
     stream = specfun.ei_left_classical_stream()
-    for n in range(1, 400):
+    for n in range(1, specfun.EI_LEFT_CLASSICAL_TERMS):
         val = -factorial_series_eval(stream, x, n)
         if abs(val - ref) <= tol * abs(ref):
             return n
@@ -245,7 +246,7 @@ def cmd_compare(function: str, x: float, tol: float) -> int:
         return EXIT_DOMAIN
     ref = complex(-oracle.quad_adaptive(lambda p: np.exp(-x * p) / (1.0 + p), 0.0, math.inf, 1e-13))
     r = specfun.ei_left(complex(x), tol)
-    n_classical = _classical_ei_left_terms(x, tol, ref.real)
+    classical = _classical_ei_left_terms(x, tol, ref.real) or f">{specfun.EI_LEFT_CLASSICAL_TERMS}"
     # optimally truncated asymptotic series: -sum (-1)^n n! / x^{n+1}
     best_err, best_n, term, partial = math.inf, 0, 1.0 / x, 0.0
     for n in range(0, 3 * int(x) + 12):
@@ -259,7 +260,7 @@ def cmd_compare(function: str, x: float, tol: float) -> int:
         f"dyadic factorial expansion: {r.terms_total} terms "
         f"(measured error {abs(r.value - ref):.2e})\n"
         f"classical factorial series: "
-        f"{n_classical if n_classical is not None else '>400'} terms\n"
+        f"{classical} terms\n"
         f"asymptotic series (optimal truncation): {best_n} terms, "
         f"error floor {best_err:.2e} (~ e^-x scale {math.exp(-x):.2e})\n"
     )

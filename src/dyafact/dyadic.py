@@ -21,14 +21,13 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .scalar import DomainError, PoleError, ln_gamma, polylog
+from .scalar import DomainError, PoleError, polylog
 
 __all__ = [
     "CutProximityError",
     "dyadic_reciprocal_levels",
     "dyadic_reciprocal_partial",
     "dyadic_cauchy_partial",
-    "dyadic_cauchy_deriv_partial",
     "ramified_partial",
     "DyadicPlan",
     "EvalResult",
@@ -155,33 +154,6 @@ def dyadic_cauchy_partial(s: complex, p: complex, beta: complex, K: int) -> comp
     return total
 
 
-def dyadic_cauchy_deriv_partial(s: complex, p: complex, K: int) -> complex:
-    """Partial dyadic decomposition of 1/(s - p)^2 (the beta = 1 kernel
-    differentiated in p):
-
-        e^{-s-p} / (e^{-s} - e^{-p})^2
-        + sum_{k=1}^{K} 4^{-k} e^{2^{-k}(-s-p)}
-                        / (e^{-2^{-k} s} + e^{-2^{-k} p})^2
-    """
-    s = complex(s)
-    p = complex(p)
-    if p == s:
-        raise PoleError("dyadic_cauchy_deriv_partial undefined at p = s")
-    if K < 0 or K > MAX_LEVELS:
-        raise DomainError(f"level count must be in [0, {MAX_LEVELS}]")
-    den0 = cmath.exp(-s) - cmath.exp(-p)
-    if abs(den0) < DENOM_GUARD:
-        raise PoleError("base denominator within guard distance of 0")
-    total = cmath.exp(-s - p) / den0**2
-    for k in range(1, K + 1):
-        w = 2.0**-k
-        den = cmath.exp(-w * s) + cmath.exp(-w * p)
-        if abs(den) < DENOM_GUARD:
-            raise PoleError(f"level-{k} denominator within guard distance of 0")
-        total += 4.0**-k * cmath.exp(w * (-s - p)) / den**2
-    return total
-
-
 def ramified_partial(s_exp: float, p: complex, K: int) -> complex:
     """Partial dyadic polylog decomposition of p^{s-1} for s < 1:
 
@@ -204,7 +176,7 @@ def ramified_partial(s_exp: float, p: complex, K: int) -> complex:
         return dyadic_reciprocal_partial(p, K)
     if abs(s_exp - round(s_exp)) < 1e-12:
         raise DomainError("ramified decomposition needs non-integer s (or s = 0)")
-    front = cmath.exp(ln_gamma(s_exp)) * math.sin(math.pi * s_exp) / math.pi
+    front = math.gamma(s_exp) * math.sin(math.pi * s_exp) / math.pi
     total = polylog(s_exp, cmath.exp(-p))
     for k in range(1, K + 1):
         # polylog raises DomainError for an argument it does not support

@@ -6,8 +6,7 @@ fractional powers through the matrix polylogarithm.
 All matrix functions go through one cached spectral decomposition.  The
 resolvent and the inverse take every level of the reciprocal identity
 over the whole spectrum from one table, and trace their errors in the
-eigenbasis.  The truncated-double-sum form of the resolvent is kept only
-as a small demonstration of why those limits must not be interchanged.
+eigenbasis.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ __all__ = [
     "resolvent_dyadic",
     "inverse_dyadic",
     "fractional_power_dyadic",
-    "resolvent_double_sum",
     "read_matrix_text",
     "write_matrix_text",
 ]
@@ -168,32 +166,6 @@ def fractional_power_dyadic(op: HermitianOperator, s: float, K: int
                      K, max(1, K // 10),
                      lambda approx: float(np.linalg.norm(approx - ref, "fro") / np.linalg.norm(ref, "fro")))
     return report.partial, report
-
-
-def resolvent_double_sum(op: HermitianOperator, lam: float, K: int, J: int
-                         ) -> np.ndarray:
-    """Truncated double-sum form of the resolvent,
-
-        i sum_{j<=J} e^{-j lam} U_j - i sum_{k<=K} sum_{j<=J} (-1)^j e^{-j lam/2^k} U_{j 2^-k},
-
-    kept as a small demonstration (n <= 8, J <= 1000): at fixed J the
-    inner geometric sums converge ever more slowly in k, which is why the
-    two limits must not be interchanged.
-    """
-    if op.dim > 8 or J > 1000:
-        raise DomainError("double-sum demonstration limited to dim <= 8, J <= 1000")
-    if not 0 < lam < math.inf:
-        raise DomainError("resolvent_double_sum requires a finite lam > 0")
-
-    def f(w: float) -> complex:
-        z1 = cmath.exp(-lam - 1j * w)
-        total = 1j * (1.0 - z1 ** (J + 1)) / (1.0 - z1)
-        for k in range(1, K + 1):
-            zk = -cmath.exp((-lam - 1j * w) * 2.0**-k)
-            total -= 1j * 2.0**-k * (1.0 - zk ** (J + 1)) / (1.0 - zk)
-        return total
-
-    return op.apply_scalar(f)
 
 
 def _require_positive(op: HermitianOperator) -> None:

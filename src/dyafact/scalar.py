@@ -1,5 +1,5 @@
-"""Scalar building blocks: complex log-gamma, rising factorials,
-polylogarithms and plain (non-dyadic) factorial series.
+"""Scalar building blocks: the domain error and the argument check every
+evaluator shares, polylogarithms and plain (non-dyadic) factorial series.
 
 Everything here is pure binary64 and has no dependency on the dyadic
 machinery, so the higher modules can treat these as primitives.
@@ -18,13 +18,10 @@ __all__ = [
     "PoleError",
     "NonconvergenceError",
     "QuadratureError",
-    "ln_gamma",
-    "pochhammer",
     "polylog",
     "CoefficientStream",
     "factorial_series_eval",
     "factorial_to_borel",
-    "alternating_sum",
 ]
 
 
@@ -44,90 +41,26 @@ class QuadratureError(RuntimeError):
     """Panel refinement failed to converge."""
 
 
-# Stirling's series coefficients B_{2n}/(2n(2n-1)) for ln Gamma.
-_LNGAMMA_ASYMP = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-    -3617.0 / 122400.0,
-)
-
-_LN_SQRT_TWO_PI = 0.9189385332046727418
-
-
-def _is_nonpositive_integer(z: complex) -> bool:
-    z = complex(z)
-    if z.imag != 0.0:
-        return False
-    r = round(z.real)
-    return r <= 0 and z.real == r
-
-
-def ln_gamma(z: complex) -> complex:
-    """Principal branch of ln Gamma(z).
-
-    Stirling's asymptotic series after shifting Re z above 12; the
-    reflection formula covers the left half plane.  Accurate to well over
-    13 significant digits for |z| between 0.5 and 1e6.
-    """
-    z = complex(z)
-    if _is_nonpositive_integer(z):
-        raise PoleError(f"ln_gamma pole at z = {z}")
-    if z.imag < 0.0:
-        return ln_gamma(z.conjugate()).conjugate()
-    if z.real < 0.5:
-        # reflection with the analytic (unwound) log of sin:
-        # sin(pi z) = e^{-i pi z} * i (1 - e^{2 pi i z}) / 2 for Im z >= 0,
-        # which keeps the principal branch of ln Gamma across the left plane
-        log_sin = (-1j * math.pi * z
-                   + cmath.log(0.5j * (1.0 - cmath.exp(2j * math.pi * z))))
-        return cmath.log(math.pi) - log_sin - ln_gamma(1.0 - z)
-    shift = 0.0 + 0.0j
-    while z.real < 12.0:
-        shift += cmath.log(z)
-        z += 1.0
-    w = 1.0 / z
-    w2 = w * w
-    s = _LNGAMMA_ASYMP[-1]
-    for c in reversed(_LNGAMMA_ASYMP[:-1]):
-        s = s * w2 + c
-    return (z - 0.5) * cmath.log(z) - z + _LN_SQRT_TWO_PI + s * w - shift
-
-
-def pochhammer(x: complex, k: int) -> complex:
-    """Rising factorial (x)_k = x (x+1) ... (x+k-1).
-
-    Direct product whenever it cannot overflow (k <= 64 at desk-scale
-    |x|, keeping the functional identity (x)_{k+1} = (x)_k (x+k) exact to
-    the last bit); the log-gamma ratio handles everything larger at
-    ~1e-12 relative.  Returns exactly 0 when x is a nonpositive integer
-    inside the product range, matching the product definition.
-    """
-    if k < 0:
-        raise DomainError("pochhammer requires k >= 0")
+def _finite_x(name: str, x, real: bool = False):
+    """The argument x of the evaluator ``name`` as a complex or, with
+    ``real``, as a float x > 0.  A non-finite x, or with ``real`` a
+    complex x or one not above 0, raises DomainError naming x."""
+    if real:
+        if isinstance(x, complex) or not (0 < x < math.inf):
+            raise DomainError(f"{name} requires a finite real x > 0, not x = {x}")
+        return float(x)
     x = complex(x)
-    if k == 0:
-        return 1.0 + 0.0j
-    if _is_nonpositive_integer(x) and -x.real < k:
-        return 0.0 + 0.0j
-    if k <= 64 and k * math.log10(abs(x) + k + 1.0) < 290.0:
-        r = 1.0 + 0.0j
-        for j in range(k):
-            r *= x + j
-        return r
-    # exp of the log-gamma difference equals Gamma(x+k)/Gamma(x) regardless
-    # of the branches picked by the two ln_gamma calls
-    try:
-        return cmath.exp(ln_gamma(x + k) - ln_gamma(x))
-    except OverflowError:
-        raise DomainError(f"pochhammer({x}, {k}) exceeds the binary64 range")
+    if not cmath.isfinite(x):
+        raise DomainError(f"{name} requires a finite x, not x = {x}")
+    return x
 
 
-def alternating_sum(term: Callable[[int], complex], n_terms: int = 72) -> complex:
+_ALTERNATING_TERMS = 72
+_POLYLOG_EDGE = 1.0 - 1e-6
+_POLYLOG_REL_TOL = 1e-17
+
+
+def _alternating_sum(term: Callable[[int], complex]) -> complex:
     """Sum_{j>=0} (-1)^j term(j) by iterated averaging of partial sums.
 
     The classical Euler-transform acceleration: each averaging stage
@@ -136,7 +69,7 @@ def alternating_sum(term: Callable[[int], complex], n_terms: int = 72) -> comple
     """
     partial = []
     s = 0.0 + 0.0j
-    for j in range(n_terms):
+    for j in range(_ALTERNATING_TERMS):
         s += (1 if j % 2 == 0 else -1) * term(j)
         partial.append(s)
     row = partial
@@ -147,15 +80,13 @@ def alternating_sum(term: Callable[[int], complex], n_terms: int = 72) -> comple
     return best
 
 
-_POLYLOG_EDGE = 1.0 - 1e-6
-
-
-def polylog(s: float, z: complex, rel_tol: float = 1e-17) -> complex:
+def polylog(s: float, z: complex) -> complex:
     """Polylogarithm Li_s(z) = sum_{k>=1} z^k / k^s.
 
-    Direct series inside |z| <= 1 - 1e-6.  Real z in (-1, -(1-1e-6)] and
-    the endpoint z = -1 are handled by accelerated alternating summation
-    (orders s > -6).  Anything else is out of the supported domain.
+    Direct series inside |z| <= 1 - 1e-6, stopped once a term falls below
+    1e-17 of the sum.  Real z in [-1, -0.75] is handled by accelerated
+    alternating summation (orders s > -6).  Anything else is out of the
+    supported domain.
     """
     z = complex(z)
     if z == 0:
@@ -164,8 +95,8 @@ def polylog(s: float, z: complex, rel_tol: float = 1e-17) -> complex:
         # slowly converging alternating tail: Euler acceleration instead
         if s <= -6:
             raise DomainError("polylog near z = -1 supported for s > -6 only")
-        w = -z.real  # in (0.75, 1]
-        return -alternating_sum(lambda j: w ** (j + 1) / (j + 1.0) ** s)
+        w = -z.real  # in [0.75, 1]
+        return -_alternating_sum(lambda j: w ** (j + 1) / (j + 1.0) ** s)
     if abs(z) <= _POLYLOG_EDGE:
         term = z
         total = z
@@ -174,7 +105,7 @@ def polylog(s: float, z: complex, rel_tol: float = 1e-17) -> complex:
             k += 1
             term = term * z * ((k - 1.0) / k) ** s
             total += term
-            if abs(term) <= rel_tol * abs(total) or k > 10_000_000:
+            if abs(term) <= _POLYLOG_REL_TOL * abs(total) or k > 10_000_000:
                 return total
     raise DomainError(f"polylog argument outside supported domain: z = {z}")
 

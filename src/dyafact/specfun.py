@@ -34,7 +34,7 @@ from .dyadic import (
     amplification,
     evaluate,
 )
-from .scalar import DomainError, polylog
+from .scalar import DomainError, _finite_x, polylog
 from ._gauss import chunks, dyadic_edges, geometric_sums, panel_nodes, refined
 
 __all__ = [
@@ -127,7 +127,7 @@ def ei_stokes(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None)
     conj x below the real axis) the caller owns the truncation; otherwise
     a plan meeting ``tol`` is derived first.
     """
-    x = complex(x)
+    x = _finite_x("ei_stokes", x)
     if x.imag <= 0.0 and abs(x.real) <= _ON_CUT * abs(x):
         raise DomainError("ei_stokes is undefined on the closed negative imaginary axis")
     if abs(x) < 0.2:
@@ -185,7 +185,7 @@ def ei_left(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) -
     ``plan`` is one for the point actually planned.  The value carries the
     sign of e^x Ei(-x) itself, negative on R^+.
     """
-    x = complex(x)
+    x = _finite_x("ei_left", x)
     if x == 0:
         raise DomainError("ei_left undefined at x = 0")
     if x.real < 0.0 and abs(x.imag) <= _ON_CUT * abs(x):
@@ -211,16 +211,21 @@ def ei_left_base_stream() -> "CoefficientStream":
     return CoefficientStream(coeff)
 
 
-def ei_left_classical_stream(n_max: int = 400) -> "CoefficientStream":
-    """Coefficients of the classical (half-plane, power-like) factorial
-    series of e^x E_1(x) = -e^x Ei(-x): the Borel kernel 1/(1+p) pulled
-    back through w = 1 - e^{-p} and expanded at w = 0 by power-series
-    inversion of 1 - ln(1 - w)."""
+# the classical Ei-left factorial series that ``dyafact compare`` tries: the
+# stream holds c_0..c_400, and the comparison stops short of 400 terms
+EI_LEFT_CLASSICAL_TERMS = 400
+
+
+def ei_left_classical_stream() -> "CoefficientStream":
+    """Coefficients c_0..c_EI_LEFT_CLASSICAL_TERMS of the classical (half-plane,
+    power-like) factorial series of e^x E_1(x) = -e^x Ei(-x): the Borel
+    kernel 1/(1+p) pulled back through w = 1 - e^{-p} and expanded at
+    w = 0 by power-series inversion of 1 - ln(1 - w)."""
     from .scalar import CoefficientStream
 
-    d = [1.0] + [1.0 / i for i in range(1, n_max + 1)]
+    d = [1.0] + [1.0 / i for i in range(1, EI_LEFT_CLASSICAL_TERMS + 1)]
     g = [1.0]
-    for j in range(1, n_max + 1):
+    for j in range(1, EI_LEFT_CLASSICAL_TERMS + 1):
         g.append(-sum(d[i] * g[j - i] for i in range(1, j + 1)))
     coeffs = []
     fact = 1.0
@@ -258,7 +263,7 @@ def psi_family(x: complex) -> FactorialFamily:
 def psi_dyadic(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) -> EvalResult:
     """Psi(x + 1) = ln x + sum_{k>=1} sum_{j>=1} (j-1)! / (2^j (2^k x + 1)_j)
     for Re x > 0.  Plan entry 0 is the closed-form ln x term."""
-    x = complex(x)
+    x = _finite_x("psi_dyadic", x)
     if x.real <= 0:
         raise DomainError("psi_dyadic requires Re x > 0")
     plan, total, corr = evaluate(psi_family(x), tol, plan)
@@ -456,9 +461,7 @@ def incomplete_gamma_dyadic(s: float, x: complex, tol: float = 4e-9,
     Gamma(s, x) = (s - 1) Gamma(s - 1, x) + x^(s-1) e^-x; the plan is then
     the one of order s - 1.
     """
-    x = complex(x)
-    if not cmath.isfinite(x):
-        raise DomainError(f"incomplete_gamma_dyadic requires a finite x, not x = {x}")
+    x = _finite_x("incomplete_gamma_dyadic", x)
     if x.real <= 0:
         raise DomainError("incomplete_gamma_dyadic requires Re x > 0")
     if not math.isfinite(s) or s >= 1.0 or abs(s - round(s)) < 1e-12:
@@ -478,8 +481,6 @@ def erfc_dyadic(x: float, tol: float = 4e-9) -> EvalResult:
     """erfc(sqrt(x)) for x > 0, via Gamma(1/2, x) / sqrt(pi), with
     ``tol`` relative; ``incomplete_gamma_dyadic`` says which tolerances
     each end of the x range accepts."""
-    if isinstance(x, complex) or not (0 < x < math.inf):
-        raise DomainError(f"erfc_dyadic requires a finite real x > 0, not x = {x}")
-    r = incomplete_gamma_dyadic(0.5, x, tol)
+    r = incomplete_gamma_dyadic(0.5, _finite_x("erfc_dyadic", x, real=True), tol)
     rt = math.sqrt(math.pi)
     return _result(r.value / rt, r.error_estimate / rt, r.plan, tol, relative=True)

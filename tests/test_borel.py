@@ -378,6 +378,14 @@ class TestBessel:
         r = bessel_k_dyadic(2.5, x)
         assert r.value.real == pytest.approx(ref, rel=1e-11)
 
+    @pytest.mark.parametrize("nu", [0.7, 0.5, 2.5, 2.3])
+    def test_k_returns_python_scalars(self, nu):
+        # the direct expansion, the half-integer closed form and the order
+        # recurrence over half-integer and general seeds
+        r = bessel_k_dyadic(nu, 2.0)
+        assert type(r.value) is complex
+        assert type(r.error_estimate) is float and type(r.plan.predicted_error) is float
+
     def test_k_one_vs_oracle(self):
         r = bessel_k_dyadic(1.0, 5.0, 1e-9)
         ref = oracle.bessel_k_reference(1.0, 5.0)

@@ -13,7 +13,6 @@ from dyafact.dyadic import (
     DyadicPlan,
     amplification,
     assemble,
-    dyadic_cauchy_deriv_partial,
     dyadic_cauchy_partial,
     dyadic_reciprocal_partial,
     evaluate,
@@ -22,7 +21,7 @@ from dyafact.dyadic import (
     ramified_partial,
     romberg,
 )
-from dyafact.scalar import DomainError, PoleError, pochhammer
+from dyafact.scalar import DomainError, PoleError
 from dyafact.specfun import ei_left_family, ei_stokes_family
 from dyafact import borel, oracle, specfun
 
@@ -114,21 +113,6 @@ class TestCauchy:
     def test_zero_beta(self):
         with pytest.raises(DomainError):
             dyadic_cauchy_partial(-1.0, 0.0, 0.0, 10)
-
-
-class TestCauchyDeriv:
-    def test_unit(self):
-        assert abs(dyadic_cauchy_deriv_partial(-1.0, 0.0, 40) - 1.0) < 1e-9
-
-    def test_shifted(self):
-        # s = -1 - t at t = 1, p = 0.5: 1/(2.5)^2
-        assert abs(dyadic_cauchy_deriv_partial(-2.0, 0.5, 40) - 0.16) < 1e-9
-
-    def test_finite_difference_consistency(self):
-        s, p, h = -1.7, 0.4, 1e-5
-        fd = (dyadic_cauchy_partial(s, p + h, 1.0, 45)
-              - dyadic_cauchy_partial(s, p - h, 1.0, 45)) / (2 * h)
-        assert dyadic_cauchy_deriv_partial(s, p, 45).real == pytest.approx(fd.real, rel=1e-6)
 
 
 class TestRamified:
@@ -314,6 +298,9 @@ class TestRomberg:
 def _family_and_term(name):
     """A family description and its level-k term j (j = 1, 2, ...) written
     out from the closed forms and coefficient rows."""
+    def pochhammer(x, j):   # the rising factorial (x)_j
+        return math.prod(x + i for i in range(j))
+
     if name == "ei-stokes":
         x = 3.0 + 1.0j
         y = -1j * x / math.pi

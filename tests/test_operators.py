@@ -12,7 +12,6 @@ from dyafact.operators import (
     fractional_power_dyadic,
     inverse_dyadic,
     read_matrix_text,
-    resolvent_double_sum,
     resolvent_dyadic,
     write_matrix_text,
 )
@@ -294,31 +293,6 @@ class TestMasterOracleProperties:
         b, _ = inverse_dyadic(conj, 40)
         lhs = q @ a @ q.conj().T
         assert np.linalg.norm(lhs - b, "fro") <= 1e-9 * np.linalg.norm(b, "fro")
-
-
-class TestDoubleSum:
-    def test_runs_and_is_inferior(self):
-        # the truncated double sum at J = 1000 is visibly worse than the
-        # resolvent form at the same K: the limits do not interchange freely
-        op = HermitianOperator.from_matrix(np.diag([1.0, 2.0, 5.0]).astype(complex))
-        ds = resolvent_double_sum(op, 1.0, 12, 1000)
-        ref = op.apply_scalar(lambda w: 1.0 / (w - 1j))
-        v = np.ones(3, dtype=complex) / math.sqrt(3)
-        direct, _ = resolvent_dyadic(op, 1.0, 12, v)
-        err_ds = np.linalg.norm(ds @ v - ref @ v)
-        err_direct = np.linalg.norm(direct - ref @ v)
-        assert err_ds > err_direct
-
-    def test_size_guard(self):
-        op = HermitianOperator.from_matrix(np.eye(9, dtype=complex))
-        with pytest.raises(DomainError):
-            resolvent_double_sum(op, 1.0, 5, 100)
-
-    def test_lambda_domain(self):
-        op = HermitianOperator.from_matrix(np.diag([0.5, 1.0]).astype(complex))
-        for lam in (-1.0, 0.0, math.nan, math.inf):
-            with pytest.raises(DomainError):
-                resolvent_double_sum(op, lam, 3, 10)
 
 
 class TestMatrixIO:

@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.special as sps
 
 from dyafact.scalar import (
     CoefficientStream,
@@ -11,71 +10,10 @@ from dyafact.scalar import (
     PoleError,
     factorial_series_eval,
     factorial_to_borel,
-    ln_gamma,
-    pochhammer,
     polylog,
 )
 from dyafact.specfun import ei_left_base_stream
 from dyafact.oracle import quad_adaptive
-
-
-class TestLnGamma:
-    def test_at_one(self):
-        assert abs(ln_gamma(1.0)) < 1e-14
-
-    def test_half(self):
-        # duplication/reflection checkpoint: Gamma(1/2) = sqrt(pi)
-        assert abs(ln_gamma(0.5) - math.log(math.sqrt(math.pi))) < 1e-14
-
-    def test_pole(self):
-        with pytest.raises(PoleError):
-            ln_gamma(-2.0)
-
-    @pytest.mark.parametrize("z", [0.5, 3.7, 10.0, 1e3, 1e6, 2.5 + 4j, -3.2 + 0.7j, 40 - 9j])
-    def test_against_library(self, z):
-        # independent check: scipy's loggamma, 13+ significant digits
-        ref = sps.loggamma(complex(z))
-        assert abs(ln_gamma(z) - ref) <= 1e-13 * max(1.0, abs(ref))
-
-    def test_exp_recovers_gamma(self):
-        for z in (0.5, 1.5, 6.0, 9.3):
-            assert cmath.exp(ln_gamma(z)).real == pytest.approx(math.gamma(z), rel=1e-13)
-
-
-class TestPochhammer:
-    def test_empty_product(self):
-        assert pochhammer(3.7 + 2j, 0) == 1.0
-
-    def test_2_3(self):
-        assert pochhammer(2.0, 3) == pytest.approx(24.0)
-
-    def test_half_2(self):
-        assert pochhammer(0.5, 2) == pytest.approx(0.75)
-
-    def test_nonpositive_integer_zero(self):
-        assert pochhammer(-3.0, 5) == 0.0
-        assert pochhammer(-3.0, 3) != 0.0  # product stops before zero factor
-
-    @pytest.mark.parametrize("x", [1e4, 4e4, (3 - 4j) * 1e4])
-    def test_paths_agree(self, x):
-        # both sides of the overflow guard agree with the library
-        # log-gamma ratio to 12 digits
-        ref = np.exp(sps.loggamma(x + 65) - sps.loggamma(complex(x)))
-        assert abs(pochhammer(x, 65) - ref) <= 1e-12 * abs(ref)
-
-    def test_overflow_is_explicit(self):
-        with pytest.raises(DomainError):
-            pochhammer(1e6, 64)
-
-    def test_functional_identity(self):
-        # (x)_{k+1} = (x)_k (x + k) to 1 ulp relative
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            x = complex(rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3))
-            k = int(rng.integers(0, 50))
-            lhs = pochhammer(x, k + 1)
-            rhs = pochhammer(x, k) * (x + k)
-            assert abs(lhs - rhs) <= 4e-16 * abs(rhs) + 1e-300
 
 
 class TestPolylog:

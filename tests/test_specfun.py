@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dyafact import oracle
+from dyafact.borel import airy_from_h, airy_h, bessel_h, bessel_k_dyadic
 from dyafact.dyadic import TABLE_COLUMNS, CutProximityError, DyadicPlan, level_sums
 from dyafact.oracle import verify_strange_identity
 from dyafact.scalar import DomainError
@@ -145,19 +146,35 @@ class TestIncompleteGamma:
         r = incomplete_gamma_dyadic(0.5, x)
         assert r.value.real * math.exp(x) * math.sqrt(x) == pytest.approx(1.0, abs=0.02)
 
-    @pytest.mark.parametrize("call, x", [
-        (erfc_dyadic, math.inf),
-        (erfc_dyadic, math.nan),
-        (erfc_dyadic, 2 + 1j),
-        (lambda x: incomplete_gamma_dyadic(0.3, x), math.inf),
-        (lambda x: incomplete_gamma_dyadic(0.3, x), complex(2.0, math.inf)),
-        (lambda x: incomplete_gamma_dyadic(0.3, x), complex(math.inf, 1.0)),
-        (lambda x: incomplete_gamma_dyadic(0.3, x), math.nan),
-    ], ids=["erfc-inf", "erfc-nan", "erfc-complex", "inf", "inf-imag", "inf-real", "nan"])
-    def test_non_finite_or_complex_x_is_a_domain_error_naming_it(self, call, x):
+    # every evaluator, real-x ones (which name x as given) included
+    @pytest.mark.parametrize("call, x, real", [
+        (erfc_dyadic, math.inf, True),
+        (erfc_dyadic, math.nan, True),
+        (erfc_dyadic, 2 + 1j, True),
+        (lambda x: incomplete_gamma_dyadic(0.3, x), math.inf, False),
+        (lambda x: incomplete_gamma_dyadic(0.3, x), complex(2.0, math.inf), False),
+        (lambda x: incomplete_gamma_dyadic(0.3, x), complex(math.inf, 1.0), False),
+        (lambda x: incomplete_gamma_dyadic(0.3, x), math.nan, False),
+        (ei_left, math.inf, False),
+        (ei_left, math.nan, False),
+        (ei_stokes, math.inf, False),
+        (ei_stokes, math.nan, False),
+        (psi_dyadic, math.inf, False),
+        (psi_dyadic, math.nan, False),
+        (airy_from_h, math.inf, True),
+        (airy_from_h, 2 + 1j, True),
+        (lambda x: bessel_k_dyadic(0.7, x), math.inf, True),
+        (lambda x: bessel_k_dyadic(0.7, x), 2 + 1j, True),
+        (airy_h, complex(5.0, math.inf), False),
+        (lambda x: bessel_h(0.7, x), math.nan, False),
+    ], ids=["erfc-inf", "erfc-nan", "erfc-complex", "inf", "inf-imag", "inf-real", "nan",
+            "ei-left-inf", "ei-left-nan", "ei-stokes-inf", "ei-stokes-nan", "psi-inf", "psi-nan",
+            "airy-inf", "airy-complex", "bessel-k-inf", "bessel-k-complex", "airy-h-inf-imag",
+            "bessel-h-nan"])
+    def test_non_finite_or_complex_x_is_a_domain_error_naming_it(self, call, x, real):
         with pytest.raises(DomainError) as err:
             call(x)
-        x_text = str(x if call is erfc_dyadic else complex(x))
+        x_text = str(x if real else complex(x))
         assert f"x = {x_text}" in str(err.value)
 
     def test_domain(self):
