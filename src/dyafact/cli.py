@@ -222,7 +222,10 @@ def _classical_ei_left_terms(x: float, tol: float, ref: float) -> Optional[int]:
     from . import specfun
     stream = specfun.ei_left_classical_stream()
     for n in range(1, specfun.EI_LEFT_CLASSICAL_TERMS):
-        val = -factorial_series_eval(stream, x, n)
+        try:
+            val = -factorial_series_eval(stream, x, n)
+        except DomainError:     # (x)_n overflows, and so does every later one
+            return None
         if abs(val - ref) <= tol * abs(ref):
             return n
     return None

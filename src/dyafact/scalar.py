@@ -124,7 +124,11 @@ class CoefficientStream:
 
 
 def factorial_series_eval(c: CoefficientStream, x: complex, n: int) -> complex:
-    """Partial sum of the factorial series  sum_{k=0}^{n-1} c_k / (x)_{k+1}."""
+    """Partial sum of the factorial series  sum_{k=0}^{n-1} c_k / (x)_{k+1}.
+
+    A rising factorial (x)_{k+1} that vanishes raises PoleError; one that
+    overflows binary64 raises DomainError rather than summing to nan.
+    """
     if n < 1:
         raise DomainError("factorial_series_eval requires n >= 1")
     x = complex(x)
@@ -133,6 +137,8 @@ def factorial_series_eval(c: CoefficientStream, x: complex, n: int) -> complex:
     for k in range(n):
         if poch == 0:
             raise PoleError(f"factorial series denominator (x)_{k+1} vanishes at x = {x}")
+        if not cmath.isfinite(poch):
+            raise DomainError(f"factorial series denominator (x)_{k+1} overflows at x = {x}")
         total += c(k) / poch
         poch *= x + (k + 1)
     return total

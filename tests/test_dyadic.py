@@ -115,6 +115,35 @@ class TestCauchy:
             dyadic_cauchy_partial(-1.0, 0.0, 0.0, 10)
 
 
+def _cauchy_p_derivative(s, p, K):
+    """Central difference in p of the Cauchy decomposition at beta = 1:
+    the derivative kernel 1/(s - p)^2 once the levels have converged."""
+    h = 1e-5
+    return (dyadic_cauchy_partial(s, p + h, 1.0, K) - dyadic_cauchy_partial(s, p - h, 1.0, K)) / (2 * h)
+
+
+class TestCauchyDeriv:
+    def test_unit(self):
+        assert abs(_cauchy_p_derivative(-1.0, 0.0, 40) - 1.0) < 1e-9
+
+    def test_shifted(self):
+        # s = -1 - t at t = 1, p = 0.5: 1/(2.5)^2
+        assert abs(_cauchy_p_derivative(-2.0, 0.5, 40) - 0.16) < 1e-9
+
+    def test_finite_difference_consistency(self):
+        # the difference matches the p-derivatives of the docstring terms,
+        # summed level by level: e_s e_p / (e_s - e_p)^2 for the base and
+        # w^2 e_s,k e_p,k / (e_s,k + e_p,k)^2 at level k, w = 2^-k
+        s, p, K = -1.7, 0.4, 45
+        es, ep = cmath.exp(-s), cmath.exp(-p)
+        exact = es * ep / (es - ep) ** 2
+        for k in range(1, K + 1):
+            w = 2.0**-k
+            esk, epk = cmath.exp(-w * s), cmath.exp(-w * p)
+            exact += w * w * esk * epk / (esk + epk) ** 2
+        assert _cauchy_p_derivative(s, p, K).real == pytest.approx(exact.real, rel=1e-6)
+
+
 class TestRamified:
     def test_s_zero_reduction(self):
         assert ramified_partial(0.0, 1.0, 40) == dyadic_reciprocal_partial(1.0, 40)

@@ -1,3 +1,4 @@
+import cmath
 import io
 import math
 
@@ -293,6 +294,32 @@ class TestMasterOracleProperties:
         b, _ = inverse_dyadic(conj, 40)
         lhs = q @ a @ q.conj().T
         assert np.linalg.norm(lhs - b, "fro") <= 1e-9 * np.linalg.norm(b, "fro")
+
+
+class TestDoubleSum:
+    def test_runs_and_is_inferior(self):
+        # the truncated double sum at J = 1000,
+        #   i sum_{j<=J} e^{-j lam} U_j - i sum_{k<=K} sum_{j<=J} (-1)^j e^{-j lam/2^k} U_{j 2^-k},
+        # with each inner geometric sum closed, is visibly worse than the
+        # resolvent form at the same K: the limits do not interchange freely
+        lam, K, J = 1.0, 12, 1000
+
+        def double_sum(w):
+            z1 = cmath.exp(-lam - 1j * w)
+            total = 1j * (1.0 - z1 ** (J + 1)) / (1.0 - z1)
+            for k in range(1, K + 1):
+                zk = -cmath.exp((-lam - 1j * w) * 2.0**-k)
+                total -= 1j * 2.0**-k * (1.0 - zk ** (J + 1)) / (1.0 - zk)
+            return total
+
+        op = HermitianOperator.from_matrix(np.diag([1.0, 2.0, 5.0]).astype(complex))
+        ds = op.apply_scalar(double_sum)
+        ref = op.apply_scalar(lambda w: 1.0 / (w - 1j))
+        v = np.ones(3, dtype=complex) / math.sqrt(3)
+        direct, _ = resolvent_dyadic(op, lam, K, v)
+        err_ds = np.linalg.norm(ds @ v - ref @ v)
+        err_direct = np.linalg.norm(direct - ref @ v)
+        assert err_ds > err_direct
 
 
 class TestMatrixIO:

@@ -4,6 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import scipy.special as sps
+
+from dyafact.dyadic import dyadic_reciprocal_partial, ramified_partial
 from dyafact.scalar import (
     CoefficientStream,
     DomainError,
@@ -14,6 +17,113 @@ from dyafact.scalar import (
 )
 from dyafact.specfun import ei_left_base_stream
 from dyafact.oracle import quad_adaptive
+
+
+def _ramified_bracket(s, p, K):
+    """The polylog level sum of ``ramified_partial``, summed in the same
+    order, without its front factor Gamma(s) sin(pi s) / pi."""
+    total = polylog(s, cmath.exp(-p))
+    for k in range(1, K + 1):
+        total -= 2.0 ** (-k * (1.0 - s)) * polylog(s, -cmath.exp(-p / 2.0**k))
+    return total
+
+
+class TestLnGamma:
+    """The Gamma factor of the ramified decomposition: its front factor
+    Gamma(s) sin(pi s) / pi, which is 1 / Gamma(1 - s) by reflection."""
+
+    def test_at_one(self):
+        # s -> 0: the front factor tends to 1 / Gamma(1) = 1 and the
+        # decomposition meets the reciprocal one, up to p^s - 1 ~ s ln p
+        r = ramified_partial(1e-9, 2.0, 40)
+        assert abs(r / dyadic_reciprocal_partial(2.0, 40) - 1.0) < 1e-8
+
+    def test_half(self):
+        # Gamma(1/2) = sqrt(pi): the front factor at s = 1/2 is 1 / sqrt(pi)
+        r = ramified_partial(0.5, 2.0, 20)
+        assert r * math.sqrt(math.pi) == pytest.approx(_ramified_bracket(0.5, 2.0, 20), rel=1e-15)
+
+    def test_pole(self):
+        # Gamma(s) has poles at s = -1, -2, ...: refused, not evaluated
+        for s in (-1.0, -1.0 + 1e-13, -2.0):
+            with pytest.raises(DomainError):
+                ramified_partial(s, 2.0, 10)
+
+    @pytest.mark.parametrize("z", [0.5, 3.7, 10.0, 1e3, 1e6, 2.5 + 4j, 40 - 9j])
+    def test_against_library(self, z):
+        # the decomposition of p^{s-1} at p = z against the library power.
+        # Real z: 60 levels leave a tail far below rounding, so the front
+        # factor shows to a few ulp.  Complex z: polylog's disk limits the
+        # levels to 12, whose tail is below 2^{-K(1-s)}.
+        s, p = -0.9, complex(z)
+        ref = p ** (s - 1.0)
+        if p.imag == 0:
+            assert abs(ramified_partial(s, p, 60) - ref) <= 1e-14 * abs(ref)
+        else:
+            K = 12
+            assert abs(ramified_partial(s, p, K) - ref) <= 2.0 ** (-K * (1.0 - s))
+
+    def test_exp_recovers_gamma(self):
+        # the front factor recovers the library 1 / Gamma(1 - s)
+        for s in (-0.75, -0.3, 0.2, 0.6):
+            front = ramified_partial(s, 2.0, 20) / _ramified_bracket(s, 2.0, 20)
+            assert front.real == pytest.approx(sps.rgamma(1.0 - s), rel=1e-15)
+
+
+def _over_rising(x, j, c=1.0):
+    """c / (x)_j for j >= 1 from factorial_series_eval: the series whose
+    only nonzero coefficient is c_{j-1} = c."""
+    return factorial_series_eval(CoefficientStream(lambda k: c if k == j - 1 else 0.0), x, j)
+
+
+def _rising(x, j):
+    return 1.0 / _over_rising(x, j)
+
+
+class TestPochhammer:
+    """The rising factorials (x)_{k+1} that factorial_series_eval divides by."""
+
+    def test_empty_product(self):
+        # (x)_1 = x (x)_0 with the empty product (x)_0 = 1
+        x = 3.7 + 2j
+        assert factorial_series_eval(CoefficientStream(lambda k: 1.0), x, 1) == 1.0 / x
+
+    def test_2_3(self):
+        assert _rising(2.0, 3) == pytest.approx(24.0)
+
+    def test_half_2(self):
+        assert _rising(0.5, 2) == pytest.approx(0.75)
+
+    def test_nonpositive_integer_zero(self):
+        with pytest.raises(PoleError):
+            _rising(-3.0, 5)
+        assert _rising(-3.0, 3) == pytest.approx(-6.0)  # product stops before zero factor
+
+    @pytest.mark.parametrize("x", [1e4, 4e4, (3 - 4j) * 1e4])
+    def test_paths_agree(self, x):
+        # the running product agrees to 12 digits with the exact product in
+        # Gaussian integers, up to (x)_65 near the top of binary64
+        re, im = 1, 0
+        for i in range(65):
+            a, b = int(x.real) + i, int(x.imag)
+            re, im = re * a - im * b, re * b + im * a
+        ref = complex(re, im)
+        assert abs(_rising(x, 65) - ref) <= 1e-12 * abs(ref)
+
+    def test_overflow_is_explicit(self):
+        with pytest.raises(DomainError):
+            factorial_series_eval(CoefficientStream(lambda k: 1.0), 1e6, 64)
+
+    def test_functional_identity(self):
+        # (x)_{k+1} = (x)_k (x + k), read as c_k = x + k over (x)_{k+1}
+        # against 1 over (x)_k, to 1 ulp relative
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            x = complex(rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3))
+            k = int(rng.integers(0, 50))
+            lhs = _over_rising(x, k + 1, x + k)
+            rhs = 1.0 if k == 0 else _over_rising(x, k)
+            assert abs(lhs - rhs) <= 4e-16 * abs(rhs) + 1e-300
 
 
 class TestPolylog:
