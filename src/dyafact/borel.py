@@ -30,7 +30,7 @@ import functools
 import math
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from .dyadic import (
     DyadicPlan,
     EvalResult,
     FactorialFamily,
-    NumerTable,
     _frozen,
     _result,
     amplification,
@@ -260,16 +259,27 @@ class CoefficientTable:
         dkm = _build_level_rows(kern, M, K, target) if K else np.empty((0, M - 1))
         return CoefficientTable(nu=kern.nu, M=M, K=K, dm=dm, dkm=dkm)
 
-    def d(self, m: int) -> float:
-        return float(self.dm[m - 2])
-
-    def dk(self, k: int, m: int) -> float:
-        return float(self.dkm[k - 1, m - 2])
-
     @functools.cached_property
-    def h_levels(self) -> "_HLevels":
-        """The argument-free half of the h-expansion over this table."""
-        return _h_levels(self)
+    def template(self) -> "_HTemplate":
+        """The argument-free half of the h-expansion over this table, built
+        at its first use.  Level k is sum_{m>=2} sign_m G(m) d_km / (u_k)_m,
+        a factorial series in u_k + 1 (base terms alternate,
+        sign_m = (-1)^m), entering with weight -kappa e^{2^-k} (-kappa for
+        the base).  Column 0 of the numerators is d_{k,2}, so a level's
+        terms are u_k times its own and 1/u_k joins the weight; then
+        t_{i+1} / t_i = sign_k (i + 1) d_{k,i+2} / d_{k,i+1}."""
+        scale = 2.0 ** np.arange(self.K + 1)
+        rows = np.vstack([self.dm, self.dkm])          # d_{k,m}, m = 2..M
+        sign = np.ones(self.K + 1)
+        sign[0] = -1.0
+        kappa = math.cos(math.pi * self.nu) / math.pi
+        weight = -kappa * np.exp(1.0 / scale)
+        weight[0] = -kappa
+        numer = np.empty(rows.shape)
+        numer[:, 0] = rows[:, 0]
+        numer[:, 1:] = sign[:, None] * np.arange(2.0, self.M) * rows[:, 1:] / rows[:, :-1]
+        return _HTemplate(_frozen(scale), _frozen(weight), _frozen(weight * rows[:, 0]),
+                          _frozen(numer), _h_ladder(self.nu))
 
 
 # ---------------------------------------------------------------------------
@@ -310,64 +320,38 @@ def _h_ladder(nu: float) -> tuple:
     return tuple(sorted((a, a + 1.0, 1.5 + nu, min(a + 2.0, 2.5 + nu))))
 
 
-class _HLevels(NamedTuple):
-    """The argument-free half of the h-expansion: 2^k, the level weights,
-    the first coefficients d_{k,2}, weight_k d_{k,2}, the term ratios
-    (column 0, d_{k,2} / u_k, is the argument's) and the ladder."""
+@dataclass(frozen=True)
+class _HTemplate:
+    """The h-expansion of one coefficient table without its argument, all
+    read-only (``CoefficientTable.template``): 2^k, the level weights,
+    their leads weight_k d_{k,2}, the numerator table and the ladder."""
 
     scale: np.ndarray
     weight: np.ndarray
-    first: np.ndarray
-    weighted_first: np.ndarray
-    ratio: np.ndarray
+    lead: np.ndarray
+    table: np.ndarray
     ladder: tuple
 
 
-def _h_levels(table: CoefficientTable) -> _HLevels:
-    """Level k is sum_{m>=2} sign_m G(m) d_km / (u_k)_m, a factorial series
-    in u_k + 1 (base terms alternate, sign_m = (-1)^m), entering with
-    weight -kappa e^{2^-k} (-kappa for the base)."""
-    scale = 2.0 ** np.arange(table.K + 1)
-    rows = np.vstack([table.dm, table.dkm])          # d_{k,m}, m = 2..M
-    sign = np.ones(table.K + 1)
-    sign[0] = -1.0
-    kappa = math.cos(math.pi * table.nu) / math.pi
-    weight = -kappa * np.exp(1.0 / scale)
-    weight[0] = -kappa
-    # term 1 is d_{k,2} / u_k, then t_{i+1} / t_i = sign_k (i + 1) d_{k,i+2} / d_{k,i+1}
-    ratio = np.zeros(rows.shape, dtype=complex)
-    ratio[:, 1:] = sign[:, None] * np.arange(2.0, table.M) * rows[:, 1:] / rows[:, :-1]
-    first = rows[:, 0].copy()
-    return _HLevels(_frozen(scale), _frozen(weight), _frozen(first), _frozen(weight * first),
-                    _frozen(ratio), _h_ladder(table.nu))
-
-
 def _h_family(table: CoefficientTable, u: complex) -> FactorialFamily:
-    """The h-expansion at argument u over the coefficient table: the
-    table's ``h_levels`` with u_k = 2^k u, whose ratio array, with the
-    argument's column 0, is the family's numerator table; its walks read
-    33 columns first, as its levels keep at most 30 terms over perfbench's
-    point-values inputs.  The planner sees sizes relative to h ~ 1/|u|,
-    so its tolerance is relative; each row supports M - 2 planned terms.
-    """
-    lv = table.h_levels
-    uk = lv.scale * u
-    ratio = lv.ratio.copy()
-    ratio[:, 0] = lv.first / uk
+    """The h-expansion at argument u over the table's template, with
+    u_k = 2^k u: level k enters with weight_k / u_k.  The planner sees
+    sizes relative to h ~ 1/|u|, so its tolerance is relative; each row
+    supports M - 2 planned terms."""
+    t = table.template
+    uk = t.scale * u
     shift = uk + 1.0
-    size = np.abs(lv.weighted_first / (uk * shift)) * abs(u)
-    return FactorialFamily("h-expansion", shift, lv.weight, NumerTable(_frozen(ratio), first=33),
-                           size, safety=1.3, ladder=lv.ladder)
+    size = np.abs(t.lead / (uk * shift)) * abs(u)
+    return FactorialFamily("h-expansion", shift, t.weight / uk, t.table, size, safety=1.3,
+                           ladder=t.ladder)
 
 
 def _bessel_h_eval(nu: float, u: complex, tol: float,
                    plan: Optional[DyadicPlan] = None) -> EvalResult:
     nu = abs(nu)
     u = _finite_x("h-expansion", u)
-    if u.real <= 0:
-        raise DomainError("h-expansion requires Re x > 0")
-    if abs(u) < 1.0:
-        raise DomainError("h-expansion requires |x| >= 1")
+    if u.real <= 0 or abs(u) < 1.0:
+        raise DomainError(f"h-expansion requires Re x > 0 and |x| >= 1, not x = {u}")
     if _is_half_integer(nu):
         # polynomial kernel, vanishing branch jump: h is a finite sum
         deg = int(round(nu - 0.5))
@@ -405,10 +389,13 @@ _BESSEL_C = math.sqrt(2.0 * math.pi)
 
 
 def airy_from_h(x: float, tol: float = 1e-10) -> EvalResult:
-    """Ai(x) for x > 0 through the normalization map
-    Ai(x) = C x^{5/4} e^{-(2/3) x^{3/2}} h((4/3) x^{3/2})."""
+    """Ai(x) for x >= (3/4)^(2/3) ~ 0.8255 through the normalization map
+    Ai(x) = C x^{5/4} e^{-(2/3) x^{3/2}} h((4/3) x^{3/2}), whose argument
+    the h-expansion takes from 1 on."""
     x = _finite_x("airy_from_h", x, real=True)
     u = 4.0 / 3.0 * x**1.5
+    if u < 1.0:
+        raise DomainError(f"airy_from_h requires x >= (3/4)^(2/3) ~ 0.8255, not x = {x}")
     r = airy_h(u, tol)
     front = _AIRY_C * x**1.25 * math.exp(-2.0 / 3.0 * x**1.5)
     return _result(front * r.value, front * r.error_estimate, r.plan, tol, relative=True)
@@ -426,7 +413,8 @@ def bessel_h(nu: float, x: complex, tol: float = 1e-10) -> EvalResult:
 
 
 def bessel_k_dyadic(nu: float, x: float, tol: float = 1e-9) -> EvalResult:
-    """K_nu(x) for x > 0, |nu| <= 5: normalization map on the h-expansion.
+    """K_nu(x) for x >= 0.5, |nu| <= 5: normalization map on the
+    h-expansion at 2x, which it takes from 1 on.
 
     Orders whose ladder would magnify level errors more than
     MAX_AMPLIFICATION (|nu| above about 1.34, where 2^(3/2-nu) tends to
@@ -438,6 +426,8 @@ def bessel_k_dyadic(nu: float, x: float, tol: float = 1e-9) -> EvalResult:
     if not nu <= 5.0:
         raise DomainError("bessel_k_dyadic restricted to finite |nu| <= 5")
     x = _finite_x("bessel_k_dyadic", x, real=True)
+    if x < 0.5:
+        raise DomainError(f"bessel_k_dyadic requires x >= 0.5, not x = {x}")
 
     def k_direct(mu: float) -> EvalResult:
         r = _bessel_h_eval(mu, 2.0 * x, tol)

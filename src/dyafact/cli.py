@@ -180,7 +180,7 @@ def cmd_figure(figure_id: str, fmt: str, out: Optional[str]) -> int:
         # series at x = 5, as the planner sees them
         fam = specfun.ei_stokes_family(5.0)
         i = np.arange(1, 30)
-        r = np.abs(fam.table.read(slice(0, 5), 30)[:, 1:]) / np.abs(fam.shift[:5, None] + i)
+        r = np.abs(fam.table[:5, 1:30]) / np.abs(fam.shift[:5, None] + i)
         t = fam.size[:5, None] * np.hstack([np.ones((5, 1)), np.cumprod(r, axis=1)])
         rows = np.column_stack([np.arange(1.0, 31.0), t.T])
         _write_rows(["m", "series0", "series1", "series2", "series3", "series4"],

@@ -32,7 +32,6 @@ __all__ = [
     "DyadicPlan",
     "EvalResult",
     "FactorialFamily",
-    "NumerTable",
     "TABLE_COLUMNS",
     "plan_truncation",
     "level_sums",
@@ -53,9 +52,8 @@ LADDER_LEVELS = 16       # h-table depth: laddered plans at tol >= 1e-10 keep <=
 # Richardson error growth an evaluator accepts: at tol 1e-10 the levels then
 # need about 5e-13, which the coefficient rows (1e-13 and better) deliver
 MAX_AMPLIFICATION = 100.0
-# Columns of a walk's first chunk, unless the family's table says otherwise:
-# over perfbench's point-values inputs (seeds 21-25) 94 % of the planned
-# walks stop every level within 64 terms.
+# Columns of a walk's first chunk: over perfbench's point-values inputs
+# (seeds 21-25) 94 % of the planned walks stop every level within 64 terms.
 FIRST_CHUNK = 65
 # Columns of the closed-form numerator tables (Ei and digamma), built whole
 # at import: at tol 1.01e-14 and every shift at least 1e-12 from a pole the
@@ -127,31 +125,13 @@ def dyadic_cauchy_partial(s: complex, p: complex, beta: complex, K: int) -> comp
 
         -beta e^{-beta s} / (e^{-beta s} - e^{-beta p})
         + sum_{k=1}^{K} beta 2^{-k} e^{-2^{-k} beta s}
-                        / (e^{-2^{-k} beta s} + e^{-2^{-k} beta p})
-    """
-    s = complex(s)
-    p = complex(p)
+                        / (e^{-2^{-k} beta s} + e^{-2^{-k} beta p}),
+
+    which is -beta times the reciprocal decomposition at beta (p - s)."""
     beta = complex(beta)
     if beta == 0:
         raise DomainError("beta must be nonzero")
-    if p == s:
-        raise PoleError("dyadic_cauchy_partial undefined at p = s")
-    if K < 0 or K > MAX_LEVELS:
-        raise DomainError(f"level count must be in [0, {MAX_LEVELS}]")
-    es = cmath.exp(-beta * s)
-    ep = cmath.exp(-beta * p)
-    if abs(es - ep) < DENOM_GUARD:
-        raise PoleError("base denominator within guard distance of 0")
-    total = -beta * es / (es - ep)
-    for k in range(1, K + 1):
-        w = beta * 2.0**-k
-        esk = cmath.exp(-w * s)
-        epk = cmath.exp(-w * p)
-        den = esk + epk
-        if abs(den) < DENOM_GUARD:
-            raise PoleError(f"level-{k} denominator within guard distance of 0")
-        total += w * esk / den
-    return total
+    return -beta * dyadic_reciprocal_partial(beta * (complex(p) - complex(s)), K)
 
 
 def ramified_partial(s_exp: float, p: complex, K: int) -> complex:
@@ -243,26 +223,6 @@ def _result(value: complex, estimate: float, plan: DyadicPlan, tol: float,
 
 
 @dataclass(frozen=True)
-class NumerTable:
-    """The numerators numer(k, i) of a family for every described level k,
-    as one read-only (levels x columns) array that the planner's walk
-    slices, and the columns ``first`` of a walk's first chunk.  A level
-    keeps at most ``columns - 1`` planned terms."""
-
-    array: np.ndarray
-    first: int = FIRST_CHUNK
-
-    @property
-    def columns(self) -> int:
-        return self.array.shape[1]
-
-    def read(self, rows, width: int) -> np.ndarray:
-        """The numerators of the levels ``rows`` (a slice or an index
-        array) over columns 0..width-1."""
-        return self.array[rows, :width]
-
-
-@dataclass(frozen=True)
 class FactorialFamily:
     """One dyadic factorial-series family at one argument: a per-order
     template (weights, numerators, ladder, safety), built once beside the
@@ -275,8 +235,9 @@ class FactorialFamily:
 
     the shape sum_m c_{k,m} Gamma(m) / (x_k)_m with the coefficients and
     Gamma(m) folded into the numerators, so no factor ever overflows.
-    ``table`` holds numer(k, i) over its columns, built once per order; a
-    level keeps at most ``table.columns - 1`` planned terms.
+    ``table`` is the read-only (levels x columns) array of numer(k, i),
+    built once per order and written by no call; a level keeps at most
+    ``table.shape[1] - 1`` planned terms.
 
     The planner sees only magnitudes in the units of its tolerance:
     ``size[k]`` = |weight_k t_{k,1}| and the term ratios
@@ -294,7 +255,7 @@ class FactorialFamily:
     name: str
     shift: np.ndarray
     weight: np.ndarray
-    table: NumerTable
+    table: np.ndarray
     size: np.ndarray
     safety: float
     ladder: Tuple[float, ...] = ()
@@ -373,14 +334,14 @@ def _walk(fam: FactorialFamily, counts: Optional[np.ndarray], target: float = 0.
     (K + 1 = len(counts)) each level keeps exactly that many; without
     them (K + 1 = len(gain)) a level keeps the smallest count whose
     remainder, the next term over the local geometric gap scaled by the
-    level's ``gain``, is below ``target``, or the ``table.columns - 1``
-    terms its table supports.
+    level's ``gain``, is below ``target``, or the ``columns - 1`` terms
+    its table supports.
 
     The numerators come from slices of the family's table.  Fixed counts
-    take one pass over max(counts) columns.  The planner's walk reads the
-    table's ``first`` columns of every level in its first chunk; the
-    levels still walking read again from column 0 over twice as many,
-    less one, and so on.  A chunk forms the quotients numer / (shift + i)
+    take one pass over max(counts) columns.  The planner's walk reads
+    FIRST_CHUNK columns of every level in its first chunk; the levels
+    still walking read again from column 0 over twice as many, less one,
+    and so on.  A chunk forms the quotients numer / (shift + i)
     once: their magnitudes drive the stop rule, and their running product
     gives the terms t_{k,i+1}.
 
@@ -388,26 +349,26 @@ def _walk(fam: FactorialFamily, counts: Optional[np.ndarray], target: float = 0.
     walked (0 with fixed counts), and an array of max(counts) columns
     whose row k starts with the terms of level k, for ``_sums``.
     """
-    columns = fam.table.columns
+    columns = fam.table.shape[1]
     if counts is not None:
         K, width = len(counts) - 1, int(counts.max())
         if K >= len(fam.shift) or width > columns:
             raise DomainError(f"{fam.name}: a plan takes at most {len(fam.shift) - 1} levels "
                               f"of at most {columns} terms")
         rows = slice(0, K + 1)
-        num = fam.table.read(rows, width)
+        num = fam.table[rows, :width]
         terms = np.multiply.accumulate(num / (fam.shift[rows, None] + _index(width)), axis=1)
         return counts, np.zeros(K + 1), terms
     K = len(gain) - 1
     first = fam.size[:K + 1] * gain           # |t_1| of each level
     walk = _index(K + 1)                      # levels still walking
     rows = slice(0, K + 1)                    # the same, as an index
-    lo, hi = 0, fam.table.first
+    lo, hi = 0, FIRST_CHUNK
     while True:
         width = min(hi, columns)
         last = width == columns               # unmet rows run out in this chunk
         # the stop rule at count c reads the ratio at index c
-        quot = fam.table.read(rows, width) / (fam.shift[rows, None] + _index(width))
+        quot = fam.table[rows, :width] / (fam.shift[rows, None] + _index(width))
         r = np.abs(quot[:, 1:])
         # t_1 is given by ``size``, the ratios take it on from there
         mags = first[rows, None] * np.minimum(np.multiply.accumulate(r, axis=1), 1e280)   # saturate, not overflow

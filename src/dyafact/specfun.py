@@ -21,14 +21,12 @@ import numpy as np
 
 from .dyadic import (
     _EPS,
-    FIRST_CHUNK,
     MAX_AMPLIFICATION,
     MAX_LEVELS,
     TABLE_COLUMNS,
     DyadicPlan,
     EvalResult,
     FactorialFamily,
-    NumerTable,
     _frozen,
     _result,
     amplification,
@@ -58,14 +56,17 @@ _ONES = _frozen(np.ones(MAX_LEVELS + 1))
 _SIGMA_LADDER = (1.0, 2.0, 4.0, 6.0)
 _EULER_GAMMA = 0.5772156649015329
 _ON_CUT = 1e-12        # relative distance from an Ei cut that counts as on it
+# the largest |x| of the Ei evaluators: every level shift 2^k w (|w| <= |x|)
+# and its product with a level denominator (|den_k| < 4) stay finite
+_EI_LARGEST = math.ldexp(float(np.finfo(float).max), -(MAX_LEVELS + 2))
 
 
-def _geometric(a: np.ndarray, den: np.ndarray, first: int = FIRST_CHUNK) -> NumerTable:
+def _geometric(a: np.ndarray, den: np.ndarray) -> np.ndarray:
     """The numerator table of a family with geometric coefficients, over
     TABLE_COLUMNS columns: term 1 of level k is a_k / (den_k x_k), and
     t_{i+1} / t_i = i / (den_k (x_k + i))."""
     i = np.arange(TABLE_COLUMNS)
-    return NumerTable(_frozen(np.where(i == 0, a[:, None], i) / den[:, None]), first)
+    return _frozen(np.where(i == 0, a[:, None], i) / den[:, None])
 
 
 def _ei_template(c: complex) -> tuple:
@@ -105,6 +106,15 @@ def ei_stokes_family(x: complex) -> FactorialFamily:
     return _ei_family(-1j * x / math.pi, _EI_STOKES, "ei-stokes")
 
 
+def _ei_x(name: str, x) -> complex:
+    """The argument of an Ei evaluator, finite and at most _EI_LARGEST in
+    size, as a complex; DomainError naming x otherwise."""
+    x = _finite_x(name, x)
+    if abs(x) > _EI_LARGEST:
+        raise DomainError(f"{name} requires |x| <= {_EI_LARGEST:.4g}, not x = {x}")
+    return x
+
+
 def _stokes(y: complex, tol: float, plan: Optional[DyadicPlan], flip: bool = False,
             jump: complex = 0.0) -> EvalResult:
     """G(y) = e^{-y} Ei^+(y) at Im y >= 0, where every shift of the Stokes
@@ -127,7 +137,7 @@ def ei_stokes(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None)
     conj x below the real axis) the caller owns the truncation; otherwise
     a plan meeting ``tol`` is derived first.
     """
-    x = _finite_x("ei_stokes", x)
+    x = _ei_x("ei_stokes", x)
     if x.imag <= 0.0 and abs(x.real) <= _ON_CUT * abs(x):
         raise DomainError("ei_stokes is undefined on the closed negative imaginary axis")
     if abs(x) < 0.2:
@@ -185,7 +195,7 @@ def ei_left(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) -
     ``plan`` is one for the point actually planned.  The value carries the
     sign of e^x Ei(-x) itself, negative on R^+.
     """
-    x = _finite_x("ei_left", x)
+    x = _ei_x("ei_left", x)
     if x == 0:
         raise DomainError("ei_left undefined at x = 0")
     if x.real < 0.0 and abs(x.imag) <= _ON_CUT * abs(x):
@@ -236,8 +246,7 @@ def ei_left_classical_stream() -> "CoefficientStream":
     return CoefficientStream(lambda k: coeffs[k])
 
 
-# digamma levels keep at most 27 terms over perfbench's point-values inputs
-_PSI_TABLE = _geometric(_ONES, 2.0 * _ONES, first=33)
+_PSI_TABLE = _geometric(_ONES, 2.0 * _ONES)
 _PSI_WEIGHT = _frozen((_LEVELS > 1).astype(float))
 
 
@@ -267,7 +276,11 @@ def psi_dyadic(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None
     if x.real <= 0:
         raise DomainError("psi_dyadic requires Re x > 0")
     plan, total, corr = evaluate(psi_family(x), tol, plan)
-    return _result(cmath.log(x) + total, plan.predicted_error + corr, plan, tol, relative=False)
+    log = cmath.log(x)
+    value = log + total
+    # the rounding of ln x and of its sum with the levels
+    return _result(value, plan.predicted_error + corr + 2.0 * _EPS * (abs(log) + abs(value)),
+                   plan, tol, relative=False)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +304,7 @@ class _GammaTemplate:
     columns, and the level weights and leads of ``_gamma_build``."""
 
     coeffs: np.ndarray
-    table: NumerTable
+    table: np.ndarray
     weight: np.ndarray
     lead: np.ndarray
 
@@ -394,8 +407,7 @@ def _gamma_build(s: float) -> _GammaTemplate:
     weight[0] = 1.0
     lead = _LEVELS ** (s - 1.0) * abs(polylog(s, -1.0))
     lead[0] = abs(c[0, 0])
-    return _GammaTemplate(_frozen(coeffs), NumerTable(_frozen(ratios)), _frozen(weight),
-                          _frozen(lead))
+    return _GammaTemplate(_frozen(coeffs), _frozen(ratios), _frozen(weight), _frozen(lead))
 
 
 _GAMMA_LOCK = threading.Lock()
@@ -444,7 +456,8 @@ def _gamma_eval(s: float, x: complex, tol: float, plan: Optional[DyadicPlan]) ->
 
 def incomplete_gamma_dyadic(s: float, x: complex, tol: float = 4e-9,
                             plan: Optional[DyadicPlan] = None) -> EvalResult:
-    """Upper incomplete gamma Gamma(s, x) for non-integer s < 1, Re x > 0.
+    """Upper incomplete gamma Gamma(s, x) for s in (-1, 1), s != 0, and
+    Re x > 0.
 
     Evaluates the normalized factorial expansion of
     Gamma(1-s) e^x x^{-s} Gamma(s, x) (base stream at argument 1/e minus
@@ -464,8 +477,9 @@ def incomplete_gamma_dyadic(s: float, x: complex, tol: float = 4e-9,
     x = _finite_x("incomplete_gamma_dyadic", x)
     if x.real <= 0:
         raise DomainError("incomplete_gamma_dyadic requires Re x > 0")
-    if not math.isfinite(s) or s >= 1.0 or abs(s - round(s)) < 1e-12:
-        raise DomainError("incomplete_gamma_dyadic requires a finite non-integer s < 1")
+    if not -1.0 < s < 1.0 or abs(s - round(s)) < 1e-12:
+        raise DomainError(f"incomplete_gamma_dyadic requires a finite s in (-1, 1), s != 0, "
+                          f"not s = {s}")
     if amplification(_gamma_ladder(s)) <= MAX_AMPLIFICATION:
         return _gamma_eval(s, x, tol, plan)
     # |s - 1| Gamma(s - 1, x) < x^(s-1) e^-x <= Gamma(s, x) (x + 1 - s) / x

@@ -101,7 +101,7 @@ class TestCoefficients:
         table_half = get_table(0.5, 10, 6)
         for m in (2, 3, 6, 10):
             ref = (math.e - 1.0) ** (1 - m) / (m - 1)
-            assert table_half.d(m) == pytest.approx(ref, rel=1e-12)
+            assert table_half.dm[m - 2] == pytest.approx(ref, rel=1e-12)
 
     def test_dkm_stub_kernel_closed_form(self):
         # F = 1: d_km = 2^k e^{-2^-k} / ((m-1) (e^{2^-k} + 1)^{m-1})
@@ -109,17 +109,17 @@ class TestCoefficients:
         for k, m in ((1, 2), (3, 4), (6, 3)):
             eps = 2.0**-k
             ref = 2.0**k * math.exp(-eps) / ((m - 1) * (math.exp(eps) + 1.0) ** (m - 1))
-            assert table_half.dk(k, m) == pytest.approx(ref, rel=1e-12)
+            assert table_half.dkm[k - 1, m - 2] == pytest.approx(ref, rel=1e-12)
 
     def test_dm_stability_under_tolerance_change(self, kern):
         # Richardson-style check: tighter quadrature target moves d_2 by < 1e-12
-        a = CoefficientTable.build(kern, 4, 1, target=1e-10).d(2)
-        b = CoefficientTable.build(kern, 4, 1, target=1e-14).d(2)
+        a = CoefficientTable.build(kern, 4, 1, target=1e-10).dm[0]
+        b = CoefficientTable.build(kern, 4, 1, target=1e-14).dm[0]
         assert abs(a - b) < 1e-12
 
     def test_dkm_stability(self, kern):
-        a = CoefficientTable.build(kern, 4, 1, target=1e-10).dk(1, 2)
-        b = CoefficientTable.build(kern, 4, 1, target=1e-14).dk(1, 2)
+        a = CoefficientTable.build(kern, 4, 1, target=1e-10).dkm[0, 0]
+        b = CoefficientTable.build(kern, 4, 1, target=1e-14).dkm[0, 0]
         assert abs(a - b) < 1e-12 * max(1.0, abs(b))
 
     def test_x_domain_cross_check(self, kern, table):
@@ -137,7 +137,7 @@ class TestCoefficients:
                 if term < 1e-13 and i > 3:
                     break
                 i += 1
-            assert table.d(m + 2) == pytest.approx(total, rel=1e-8)
+            assert table.dm[m] == pytest.approx(total, rel=1e-8)
 
     @pytest.mark.parametrize("nu", [NU_AIRY, 0.7])
     def test_dkm_vs_adaptive_quadrature(self, nu):
@@ -153,27 +153,27 @@ class TestCoefficients:
                             * np.exp(tau - eps) * 2.0**k * np.exp(-m * np.logaddexp(tau, 0.0)))
 
                 ref = oracle.quad_adaptive(f, eps, borel._TAU_HI + 8.0, 0.0).real
-                assert table.dk(k, m) == pytest.approx(ref, rel=1e-13)
+                assert table.dkm[k - 1, m - 2] == pytest.approx(ref, rel=1e-13)
 
     def test_dkm_growth_trend(self, table):
         # d_{k+1,m} / d_{k,m} tracks the 2^k scaling of the level variable
         # (band checked for k in [3, 6]; the k = 2 ratio sits just above)
         for m in (2, 3):
             for k in range(3, 7):
-                ratio = table.dk(k + 1, m) / table.dk(k, m)
+                ratio = table.dkm[k, m - 2] / table.dkm[k - 1, m - 2]
                 assert 1.5 <= ratio <= 2.2
 
     def test_monotone_in_m(self, table):
         for k in (1, 4):
-            col = [table.dk(k, m) for m in range(2, 10)]
+            col = [table.dkm[k - 1, m - 2] for m in range(2, 10)]
             assert all(a > b > 0 for a, b in zip(col[:-1], col[1:]))
 
     def test_a_table_without_levels(self, kern):
-        # K = 0 keeps the (K, M - 1) shape, so the h-levels stack the base row alone
+        # K = 0 keeps the (K, M - 1) shape, so the h-template stacks the base row alone
         t = CoefficientTable.build(kern, 10, 0)
         assert t.dkm.shape == (0, 9)
-        assert t.h_levels.ratio.shape == (1, 9)
-        assert np.array_equal(t.h_levels.first, t.dm[:1])
+        assert t.template.table.shape == (1, 9)
+        assert np.array_equal(t.template.table[:, 0], t.dm[:1])
 
 
 @pytest.mark.parametrize("refine", [2, 4, 8])
@@ -276,10 +276,27 @@ class TestAiryH:
                 assert b <= a * 1.5 + 1e-14
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            airy_h(0.5, 1e-8)
-        with pytest.raises(DomainError):
-            airy_h(-3.0, 1e-8)
+        # each evaluator names itself, its own x and its own bound; the
+        # profiles h take x as the expansion's own argument
+        h = "h-expansion requires Re x > 0 and |x| >= 1, not x = "
+        airy = "airy_from_h requires x >= (3/4)^(2/3) ~ 0.8255, not x = "
+        for call, text in (
+            (lambda: airy_h(0.5, 1e-8), h + "(0.5+0j)"),
+            (lambda: airy_h(-3.0, 1e-8), h + "(-3+0j)"),
+            (lambda: bessel_h(0.7, 0.9j), h + "0.9j"),
+            (lambda: airy_from_h(0.5), airy + "0.5"),
+            (lambda: airy_from_h(0.8254), airy + "0.8254"),
+            (lambda: bessel_k_dyadic(0.7, 0.3), "bessel_k_dyadic requires x >= 0.5, not x = 0.3"),
+            (lambda: bessel_k_dyadic(2.7, 0.3), "bessel_k_dyadic requires x >= 0.5, not x = 0.3"),
+            (lambda: bessel_k_dyadic(0.5, 0.4999), "bessel_k_dyadic requires x >= 0.5, "
+                                                   "not x = 0.4999"),
+        ):
+            with pytest.raises(DomainError) as err:
+                call()
+            assert str(err.value) == text
+        # the bounds themselves evaluate
+        assert airy_from_h(0.75 ** (2.0 / 3.0)).plan.K > 0
+        assert bessel_k_dyadic(2.7, 0.5).value.real > 0.0
 
 
 class TestColdBuilds:

@@ -29,7 +29,7 @@ from dyafact import borel, oracle, specfun
 def term_ratios(fam, levels, width):
     """|t_{k,i+1}/t_{k,i}| = |numer(k, i)| / |shift_k + i| of levels
     0..levels-1 for i = 1..width-1, read from the family's table."""
-    num = fam.table.read(slice(0, levels), width)[:, 1:]
+    num = fam.table[:levels, 1:width]
     return np.abs(num) / np.abs(fam.shift[:levels, None] + np.arange(1, width))
 
 
@@ -38,7 +38,7 @@ def limit_ratio(fam, k):
     m -> inf: past column 0 its numerators are the closed form
     numer(k, i) = i numer(k, 1), here at i = 1e30."""
     i = 1e30
-    return float(abs(i * fam.table.read(slice(k, k + 1), 2)[0, 1]) / abs(fam.shift[k] + i))
+    return float(abs(i * fam.table[k, 1]) / abs(fam.shift[k] + i))
 
 
 class TestReciprocal:
@@ -113,6 +113,18 @@ class TestCauchy:
     def test_zero_beta(self):
         with pytest.raises(DomainError):
             dyadic_cauchy_partial(-1.0, 0.0, 0.0, 10)
+
+    @pytest.mark.parametrize("s, p, beta, K", [
+        (-1.3 + 0.4j, 0.7 - 0.2j, 1.0, 7), (2.0, -0.5 + 1.5j, 0.5 - 0.5j, 20),
+        (0.3j, 4.0, 1j, 0), (-2.5 - 1.0j, 1.5 + 0.5j, 2.0, 45)])
+    def test_docstring_levels(self, s, p, beta, K):
+        # the base and level terms of the docstring, summed one by one
+        es, ep = cmath.exp(-beta * s), cmath.exp(-beta * p)
+        total = -beta * es / (es - ep)
+        for k in range(1, K + 1):
+            w = beta * 2.0**-k
+            total += w * cmath.exp(-w * s) / (cmath.exp(-w * s) + cmath.exp(-w * p))
+        assert abs(dyadic_cauchy_partial(s, p, beta, K) - total) <= 1e-13 * abs(total)
 
 
 def _cauchy_p_derivative(s, p, K):
@@ -326,7 +338,8 @@ class TestRomberg:
 
 def _family_and_term(name):
     """A family description and its level-k term j (j = 1, 2, ...) written
-    out from the closed forms and coefficient rows."""
+    out from the closed forms and coefficient rows, with the weight the
+    level enters the value with."""
     def pochhammer(x, j):   # the rising factorial (x)_j
         return math.prod(x + i for i in range(j))
 
@@ -338,7 +351,7 @@ def _family_and_term(name):
             ek = cmath.exp(-1j * math.pi * 2.0**-k)
             c = -(2.0**-j) if k == 0 else ek * (1.0 + ek) ** -j
             return c * math.gamma(j) / pochhammer(2.0**k * y, j)
-        return ei_stokes_family(x), term
+        return ei_stokes_family(x), term, lambda k: 1.0
     if name == "ei-left":
         x = 2.0 - 0.5j
 
@@ -346,37 +359,39 @@ def _family_and_term(name):
             a = math.exp(2.0**-k)
             c = math.e * (1.0 - math.e) ** -j if k == 0 else a * (a + 1.0) ** -j
             return c * math.gamma(j) / pochhammer(2.0**k * x, j)
-        return ei_left_family(x), term
+        return ei_left_family(x), term, lambda k: 1.0
     if name == "psi":
         x = 1.5 + 0.2j
 
         def term(k, j):
             shift = x if k == 0 else 2.0**k * x + 1.0
             return 2.0**-j * math.gamma(j) / pochhammer(shift, j)
-        return specfun.psi_family(x), term
+        return specfun.psi_family(x), term, lambda k: float(k > 0)
     if name == "inc-gamma":
         s, x = 0.25, 1.7 + 0.3j
         coeffs = specfun._gamma_template(s).coeffs
 
         def term(k, j):
             return coeffs[k, j - 1] / pochhammer(2.0**k * x, j)
-        return specfun._gamma_family(s, x), term
+        return specfun._gamma_family(s, x), term, lambda k: -(2.0 ** (k * s)) if k else 1.0
     table, u = borel.get_table(1.0 / 3.0, 34, 34), 6.0 + 1.0j
+    kappa = math.cos(math.pi * table.nu) / math.pi   # the order as the table rounds it
 
     def term(k, j):
         m = j + 1
-        d = (-1.0) ** m * table.d(m) if k == 0 else table.dk(k, m)
+        d = (-1.0) ** m * table.dm[m - 2] if k == 0 else table.dkm[k - 1, m - 2]
         return d * math.gamma(m) / pochhammer(2.0**k * u, m)
-    return borel._h_family(table, u), term
+    return borel._h_family(table, u), term, lambda k: -kappa * math.exp(2.0**-k) if k else -kappa
 
 
 @pytest.mark.parametrize("name", ["ei-stokes", "ei-left", "psi", "inc-gamma", "h"])
 def test_level_sums_match_term_by_term(name):
-    fam, term = _family_and_term(name)
+    # each level as it enters the value: the family's weight times its sum
+    fam, term, weight = _family_and_term(name)
     for k in (0, 1, 3):
         for n in (1, 2, 6):
-            terms = [term(k, j) for j in range(1, n + 1)]
-            got = level_sums(fam, [n] * (k + 1))[k]
+            terms = [weight(k) * term(k, j) for j in range(1, n + 1)]
+            got = fam.weight[k] * level_sums(fam, [n] * (k + 1))[k]
             assert abs(got - sum(terms)) <= 1e-13 * sum(abs(t) for t in terms)
 
 

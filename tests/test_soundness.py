@@ -282,7 +282,7 @@ def _kept_rounding(fam, plan):
     k = np.arange(len(n))[:, None]
     j = np.arange(n.max())[None, :]
     i = np.minimum(j, n[:, None] - 1)
-    numer = fam.table.read(slice(0, len(n)), n.max())[k, i]
+    numer = fam.table[k, i]
     terms = np.cumprod(numer / (fam.shift[k] + i), axis=1)
     sizes = np.where(j < n[:, None], np.abs(terms), 0.0).sum(axis=1)
     gain = dyadic._romberg_gains(plan.K, fam.ladder[:plan.steps])

@@ -10,6 +10,7 @@ from dyafact.dyadic import TABLE_COLUMNS, CutProximityError, DyadicPlan, level_s
 from dyafact.oracle import verify_strange_identity
 from dyafact.scalar import DomainError
 from dyafact.specfun import (
+    _EI_LARGEST,
     _GAMMA_TERMS,
     _gamma_template,
     ei_left,
@@ -66,6 +67,21 @@ class TestEiStokes:
         assert abs(r.value - ref) < 3e-5
 
 
+@pytest.mark.parametrize("evaluator, sign", [(ei_stokes, 1.0), (ei_left, -1.0)])
+def test_ei_at_the_largest_arguments(evaluator, sign):
+    # past _EI_LARGEST a level shift 2^k x would overflow: DomainError
+    # naming x; up to it the value is sign / x (the next asymptotic term
+    # is below the smallest double) within the estimate
+    for x in (1e300, 1.7e308, -1e300j, _EI_LARGEST * (1.0 + 1e-15)):
+        with pytest.raises(DomainError) as err:
+            evaluator(x, 1e-10)
+        assert f"|x| <= {_EI_LARGEST:.4g}, not x = {complex(x)}" in str(err.value)
+    for direction in (1.0, 1j, 0.6 + 0.8j, 0.6 - 0.8j, -0.6 + 0.8j):
+        x = _EI_LARGEST * direction
+        r = evaluator(x, 1e-10)
+        assert abs(r.value - sign / x) <= r.error_estimate <= 1e-10
+
+
 class TestEiLeft:
     def test_unit_value(self):
         # e Ei(-1): negative, against the Laplace quadrature of 1/(1+p)
@@ -117,6 +133,16 @@ class TestPsi:
     def test_domain(self):
         with pytest.raises(DomainError):
             psi_dyadic(-1.0, 1e-8)
+
+    @pytest.mark.parametrize("x", [2e7, 1e8, 1e9])
+    def test_estimate_covers_the_rounding_of_the_log(self, x):
+        # ln x + the level sum rounds by about eps ln x, more than the
+        # levels' own estimate once x is large
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            ref = complex(mpmath.digamma(mpmath.mpf(x) + 1))
+        r = psi_dyadic(x, 1e-10)
+        assert abs(r.value - ref) <= r.error_estimate <= 1e-10
 
 
 class TestStrangeIdentity:
@@ -187,6 +213,11 @@ class TestIncompleteGamma:
         for s in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
                 incomplete_gamma_dyadic(s, 2.0)
+        # below the order range the error names s and the range
+        for s in (-1.0, -1.0 - 1e-9, -1.5, -3.2):
+            with pytest.raises(DomainError) as err:
+                incomplete_gamma_dyadic(s, 2.0)
+            assert f"requires a finite s in (-1, 1), s != 0, not s = {s}" in str(err.value)
 
     def test_coefficients_match_stirling_formula(self):
         # the stable coefficient routes agree with the Stirling-number

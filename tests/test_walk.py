@@ -32,7 +32,6 @@ from dyafact.dyadic import (
     LADDER_LEVELS,
     TABLE_COLUMNS,
     FactorialFamily,
-    NumerTable,
     level_sums,
 )
 from dyafact.scalar import PoleError
@@ -66,7 +65,7 @@ def _padded_level_sums(fam, n_terms):
     den = fam.shift[k] + i
     if np.any(np.abs(den) < dyadic.POCH_GUARD):
         raise PoleError("factorial-series denominator within 1e-12 of a pole")
-    numer = fam.table.read(slice(0, len(n)), n.max())[k, i]
+    numer = fam.table[k, i]
     with np.errstate(over="ignore", invalid="ignore"):
         terms = np.cumprod(numer / den, axis=1)
         alive = np.logical_and.accumulate(np.abs(terms) < 1e250, axis=1)
@@ -206,7 +205,7 @@ class TestTemplates:
     def test_h_expansion(self, monkeypatch):
         airy_from_h(2.0, 1e-10)
         table = get_table(1.0 / 3.0, 66, LADDER_LEVELS)
-        levels = table.h_levels
+        template = table.template
         builds = []
         for cls in (borel.BorelKernel, borel.CoefficientTable):
             raw = cls.build
@@ -214,17 +213,18 @@ class TestTemplates:
                 lambda *a, raw=raw, name=cls.__name__, **kw: builds.append(name) or raw(*a, **kw)))
         airy_from_h(5.0, 1e-8)
         assert get_table(1.0 / 3.0, 66, LADDER_LEVELS) is table
-        assert builds == [] and table.h_levels is levels
-        # the argument's numerator table is the template's ratios but for column 0
-        fam = borel._h_family(table, 3.0 + 0j)
-        assert np.array_equal(fam.table.array[:, 1:], levels.ratio[:, 1:])
+        assert builds == [] and table.template is template
+        # every argument reads the template's numerator table itself
+        a, b = (borel._h_family(table, u) for u in (3.0 + 0j, 7.5 - 2j))
+        assert a.table is b.table is template.table
+        assert not np.array_equal(a.weight, b.weight)
 
 
 class TestTables:
     """Each closed-form numerator table is one read-only array of
-    TABLE_COLUMNS columns, equal to its closed form bit for bit, that
-    ``read`` slices; the h table is its template's ratios but for column
-    0; an incomplete-gamma table is the term ratios of its order's
+    TABLE_COLUMNS columns, equal to its closed form bit for bit; the h
+    table holds d_{k,2} and then the term ratios of its coefficient rows;
+    an incomplete-gamma table is the term ratios of its order's
     coefficient rows, built whole."""
 
     @staticmethod
@@ -232,18 +232,12 @@ class TestTables:
         k = np.arange(dyadic.MAX_LEVELS + 1)[:, None]
         i = np.arange(TABLE_COLUMNS)[None, :]
         closed = np.where(i == 0, a[k], i) / den[k]
-        assert table.array.shape == (dyadic.MAX_LEVELS + 1, TABLE_COLUMNS) == closed.shape
-        assert table.columns == TABLE_COLUMNS and table.array.dtype == closed.dtype
-        assert np.array_equal(table.array, closed)
-        assert not table.array.flags.writeable
+        assert type(table) is np.ndarray and table.dtype == closed.dtype
+        assert table.shape == (dyadic.MAX_LEVELS + 1, TABLE_COLUMNS) == closed.shape
+        assert np.array_equal(table, closed)
+        assert not table.flags.writeable
         with pytest.raises(ValueError):
-            table.array[0, 0] = 0.0
-        with pytest.raises(FrozenInstanceError):
-            table.array = closed
-        rows = np.array([1, 4])
-        assert np.array_equal(table.read(rows, 40), closed[rows, :40])
-        whole = table.read(slice(0, 3), TABLE_COLUMNS)
-        assert np.shares_memory(whole, table.array) and np.array_equal(whole, closed[:3])
+            table[0, 0] = 0.0
 
     @pytest.mark.parametrize("c", [1j * math.pi, -1.0])
     def test_exponential_integral(self, c):
@@ -254,7 +248,6 @@ class TestTables:
     def test_digamma(self):
         ones = np.ones(dyadic.MAX_LEVELS + 1)
         self._closed_form(specfun._PSI_TABLE, ones, 2.0 * ones)
-        assert specfun._PSI_TABLE.first == 33
 
     def test_incomplete_gamma_through_ratios(self):
         template = specfun._gamma_template(0.37)
@@ -262,15 +255,13 @@ class TestTables:
         assert template.coeffs.shape == (dyadic.MAX_LEVELS + 1, columns + 1)
         c = template.coeffs[:, :columns]
         table = template.table
-        assert table.columns == columns and table.first == FIRST_CHUNK
-        assert np.array_equal(table.array, c / np.hstack([np.ones((len(c), 1)), c[:, :-1]]))
-        assert np.isfinite(table.array).all()
-        for a in (template.coeffs, table.array, template.weight, template.lead):
+        assert table.shape == (dyadic.MAX_LEVELS + 1, columns)
+        assert np.array_equal(table, c / np.hstack([np.ones((len(c), 1)), c[:, :-1]]))
+        assert np.isfinite(table).all()
+        for a in (template.coeffs, table, template.weight, template.lead):
             assert not a.flags.writeable
         with pytest.raises(FrozenInstanceError):
             template.table = table
-        rows = np.array([0, 2, 60])
-        assert np.array_equal(table.read(rows, 41), table.array[rows, :41])
 
     def test_the_order_shift_helper_is_the_cached_order(self, monkeypatch):
         # an order s < 0 takes its level rows from the cached order s + 1,
@@ -289,14 +280,23 @@ class TestTables:
 
     def test_h_expansion(self):
         table = get_table(0.7, 66, LADDER_LEVELS)
-        lv = table.h_levels
-        fam = borel._h_family(table, 2.5 + 0j)
-        ratio = fam.table.array
-        assert ratio.shape == (table.K + 1, table.M - 1) == lv.ratio.shape
-        assert fam.table.columns == table.M - 1 and not ratio.flags.writeable
-        assert np.array_equal(ratio[:, 1:], lv.ratio[:, 1:])
-        assert np.array_equal(ratio[:, 0], lv.first / (lv.scale * (2.5 + 0j)))
-        assert np.array_equal(fam.table.read(slice(0, table.K + 1), table.M - 1), ratio)
+        template = table.template
+        numer = template.table
+        assert numer.shape == (table.K + 1, table.M - 1) and not numer.flags.writeable
+        rows = np.vstack([table.dm, table.dkm])
+        sign = np.where(np.arange(table.K + 1) == 0, -1.0, 1.0)[:, None]
+        assert np.array_equal(numer[:, 0], rows[:, 0])
+        ratios = sign * np.arange(2.0, table.M) * rows[:, 1:] / rows[:, :-1]
+        assert np.array_equal(numer[:, 1:], ratios)
+        for a in (template.scale, template.weight, template.lead):
+            assert not a.flags.writeable
+        with pytest.raises(FrozenInstanceError):
+            template.table = numer
+        # the argument's 1/u_k joins the level weight, not the table
+        u = 2.5 + 0j
+        fam = borel._h_family(table, u)
+        assert fam.table is numer
+        assert np.array_equal(fam.weight, template.weight / (template.scale * u))
 
 
 @pytest.mark.parametrize("family, terms", [(ei_stokes_family, 192), (ei_left_family, 122),
@@ -416,7 +416,7 @@ class TestGuards:
 
     def test_terms_past_an_overflow_are_dropped(self):
         # t_j = 1e100^j / j!: t_3 reaches 1e250, so levels keep t_1 + t_2
-        table = NumerTable(np.full((2, 61), 1e100))
+        table = np.full((2, 61), 1e100)
         fam = FactorialFamily("overflow", np.ones(2, dtype=complex), np.ones(2), table,
                               size=np.full(2, 1e100), safety=1.0)
         for n_terms in ([1, 2], [5, 40], [60, 3]):
