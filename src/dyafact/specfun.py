@@ -390,9 +390,8 @@ def _gamma_build(s: float) -> _GammaTemplate:
     first coefficient Li_s(-e^{-2^-k}).  Orders s in (-1, 0) take their
     level rows from the cached order s + 1 by one derivative shift,
     (-1)^m g_s^{(m)}(1) = -c_{s+1,m+1} + m c_{s+1,m}, which is why an
-    order s > 0 holds one column more than its table."""
-    if not (-1.0 < s < 1.0) or s == 0.0:
-        raise DomainError("incomplete-gamma expansion implemented for s in (-1,1), s != 0")
+    order s > 0 holds one column more than its table; incomplete_gamma_dyadic
+    keeps s in (-1, 1), s != 0."""
     n = _GAMMA_TERMS + 1
     if s < 0:
         c = _gamma_build(s + 1.0).coeffs

@@ -290,6 +290,10 @@ class TestTables:
         assert np.array_equal(numer[:, 1:], ratios)
         for a in (template.scale, template.weight, template.lead):
             assert not a.flags.writeable
+        kappa = math.cos(math.pi * table.nu) / math.pi
+        level = -kappa * np.exp(2.0 ** -np.arange(table.K + 1.0))
+        assert np.allclose(template.weight, np.where(np.arange(table.K + 1) == 0, -kappa, level),
+                           rtol=1e-15, atol=0.0)
         with pytest.raises(FrozenInstanceError):
             template.table = numer
         # the argument's 1/u_k joins the level weight, not the table
