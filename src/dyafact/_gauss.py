@@ -55,10 +55,10 @@ def panel_nodes(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def chunks(count: int, width: int) -> List[slice]:
-    """Slices over ``count`` items (stacked rows, or nodes) of ``width``
-    entries each, as many items to a slice as keep one temporary within
-    _CHUNK entries (at least one), so a stacked build holds no larger
-    temporaries than a row-by-row one."""
+    """Slices over ``count`` stacked rows of ``width`` entries each, as
+    many rows to a slice as keep one temporary within _CHUNK entries (at
+    least one), so a stacked build holds no larger temporaries than a
+    row-by-row one."""
     step = max(1, _CHUNK // width)
     return [slice(i, i + step) for i in range(0, count, step)]
 
@@ -68,10 +68,9 @@ def geometric_sums(p: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
     stack): coefficient rows whose m-dependence is a power of one node
     factor.  With ``q`` the shape of ``p`` each power costs one
     multiplication per entry, and a row's sums do not depend on the rows
-    stacked with it.  With one row of ``q`` under a stack of rows the
-    powers q^j are formed once, by doubling, _CHUNK entries of them at a
-    time, and every row is one row of p @ powers.  Terms past the floating
-    range underflow to 0."""
+    stacked with it.  With one row of ``q`` under a stack of rows each
+    power q^j is formed once, as a running product over all nodes, and
+    column j is p @ q^j.  Terms past the floating range underflow to 0."""
     p = np.asarray(p, dtype=float)
     out = np.zeros(p.shape[:-1] + (n,))
     with np.errstate(under="ignore"):
@@ -81,16 +80,10 @@ def geometric_sums(p: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
                 out[..., j] = p.sum(axis=-1)
                 p *= q
             return out
-        for nodes in chunks(len(q), n):
-            qc = q[nodes]
-            powers = np.empty((n, len(qc)))
-            powers[0] = 1.0
-            h = 1
-            while h < n:                 # q^(h..2h-1) = q^(0..h-1) q^h
-                c = min(h, n - h)
-                np.multiply(powers[:c], powers[h - 1] * qc, out=powers[h:h + c])
-                h += c
-            out += p[:, nodes] @ powers.T
+        qj = np.ones(len(q))
+        for j in range(n):
+            out[..., j] = p @ qj
+            qj *= q
     return out
 
 

@@ -1,8 +1,9 @@
 """The Airy/Bessel pipeline: evaluate the Borel-plane Legendre kernel
-F(p) = P_{nu-1/2}(1 + 2p) by power-series continuation of its ODE,
-accumulate the dyadic coefficient integrals d_m and d_km by quadrature,
-assemble the dyadic factorial expansion of the normalized solution h, and
-map back to Ai and K_nu.
+F(p) = P_{nu-1/2}(1 + 2p) by power-series continuation of its linear
+ODE (every grid step's 2x2 transfer map formed in one vectorized pass,
+then chained along the grid), accumulate the dyadic coefficient
+integrals d_m and d_km by quadrature, assemble the dyadic factorial
+expansion of the normalized solution h, and map back to Ai and K_nu.
 
 The kernel has a logarithmic branch point at p = -1 whose jump is
 -2 i cos(pi nu) F(p); pushing the Cauchy contour onto that cut gives
@@ -30,11 +31,11 @@ import functools
 import math
 import threading
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from ._gauss import chunks, dyadic_edges, geometric_sums, panel_nodes, refined
+from ._gauss import dyadic_edges, geometric_sums, panel_nodes, refined
 from .dyadic import (
     _EPS,
     LADDER_LEVELS,
@@ -48,7 +49,7 @@ from .dyadic import (
     amplification,
     evaluate,
 )
-from .scalar import DomainError, _finite_x
+from .scalar import DomainError, NonconvergenceError, _finite_x
 
 __all__ = [
     "BorelKernel",
@@ -74,32 +75,50 @@ def _taylor_coeffs(nu: float, n: int = 100) -> np.ndarray:
     return a
 
 
-def _continue(p0: float, h: float, f: float, df: float, c: float) -> Tuple[float, float]:
-    """F and F' at p0 + h from the power series about p0 of the kernel ODE
-    p(1+p) F'' + (1+2p) F' + c F = 0, with terms t_n = a_n h^n:
+def _germ(p, coeffs: np.ndarray):
+    """The power series with ``coeffs`` at p (vectorized): the powers of p
+    in one pass, then one product with the coefficients."""
+    return (np.asarray(p)[..., None] ** np.arange(len(coeffs))) @ coeffs
+
+
+def _transfer_maps(p0: np.ndarray, h: np.ndarray, c: float) -> np.ndarray:
+    """The 2x2 maps, one per step p0 -> p0 + h, that carry the jet
+    (F, h F') of the linear kernel ODE p(1+p) F'' + (1+2p) F' + c F = 0
+    across the step, less the identity: a step adds its increments to the
+    jet, so 750 chained steps round as the increments do (a map holding
+    the identity rounds each step like a fresh product, 20 times worse
+    over the grid).  Column j is the step's power series about p0 summed
+    from the unit jet e_j, with terms t_n = a_n h^n,
 
         a_{n+2} = -[(1+2p0) (n+1)^2 a_{n+1} + (n(n+1) + c) a_n]
                   / (p0 (1+p0) (n+1) (n+2)).
-    """
+
+    All steps are summed at once, term by term, until every step has
+    converged (at most _SERIES_TERMS terms); raises NonconvergenceError
+    otherwise, as for a step beyond the series' radius p0."""
     pp = p0 * (1.0 + p0)
     alpha, beta = (1.0 + 2.0 * p0) * h / pp, h * h / pp
-    t0, t1 = f, df * h
-    dval, dder = t1, 0.0  # the increments of F and of h F', added last
+    # axis 0 is the unit jet e_0 = (1, 0) or e_1 = (0, 1), axis 1 the step
+    t0 = np.zeros((2, len(p0)))
+    t1 = np.zeros((2, len(p0)))
+    t0[0] = t1[1] = 1.0
+    val, der = t1.copy(), np.zeros_like(t1)     # the increments of F and h F'
     for n in range(_SERIES_TERMS):
         t0, t1 = t1, -(alpha * (n + 1) ** 2 * t1 + beta * (n * (n + 1) + c) * t0) / ((n + 1) * (n + 2))
-        dval += t1
-        dder += (n + 2) * t1
-        if (n + 2) * (abs(t0) + abs(t1)) <= 1e-18 * abs(f):
-            return f + dval, df + dder / h
-    raise RuntimeError(f"kernel series did not converge from p = {p0} over {h}")
+        val += t1
+        der += (n + 2) * t1
+        if np.all((n + 2) * (np.abs(t0) + np.abs(t1)) <= 1e-18):
+            return np.stack([val, der])          # (row, jet, step)
+    bad = int(np.argmax(np.max(np.abs(t0) + np.abs(t1), axis=0)))
+    raise NonconvergenceError(f"kernel series did not converge from p = {p0[bad]} over {h[bad]}")
 
 
 @dataclass
 class BorelKernel:
     """Borel-plane kernel of order nu with its Taylor germ at 0 and its
     value and derivatives on log-spaced nodes, continued node to node by
-    power series of the ODE out to ``p_far`` (whatever the requested
-    dyadic depth needs).
+    the power series' transfer maps of the ODE (``_transfer_maps``) out to
+    ``p_far`` (whatever the requested dyadic depth needs).
     """
 
     nu: float
@@ -107,7 +126,7 @@ class BorelKernel:
     q_grid: np.ndarray          # q = log(1 + p), from log(1.5)
     f_grid: np.ndarray          # F
     fq_grid: np.ndarray         # dF/dq
-    fqq_grid: np.ndarray        # d2F/dq2 (from the ODE)
+    quintic: np.ndarray         # (5, nodes - 1): F - F(node) on each step, in powers of th
     p_far: float
 
     @staticmethod
@@ -125,36 +144,46 @@ class BorelKernel:
         q1 = math.log(1.0 + p_far)
         grid = np.linspace(q0, q1, int((q1 - q0) / _GRID_DQ) + 2)
         p = np.expm1(grid)
-        pv = np.polynomial.polynomial.polyval
-        jet = [(float(pv(p[0], tc)), float(pv(p[0], tc[1:] * np.arange(1, len(tc)))))]
-        for p0, p1 in zip(p[:-1].tolist(), p[1:].tolist()):
-            jet.append(_continue(p0, p1 - p0, *jet[-1], c))
+        h = np.diff(p)
+        maps = _transfer_maps(p[:-1], h, c)
+        # on (F, F') a step adds diag(1, 1/h) maps diag(1, h) times the jet
+        a, b = maps[0, 0].tolist(), (maps[0, 1] * h).tolist()
+        d, e = (maps[1, 0] / h).tolist(), maps[1, 1].tolist()
+        fn, dfn = float(_germ(p[0], tc)), float(_germ(p[0], tc[1:] * np.arange(1, len(tc))))
+        jet = [(fn, dfn)]
+        for an, bn, dn, en in zip(a, b, d, e):
+            fn, dfn = fn + (an * fn + bn * dfn), dfn + (dn * fn + en * dfn)
+            jet.append((fn, dfn))
         f, df = np.array(jet).T  # F and dF/dp
         fq = (1.0 + p) * df
-        fqq = -((p + 1.0) / p) * (fq + c * f)
+        fqq = -((p + 1.0) / p) * (fq + c * f)       # d2F/dq2, from the ODE
+        # the quintic Hermite interpolant of (F, dF/dq, d2F/dq2) on each step,
+        # in th = (q - q_i) / dq: F_i + sum_j quintic[j - 1] th^j.  Adjacent
+        # F differ by less than a factor 2, so dy is exact.
+        dq = np.diff(grid)
+        dy, d0, d1 = np.diff(f), fq[:-1] * dq, fq[1:] * dq
+        s0, s1 = fqq[:-1] * dq * dq, fqq[1:] * dq * dq
+        quintic = np.stack([d0, 0.5 * s0,
+                            10.0 * dy - 6.0 * d0 - 4.0 * d1 - 1.5 * s0 + 0.5 * s1,
+                            -15.0 * dy + 8.0 * d0 + 7.0 * d1 + 1.5 * s0 - s1,
+                            6.0 * dy - 3.0 * d0 - 3.0 * d1 - 0.5 * s0 + 0.5 * s1])
         return BorelKernel(nu=nu, taylor_coeffs=tc, q_grid=grid,
-                           f_grid=f, fq_grid=fq, fqq_grid=fqq, p_far=p_far)
+                           f_grid=f, fq_grid=fq, quintic=quintic, p_far=p_far)
 
     # -- evaluation -------------------------------------------------------
 
     def _hermite(self, q: np.ndarray) -> np.ndarray:
         """F by quintic Hermite interpolation of the value and the first
-        and second derivatives at the grid nodes."""
+        and second derivatives at the grid nodes, by Horner's rule in th
+        over each step's ``quintic``."""
         idx = np.clip(np.searchsorted(self.q_grid, q) - 1, 0, len(self.q_grid) - 2)
-        h = self.q_grid[idx + 1] - self.q_grid[idx]
-        th = (q - self.q_grid[idx]) / h
-        y0, y1 = self.f_grid[idx], self.f_grid[idx + 1]
-        d0, d1 = self.fq_grid[idx] * h, self.fq_grid[idx + 1] * h
-        s0, s1 = self.fqq_grid[idx] * h * h, self.fqq_grid[idx + 1] * h * h
-        t2, t3 = th * th, th * th * th
-        t4, t5 = t3 * th, t3 * th * th
-        a0 = 1.0 - 10.0 * t3 + 15.0 * t4 - 6.0 * t5
-        a1 = th - 6.0 * t3 + 8.0 * t4 - 3.0 * t5
-        a2 = 0.5 * t2 - 1.5 * t3 + 1.5 * t4 - 0.5 * t5
-        b0 = 10.0 * t3 - 15.0 * t4 + 6.0 * t5
-        b1 = -4.0 * t3 + 7.0 * t4 - 3.0 * t5
-        b2 = 0.5 * t3 - t4 + 0.5 * t5
-        return y0 * a0 + d0 * a1 + s0 * a2 + y1 * b0 + d1 * b1 + s1 * b2
+        th = (q - self.q_grid[idx]) / (self.q_grid[idx + 1] - self.q_grid[idx])
+        c = self.quintic[:, idx]
+        acc = c[4] * th
+        for j in (3, 2, 1, 0):
+            acc += c[j]
+            acc *= th
+        return self.f_grid[idx] + acc
 
     def eval_raw(self, p) -> np.ndarray:
         """F(p) on [0, p_far] (vectorized); DomainError outside."""
@@ -166,7 +195,7 @@ class BorelKernel:
         out = np.empty_like(p)
         small = p <= _TAYLOR_CUT
         if np.any(small):
-            out[small] = np.polynomial.polynomial.polyval(p[small], self.taylor_coeffs)
+            out[small] = _germ(p[small], self.taylor_coeffs)
         if np.any(~small):
             out[~small] = self._hermite(np.log1p(p[~small]))
         return out[0] if scalar else out
@@ -196,10 +225,10 @@ def _build_level_rows(kern: BorelKernel, M: int, K: int, target: float) -> np.nd
     2^k tau - 1 are the first of level K's, bit for bit: F is sampled once
     per refinement on level K's nodes, and level k reads a prefix.  In
     tau itself level k's panels are level K's above its own bottom halving
-    [2^-k, ~2^(1-k)], so the powers q^m, q = 1 / (1 + e^tau), are formed
+    [2^-k, ~2^(1-k)], so each power q^m, q = 1 / (1 + e^tau), is formed
     once on level K's nodes above its bottom halving, and every level's
-    sums over them are one row of A @ powers, A holding each level's
-    samples times its weights (0 below the level's panels).  The bottom
+    sum over it is one entry of A @ q^m, A holding each level's samples
+    times its weights (0 below the level's panels).  The bottom
     halvings, the same panels in units of 2^-k at every level, add a
     small stacked sum of their own.  Each level settles by its own
     refinement check."""
@@ -222,11 +251,9 @@ def _build_level_rows(kern: BorelKernel, M: int, K: int, target: float) -> np.nd
             np.append(np.zeros((K - 1) * nb), f[nb:]), len(tau) - nb)
         q = np.exp(-np.logaddexp(tau[nb:], 0.0))
         weight = w[nb:] * np.exp(tau[nb:]) * q * q
-        top = np.zeros((len(ks), M - 1))
-        for nodes in chunks(len(q), max(len(ks), M - 1)):
-            a = window[(ks - 1) * nb, nodes]
-            a *= weight[nodes]
-            top += geometric_sums(a, q[nodes], M - 1)
+        a = window[(ks - 1) * nb]
+        a *= weight
+        top = geometric_sums(a, q, M - 1)
         # the bottom halving of level k: level K's, stretched by 2^(K-k)
         tb = stretch[live, None] * tau[:nb]
         qb = np.exp(-np.logaddexp(tb, 0.0))

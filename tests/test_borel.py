@@ -16,7 +16,7 @@ from dyafact.borel import (
     get_table,
 )
 from dyafact.dyadic import DyadicPlan
-from dyafact.scalar import DomainError
+from dyafact.scalar import DomainError, NonconvergenceError
 
 NU_AIRY = 1.0 / 3.0
 
@@ -53,12 +53,32 @@ class TestKernel:
         ref = oracle.legendre_kernel_reference(nu, np.expm1(kern.q_grid))
         assert np.max(np.abs(kern.f_grid / ref - 1.0)) <= 1e-13
 
+    @pytest.mark.parametrize("nu", [0.05, NU_AIRY, 0.655, 1.45])
+    def test_grid_derivatives_vs_hypergeometric(self, nu):
+        # the stored jet dF/dq = (1+p) F'(p), from which eval_raw
+        # interpolates, against F' = -(1/4 - nu^2) 2F1(3/2-nu, 3/2+nu; 2; -p)
+        # at every node
+        import scipy.special as sps
+        kern = BorelKernel.build(nu)
+        p = np.expm1(kern.q_grid)
+        ref = -(0.25 - nu * nu) * sps.hyp2f1(1.5 - nu, 1.5 + nu, 2.0, -p)
+        assert np.max(np.abs(kern.fq_grid / (1.0 + p) / ref - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("nu", [0.05, NU_AIRY, 0.655, 1.45])
+    def test_between_nodes_vs_hypergeometric(self, nu):
+        # the quintic Hermite interpolant holds F to 1e-13 midway between
+        # every two nodes, where it is furthest from its data
+        kern = BorelKernel.build(nu)
+        p = np.expm1(0.5 * (kern.q_grid[1:] + kern.q_grid[:-1]))
+        ref = oracle.legendre_kernel_reference(nu, p)
+        assert np.max(np.abs(kern.eval_raw(p) / ref - 1.0)) <= 1e-13
+
     def test_series_step_beyond_radius_raises(self, kern):
-        # the series about p0 converges only within p0 of it (singular point 0)
-        p0 = float(np.expm1(kern.q_grid[0]))
-        f0, df0 = kern.f_grid[0], kern.fq_grid[0] / (1.0 + p0)
-        with pytest.raises(RuntimeError):
-            borel._continue(p0, 1.2 * p0, f0, df0, 0.25 - NU_AIRY**2)
+        # the series about p0 converges only within p0 of it (singular point
+        # 0): one step beyond it fails the whole pass
+        p0 = np.expm1(kern.q_grid[:2])
+        with pytest.raises(NonconvergenceError):
+            borel._transfer_maps(p0, np.array([0.01, 1.2]) * p0, 0.25 - NU_AIRY**2)
 
     def test_handoff_continuity(self, kern):
         # Taylor germ extended past the seam agrees with the ODE branch
@@ -66,18 +86,6 @@ class TestKernel:
         for p in (0.52, 0.55):
             taylor = float(pv(p, kern.taylor_coeffs))
             assert abs(taylor - kern.eval_raw(p)) < 1e-12
-
-    def test_first_derivative_vs_hypergeometric(self, kern):
-        # independent check of the stored jet dF/dq = (1+p) F'(p), from which
-        # eval_raw interpolates: F' = -(1/4 - nu^2) 2F1(3/2-nu, 3/2+nu; 2; -p)
-        import scipy.special as sps
-        nu = kern.nu
-        p_grid = np.expm1(kern.q_grid)
-        for target in (0.7, 3.0, 40.0):
-            j = int(np.argmin(np.abs(p_grid - target)))
-            p = float(p_grid[j])
-            ref = -(0.25 - nu * nu) * float(sps.hyp2f1(1.5 - nu, 1.5 + nu, 2.0, -p))
-            assert kern.fq_grid[j] / (1.0 + p) == pytest.approx(ref, rel=2e-9)
 
     def test_large_p_power_law(self):
         # log F / log p approaches nu - 1/2 within 2% by p = 1e3

@@ -137,6 +137,20 @@ class TestEval:
         out = capsys.readouterr()
         assert out.out == "" and "nonconvergence: level 3 did not converge" in out.err
 
+    def test_a_kernel_series_that_does_not_converge_exits_3(self, monkeypatch, capsys):
+        import functools
+
+        from dyafact import borel
+
+        # a fresh table cache, so the kernel is built again, with too few
+        # series terms for any step to converge
+        monkeypatch.setattr(borel, "_table", functools.cache(borel._table.__wrapped__))
+        monkeypatch.setattr(borel, "_SERIES_TERMS", 2)
+        rc = run(["eval", "--function", "airy", "--x-start", "2"])
+        assert rc == cli.EXIT_NONCONV == 3
+        out = capsys.readouterr()
+        assert out.out == "" and "nonconvergence: kernel series did not converge" in out.err
+
 
 class TestPlan:
     def test_plan_prints(self, capsys):
