@@ -1,7 +1,8 @@
 """Fixed-order Gauss-Legendre panels for the evaluator-side coefficient
 integrals (smooth, exponentially decaying integrands sampled once on
-shared nodes for a whole stack of coefficient rows), and the check that
-each row agrees between two panel refinements.
+shared nodes for a whole stack of coefficient rows), the running
+geometric sums that give a row's every column from one power per node,
+and the check that each row agrees between two panel refinements.
 
 Deliberately separate from the oracle module's adaptive Gauss-Kronrod
 quadrature so reference values never share a code path with the
@@ -11,15 +12,14 @@ expansions they check.
 from __future__ import annotations
 
 import functools
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
 from .scalar import QuadratureError
 
 _ORDER = 48
-_CHUNK = 1 << 13   # entries of one temporary of a stacked row build
-__all__ = ["QuadratureError", "dyadic_edges", "panel_nodes", "chunks", "geometric_sums", "refined"]
+__all__ = ["QuadratureError", "dyadic_edges", "panel_nodes", "geometric_sums", "refined"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -52,15 +52,6 @@ def panel_nodes(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     pts = (mids[:, None] + halfs[:, None] * nodes[None, :]).ravel()
     wts = (halfs[:, None] * weights[None, :]).ravel()
     return pts, wts
-
-
-def chunks(count: int, width: int) -> List[slice]:
-    """Slices over ``count`` stacked rows of ``width`` entries each, as
-    many rows to a slice as keep one temporary within _CHUNK entries (at
-    least one), so a stacked build holds no larger temporaries than a
-    row-by-row one."""
-    step = max(1, _CHUNK // width)
-    return [slice(i, i + step) for i in range(0, count, step)]
 
 
 def geometric_sums(p: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:

@@ -2,8 +2,11 @@
 F(p) = P_{nu-1/2}(1 + 2p) by power-series continuation of its linear
 ODE (every grid step's 2x2 transfer map formed in one vectorized pass,
 then chained along the grid), accumulate the dyadic coefficient
-integrals d_m and d_km by quadrature, assemble the dyadic factorial
-expansion of the normalized solution h, and map back to Ai and K_nu.
+integrals d_m and d_km by quadrature into one read-only table per order
+(``CoefficientTable``, which also holds the argument-free half of the
+expansion: level weights, leads, numerators and ladder), assemble the
+dyadic factorial expansion of the normalized solution h, and map back
+to Ai and K_nu.
 
 The kernel has a logarithmic branch point at p = -1 whose jump is
 -2 i cos(pi nu) F(p); pushing the Cauchy contour onto that cut gives
@@ -21,8 +24,9 @@ with kappa = cos(pi nu)/pi.  (The 2^-k weight that appears mid-derivation
 is absorbed exactly by rewriting x (2^k x + 1)_{m-1} as 2^-k (2^k x)_m;
 keeping it would double-count, which direct quadrature of the double
 integral confirms.)  Half-integer orders have cos(pi nu) = 0 and a
-polynomial kernel: h is a finite explicit sum.  Orders 3/2 <= |nu| <= 5
-are reached through the upward Bessel recurrence on K_nu.
+polynomial kernel: h is a finite explicit sum, whose estimate is its
+rounding.  Orders 3/2 <= |nu| <= 5 are reached through the upward
+Bessel recurrence on K_nu.
 """
 
 from __future__ import annotations
@@ -264,49 +268,53 @@ def _build_level_rows(kern: BorelKernel, M: int, K: int, target: float) -> np.nd
                    [f"level {k} d_km row of order {kern.nu}" for k in levels], 1e-30)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoefficientTable:
-    """Cached d_m (m in [2, M]) and d_km (k in [1, K], m in [2, M]) for one
-    kernel order."""
+    """One kernel order's coefficients and the argument-free half of its
+    h-expansion, all read-only: d_m (m in [2, M]) and d_km (k in [1, K],
+    m in [2, M]), and over them 2^k, the level weights, their leads
+    weight_k d_{k,2}, the numerator table and the ladder.
+
+    Level k is sum_{m>=2} sign_m G(m) d_km / (u_k)_m, a factorial series
+    in u_k + 1 (base terms alternate, sign_m = (-1)^m), entering with
+    weight -kappa e^{2^-k} (-kappa for the base).  Column 0 of the
+    numerators is d_{k,2}, so a level's terms are u_k times its own and
+    1/u_k joins the weight; then
+    t_{i+1} / t_i = sign_k (i + 1) d_{k,i+2} / d_{k,i+1}."""
 
     nu: float
     M: int
     K: int
     dm: np.ndarray           # shape (M-1,), index m-2
     dkm: np.ndarray          # shape (K, M-1), index (k-1, m-2)
+    scale: np.ndarray        # 2^k, k in [0, K]
+    weight: np.ndarray
+    lead: np.ndarray
+    numer: np.ndarray        # shape (K+1, M-1)
+    ladder: tuple
 
     @staticmethod
     def build(kern: BorelKernel, M: int, K: int, target: float = 1e-13) -> "CoefficientTable":
         """d_m and the d_km of levels 1..K to ``target``, every level in
-        one stacked pass per refinement (``_build_level_rows``).  ``kern``
-        must reach p = 2^K (_TAU_HI + 8) - 1."""
+        one stacked pass per refinement (``_build_level_rows``), and the
+        expansion over them.  ``kern`` must reach p = 2^K (_TAU_HI + 8) - 1."""
         if K > MAX_LEVELS:
             raise DomainError(f"table depth capped at {MAX_LEVELS} levels")
         dm = _build_base_row(kern, M, target)
         dkm = _build_level_rows(kern, M, K, target) if K else np.empty((0, M - 1))
-        return CoefficientTable(nu=kern.nu, M=M, K=K, dm=dm, dkm=dkm)
-
-    @functools.cached_property
-    def template(self) -> "_HTemplate":
-        """The argument-free half of the h-expansion over this table, built
-        at its first use.  Level k is sum_{m>=2} sign_m G(m) d_km / (u_k)_m,
-        a factorial series in u_k + 1 (base terms alternate,
-        sign_m = (-1)^m), entering with weight -kappa e^{2^-k} (-kappa for
-        the base).  Column 0 of the numerators is d_{k,2}, so a level's
-        terms are u_k times its own and 1/u_k joins the weight; then
-        t_{i+1} / t_i = sign_k (i + 1) d_{k,i+2} / d_{k,i+1}."""
-        scale = 2.0 ** np.arange(self.K + 1)
-        rows = np.vstack([self.dm, self.dkm])          # d_{k,m}, m = 2..M
-        sign = np.ones(self.K + 1)
+        rows = np.vstack([dm, dkm])                    # d_{k,m}, m = 2..M
+        scale = 2.0 ** np.arange(K + 1)
+        sign = np.ones(K + 1)
         sign[0] = -1.0
-        kappa = math.cos(math.pi * self.nu) / math.pi
+        kappa = math.cos(math.pi * kern.nu) / math.pi
         weight = -kappa * np.exp(1.0 / scale)
         weight[0] = -kappa
         numer = np.empty(rows.shape)
         numer[:, 0] = rows[:, 0]
-        numer[:, 1:] = sign[:, None] * np.arange(2.0, self.M) * rows[:, 1:] / rows[:, :-1]
-        return _HTemplate(_frozen(scale), _frozen(weight), _frozen(weight * rows[:, 0]),
-                          _frozen(numer), _h_ladder(self.nu))
+        numer[:, 1:] = sign[:, None] * np.arange(2.0, M) * rows[:, 1:] / rows[:, :-1]
+        return CoefficientTable(kern.nu, M, K, _frozen(dm), _frozen(dkm), _frozen(scale),
+                                _frozen(weight), _frozen(weight * rows[:, 0]), _frozen(numer),
+                                _h_ladder(kern.nu))
 
 
 # ---------------------------------------------------------------------------
@@ -347,65 +355,49 @@ def _h_ladder(nu: float) -> tuple:
     return tuple(sorted((a, a + 1.0, 1.5 + nu, min(a + 2.0, 2.5 + nu))))
 
 
-@dataclass(frozen=True)
-class _HTemplate:
-    """The h-expansion of one coefficient table without its argument, all
-    read-only (``CoefficientTable.template``): 2^k, the level weights,
-    their leads weight_k d_{k,2}, the numerator table and the ladder."""
-
-    scale: np.ndarray
-    weight: np.ndarray
-    lead: np.ndarray
-    table: np.ndarray
-    ladder: tuple
-
-
 def _h_family(table: CoefficientTable, u: complex) -> FactorialFamily:
-    """The h-expansion at argument u over the table's template, with
-    u_k = 2^k u: level k enters with weight_k / u_k.  The planner sees
-    sizes relative to h ~ 1/|u|, so its tolerance is relative; each row
-    supports M - 2 planned terms."""
-    t = table.template
-    uk = t.scale * u
+    """The h-expansion at argument u over the table, with u_k = 2^k u:
+    level k enters with weight_k / u_k.  The planner sees sizes relative
+    to h ~ 1/|u|, so its tolerance is relative; each row supports M - 2
+    planned terms."""
+    uk = table.scale * u
     shift = uk + 1.0
-    size = np.abs(t.lead / (uk * shift)) * abs(u)
-    return FactorialFamily("h-expansion", shift, t.weight / uk, t.table, size, safety=1.3,
-                           ladder=t.ladder)
+    size = np.abs(table.lead / (uk * shift)) * abs(u)
+    return FactorialFamily("h-expansion", shift, table.weight / uk, table.numer, size, safety=1.3,
+                           ladder=table.ladder)
 
 
-def _bessel_h_eval(nu: float, u: complex, tol: float,
-                   plan: Optional[DyadicPlan] = None) -> EvalResult:
+def _bessel_h_eval(nu: float, u: complex, tol: float) -> EvalResult:
     nu = abs(nu)
     u = _finite_x("h-expansion", u)
     if u.real <= 0 or abs(u) < 1.0:
         raise DomainError(f"h-expansion requires Re x > 0 and |x| >= 1, not x = {u}")
     if _is_half_integer(nu):
-        # polynomial kernel, vanishing branch jump: h is a finite sum
+        # polynomial kernel, vanishing branch jump: h is a finite sum, and
+        # its estimate is its rounding.  Term i carries the 2i operations of
+        # tc[i], the at most i + 1 products of u^(i+1) and its own two, the
+        # sum deg more, each at most eps of the magnitudes it combines
         deg = int(round(nu - 0.5))
         tc = _taylor_coeffs(nu, deg + 2)
-        val = complex(sum(math.factorial(i) * tc[i] / u ** (i + 1) for i in range(deg + 1)))
-        plan = DyadicPlan(K=0, n_terms=[deg + 1], predicted_error=1e-16)
-        return _result(val, 1e-16, plan, tol, relative=True)
+        terms = [math.factorial(i) * tc[i] / u ** (i + 1) for i in range(deg + 1)]
+        val = complex(sum(terms))
+        est = _EPS * float(sum((3 * i + 3 + deg) * abs(t) for i, t in enumerate(terms)))
+        plan = DyadicPlan(K=0, n_terms=[deg + 1], predicted_error=est / abs(val))
+        return _result(val, est, plan, tol, relative=True)
     if nu >= 1.5:
         raise DomainError("direct h-expansion limited to |nu| < 3/2; "
                           "use bessel_k_dyadic for larger orders")
-    # the Richardson steps keep every planned plan within LADDER_LEVELS levels, and at
-    # |u| = 1 and tol 1e-12 shallow levels keep up to 43 terms; a caller's plan that
-    # does not fit that table gets one of its own size
-    M, K = 66, LADDER_LEVELS
-    if plan is not None and (plan.K > K or max(plan.n_terms) + 2 > M):
-        M, K = max(plan.n_terms) + 2, plan.K
-    table = get_table(nu, M, K)
-    plan, total, corr = evaluate(_h_family(table, u), tol, plan)
+    # the Richardson steps keep every plan within LADDER_LEVELS levels, and at
+    # |u| = 1 and tol 1e-12 shallow levels keep up to 43 terms
+    plan, total, corr = evaluate(_h_family(get_table(nu, 66, LADDER_LEVELS), u), tol)
     value = 1.0 / u + total  # F(0) = P_{nu-1/2}(1) = 1
     return _result(value, plan.predicted_error * abs(value) + corr, plan, tol, relative=True)
 
 
-def airy_h(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) -> EvalResult:
+def airy_h(x: complex, tol: float = 1e-10) -> EvalResult:
     """Normalized Airy profile h (order nu = 1/3) at argument x with
-    relative tolerance ``tol``; Re x > 0, |x| >= 1.  With ``plan`` given,
-    the caller owns the truncation; its predicted error is relative."""
-    return _bessel_h_eval(1.0 / 3.0, x, tol, plan)
+    relative tolerance ``tol``; Re x > 0, |x| >= 1."""
+    return _bessel_h_eval(1.0 / 3.0, x, tol)
 
 
 # Large-argument asymptotics (DLMF 9.7, 10.40) fix the normalizations
@@ -459,7 +451,12 @@ def bessel_k_dyadic(nu: float, x: float, tol: float = 1e-9) -> EvalResult:
     def k_direct(mu: float) -> EvalResult:
         r = _bessel_h_eval(mu, 2.0 * x, tol)
         front = _BESSEL_C * math.exp(-x) * math.sqrt(x)
-        return _result(front * r.value, front * r.error_estimate, r.plan, tol, relative=True)
+        value, est = front * r.value, front * r.error_estimate
+        if _is_half_integer(mu):
+            # the closed form's estimate is its rounding alone: add that of
+            # the front and of its product with h, six operations
+            est += 6.0 * _EPS * abs(value)
+        return _result(value, est, r.plan, tol, relative=True)
 
     if nu < 1.5 and amplification(_h_ladder(nu)) <= MAX_AMPLIFICATION:
         return k_direct(nu)

@@ -115,11 +115,7 @@ def _oracle_value(name: str, x: complex, s: float) -> complex:
             return oracle.ei_plus_reference(x)
         return oracle.ei_series_reference(x)
     if name == "ei-left":
-        # the Laplace integral of e^{-xp} / (1 + p) on the ray p = t conj(x)/|x|: there
-        # e^{-xp} = e^{-|x| t} decays for every x, and the ray misses p = -1 off the cut
-        d = x.conjugate() / abs(x)
-        return -d * oracle.quad_adaptive(lambda t: np.exp(-abs(x) * t) / (1.0 + d * t),
-                                         0.0, math.inf, 1e-12)
+        return oracle.ei_left_reference(x, 1e-12)
     if name == "psi":
         return oracle.psi_reference(x + 1.0)
     if name == "erfc":
@@ -247,7 +243,7 @@ def cmd_compare(function: str, x: float, tol: float) -> int:
     if function != "ei-left":
         sys.stderr.write("compare supports: ei-left, ei-stokes\n")
         return EXIT_DOMAIN
-    ref = complex(-oracle.quad_adaptive(lambda p: np.exp(-x * p) / (1.0 + p), 0.0, math.inf, 1e-13))
+    ref = complex(oracle.ei_left_reference(x, 1e-13))
     r = specfun.ei_left(complex(x), tol)
     classical = _classical_ei_left_terms(x, tol, ref.real) or f">{specfun.EI_LEFT_CLASSICAL_TERMS}"
     # optimally truncated asymptotic series: -sum (-1)^n n! / x^{n+1}

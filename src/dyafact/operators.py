@@ -114,8 +114,6 @@ def resolvent_dyadic(op: HermitianOperator, lam: float, K: int,
     """
     if not 0 < lam < math.inf:
         raise DomainError("resolvent_dyadic requires a finite lam > 0")
-    if K < 0 or K > MAX_LEVELS:
-        raise DomainError(f"level count must be in [0, {MAX_LEVELS}]")
     w, vecs = op.eigenvalues, op.eigenvectors
     c = vecs.conj().T @ np.asarray(v, dtype=complex)
     # i times the scalar dyadic reciprocal at p = lam + i w, every level
@@ -135,8 +133,6 @@ def inverse_dyadic(op: HermitianOperator, K: int) -> Tuple[np.ndarray, OperatorS
     eigenbasis, max_j |f_k(w_j) - 1/w_j|.
     """
     _require_positive(op)
-    if K < 0 or K > MAX_LEVELS:
-        raise DomainError(f"level count must be in [0, {MAX_LEVELS}]")
     w = op.eigenvalues
     table = dyadic_reciprocal_levels(w, K)
     miss = np.abs(table - 1.0 / w).max(axis=1)
@@ -161,7 +157,7 @@ def fractional_power_dyadic(op: HermitianOperator, s: float, K: int
         raise DomainError("fractional_power_dyadic requires a finite non-integer s < 1")
     if K < 0 or K > MAX_LEVELS:
         raise DomainError(f"level count must be in [0, {MAX_LEVELS}]")
-    ref = op.apply_scalar(lambda t: math.pi * t ** (s - 1.0))
+    ref =op.apply_scalar(lambda t: math.pi * t ** (s - 1.0))
     report = _traced(lambda k: op.apply_scalar(lambda t: math.pi * ramified_partial(s, t, k)),
                      K, max(1, K // 10),
                      lambda approx: float(np.linalg.norm(approx - ref, "fro") / np.linalg.norm(ref, "fro")))

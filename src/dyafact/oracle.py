@@ -26,6 +26,7 @@ __all__ = [
     "quad_contour",
     "ei_plus_reference",
     "ei_series_reference",
+    "ei_left_reference",
     "ei_classical_real",
     "psi_reference",
     "erfc_reference",
@@ -205,6 +206,16 @@ def ei_series_reference(x: complex) -> complex:
         arg += 2.0 * math.pi  # branch cut along -i R^+
     ln_cut = math.log(abs(x)) + 1j * arg
     return cmath.exp(-x) * (EULER_GAMMA + ln_cut + _ei_entire(x) - 1j * math.pi)
+
+
+def ei_left_reference(x: complex, abs_tol: float) -> complex:
+    """-e^x E_1(x) to ``abs_tol`` off the cut along the negative axis: the
+    Laplace integral of e^{-xp} / (1 + p) on the ray p = t conj(x)/|x|.
+    There e^{-xp} = e^{-|x| t} decays for every x, and the ray misses
+    p = -1 off the cut."""
+    x = complex(x)
+    d = x.conjugate() / abs(x)
+    return -d * quad_adaptive(lambda t: np.exp(-abs(x) * t) / (1.0 + d * t), 0.0, math.inf, abs_tol)
 
 
 def ei_classical_real(x: float) -> float:

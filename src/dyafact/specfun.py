@@ -33,7 +33,7 @@ from .dyadic import (
     evaluate,
 )
 from .scalar import DomainError, _finite_x, polylog
-from ._gauss import chunks, dyadic_edges, geometric_sums, panel_nodes, refined
+from ._gauss import dyadic_edges, geometric_sums, panel_nodes, refined
 
 __all__ = [
     "EvalResult",
@@ -315,18 +315,16 @@ def _base_row(s: float, n: int) -> np.ndarray:
 
         c_m = (-1)^m sum_{j >= max(m,1)} j(j-1)...(j-m+1) j^{-s} e^{-j},
 
-    in log form, j(j-1)...(j-m+1) = j!/(j-m)!, over _gauss.chunks of m.
-    Terms peak near j = 1.6 m and fall below 1e-18 of the peak well
-    before 3 n + 100.  Past m ~ 185 the sums overflow to inf."""
-    N = 3 * n + 100
-    j = np.arange(1, N + 1)
-    log_fact = np.array([math.lgamma(i + 1.0) for i in range(N + 1)])
+    whose terms are one running product over m on the vector of j: the
+    factor j - m + 1 zeroes every j < m.  Terms peak near j = 1.6 m and
+    fall below 1e-18 of the peak well before 3 n + 100.  Past m ~ 185 the
+    sums overflow."""
+    j = np.arange(1.0, 3 * n + 101)
+    terms = j ** -s * np.exp(-j)
     sums = np.empty(n)
-    for rows in chunks(n, N):
-        m = np.arange(n)[rows, None]
-        with np.errstate(over="ignore"):
-            logs = log_fact[j] - log_fact[np.maximum(j - m, 0)] - j - s * np.log(j)
-            sums[rows] = np.where(j >= m, np.exp(logs), 0.0).sum(axis=1)
+    for m in range(n):
+        sums[m] = terms.sum()
+        terms *= j - m
     return sums * (-1.0) ** np.arange(n)
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dyafact import borel, oracle
+from dyafact import borel, dyadic, oracle
 from dyafact._gauss import QuadratureError, dyadic_edges, geometric_sums, panel_nodes, refined
 from dyafact.borel import (
     BorelKernel,
@@ -177,11 +177,11 @@ class TestCoefficients:
             assert all(a > b > 0 for a, b in zip(col[:-1], col[1:]))
 
     def test_a_table_without_levels(self, kern):
-        # K = 0 keeps the (K, M - 1) shape, so the h-template stacks the base row alone
+        # K = 0 keeps the (K, M - 1) shape, so the numerator table stacks the base row alone
         t = CoefficientTable.build(kern, 10, 0)
         assert t.dkm.shape == (0, 9)
-        assert t.template.table.shape == (1, 9)
-        assert np.array_equal(t.template.table[:, 0], t.dm[:1])
+        assert t.numer.shape == (1, 9)
+        assert np.array_equal(t.numer[:, 0], t.dm[:1])
 
 
 @pytest.mark.parametrize("refine", [2, 4, 8])
@@ -270,16 +270,18 @@ class TestAiryH:
         assert r.terms_total <= 150
 
     def test_truncation_error_monotone_in_depth(self):
-        # deepening the plan never worsens the result beyond noise; plans
-        # past LADDER_LEVELS levels read tables of their own size
+        # deepening the plan never worsens the result beyond noise; the plans
+        # are assembled over a 22-level table, deeper than an evaluator reads
+        table = get_table(NU_AIRY, 14, 22)
         for x in (4.0, 10.0, 20.0):
             u = 4.0 / 3.0 * x**1.5
             f = lambda p: np.exp(-u * p) * oracle.legendre_kernel_reference(NU_AIRY, p)
             ref = float(oracle.quad_adaptive(f, 0.0, math.inf, 1e-14).real)
+            fam = borel._h_family(table, complex(u))
             errs = []
             for K in (6, 10, 14, 18, 22):
                 plan = DyadicPlan(K=K, n_terms=[12] * (K + 1), predicted_error=1e-12)
-                errs.append(abs(airy_h(u, plan=plan).value.real - ref))
+                errs.append(abs(1.0 / u + dyadic.evaluate(fam, 1e-12, plan)[1].real - ref))
             for a, b in zip(errs[:-1], errs[1:]):
                 assert b <= a * 1.5 + 1e-14
 

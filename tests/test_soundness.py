@@ -232,6 +232,15 @@ def test_gate_bessel_k(nu, x, tol):
     _check_laddered(bessel_k_dyadic(nu, x, tol), ref, tol * ref)
 
 
+@GATE
+@given(nu=st.sampled_from([0.5, 1.5, 2.5, 3.5, 4.5]), x=_log_uniform(0.5, 50.0))
+def test_gate_bessel_k_at_half_integer_orders(nu, x):
+    # the closed form there, and the recurrence from it, estimate their
+    # rounding alone, which below x ~ 1 is mostly the front's
+    ref = float(_mp().besselk(nu, x))
+    assert_sound(bessel_k_dyadic(nu, x, 1e-12), ref, 1e-12 * ref)
+
+
 # ``tol_met`` says whether error_estimate is within tol in the evaluator's
 # units: absolute for Ei and digamma, relative to |value| for the others.
 

@@ -248,13 +248,17 @@ class TestIncompleteGamma:
         # largest index a plan keeps
         mpmath = pytest.importorskip("mpmath")
         co = _gamma_template(s).coeffs
-        for m in (0, 5, 50, 120, 150):
-            with mpmath.workdps(30):
-                # the terms peak near n = 1.6 m and are below 1e-40 of it by 4 m + 200
-                ref = (-1) ** m * mpmath.fsum(
-                    mpmath.rf(n - m + 1, m) * mpmath.mpf(n) ** (-s) * mpmath.exp(-n)
-                    for n in range(max(m, 1), 4 * m + 200))
-            assert co[0, m] == pytest.approx(float(ref), rel=1e-12)
+        with mpmath.workdps(30):
+            # every m at once, n by n: the terms peak near n = 1.6 m and are
+            # below 1e-40 of it by 4 m + 200, so n < 800 holds all of them
+            ref = [mpmath.mpf(0)] * 151
+            for n in range(1, 800):
+                term = mpmath.mpf(n) ** (-s) * mpmath.exp(-n)
+                for m in range(min(n, 150) + 1):
+                    ref[m] += term
+                    term *= n - m
+        for m in range(151):
+            assert co[0, m] == pytest.approx((-1) ** m * float(ref[m]), rel=1e-14)
 
 
 class TestGammaSmallOrders:

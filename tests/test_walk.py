@@ -1,7 +1,8 @@
 """The planner's walk also sums the terms it plans, over per-order
 templates and numerator tables built once.
 
-A plan passed back with ``plan=`` re-walks the levels with fixed counts;
+A plan passed back re-walks the levels with fixed counts (``plan=`` for
+the specfun evaluators, ``dyadic.evaluate`` over the h-expansion family);
 it must give the value the planned call gave, and ``level_sums`` must give
 the sums the planner's walk kept.  The draws cover the ranges of
 perfbench's point-values workload for all seven evaluators.  Every
@@ -101,6 +102,14 @@ def _replans(planned, again):
     assert again.plan == planned.plan
 
 
+def _rewalks_h(planned, fam, u, tol):
+    """The h-expansion family at u re-walks the planned plan to the
+    planned value h = 1/u + the level sums."""
+    plan, total, _ = dyadic.evaluate(fam, tol, planned.plan)
+    assert plan is planned.plan
+    assert _relative(planned.value, 1.0 / u + total) <= 1e-15
+
+
 TOL = _log_uniform(1e-10, 1e-6)
 WALK = settings(derandomize=True, database=None, deadline=None, max_examples=25)
 
@@ -155,9 +164,10 @@ def test_incomplete_gamma(s, x, tol):
 def test_airy(x, tol):
     u = 4.0 / 3.0 * x**1.5
     planned = airy_h(u, tol)
-    _replans(planned, airy_h(u, tol, plan=planned.plan))
+    fam = borel._h_family(get_table(1.0 / 3.0, 66, LADDER_LEVELS), complex(u))
+    _rewalks_h(planned, fam, u, tol)
     assert airy_from_h(x, tol).plan == planned.plan
-    _same_walk(borel._h_family(get_table(1.0 / 3.0, 66, LADDER_LEVELS), complex(u)), tol)
+    _same_walk(fam, tol)
 
 
 @WALK
@@ -168,8 +178,9 @@ def test_bessel_k(nu, x, tol):
     bessel_k_dyadic(nu, x, tol)
     for mu in {nu - math.floor(nu), 1.0 - (nu - math.floor(nu))}:
         planned = borel._bessel_h_eval(mu, 2.0 * x, tol)
-        _replans(planned, borel._bessel_h_eval(mu, 2.0 * x, tol, plan=planned.plan))
-        _same_walk(borel._h_family(get_table(mu, 66, LADDER_LEVELS), complex(2.0 * x)), tol)
+        fam = borel._h_family(get_table(mu, 66, LADDER_LEVELS), complex(2.0 * x))
+        _rewalks_h(planned, fam, 2.0 * x, tol)
+        _same_walk(fam, tol)
 
 
 class TestTemplates:
@@ -205,7 +216,6 @@ class TestTemplates:
     def test_h_expansion(self, monkeypatch):
         airy_from_h(2.0, 1e-10)
         table = get_table(1.0 / 3.0, 66, LADDER_LEVELS)
-        template = table.template
         builds = []
         for cls in (borel.BorelKernel, borel.CoefficientTable):
             raw = cls.build
@@ -213,10 +223,11 @@ class TestTemplates:
                 lambda *a, raw=raw, name=cls.__name__, **kw: builds.append(name) or raw(*a, **kw)))
         airy_from_h(5.0, 1e-8)
         assert get_table(1.0 / 3.0, 66, LADDER_LEVELS) is table
-        assert builds == [] and table.template is template
-        # every argument reads the template's numerator table itself
+        assert builds == []
+        # every argument reads the table's numerators and ladder themselves
         a, b = (borel._h_family(table, u) for u in (3.0 + 0j, 7.5 - 2j))
-        assert a.table is b.table is template.table
+        assert a.table is b.table is table.numer
+        assert a.ladder is b.ladder is table.ladder
         assert not np.array_equal(a.weight, b.weight)
 
 
@@ -280,27 +291,26 @@ class TestTables:
 
     def test_h_expansion(self):
         table = get_table(0.7, 66, LADDER_LEVELS)
-        template = table.template
-        numer = template.table
+        numer = table.numer
         assert numer.shape == (table.K + 1, table.M - 1) and not numer.flags.writeable
         rows = np.vstack([table.dm, table.dkm])
         sign = np.where(np.arange(table.K + 1) == 0, -1.0, 1.0)[:, None]
         assert np.array_equal(numer[:, 0], rows[:, 0])
         ratios = sign * np.arange(2.0, table.M) * rows[:, 1:] / rows[:, :-1]
         assert np.array_equal(numer[:, 1:], ratios)
-        for a in (template.scale, template.weight, template.lead):
+        for a in (table.dm, table.dkm, table.scale, table.weight, table.lead):
             assert not a.flags.writeable
         kappa = math.cos(math.pi * table.nu) / math.pi
         level = -kappa * np.exp(2.0 ** -np.arange(table.K + 1.0))
-        assert np.allclose(template.weight, np.where(np.arange(table.K + 1) == 0, -kappa, level),
+        assert np.allclose(table.weight, np.where(np.arange(table.K + 1) == 0, -kappa, level),
                            rtol=1e-15, atol=0.0)
         with pytest.raises(FrozenInstanceError):
-            template.table = numer
+            table.numer = numer
         # the argument's 1/u_k joins the level weight, not the table
         u = 2.5 + 0j
         fam = borel._h_family(table, u)
         assert fam.table is numer
-        assert np.array_equal(fam.weight, template.weight / (template.scale * u))
+        assert np.array_equal(fam.weight, table.weight / (table.scale * u))
 
 
 @pytest.mark.parametrize("family, terms", [(ei_stokes_family, 192), (ei_left_family, 122),
@@ -325,13 +335,14 @@ class TestHistory:
                 + [bessel_k_dyadic(nu, x, 1e-9) for nu in (0.7, 2.7) for x in (0.8, 2.0, 5.0, 12.0)])
 
     def test_h_expansion_after_a_deep_plan(self, monkeypatch):
-        # fresh tables, then one 20-level plan= call for each direct order
-        # the grid runs (Airy 1/3, Bessel-K 0.7, and 0.3 = |0.7 - 1| for 2.7)
+        # fresh tables, then a 20-level plan over a (14, 20) table of each
+        # direct order the grid runs (Airy 1/3, Bessel-K 0.7, and
+        # 0.3 = |0.7 - 1| for 2.7)
         monkeypatch.setattr(borel, "_table", functools.cache(borel._table.__wrapped__))
         before = self._h_grid()
         deep = dyadic.DyadicPlan(K=20, n_terms=[12] * 21, predicted_error=1e-12)
         for nu in (1.0 / 3.0, 0.7, 0.3):
-            borel._bessel_h_eval(nu, 4.0, 1e-10, plan=deep)
+            dyadic.evaluate(borel._h_family(get_table(nu, 14, 20), 4.0 + 0j), 1e-10, deep)
         assert self._h_grid() == before
 
     @pytest.mark.parametrize("s", [-0.5, 0.25])
