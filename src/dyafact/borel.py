@@ -53,6 +53,7 @@ from .dyadic import (
     amplification,
     evaluate,
 )
+from .functions import FUNCTIONS
 from .scalar import DomainError, NonconvergenceError, _finite_x
 
 __all__ = [
@@ -69,6 +70,8 @@ _TAYLOR_CUT = 0.5
 _GRID_DQ = 0.02
 _SERIES_TERMS = 60
 _TAU_HI = 70.0  # dyadic-level integrals live on tau in [2^-k, ~70/(m-1)]
+_NU_MAX = FUNCTIONS["bessel-k"].order[1]
+_AIRY_LOW, _BESSEL_LOW = FUNCTIONS["airy"].radius[0], FUNCTIONS["bessel-k"].radius[0]
 
 
 def _taylor_coeffs(nu: float, n: int = 100) -> np.ndarray:
@@ -135,8 +138,8 @@ class BorelKernel:
 
     @staticmethod
     def build(nu: float, p_far: Optional[float] = None) -> "BorelKernel":
-        if abs(nu) > 5.0:
-            raise DomainError("kernel order restricted to |nu| <= 5")
+        if abs(nu) > _NU_MAX:
+            raise DomainError(f"kernel order restricted to |nu| <= {_NU_MAX:g}")
         nu = abs(nu)  # P_{nu-1/2} = P_{-nu-1/2}: the kernel is even in nu
         tc = _taylor_coeffs(nu)
         p_far = max(p_far or 0.0, 4000.0)
@@ -412,10 +415,9 @@ def airy_from_h(x: float, tol: float = 1e-10) -> EvalResult:
     Ai(x) = C x^{5/4} e^{-(2/3) x^{3/2}} h((4/3) x^{3/2}), whose argument
     the h-expansion takes from 1 on."""
     x = _finite_x("airy_from_h", x, real=True)
-    u = 4.0 / 3.0 * x**1.5
-    if u < 1.0:
-        raise DomainError(f"airy_from_h requires x >= (3/4)^(2/3) ~ 0.8255, not x = {x}")
-    r = airy_h(u, tol)
+    if x < _AIRY_LOW:
+        raise DomainError(f"airy_from_h requires x >= (3/4)^(2/3) ~ {_AIRY_LOW:.4g}, not x = {x}")
+    r = airy_h(4.0 / 3.0 * x**1.5, tol)
     front = _AIRY_C * x**1.25 * math.exp(-2.0 / 3.0 * x**1.5)
     return _result(front * r.value, front * r.error_estimate, r.plan, tol, relative=True)
 
@@ -426,8 +428,8 @@ def bessel_h(nu: float, x: complex, tol: float = 1e-10) -> EvalResult:
     Direct dyadic expansion for |nu| < 3/2; exact finite form at
     half-integer orders.  Larger orders go through bessel_k_dyadic.
     """
-    if not abs(nu) <= 5.0:
-        raise DomainError("bessel_h restricted to finite |nu| <= 5")
+    if not abs(nu) <= _NU_MAX:
+        raise DomainError(f"bessel_h restricted to finite |nu| <= {_NU_MAX:g}")
     return _bessel_h_eval(nu, x, tol)
 
 
@@ -442,11 +444,11 @@ def bessel_k_dyadic(nu: float, x: float, tol: float = 1e-9) -> EvalResult:
     and K_mu with mu = frac(|nu|).  Every term is positive, so the
     recurrence keeps the seeds' relative accuracy."""
     nu = abs(nu)
-    if not nu <= 5.0:
-        raise DomainError("bessel_k_dyadic restricted to finite |nu| <= 5")
+    if not nu <= _NU_MAX:
+        raise DomainError(f"bessel_k_dyadic restricted to finite |nu| <= {_NU_MAX:g}")
     x = _finite_x("bessel_k_dyadic", x, real=True)
-    if x < 0.5:
-        raise DomainError(f"bessel_k_dyadic requires x >= 0.5, not x = {x}")
+    if x < _BESSEL_LOW:
+        raise DomainError(f"bessel_k_dyadic requires x >= {_BESSEL_LOW:g}, not x = {x}")
 
     def k_direct(mu: float) -> EvalResult:
         r = _bessel_h_eval(mu, 2.0 * x, tol)
@@ -462,15 +464,17 @@ def bessel_k_dyadic(nu: float, x: float, tol: float = 1e-9) -> EvalResult:
         return k_direct(nu)
     mu = nu - math.floor(nu)
     lo, hi = k_direct(mu - 1.0), k_direct(mu)
-    v_lo, v_hi = lo.value, hi.value
-    # a step adds positive terms, so it keeps the larger relative error of
-    # its two inputs, plus its own rounding (four operations)
-    rel = max(lo.error_estimate / abs(v_lo), hi.error_estimate / abs(v_hi))
+    (v_lo, e_lo), (v_hi, e_hi) = (lo.value, lo.error_estimate), (hi.value, hi.error_estimate)
+    # a step adds positive terms, so it adds their absolute errors, weighted
+    # as the values, and its own rounding (four operations)
     steps = math.floor(nu)
     for _ in range(steps):
-        v_lo, v_hi = v_hi, v_lo + (2.0 * mu / x) * v_hi
+        c = 2.0 * mu / x
+        v_lo, v_hi = v_hi, v_lo + c * v_hi
+        e_lo, e_hi = e_hi, e_lo + c * e_hi + 4.0 * _EPS * abs(v_hi)
         mu += 1.0
-    err = (rel + 4.0 * steps * _EPS) * abs(v_hi)
-    terms = lo.plan.terms_total + hi.plan.terms_total
-    plan = DyadicPlan(K=0, n_terms=[max(terms, 1)], predicted_error=max(err, 1e-16))
-    return _result(v_hi, plan.predicted_error, plan, tol, relative=True)
+    # and so keeps the larger relative error of the seeds
+    plan = DyadicPlan(K=0, n_terms=[lo.plan.terms_total + hi.plan.terms_total],
+                      predicted_error=max(lo.plan.predicted_error, hi.plan.predicted_error)
+                      + 4.0 * steps * _EPS)
+    return _result(v_hi, e_hi, plan, tol, relative=True)

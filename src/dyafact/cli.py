@@ -19,11 +19,11 @@ import argparse
 import cmath
 import math
 import sys
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .functions import FUNCTIONS, Function, check_tol
 from .scalar import (DomainError, NonconvergenceError, PoleError, QuadratureError,
                      factorial_series_eval)
 
@@ -31,30 +31,6 @@ EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_NONCONV = 3
 EXIT_IO = 4
-
-
-@dataclass
-class RunConfig:
-    function: str
-    x_start: float
-    x_stop: float
-    points: int
-    ray_angle: float
-    tol: float
-    fmt: str
-    out: Optional[str]
-    with_oracle: bool
-    s: float
-
-    def grid(self) -> np.ndarray:
-        if self.points < 1:
-            raise DomainError("points must be >= 1")
-        if not (1e-14 < self.tol < 1e-1):
-            raise DomainError("tolerance must lie in (1e-14, 1e-1)")
-        if not all(map(math.isfinite, (self.x_start, self.x_stop, self.ray_angle))):
-            raise DomainError("x-start, x-stop and ray-angle must be finite")
-        ray = cmath.exp(1j * math.radians(self.ray_angle))
-        return np.linspace(self.x_start, self.x_stop, self.points) * ray
 
 
 def _fmt(v: float) -> str:
@@ -82,81 +58,49 @@ def _write_rows(header: Sequence[str], rows: Sequence[Sequence[float]],
             raise IOError(str(exc))
 
 
-def _real(x: complex, name: str) -> float:
-    if abs(x.imag) > 1e-12 * abs(x):     # off the real axis, not a value at Re x
-        raise DomainError(f"{name} takes real x only")
-    return x.real
+def _grid(args: argparse.Namespace) -> Tuple[Function, np.ndarray]:
+    """The entry of ``--function`` and the grid of the other options."""
+    fn = FUNCTIONS.get(args.function)
+    if fn is None:
+        raise DomainError(f"unknown function id: {args.function}")
+    if args.points < 1:
+        raise DomainError("points must be >= 1")
+    check_tol(args.tol, "tolerance")
+    stop = args.x_start if args.x_stop is None else args.x_stop
+    if not all(map(math.isfinite, (args.x_start, stop, args.ray_angle))):
+        raise DomainError("x-start, x-stop and ray-angle must be finite")
+    ray = cmath.exp(1j * math.radians(args.ray_angle))
+    return fn, np.linspace(args.x_start, stop, args.points) * ray
 
 
-def _evaluator(name: str, s: float):
-    if name in ("airy", "bessel-k"):
-        from . import borel
-        if name == "airy":
-            return lambda x, tol: borel.airy_from_h(_real(x, name), tol)
-        return lambda x, tol: borel.bessel_k_dyadic(s, _real(x, name), tol)
-    from . import specfun
-    if name == "ei-stokes":
-        return lambda x, tol: specfun.ei_stokes(x, tol)
-    if name == "ei-left":
-        return lambda x, tol: specfun.ei_left(x, tol)
-    if name == "psi":
-        return lambda x, tol: specfun.psi_dyadic(x, tol)
-    if name == "erfc":
-        return lambda x, tol: specfun.erfc_dyadic(_real(x, name), tol)
-    if name == "inc-gamma":
-        return lambda x, tol: specfun.incomplete_gamma_dyadic(s, x, tol)
-    raise DomainError(f"unknown function id: {name}")
-
-
-def _oracle_value(name: str, x: complex, s: float) -> complex:
-    from . import oracle
-    if name == "ei-stokes":
-        if x.real > 0.06 * abs(x):
-            return oracle.ei_plus_reference(x)
-        return oracle.ei_series_reference(x)
-    if name == "ei-left":
-        return oracle.ei_left_reference(x, 1e-12)
-    if name == "psi":
-        return oracle.psi_reference(x + 1.0)
-    if name == "erfc":
-        return oracle.erfc_reference(math.sqrt(x.real))
-    if name == "inc-gamma":
-        return oracle.inc_gamma_reference(s, x)
-    if name == "airy":
-        return oracle.airy_reference(x.real)
-    if name == "bessel-k":
-        return oracle.bessel_k_reference(s, x.real)
-    raise DomainError(f"unknown function id: {name}")
-
-
-def cmd_eval(cfg: RunConfig) -> int:
-    ev = _evaluator(cfg.function, cfg.s)
+def cmd_eval(args: argparse.Namespace) -> int:
+    fn, grid = _grid(args)
     header = ["x_re", "x_im", "value_re", "value_im", "error_estimate", "terms_total"]
-    if cfg.with_oracle:
+    if args.with_oracle:
         header += ["oracle_re", "oracle_im", "abs_error"]
     rows: List[List[float]] = []
-    for x in cfg.grid():
+    for x in grid:
         x = complex(x)
         try:
-            r = ev(x, cfg.tol)
+            r = fn.evaluate(x, args.tol, args.s)
         except (DomainError, PoleError) as exc:
             sys.stderr.write(f"domain error at x = {x}: {exc}\n")
             return EXIT_DOMAIN
         row = [x.real, x.imag, r.value.real, r.value.imag,
                r.error_estimate, float(r.terms_total)]
-        if cfg.with_oracle:
-            ref = complex(_oracle_value(cfg.function, x, cfg.s))
+        if args.with_oracle:
+            ref = complex(fn.reference(x, args.s))
             row += [ref.real, ref.imag, abs(complex(r.value) - ref)]
         rows.append(row)
-    _write_rows(header, rows, cfg.fmt, cfg.out)
+    _write_rows(header, rows, args.format, args.out)
     return EXIT_OK
 
 
-def cmd_plan(cfg: RunConfig) -> int:
-    ev = _evaluator(cfg.function, cfg.s)
-    for x in cfg.grid():
+def cmd_plan(args: argparse.Namespace) -> int:
+    fn, grid = _grid(args)
+    for x in grid:
         try:
-            plan = ev(complex(x), cfg.tol).plan
+            plan = fn.evaluate(complex(x), args.tol, args.s).plan
         except (DomainError, PoleError) as exc:
             sys.stderr.write(f"domain error at x = {x}: {exc}\n")
             return EXIT_DOMAIN
@@ -309,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_grid(p):
         p.add_argument("--function", required=True,
-                       help="ei-stokes | ei-left | psi | erfc | inc-gamma | airy | bessel-k")
+                       help=" | ".join(FUNCTIONS))
         p.add_argument("--x-start", type=float, default=1.0)
         p.add_argument("--x-stop", type=float, default=None)
         p.add_argument("--points", type=int, default=1)
@@ -346,12 +290,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.cmd in ("eval", "plan"):
-            stop = args.x_stop if args.x_stop is not None else args.x_start
-            cfg = RunConfig(function=args.function, x_start=args.x_start, x_stop=stop,
-                            points=args.points, ray_angle=args.ray_angle, tol=args.tol,
-                            fmt=args.format, out=args.out, with_oracle=args.with_oracle,
-                            s=args.s)
-            return cmd_eval(cfg) if args.cmd == "eval" else cmd_plan(cfg)
+            return cmd_eval(args) if args.cmd == "eval" else cmd_plan(args)
         if args.cmd == "figure":
             return cmd_figure(args.id, args.format, args.out)
         if args.cmd == "compare":

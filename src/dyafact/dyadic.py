@@ -21,6 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .functions import MAX_LEVELS, check_tol
 from .scalar import DomainError, PoleError, polylog
 
 __all__ = [
@@ -44,7 +45,6 @@ __all__ = [
     "MAX_AMPLIFICATION",
 ]
 
-MAX_LEVELS = 60          # 2^-60 is below binary64 resolution
 DENOM_GUARD = 1e-8       # singular-denominator threshold (absolute)
 POCH_GUARD = 1e-12       # Pochhammer factor treated as a pole
 SHIFT_FLOOR = 32.0       # |x_K| from which a ladder's tail expansion holds
@@ -218,6 +218,10 @@ class EvalResult:
 
 def _result(value: complex, estimate: float, plan: DyadicPlan, tol: float,
             relative: bool) -> EvalResult:
+    if relative:
+        # below the normal range a value rounds by up to 2^-1075 at each operation
+        # after its exponential: at most 8 (a recurrence also carries its seeds')
+        estimate += 2.0 ** -1072
     bound = tol * abs(value) if relative else tol
     return EvalResult(value, estimate, plan, bool(estimate <= bound))
 
@@ -424,8 +428,7 @@ def _sums(fam: FactorialFamily, n: np.ndarray, terms: np.ndarray) -> Tuple[np.nd
 def _plan(fam: FactorialFamily, tol: float) -> Tuple[DyadicPlan, np.ndarray, np.ndarray]:
     """The plan of ``plan_truncation`` with the level sums its walk kept
     and the sums of their magnitudes."""
-    if not (1e-14 < tol < 1e-1):
-        raise DomainError("tol must lie in (1e-14, 1e-1)")
+    check_tol(tol)
     if fam.shift.real.min() < 0.0:
         raise CutProximityError(
             f"{fam.name}: a level shift has negative real part; "

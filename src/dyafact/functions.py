@@ -1,0 +1,80 @@
+"""One entry per function id of ``dyafact eval``: its evaluator, oracle
+reference, units, order and documented region.  The evaluators read their
+bounds here, ``cli`` dispatches through the table and the soundness gate
+draws each region.  An entry imports its evaluator's module on call."""
+
+from __future__ import annotations
+
+import math
+import sys
+from dataclasses import dataclass
+from importlib import import_module
+from typing import Callable, Optional, Tuple
+
+from .scalar import DomainError
+
+__all__ = ["FUNCTIONS", "Function", "MAX_LEVELS", "TOL_RANGE", "check_tol"]
+
+MAX_LEVELS = 60          # 2^-60 is below binary64 resolution
+TOL_RANGE = (1e-14, 1e-1)   # every planned tol, open at both ends
+_TOL_TEXT = "({}, {})".format(*(f"{t:.0e}".replace("e-0", "e-") for t in TOL_RANGE))
+# the largest |x| of both Ei ids: every level shift 2^k x and its product
+# with a level denominator (|den_k| < 4) stay finite
+_EI_LARGEST = math.ldexp(sys.float_info.max, -(MAX_LEVELS + 2))
+_HALF_PLANE, _REAL = (-math.pi / 2, math.pi / 2), (0.0, 0.0)
+
+
+def check_tol(tol: float, name: str = "tol") -> None:
+    if not TOL_RANGE[0] < tol < TOL_RANGE[1]:
+        raise DomainError(f"{name} must lie in {_TOL_TEXT}")
+
+
+@dataclass(frozen=True)
+class Function:
+    """An id's evaluator ``module.name`` takes (x, tol), or with an ``order``
+    range (s, x, tol), and ``oracle(dyafact.oracle, x, s)`` is its reference; a
+    ``relative`` tol is relative to |value|.  Its region: radius[0] <= |x| <=
+    radius[1], x != 0, and arg[0] < arg x < arg[1]; arg (0, 0) is real x only."""
+
+    id: str
+    module: str
+    name: str
+    oracle: Callable
+    relative: bool
+    radius: Tuple[float, float]
+    arg: Tuple[float, float]
+    order: Optional[Tuple[float, float]] = None
+
+    def evaluate(self, x: complex, tol: float, s: Optional[float] = None):
+        ev = getattr(import_module(f"{__package__}.{self.module}"), self.name)
+        if self.arg == _REAL:
+            if abs(x.imag) > 1e-12 * abs(x):     # off the real axis, not a value at Re x
+                raise DomainError(f"{self.id} takes real x only")
+            x = x.real
+        return ev(x, tol) if self.order is None else ev(s, x, tol)
+
+    def reference(self, x: complex, s: Optional[float] = None) -> complex:
+        return self.oracle(import_module(f"{__package__}.oracle"), x, s)
+
+
+FUNCTIONS = {f.id: f for f in (
+    Function("ei-stokes", "specfun", "ei_stokes",
+             lambda o, x, s: (o.ei_plus_reference if x.real > 0.06 * abs(x)
+                              else o.ei_series_reference)(x),
+             False, (0.2, _EI_LARGEST), (-math.pi / 2, 1.5 * math.pi)),
+    Function("ei-left", "specfun", "ei_left", lambda o, x, s: o.ei_left_reference(x, 1e-12),
+             False, (0.0, _EI_LARGEST), (-math.pi, math.pi)),
+    Function("psi", "specfun", "psi_dyadic", lambda o, x, s: o.psi_reference(x + 1.0),
+             False, (0.0, math.inf), _HALF_PLANE),
+    Function("erfc", "specfun", "erfc_dyadic", lambda o, x, s: o.erfc_reference(math.sqrt(x.real)),
+             True, (0.0, math.inf), _REAL),
+    Function("inc-gamma", "specfun", "incomplete_gamma_dyadic",
+             lambda o, x, s: o.inc_gamma_reference(s, x), True, (0.0, math.inf), _HALF_PLANE,
+             (-1.0, 1.0)),
+    # from (3/4)^(2/3) on, the h-expansion's argument (4/3) x^(3/2) is at least 1
+    Function("airy", "borel", "airy_from_h", lambda o, x, s: o.airy_reference(x.real),
+             True, (0.75 ** (2.0 / 3.0), math.inf), _REAL),
+    Function("bessel-k", "borel", "bessel_k_dyadic",
+             lambda o, x, s: o.bessel_k_reference(s, x.real), True, (0.5, math.inf), _REAL,
+             (-5.0, 5.0)),
+)}

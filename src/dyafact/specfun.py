@@ -32,6 +32,7 @@ from .dyadic import (
     amplification,
     evaluate,
 )
+from .functions import FUNCTIONS, TOL_RANGE, check_tol
 from .scalar import DomainError, _finite_x, polylog
 from ._gauss import dyadic_edges, geometric_sums, panel_nodes, refined
 
@@ -56,9 +57,8 @@ _ONES = _frozen(np.ones(MAX_LEVELS + 1))
 _SIGMA_LADDER = (1.0, 2.0, 4.0, 6.0)
 _EULER_GAMMA = 0.5772156649015329
 _ON_CUT = 1e-12        # relative distance from an Ei cut that counts as on it
-# the largest |x| of the Ei evaluators: every level shift 2^k w (|w| <= |x|)
-# and its product with a level denominator (|den_k| < 4) stay finite
-_EI_LARGEST = math.ldexp(float(np.finfo(float).max), -(MAX_LEVELS + 2))
+_EI_FLOOR, _EI_LARGEST = FUNCTIONS["ei-stokes"].radius   # ei_left shares the upper one
+_S_LOW, _S_HIGH = FUNCTIONS["inc-gamma"].order
 
 
 def _geometric(a: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -140,8 +140,8 @@ def ei_stokes(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None)
     x = _ei_x("ei_stokes", x)
     if x.imag <= 0.0 and abs(x.real) <= _ON_CUT * abs(x):
         raise DomainError("ei_stokes is undefined on the closed negative imaginary axis")
-    if abs(x) < 0.2:
-        raise DomainError("ei_stokes requires |x| >= 0.2 (use the classical series below)")
+    if abs(x) < _EI_FLOOR:
+        raise DomainError(f"ei_stokes requires |x| >= {_EI_FLOOR:g} (use the classical series below)")
     if x.imag >= 0.0:
         return _stokes(x, tol, plan)
     return _stokes(x.conjugate(), tol, plan, True, 2j * math.pi * cmath.exp(-x) if x.real > 0 else 0.0)
@@ -165,8 +165,8 @@ def _ei_left_series(x: complex, tol: float, plan: Optional[DyadicPlan]) -> EvalR
     ((n+1) (n+1)! (1 - |x|)); the sum stops once that fits in half of tol,
     or at ``plan.n_terms[0]``.  Its plan is that one series (K = 0), and
     its estimate adds 8 eps times every size summed for rounding."""
-    if plan is None and not (1e-14 < tol < 1e-1):
-        raise DomainError("tol must lie in (1e-14, 1e-1)")
+    if plan is None:
+        check_tol(tol)
     power, total, sizes, n = 1.0 + 0.0j, 0.0j, 0.0, 0
     while True:
         n += 1
@@ -441,9 +441,9 @@ def _gamma_eval(s: float, x: complex, tol: float, plan: Optional[DyadicPlan]) ->
     # this bounds the normalized series from below
     scale = math.gamma(1.0 - s) / (abs(x) + 1.0 - s)
     normalized = tol * scale
-    if plan is None and normalized <= 1e-14:
-        raise DomainError(f"tol {tol:g} is {normalized:.3g} on the normalized series at |x| = "
-                          f"{abs(x):g}, not above 1e-14: tol must exceed {1e-14 / scale:.3g} there")
+    if plan is None and normalized <= TOL_RANGE[0]:
+        raise DomainError(f"tol {tol:g} is {normalized:.3g} on the normalized series at |x| = {abs(x):g}, "
+                          f"not above {TOL_RANGE[0]:g}: tol must exceed {TOL_RANGE[0] / scale:.3g} there")
     # a loose tol at small |x| passes the planner's 1e-1: plan tighter, at 0.09
     plan, total, corr = evaluate(fam, min(normalized, 0.09), plan)
     front = x**s * cmath.exp(-x) / math.gamma(1.0 - s)
@@ -474,9 +474,9 @@ def incomplete_gamma_dyadic(s: float, x: complex, tol: float = 4e-9,
     x = _finite_x("incomplete_gamma_dyadic", x)
     if x.real <= 0:
         raise DomainError("incomplete_gamma_dyadic requires Re x > 0")
-    if not -1.0 < s < 1.0 or abs(s - round(s)) < 1e-12:
-        raise DomainError(f"incomplete_gamma_dyadic requires a finite s in (-1, 1), s != 0, "
-                          f"not s = {s}")
+    if not _S_LOW < s < _S_HIGH or abs(s - round(s)) < 1e-12:
+        raise DomainError(f"incomplete_gamma_dyadic requires a finite s in ({_S_LOW:g}, "
+                          f"{_S_HIGH:g}), s != 0, not s = {s}")
     if amplification(_gamma_ladder(s)) <= MAX_AMPLIFICATION:
         return _gamma_eval(s, x, tol, plan)
     # |s - 1| Gamma(s - 1, x) < x^(s-1) e^-x <= Gamma(s, x) (x + 1 - s) / x

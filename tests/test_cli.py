@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from dyafact import cli, operators
+from dyafact.functions import FUNCTIONS
 
 
 def run(argv):
@@ -108,6 +109,12 @@ class TestEval:
         out = capsys.readouterr()
         assert "real x only" in out.err and out.out == ""
 
+    def test_bessel_k_recurrence_at_an_underflowing_argument(self, capsys):
+        # K_2.7(800) and both its seeds are below the smallest double
+        assert run(["eval", "--function", "bessel-k", "--s", "2.7", "--x-start", "800"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert float(row[2]) == 0.0 and float(row[4]) > 0.0
+
     def test_unknown_function(self):
         rc = run(["eval", "--function", "zeta", "--x-start", "1", "--points", "1"])
         assert rc == 2
@@ -174,7 +181,7 @@ class TestPlan:
         assert run(["plan", "--function", fn, "--x-start", "3", "--points", "1",
                     "--ray-angle", str(angle), "--tol", "1e-8"]) == 0
         x = 3.0 * cmath.exp(1j * math.radians(angle))
-        plan = cli._evaluator(fn, 0.5)(x, 1e-8).plan
+        plan = FUNCTIONS[fn].evaluate(x, 1e-8, 0.5).plan
         assert f"  n_terms = {plan.n_terms}\n" in capsys.readouterr().out
 
     def test_plan_at_origin_is_a_domain_error(self):

@@ -1,0 +1,138 @@
+"""The function table (``dyafact.functions``): every bound it holds is its
+evaluator's, README states them, and reading it loads no evaluator."""
+
+import ast
+import cmath
+import importlib
+import math
+import os
+import pathlib
+import re
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+
+from dyafact import functions
+from dyafact.functions import FUNCTIONS, TOL_RANGE, check_tol
+from dyafact.scalar import DomainError
+
+REAL = (0.0, 0.0)
+TOL = 1e-6      # erfc and incomplete gamma take it at x = 1e6
+S = 0.7         # an order off the half-integers, where Bessel-K plans
+STEP = 1e-9     # "just inside" and "just outside" a bound, relative to it
+
+
+def _raises(fn, x, s, bound):
+    """DomainError at (x, s) from the evaluator, naming it and the bound."""
+    with pytest.raises(DomainError) as err:
+        fn.evaluate(x, TOL, s)
+    assert fn.name in str(err.value) and f"{abs(bound):.4g}" in str(err.value)
+
+
+@pytest.mark.parametrize("fid", FUNCTIONS)
+def test_radius_bounds_are_the_evaluators(fid):
+    fn = FUNCTIONS[fid]
+    lo, hi = fn.radius
+    if lo > 0:
+        fn.evaluate(complex(lo * (1 + STEP)), TOL, S)
+        _raises(fn, complex(lo * (1 - STEP)), S, lo)
+    if hi < math.inf:
+        fn.evaluate(complex(hi * (1 - STEP)), TOL, S)
+        _raises(fn, complex(hi * (1 + STEP)), S, hi)
+    fn.evaluate(1e6 + 0j, TOL, S)
+    with pytest.raises(DomainError):
+        fn.evaluate(0j, TOL, S)
+
+
+@pytest.mark.parametrize("fid", [f for f in FUNCTIONS if FUNCTIONS[f].order])
+def test_order_bounds_are_the_evaluators(fid):
+    fn = FUNCTIONS[fid]
+    for bound in fn.order:
+        fn.evaluate(2.0 + 0j, TOL, bound * (1 - STEP))
+        _raises(fn, 2.0 + 0j, bound * (1 + STEP), bound)
+
+
+@pytest.mark.parametrize("fid", FUNCTIONS)
+def test_arg_bounds_are_the_evaluators(fid):
+    fn = FUNCTIONS[fid]
+    lo, hi = fn.arg
+    if (lo, hi) == REAL:
+        # both the table's dispatch and the evaluator itself refuse complex x
+        with pytest.raises(DomainError, match="takes real x only"):
+            fn.evaluate(2.0 + 0.5j, TOL, S)
+        evaluator = getattr(importlib.import_module(f"dyafact.{fn.module}"), fn.name)
+        with pytest.raises(DomainError, match="real x"):
+            evaluator(*(S,) * bool(fn.order), 2.0 + 0.5j, TOL)
+        return
+    for angle in (lo + STEP, hi - STEP):
+        fn.evaluate(2.0 * cmath.exp(1j * angle), TOL, S)
+    # outside: across the half-plane's edge, or on the one cut of a plane
+    outside = [lo] if hi - lo == 2.0 * math.pi else [lo - STEP, hi + STEP]
+    for angle in outside:
+        with pytest.raises(DomainError):
+            fn.evaluate(2.0 * cmath.exp(1j * angle), TOL, S)
+
+
+@pytest.mark.parametrize("fid", ["ei-stokes", "ei-left", "psi", "airy", "bessel-k"])
+def test_tol_range_is_the_planners(fid):
+    # incomplete gamma and erfc plan a tol scaled by the series' size, whose
+    # range incomplete_gamma_dyadic checks itself
+    fn = FUNCTIONS[fid]
+    lo, hi = TOL_RANGE
+    for x in (2.0, 0.1):
+        if abs(x) < fn.radius[0]:
+            continue
+        for tol in (lo, hi):
+            with pytest.raises(DomainError, match=re.escape("must lie in (1e-14, 1e-1)")):
+                fn.evaluate(complex(x), tol, S)
+        for tol in (lo * (1 + STEP), hi * (1 - STEP)):
+            fn.evaluate(complex(x), tol, S)
+    with pytest.raises(DomainError, match=re.escape("tolerance must lie in (1e-14, 1e-1)")):
+        check_tol(hi, "tolerance")
+
+
+def _number(v):
+    return f"{v:.4g}".replace("e+", "e")
+
+
+def _angle(v):
+    f = Fraction(v / math.pi).limit_denominator(4)
+    head = {1: "", -1: "-"}.get(f.numerator, str(f.numerator))
+    return f"{head}π" + (f"/{f.denominator}" if f.denominator > 1 else "")
+
+
+def _domain_row(fn):
+    """The start of the README table row of ``fn``, as the table states it."""
+    lo, hi = fn.radius
+    r = "x" if fn.arg == REAL else "|x|"
+    if hi < math.inf:
+        radius = f"{_number(lo) if lo else 0} {'<=' if lo else '<'} {r} <= {_number(hi)}"
+    else:
+        radius = f"{r} >= {_number(lo)}" if lo else f"{r} > 0"
+    arg = "real" if fn.arg == REAL else f"{_angle(fn.arg[0])} < arg x < {_angle(fn.arg[1])}"
+    order = f"{_number(fn.order[0])} to {_number(fn.order[1])}" if fn.order else "none"
+    cells = [f"`{fn.id}`", f"`{fn.name}`", radius, arg, order,
+             "relative" if fn.relative else "absolute"]
+    return "| " + " | ".join(c.replace("|x|", r"\|x\|") for c in cells) + " |"
+
+
+@pytest.mark.parametrize("fid", FUNCTIONS)
+def test_readme_states_the_domains_of_the_table(fid):
+    # each row may go on with a notes column
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert [line for line in readme.splitlines() if line.startswith(_domain_row(FUNCTIONS[fid]))]
+    assert f"tol in {functions._TOL_TEXT}" in readme
+
+
+def test_reading_the_table_loads_no_evaluator_or_oracle():
+    code = ("import sys\nfrom dyafact.functions import FUNCTIONS\n"
+            "[(f.radius, f.arg, f.order, f.relative) for f in FUNCTIONS.values()]\n"
+            "print(repr(sorted(m for m in sys.modules if m.startswith('dyafact'))))\n")
+    src = str(pathlib.Path(functions.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    loaded = ast.literal_eval(proc.stdout.strip().splitlines()[-1])
+    assert loaded == ["dyafact", "dyafact.functions", "dyafact.scalar"]
