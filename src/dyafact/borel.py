@@ -120,7 +120,7 @@ def _transfer_maps(p0: np.ndarray, h: np.ndarray, c: float) -> np.ndarray:
     raise NonconvergenceError(f"kernel series did not converge from p = {p0[bad]} over {h[bad]}")
 
 
-@dataclass
+@dataclass(eq=False)
 class BorelKernel:
     """Borel-plane kernel of order nu with its Taylor germ at 0 and its
     value and derivatives on log-spaced nodes, continued node to node by
@@ -271,7 +271,7 @@ def _build_level_rows(kern: BorelKernel, M: int, K: int, target: float) -> np.nd
                    [f"level {k} d_km row of order {kern.nu}" for k in levels], 1e-30)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientTable:
     """One kernel order's coefficients and the argument-free half of its
     h-expansion, all read-only: d_m (m in [2, M]) and d_km (k in [1, K],

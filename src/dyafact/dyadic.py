@@ -226,7 +226,7 @@ def _result(value: complex, estimate: float, plan: DyadicPlan, tol: float,
     return EvalResult(value, estimate, plan, bool(estimate <= bound))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactorialFamily:
     """One dyadic factorial-series family at one argument: a per-order
     template (weights, numerators, ladder, safety), built once beside the
@@ -337,9 +337,9 @@ def _walk(fam: FactorialFamily, counts: Optional[np.ndarray], target: float = 0.
     """One pass over the terms of levels 0..K: with fixed ``counts``
     (K + 1 = len(counts)) each level keeps exactly that many; without
     them (K + 1 = len(gain)) a level keeps the smallest count whose
-    remainder, the next term over the local geometric gap scaled by the
-    level's ``gain``, is below ``target``, or the ``columns - 1`` terms
-    its table supports.
+    remainder, the larger of the next two terms over the local geometric
+    gap scaled by the level's ``gain``, is below ``target``, or the
+    ``columns - 1`` terms its table supports.
 
     The numerators come from slices of the family's table.  Fixed counts
     take one pass over max(counts) columns.  The planner's walk reads
@@ -376,6 +376,9 @@ def _walk(fam: FactorialFamily, counts: Optional[np.ndarray], target: float = 0.
         r = np.abs(quot[:, 1:])
         # t_1 is given by ``size``, the ratios take it on from there
         mags = first[rows, None] * np.minimum(np.multiply.accumulate(r, axis=1), 1e280)   # saturate, not overflow
+        # the larger of the next two terms: a next term that cancels to
+        # near 0 ahead of a large one does not end the level
+        mags[:, :-1] = np.maximum(mags[:, :-1], mags[:, 1:])
         walked = mags / (1.0 - np.minimum(r, 0.95))
         ok = walked <= target
         idx = _index(len(walked))

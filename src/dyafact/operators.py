@@ -36,7 +36,7 @@ MAX_DIM = 256
 _HERM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """Dense self-adjoint matrix with its cached spectral decomposition."""
 
@@ -73,7 +73,7 @@ class HermitianOperator:
         return (self.eigenvectors * fw) @ self.eigenvectors.conj().T
 
 
-@dataclass
+@dataclass(eq=False)
 class OperatorSeriesReport:
     """Partial sum plus the per-level error trace against a reference."""
 

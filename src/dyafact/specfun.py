@@ -294,7 +294,7 @@ _GAMMA_TERMS = 150  # terms a level may keep: the base coefficients overflow nea
 _SHIFT_TERMS = 120
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _GammaTemplate:
     """The argument-free half of the incomplete-gamma family of one order
     s, built whole at its first use and read-only: the coefficients

@@ -1,6 +1,7 @@
 """The package's public surface: every exported name resolves from its home
-module on first access, the package re-exports only exported names, and
-loading it needs no scipy."""
+module on first access, the package re-exports only exported names,
+loading it needs no scipy, and the dataclasses that hold arrays compare
+and hash by identity."""
 
 import importlib
 import os
@@ -8,6 +9,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import dyafact
@@ -68,3 +70,24 @@ def test_import_and_scipy_free_evaluations_load_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, check=True)
     assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def _array_holders():
+    from dyafact import borel, operators, specfun
+    return [(specfun.psi_family(2.0), specfun.psi_family(3.0)),
+            (specfun._gamma_template(0.5), specfun._gamma_template(0.25)),
+            (borel.get_table(0.3, 34, 4), borel.get_table(0.7, 34, 4)),
+            (borel.BorelKernel.build(0.3), borel.BorelKernel.build(0.3)),
+            (operators.HermitianOperator.from_matrix(np.eye(2)),
+             operators.HermitianOperator.from_matrix(np.eye(2))),
+            (operators.OperatorSeriesReport(np.zeros(2)), operators.OperatorSeriesReport(np.zeros(2)))]
+
+
+def test_dataclasses_holding_arrays_compare_and_hash_by_identity():
+    # ndarray fields have no truth value and no hash, so these go by
+    # identity: two objects are equal only when they are one, even with
+    # equal fields
+    for a, b in _array_holders():
+        name = type(a).__name__
+        assert a == a and a != b and not (a == b), name
+        assert hash(a) == hash(a) and len({a, b}) == 2, name

@@ -199,7 +199,7 @@ def test_level_nodes_nest_in_the_deepest_level(refine, K):
 
 class TestRefinement:
     def test_panel_nodes_sit_on_the_48_point_legendre_rule(self):
-        # the rule is made on first use, and is numpy's leggauss(48) bit for bit
+        # the rule is a module constant, and is numpy's leggauss(48) bit for bit
         nodes, weights = np.polynomial.legendre.leggauss(48)
         t, w = panel_nodes(np.array([-1.0, 1.0]))
         assert np.array_equal(t, nodes) and np.array_equal(w, weights)

@@ -329,7 +329,15 @@ class TestColdLoads:
         rc, loaded = self._loaded(["eval", "--function", fn, "--s", "0.7", "--x-start", "1",
                                    "--x-stop", "8", "--points", "4", "--tol", "1e-10"])
         assert rc == 0 and "dyafact.borel" in loaded
-        assert not {"dyafact.specfun", "dyafact.operators", "dyafact.oracle"} & set(loaded)
+        # the coefficient table's Gauss rule is a constant: no numpy.polynomial
+        assert not {"dyafact.specfun", "dyafact.operators", "dyafact.oracle",
+                    "numpy.polynomial"} & set(loaded)
+
+    def test_an_incomplete_gamma_grid_loads_specfun_alone(self):
+        # its order's coefficient rows come from the same constant rule
+        rc, loaded = self._loaded(["eval", "--function", "inc-gamma", "--s", "0.3", "--x-start",
+                                   "0.5", "--x-stop", "8", "--points", "4", "--tol", "1e-10"])
+        assert (rc, loaded) == (0, ["dyafact.specfun"])
 
     def test_with_oracle_loads_the_oracle(self):
         rc, loaded = self._loaded(["eval", "--function", "psi", "--x-start", "2",

@@ -280,13 +280,25 @@ def test_gate_small_arguments(fid, reference, data, tol):
     assert_sound(fn.evaluate(x, tol, s), ref, tol * abs(ref) if fn.relative else tol)
 
 
-@pytest.mark.xfail(strict=True, reason="within 1e-3 of s = -1 a deep level's column-1 "
-                   "coefficient nears 0, and the walk stops that level after one term")
 @pytest.mark.parametrize("s, x, tol", [(-0.99999, 0.001, 1e-6), (-0.99999, 0.00286, 1e-8)])
 def test_incomplete_gamma_near_order_minus_one_at_small_argument(s, x, tol):
-    # misses tol below |x| ~ 0.01, with its estimate below the error
+    # within 1e-3 of s = -1 a deep level's second term cancels to near 0
+    # ahead of a large third, so its remainder must read past that term
     ref = float(_mp().gammainc(s, x))
     assert_sound(incomplete_gamma_dyadic(s, x, tol), ref, tol * ref)
+
+
+NEAR_MINUS_ONE = st.floats(-6.0, -2.0).map(lambda e: -1.0 + 10.0 ** e)   # s = -1 + 10^U(-6, -2)
+SMALL_X = st.one_of(_log_uniform(1e-3, 0.05), _region("inc-gamma", (-1.5, 1.5), (1e-3, 0.05)))
+
+
+@GATE
+@given(s=NEAR_MINUS_ONE, x=SMALL_X, tol=TOL)
+def test_gate_incomplete_gamma_near_order_minus_one(s, x, tol):
+    # real and complex |x| in [1e-3, 0.05], where deep levels' terms cancel
+    # near s = -1: each level's remainder reads the larger of its next two
+    ref = complex(_mp().gammainc(s, x))
+    assert_sound(incomplete_gamma_dyadic(s, x, tol), ref, tol * abs(ref))
 
 
 @pytest.mark.parametrize("nu, x", [(1.5, 20.0), (2.7, 30.0), (3.7, 40.0)])
