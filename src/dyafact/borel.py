@@ -54,7 +54,7 @@ from .dyadic import (
     evaluate,
 )
 from .functions import FUNCTIONS
-from .scalar import DomainError, NonconvergenceError, _finite_x
+from .scalar import DomainError, NonconvergenceError
 
 __all__ = [
     "BorelKernel",
@@ -71,7 +71,6 @@ _GRID_DQ = 0.02
 _SERIES_TERMS = 60
 _TAU_HI = 70.0  # dyadic-level integrals live on tau in [2^-k, ~70/(m-1)]
 _NU_MAX = FUNCTIONS["bessel-k"].order[1]
-_AIRY_LOW, _BESSEL_LOW = FUNCTIONS["airy"].radius[0], FUNCTIONS["bessel-k"].radius[0]
 
 
 def _taylor_coeffs(nu: float, n: int = 100) -> np.ndarray:
@@ -372,8 +371,8 @@ def _h_family(table: CoefficientTable, u: complex) -> FactorialFamily:
 
 def _bessel_h_eval(nu: float, u: complex, tol: float) -> EvalResult:
     nu = abs(nu)
-    u = _finite_x("h-expansion", u)
-    if u.real <= 0 or abs(u) < 1.0:
+    u = complex(u)
+    if not (u.real > 0 and 1.0 <= abs(u) < math.inf):
         raise DomainError(f"h-expansion requires Re x > 0 and |x| >= 1, not x = {u}")
     if _is_half_integer(nu):
         # polynomial kernel, vanishing branch jump: h is a finite sum, and
@@ -414,9 +413,7 @@ def airy_from_h(x: float, tol: float = 1e-10) -> EvalResult:
     """Ai(x) for x >= (3/4)^(2/3) ~ 0.8255 through the normalization map
     Ai(x) = C x^{5/4} e^{-(2/3) x^{3/2}} h((4/3) x^{3/2}), whose argument
     the h-expansion takes from 1 on."""
-    x = _finite_x("airy_from_h", x, real=True)
-    if x < _AIRY_LOW:
-        raise DomainError(f"airy_from_h requires x >= (3/4)^(2/3) ~ {_AIRY_LOW:.4g}, not x = {x}")
+    x = FUNCTIONS["airy"].check(x)
     r = airy_h(4.0 / 3.0 * x**1.5, tol)
     front = _AIRY_C * x**1.25 * math.exp(-2.0 / 3.0 * x**1.5)
     return _result(front * r.value, front * r.error_estimate, r.plan, tol, relative=True)
@@ -443,12 +440,8 @@ def bessel_k_dyadic(nu: float, x: float, tol: float = 1e-9) -> EvalResult:
     K_{mu+1} = K_{mu-1} + (2 mu / x) K_mu, seeded from K_{mu-1} = K_{1-mu}
     and K_mu with mu = frac(|nu|).  Every term is positive, so the
     recurrence keeps the seeds' relative accuracy."""
+    x = FUNCTIONS["bessel-k"].check(x, nu)
     nu = abs(nu)
-    if not nu <= _NU_MAX:
-        raise DomainError(f"bessel_k_dyadic restricted to finite |nu| <= {_NU_MAX:g}")
-    x = _finite_x("bessel_k_dyadic", x, real=True)
-    if x < _BESSEL_LOW:
-        raise DomainError(f"bessel_k_dyadic requires x >= {_BESSEL_LOW:g}, not x = {x}")
 
     def k_direct(mu: float) -> EvalResult:
         r = _bessel_h_eval(mu, 2.0 * x, tol)

@@ -172,6 +172,11 @@ def _classical_ei_left_terms(x: float, tol: float, ref: float) -> Optional[int]:
 
 
 def cmd_compare(function: str, x: float, tol: float) -> int:
+    if function not in ("ei-left", "ei-stokes"):
+        sys.stderr.write("compare supports: ei-left, ei-stokes\n")
+        return EXIT_DOMAIN
+    FUNCTIONS[function].check(x)
+    check_tol(tol, "tolerance")
     from . import oracle, specfun
     if function == "ei-stokes":
         sys.stdout.write(
@@ -184,13 +189,11 @@ def cmd_compare(function: str, x: float, tol: float) -> int:
         ref = oracle.ei_plus_reference(complex(x))
         sys.stdout.write(f"dyadic terms: {r.terms_total} (measured error {abs(r.value - ref):.2e})\n")
         return EXIT_OK
-    if function != "ei-left":
-        sys.stderr.write("compare supports: ei-left, ei-stokes\n")
-        return EXIT_DOMAIN
     ref = complex(oracle.ei_left_reference(x, 1e-13))
     r = specfun.ei_left(complex(x), tol)
     classical = _classical_ei_left_terms(x, tol, ref.real) or f">{specfun.EI_LEFT_CLASSICAL_TERMS}"
-    # optimally truncated asymptotic series: -sum (-1)^n n! / x^{n+1}
+    # optimally truncated asymptotic series: -sum (-1)^n n! / x^{n+1}, up to
+    # the first term below rounding of the partial sum
     best_err, best_n, term, partial = math.inf, 0, 1.0 / x, 0.0
     for n in range(0, 3 * int(x) + 12):
         partial += (-1) ** n * term
@@ -198,6 +201,8 @@ def cmd_compare(function: str, x: float, tol: float) -> int:
         if err < best_err:
             best_err, best_n = err, n + 1
         term *= (n + 1) / x
+        if term < 1e-17 * abs(partial):
+            break
     sys.stdout.write(
         f"function: ei-left at x = {x}, tol = {tol:g}\n"
         f"dyadic factorial expansion: {r.terms_total} terms "

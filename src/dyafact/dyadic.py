@@ -345,9 +345,10 @@ def _walk(fam: FactorialFamily, counts: Optional[np.ndarray], target: float = 0.
     take one pass over max(counts) columns.  The planner's walk reads
     FIRST_CHUNK columns of every level in its first chunk; the levels
     still walking read again from column 0 over twice as many, less one,
-    and so on.  A chunk forms the quotients numer / (shift + i)
-    once: their magnitudes drive the stop rule, and their running product
-    gives the terms t_{k,i+1}.
+    and so on; a level stops in a chunk only where both its next terms
+    lie in the chunk, or the chunk reaches the table's end.  A chunk
+    forms the quotients numer / (shift + i) once: their magnitudes drive
+    the stop rule, and their running product gives the terms t_{k,i+1}.
 
     Returns the counts kept, the remainder each leaves at its last count
     walked (0 with fixed counts), and an array of max(counts) columns
@@ -381,6 +382,8 @@ def _walk(fam: FactorialFamily, counts: Optional[np.ndarray], target: float = 0.
         mags[:, :-1] = np.maximum(mags[:, :-1], mags[:, 1:])
         walked = mags / (1.0 - np.minimum(r, 0.95))
         ok = walked <= target
+        if not last:                          # the term after next lies past the chunk
+            ok[:, -1] = False
         idx = _index(len(walked))
         at = ok.argmax(axis=1)
         met = ok[idx, at]

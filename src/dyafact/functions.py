@@ -1,7 +1,8 @@
 """One entry per function id of ``dyafact eval``: its evaluator, oracle
-reference, units, order and documented region.  The evaluators read their
-bounds here, ``cli`` dispatches through the table and the soundness gate
-draws each region.  An entry imports its evaluator's module on call."""
+reference, units, order and documented region.  Each evaluator checks its
+x and order through its entry's ``check``, ``cli`` dispatches through the
+table and the soundness gate draws each region.  An entry imports its
+evaluator's module on call."""
 
 from __future__ import annotations
 
@@ -22,6 +23,8 @@ _TOL_TEXT = "({}, {})".format(*(f"{t:.0e}".replace("e-0", "e-") for t in TOL_RAN
 # with a level denominator (|den_k| < 4) stay finite
 _EI_LARGEST = math.ldexp(sys.float_info.max, -(MAX_LEVELS + 2))
 _HALF_PLANE, _REAL = (-math.pi / 2, math.pi / 2), (0.0, 0.0)
+_ON_CUT = 1e-12        # relative distance from a cut, or from the real axis, that counts as on it
+_ANGLES = {-2: "-pi", -1: "-pi/2", 0: "0", 1: "pi/2", 2: "pi", 3: "3pi/2"}   # by quarter turns
 
 
 def check_tol(tol: float, name: str = "tol") -> None:
@@ -34,7 +37,9 @@ class Function:
     """An id's evaluator ``module.name`` takes (x, tol), or with an ``order``
     range (s, x, tol), and ``oracle(dyafact.oracle, x, s)`` is its reference; a
     ``relative`` tol is relative to |value|.  Its region: radius[0] <= |x| <=
-    radius[1], x != 0, and arg[0] < arg x < arg[1]; arg (0, 0) is real x only."""
+    radius[1], x != 0, and arg[0] < arg x < arg[1]; arg (0, 0) is real x only.
+    Every arg bound is a multiple of pi/2: a range of width pi is an open
+    half-plane, one of width 2 pi the plane less the ray arg x = arg[0]."""
 
     id: str
     module: str
@@ -45,12 +50,45 @@ class Function:
     arg: Tuple[float, float]
     order: Optional[Tuple[float, float]] = None
 
+    def check(self, x: complex, s: Optional[float] = None):
+        """x as the evaluator takes it: a float for a real-x id, a complex
+        otherwise.  An x or s outside the region raises DomainError naming
+        the evaluator, the x or s given and the bound."""
+        if self.order is not None and not self.order[0] <= s <= self.order[1]:
+            raise self._outside("a finite s in [{:g}, {:g}]".format(*self.order), s, "s")
+        (lo, hi), (a, b) = self.radius, self.arg
+        real = (a, b) == _REAL
+        x = x if real else complex(x)
+        size = abs(x)
+        if not size < math.inf:
+            raise self._outside("a finite x", x)
+        if real:
+            if abs(x.imag) > _ON_CUT * size:     # off the real axis, not a value at Re x
+                raise DomainError(f"{self.name} takes real x only, not x = {x}")
+            x = float(x.real)
+            if not (x > 0 and x >= lo):
+                raise self._outside(f"x >= {lo:.4g}" if lo else "x > 0", x)
+            return x
+        if not (size > 0 and size >= lo):
+            raise self._outside(f"|x| >= {lo:.4g}" if lo else "x != 0", x)
+        if size > hi:
+            raise self._outside(f"|x| <= {hi:.4g}", x)
+        q = round(2.0 * a / math.pi)            # arg[0] in quarter turns
+        w = x                                   # x turned by -arg[0], exactly
+        for _ in range(-q % 4):
+            w = complex(-w.imag, w.real)
+        if b - a <= math.pi:                    # the open half-plane Im w > 0
+            if not w.imag > 0:
+                raise self._outside(f"{_ANGLES[q]} < arg x < {_ANGLES[q + 2]}", x)
+        elif w.real >= 0 and abs(w.imag) <= _ON_CUT * size:     # on the cut w >= 0
+            raise self._outside(f"x off its cut arg x = {_ANGLES[q]}", x)
+        return x
+
+    def _outside(self, bound: str, given, name: str = "x") -> DomainError:
+        return DomainError(f"{self.name} requires {bound}, not {name} = {given}")
+
     def evaluate(self, x: complex, tol: float, s: Optional[float] = None):
         ev = getattr(import_module(f"{__package__}.{self.module}"), self.name)
-        if self.arg == _REAL:
-            if abs(x.imag) > 1e-12 * abs(x):     # off the real axis, not a value at Re x
-                raise DomainError(f"{self.id} takes real x only")
-            x = x.real
         return ev(x, tol) if self.order is None else ev(s, x, tol)
 
     def reference(self, x: complex, s: Optional[float] = None) -> complex:

@@ -212,10 +212,12 @@ def ei_left_reference(x: complex, abs_tol: float) -> complex:
     """-e^x E_1(x) to ``abs_tol`` off the cut along the negative axis: the
     Laplace integral of e^{-xp} / (1 + p) on the ray p = t conj(x)/|x|.
     There e^{-xp} = e^{-|x| t} decays for every x, and the ray misses
-    p = -1 off the cut."""
+    p = -1 off the cut.  The integral runs in s = m t, m = max(|x|, 1),
+    so the peak of width 1/|x| is about 1 wide however large |x| is."""
     x = complex(x)
-    d = x.conjugate() / abs(x)
-    return -d * quad_adaptive(lambda t: np.exp(-abs(x) * t) / (1.0 + d * t), 0.0, math.inf, abs_tol)
+    m = max(abs(x), 1.0)
+    d, rate = x.conjugate() / abs(x) / m, abs(x) / m
+    return -d * quad_adaptive(lambda s: np.exp(-rate * s) / (1.0 + d * s), 0.0, math.inf, abs_tol)
 
 
 def ei_classical_real(x: float) -> float:

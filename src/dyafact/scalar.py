@@ -1,5 +1,5 @@
-"""Scalar building blocks: the domain error and the argument check every
-evaluator shares, polylogarithms and plain (non-dyadic) factorial series.
+"""Scalar building blocks: the errors the evaluators raise, polylogarithms
+and plain (non-dyadic) factorial series.
 
 Everything here is pure binary64 and has no dependency on the dyadic
 machinery, so the higher modules can treat these as primitives.
@@ -8,7 +8,6 @@ machinery, so the higher modules can treat these as primitives.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -39,20 +38,6 @@ class NonconvergenceError(RuntimeError):
 
 class QuadratureError(RuntimeError):
     """Panel refinement failed to converge."""
-
-
-def _finite_x(name: str, x, real: bool = False):
-    """The argument x of the evaluator ``name`` as a complex or, with
-    ``real``, as a float x > 0.  A non-finite x, or with ``real`` a
-    complex x or one not above 0, raises DomainError naming x."""
-    if real:
-        if isinstance(x, complex) or not (0 < x < math.inf):
-            raise DomainError(f"{name} requires a finite real x > 0, not x = {x}")
-        return float(x)
-    x = complex(x)
-    if not cmath.isfinite(x):
-        raise DomainError(f"{name} requires a finite x, not x = {x}")
-    return x
 
 
 _ALTERNATING_TERMS = 72

@@ -33,7 +33,7 @@ from .dyadic import (
     evaluate,
 )
 from .functions import FUNCTIONS, TOL_RANGE, check_tol
-from .scalar import DomainError, _finite_x, polylog
+from .scalar import DomainError, polylog
 from ._gauss import dyadic_edges, geometric_sums, panel_nodes, refined
 
 __all__ = [
@@ -56,9 +56,6 @@ _ONES = _frozen(np.ones(MAX_LEVELS + 1))
 # = 1/2 + z/4 - z^3/48 + ...: the K-level tail runs in 2^-K, 2^-2K, 2^-4K, 2^-6K.
 _SIGMA_LADDER = (1.0, 2.0, 4.0, 6.0)
 _EULER_GAMMA = 0.5772156649015329
-_ON_CUT = 1e-12        # relative distance from an Ei cut that counts as on it
-_EI_FLOOR, _EI_LARGEST = FUNCTIONS["ei-stokes"].radius   # ei_left shares the upper one
-_S_LOW, _S_HIGH = FUNCTIONS["inc-gamma"].order
 
 
 def _geometric(a: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -106,15 +103,6 @@ def ei_stokes_family(x: complex) -> FactorialFamily:
     return _ei_family(-1j * x / math.pi, _EI_STOKES, "ei-stokes")
 
 
-def _ei_x(name: str, x) -> complex:
-    """The argument of an Ei evaluator, finite and at most _EI_LARGEST in
-    size, as a complex; DomainError naming x otherwise."""
-    x = _finite_x(name, x)
-    if abs(x) > _EI_LARGEST:
-        raise DomainError(f"{name} requires |x| <= {_EI_LARGEST:.4g}, not x = {x}")
-    return x
-
-
 def _stokes(y: complex, tol: float, plan: Optional[DyadicPlan], flip: bool = False,
             jump: complex = 0.0) -> EvalResult:
     """G(y) = e^{-y} Ei^+(y) at Im y >= 0, where every shift of the Stokes
@@ -137,11 +125,7 @@ def ei_stokes(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None)
     conj x below the real axis) the caller owns the truncation; otherwise
     a plan meeting ``tol`` is derived first.
     """
-    x = _ei_x("ei_stokes", x)
-    if x.imag <= 0.0 and abs(x.real) <= _ON_CUT * abs(x):
-        raise DomainError("ei_stokes is undefined on the closed negative imaginary axis")
-    if abs(x) < _EI_FLOOR:
-        raise DomainError(f"ei_stokes requires |x| >= {_EI_FLOOR:g} (use the classical series below)")
+    x = FUNCTIONS["ei-stokes"].check(x)
     if x.imag >= 0.0:
         return _stokes(x, tol, plan)
     return _stokes(x.conjugate(), tol, plan, True, 2j * math.pi * cmath.exp(-x) if x.real > 0 else 0.0)
@@ -195,11 +179,7 @@ def ei_left(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) -
     ``plan`` is one for the point actually planned.  The value carries the
     sign of e^x Ei(-x) itself, negative on R^+.
     """
-    x = _ei_x("ei_left", x)
-    if x == 0:
-        raise DomainError("ei_left undefined at x = 0")
-    if x.real < 0.0 and abs(x.imag) <= _ON_CUT * abs(x):
-        raise DomainError("ei_left is cut along the negative real axis")
+    x = FUNCTIONS["ei-left"].check(x)
     if abs(x) < 0.2:
         return _ei_left_series(x, tol, plan)
     if x.real >= 0.0:
@@ -272,9 +252,7 @@ def psi_family(x: complex) -> FactorialFamily:
 def psi_dyadic(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) -> EvalResult:
     """Psi(x + 1) = ln x + sum_{k>=1} sum_{j>=1} (j-1)! / (2^j (2^k x + 1)_j)
     for Re x > 0.  Plan entry 0 is the closed-form ln x term."""
-    x = _finite_x("psi_dyadic", x)
-    if x.real <= 0:
-        raise DomainError("psi_dyadic requires Re x > 0")
+    x = FUNCTIONS["psi"].check(x)
     plan, total, corr = evaluate(psi_family(x), tol, plan)
     log = cmath.log(x)
     value = log + total
@@ -471,12 +449,9 @@ def incomplete_gamma_dyadic(s: float, x: complex, tol: float = 4e-9,
     Gamma(s, x) = (s - 1) Gamma(s - 1, x) + x^(s-1) e^-x; the plan is then
     the one of order s - 1.
     """
-    x = _finite_x("incomplete_gamma_dyadic", x)
-    if x.real <= 0:
-        raise DomainError("incomplete_gamma_dyadic requires Re x > 0")
-    if not _S_LOW < s < _S_HIGH or abs(s - round(s)) < 1e-12:
-        raise DomainError(f"incomplete_gamma_dyadic requires a finite s in ({_S_LOW:g}, "
-                          f"{_S_HIGH:g}), s != 0, not s = {s}")
+    x = FUNCTIONS["inc-gamma"].check(x, s)
+    if abs(s - round(s)) < 1e-12:       # the closed order range less its integers
+        raise DomainError(f"incomplete_gamma_dyadic requires a non-integer s, not s = {s}")
     if amplification(_gamma_ladder(s)) <= MAX_AMPLIFICATION:
         return _gamma_eval(s, x, tol, plan)
     # |s - 1| Gamma(s - 1, x) < x^(s-1) e^-x <= Gamma(s, x) (x + 1 - s) / x
@@ -492,6 +467,6 @@ def erfc_dyadic(x: float, tol: float = 4e-9) -> EvalResult:
     """erfc(sqrt(x)) for x > 0, via Gamma(1/2, x) / sqrt(pi), with
     ``tol`` relative; ``incomplete_gamma_dyadic`` says which tolerances
     each end of the x range accepts."""
-    r = incomplete_gamma_dyadic(0.5, _finite_x("erfc_dyadic", x, real=True), tol)
+    r = incomplete_gamma_dyadic(0.5, FUNCTIONS["erfc"].check(x), tol)
     rt = math.sqrt(math.pi)
     return _result(r.value / rt, r.error_estimate / rt, r.plan, tol, relative=True)

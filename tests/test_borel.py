@@ -289,7 +289,7 @@ class TestAiryH:
         # each evaluator names itself, its own x and its own bound; the
         # profiles h take x as the expansion's own argument
         h = "h-expansion requires Re x > 0 and |x| >= 1, not x = "
-        airy = "airy_from_h requires x >= (3/4)^(2/3) ~ 0.8255, not x = "
+        airy = "airy_from_h requires x >= 0.8255, not x = "     # (3/4)^(2/3)
         for call, text in (
             (lambda: airy_h(0.5, 1e-8), h + "(0.5+0j)"),
             (lambda: airy_h(-3.0, 1e-8), h + "(-3+0j)"),

@@ -5,8 +5,10 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -232,6 +234,24 @@ class TestCompare:
 
     def test_unsupported(self):
         assert run(["compare", "--function", "psi", "--x-start", "2"]) == 2
+
+    @pytest.mark.parametrize("fn, x", [("ei-left", "0"), ("ei-left", "-1"), ("ei-left", "nan"),
+                                       ("ei-stokes", "0.1")])
+    def test_x_outside_the_region_exits_2_before_any_output(self, fn, x, capsys):
+        # the id's region is checked before the report or the oracle starts
+        assert run(["compare", "--function", fn, "--x-start", x]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and f"{FUNCTIONS[fn].name} requires" in out.err
+
+    def test_ei_left_at_large_x(self, capsys):
+        # the asymptotic series stops at its first term below rounding, and
+        # the oracle holds its accuracy (it read 0, an error of the whole
+        # value 1e-7): x = 1e7 takes well under a second
+        start = time.perf_counter()
+        assert run(["compare", "--function", "ei-left", "--x-start", "1e7", "--tol", "1e-8"]) == 0
+        assert time.perf_counter() - start < 5.0
+        text = capsys.readouterr().out
+        assert float(re.search(r"measured error ([^)]+)\)", text).group(1)) <= 1e-8
 
 
 class TestOperator:

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from dyafact.dyadic import (
+    FIRST_CHUNK,
     LADDER_LEVELS,
     SHIFT_FLOOR,
     TABLE_COLUMNS,
     CutProximityError,
     DyadicPlan,
+    FactorialFamily,
     amplification,
     assemble,
     dyadic_cauchy_partial,
@@ -233,6 +235,25 @@ class TestPlanner:
         for fam in (ei_stokes_family(5.0), ei_left_family(5.0)):
             for k in range(0, 61):
                 assert 0.0 < limit_ratio(fam, k) < 1.0
+
+    @pytest.mark.parametrize("rho, width", [(0.8, FIRST_CHUNK), (0.9, 2 * FIRST_CHUNK - 1)])
+    def test_a_walk_does_not_stop_on_the_last_column_of_a_chunk(self, rho, width):
+        # one level of terms rho^j, but for term ``width``, cut to 1e-12 of
+        # its neighbours: a chunk of ``width`` columns ends on the term
+        # before it, where the term after next lies past the chunk.  A stop
+        # there would keep width - 1 terms at an error of rho^(width+1) / (1 - rho)
+        quot = np.full(TABLE_COLUMNS, rho)
+        quot[width - 1] *= 1e-12
+        quot[width] /= 1e-12
+        i = np.arange(TABLE_COLUMNS)
+        fam = FactorialFamily("one level", np.ones(1, dtype=complex), np.ones(1),
+                              (quot * (1.0 + i))[None, :], np.array([rho]), safety=2.0)
+        terms = np.cumprod(quot)
+        exact = terms.sum() + terms[-1] * rho / (1.0 - rho)
+        tol = 1e-3 * 0.5 * rho ** width
+        plan, value, _ = evaluate(fam, tol)
+        assert plan.n_terms[0] > width
+        assert abs(value - exact) <= plan.predicted_error <= tol
 
     def test_cut_proximity_raises(self):
         with pytest.raises(CutProximityError):

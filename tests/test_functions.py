@@ -1,4 +1,5 @@
-"""The function table (``dyafact.functions``): every bound it holds is its
+"""The function table (``dyafact.functions``): ``Function.check`` is each
+region written out plainly, every bound the table holds is its
 evaluator's, README states them, and reading it loads no evaluator."""
 
 import ast
@@ -7,6 +8,7 @@ import importlib
 import math
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -46,6 +48,64 @@ def test_radius_bounds_are_the_evaluators(fid):
         fn.evaluate(0j, TOL, S)
 
 
+def _inside(fid, x, s):
+    """The region of ``fid`` written out plainly, apart from the table."""
+    fn, size = FUNCTIONS[fid], abs(x)
+    lo, hi = fn.radius
+    on_axis = {"real": abs(x.imag) <= 1e-12 * size, "imag": abs(x.real) <= 1e-12 * size}
+    region = {
+        "ei-stokes": not (x.imag <= 0 and on_axis["imag"]),    # off the closed -i R^+
+        "ei-left": not (x.real <= 0 and on_axis["real"]),      # off the closed -R^+
+        "psi": x.real > 0,
+        "inc-gamma": x.real > 0,
+    }.get(fid, on_axis["real"] and x.real > 0)                  # the real-x ids
+    order = fn.order is None or fn.order[0] <= s <= fn.order[1]
+    return region and order and 0 < size and lo <= size <= hi
+
+
+@pytest.mark.parametrize("fid", FUNCTIONS)
+def test_check_is_the_region_over_the_whole_plane(fid):
+    # |x| log-uniform across both radius bounds, arg x uniform over
+    # (-pi, pi] with a share exactly on the axes, where the cuts and the
+    # real-x ids lie, a few x = 0, and s over 1.5 times the order range
+    fn, rng = FUNCTIONS[fid], random.Random(fid)
+    lo, hi = fn.radius
+    r_lo, r_hi = math.log(max(lo, 1e-3) / 4), math.log(min(hi, 1e6) * 4)
+    s_lo, s_hi = (1.5 * b for b in fn.order or (0.0, 0.0))
+    counts = [0, 0]
+    for _ in range(3000):
+        size = math.exp(rng.uniform(r_lo, r_hi))
+        if hi < math.inf and rng.random() < 0.1:
+            size = hi * rng.choice((1 - STEP, 1 + STEP))
+        angle = (rng.choice((-0.5, 0.0, 0.5, 1.0)) if rng.random() < 0.4
+                 else 1.0 - 2.0 * rng.random()) * math.pi
+        x = size * cmath.exp(1j * angle) if rng.random() < 0.99 else 0j
+        s = rng.uniform(s_lo, s_hi)
+        inside = _inside(fid, x, s)
+        counts[inside] += 1
+        if inside:
+            got = fn.check(x, s)
+            assert got == (x.real if fn.arg == REAL else x)
+            assert isinstance(got, float if fn.arg == REAL else complex)
+        else:
+            with pytest.raises(DomainError) as err:
+                fn.check(x, s)
+            assert fn.name in str(err.value)
+    assert min(counts) > 100, counts
+
+
+@pytest.mark.parametrize("x, text", [
+    (complex(math.nan, 1.0), "a finite x, not x = (nan+1j)"),
+    (complex(1.0, math.inf), "a finite x, not x = (1+infj)"),
+    (0j, "x != 0, not x = 0j"),
+    (-2.0 + 1e-13j, "x off its cut arg x = -pi, not x = (-2+1e-13j)"),
+])
+def test_check_names_the_evaluator_x_and_the_bound(x, text):
+    with pytest.raises(DomainError) as err:
+        FUNCTIONS["ei-left"].check(x)
+    assert str(err.value) == "ei_left requires " + text
+
+
 @pytest.mark.parametrize("fid", [f for f in FUNCTIONS if FUNCTIONS[f].order])
 def test_order_bounds_are_the_evaluators(fid):
     fn = FUNCTIONS[fid]
@@ -59,7 +119,7 @@ def test_arg_bounds_are_the_evaluators(fid):
     fn = FUNCTIONS[fid]
     lo, hi = fn.arg
     if (lo, hi) == REAL:
-        # both the table's dispatch and the evaluator itself refuse complex x
+        # the evaluator's check refuses complex x, through the table or not
         with pytest.raises(DomainError, match="takes real x only"):
             fn.evaluate(2.0 + 0.5j, TOL, S)
         evaluator = getattr(importlib.import_module(f"dyafact.{fn.module}"), fn.name)

@@ -82,6 +82,20 @@ class TestEiPlus:
             assert abs(q - s) <= 1e-9 * max(1.0, abs(q))
 
 
+class TestEiLeft:
+    @pytest.mark.parametrize("x", [6e3, 1e4, 1e6, 1e8, -9.9e5 - 1.41e5j, 5.4e8 + 8.41e8j])
+    def test_against_mpmath_at_large_x(self, x):
+        # the peak of e^{-|x| t} is 1/|x| wide: integrated in t, no node of
+        # the first panel fell in it from |x| ~ 6e3 on, and the reference read ~0
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            z = mpmath.mpc(x.real, x.imag)
+            ref = complex(-mpmath.exp(z) * mpmath.e1(z))
+        got = oracle.ei_left_reference(x, 1e-12)
+        assert abs(got - ref) <= 1e-12
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
 class TestPsi:
     def test_at_one(self):
         assert oracle.psi_reference(1.0).real == pytest.approx(-EULER_GAMMA, rel=1e-13)
