@@ -46,7 +46,6 @@ _HOMES = {
         "BorelKernel",
         "CoefficientTable",
         "airy_from_h",
-        "airy_h",
         "bessel_h",
         "bessel_k_dyadic",
         "get_table",

@@ -26,7 +26,9 @@ keeping it would double-count, which direct quadrature of the double
 integral confirms.)  Half-integer orders have cos(pi nu) = 0 and a
 polynomial kernel: h is a finite explicit sum, whose estimate is its
 rounding.  Orders 3/2 <= |nu| <= 5 are reached through the upward
-Bessel recurrence on K_nu.
+Bessel recurrence on K_nu, seeded by two direct orders.  Airy and
+Bessel-K run the h path under their fronts through ``dyadic.run``;
+``bessel_h`` is the profile itself, and order 1/3 the Airy profile.
 """
 
 from __future__ import annotations
@@ -52,14 +54,14 @@ from .dyadic import (
     _result,
     amplification,
     evaluate,
+    run,
 )
-from .functions import FUNCTIONS
+from .functions import FUNCTIONS, check_tol
 from .scalar import DomainError, NonconvergenceError
 
 __all__ = [
     "BorelKernel",
     "CoefficientTable",
-    "airy_h",
     "airy_from_h",
     "bessel_h",
     "bessel_k_dyadic",
@@ -369,23 +371,21 @@ def _h_family(table: CoefficientTable, u: complex) -> FactorialFamily:
                            ladder=table.ladder)
 
 
-def _bessel_h_eval(nu: float, u: complex, tol: float) -> EvalResult:
+def _h(u: complex, nu: float, tol: float) -> tuple:
     nu = abs(nu)
     u = complex(u)
-    if not (u.real > 0 and 1.0 <= abs(u) < math.inf):
-        raise DomainError(f"h-expansion requires Re x > 0 and |x| >= 1, not x = {u}")
     if _is_half_integer(nu):
         # polynomial kernel, vanishing branch jump: h is a finite sum, and
         # its estimate is its rounding.  Term i carries the 2i operations of
         # tc[i], the at most i + 1 products of u^(i+1) and its own two, the
         # sum deg more, each at most eps of the magnitudes it combines
+        check_tol(tol)
         deg = int(round(nu - 0.5))
         tc = _taylor_coeffs(nu, deg + 2)
         terms = [math.factorial(i) * tc[i] / u ** (i + 1) for i in range(deg + 1)]
         val = complex(sum(terms))
         est = _EPS * float(sum((3 * i + 3 + deg) * abs(t) for i, t in enumerate(terms)))
-        plan = DyadicPlan(K=0, n_terms=[deg + 1], predicted_error=est / abs(val))
-        return _result(val, est, plan, tol, relative=True)
+        return val, est, DyadicPlan(K=0, n_terms=[deg + 1], predicted_error=est / abs(val))
     if nu >= 1.5:
         raise DomainError("direct h-expansion limited to |nu| < 3/2; "
                           "use bessel_k_dyadic for larger orders")
@@ -393,13 +393,7 @@ def _bessel_h_eval(nu: float, u: complex, tol: float) -> EvalResult:
     # |u| = 1 and tol 1e-12 shallow levels keep up to 43 terms
     plan, total, corr = evaluate(_h_family(get_table(nu, 66, LADDER_LEVELS), u), tol)
     value = 1.0 / u + total  # F(0) = P_{nu-1/2}(1) = 1
-    return _result(value, plan.predicted_error * abs(value) + corr, plan, tol, relative=True)
-
-
-def airy_h(x: complex, tol: float = 1e-10) -> EvalResult:
-    """Normalized Airy profile h (order nu = 1/3) at argument x with
-    relative tolerance ``tol``; Re x > 0, |x| >= 1."""
-    return _bessel_h_eval(1.0 / 3.0, x, tol)
+    return value, plan.predicted_error * abs(value) + corr, plan
 
 
 # Large-argument asymptotics (DLMF 9.7, 10.40) fix the normalizations
@@ -409,25 +403,60 @@ _AIRY_C = 2.0 / (3.0 * math.sqrt(math.pi))
 _BESSEL_C = math.sqrt(2.0 * math.pi)
 
 
+def _airy(x: float, s, tol: float, plan) -> tuple:
+    value, estimate, plan = _h(4.0 / 3.0 * x**1.5, 1.0 / 3.0, tol)
+    front = _AIRY_C * x**1.25 * math.exp(-2.0 / 3.0 * x**1.5)
+    return front * value, front * estimate, plan
+
+
 def airy_from_h(x: float, tol: float = 1e-10) -> EvalResult:
     """Ai(x) for x >= (3/4)^(2/3) ~ 0.8255 through the normalization map
     Ai(x) = C x^{5/4} e^{-(2/3) x^{3/2}} h((4/3) x^{3/2}), whose argument
     the h-expansion takes from 1 on."""
-    x = FUNCTIONS["airy"].check(x)
-    r = airy_h(4.0 / 3.0 * x**1.5, tol)
-    front = _AIRY_C * x**1.25 * math.exp(-2.0 / 3.0 * x**1.5)
-    return _result(front * r.value, front * r.error_estimate, r.plan, tol, relative=True)
+    return run("airy", _airy, x, tol)
 
 
 def bessel_h(nu: float, x: complex, tol: float = 1e-10) -> EvalResult:
-    """Normalized modified-Bessel profile h of order nu at argument x.
+    """Normalized modified-Bessel profile h of order nu at argument x,
+    with ``tol`` relative; Re x > 0, |x| >= 1.  Order 1/3 is the Airy
+    profile.
 
     Direct dyadic expansion for |nu| < 3/2; exact finite form at
     half-integer orders.  Larger orders go through bessel_k_dyadic.
     """
     if not abs(nu) <= _NU_MAX:
         raise DomainError(f"bessel_h restricted to finite |nu| <= {_NU_MAX:g}")
-    return _bessel_h_eval(nu, x, tol)
+    u = complex(x)
+    if not (u.real > 0 and 1.0 <= abs(u) < math.inf):
+        raise DomainError(f"h-expansion requires Re x > 0 and |x| >= 1, not x = {u}")
+    return _result(*_h(u, nu, tol), tol, relative=True)
+
+
+def _bessel_k(x: float, nu: float, tol: float, plan) -> tuple:
+    nu = abs(nu)
+    if nu >= 1.5 or amplification(_h_ladder(nu)) > MAX_AMPLIFICATION:
+        mu = nu - math.floor(nu)      # the seeds' orders 1 - mu and mu take the direct path
+        (v_lo, e_lo, lo), (v_hi, e_hi, hi) = (_bessel_k(x, m, tol, plan) for m in (mu - 1.0, mu))
+        # a step adds positive terms, so it adds their absolute errors, weighted
+        # as the values, and its own rounding (four operations)
+        steps = math.floor(nu)
+        for _ in range(steps):
+            c = 2.0 * mu / x
+            v_lo, v_hi = v_hi, v_lo + c * v_hi
+            e_lo, e_hi = e_hi, e_lo + c * e_hi + 4.0 * _EPS * abs(v_hi)
+            mu += 1.0
+        # and so keeps the larger relative error of the seeds
+        return v_hi, e_hi, DyadicPlan(K=0, n_terms=[lo.terms_total + hi.terms_total],
+                                      predicted_error=max(lo.predicted_error, hi.predicted_error)
+                                      + 4.0 * steps * _EPS)
+    value, est, plan = _h(2.0 * x, nu, tol)
+    front = _BESSEL_C * math.exp(-x) * math.sqrt(x)
+    value, est = front * value, front * est
+    if _is_half_integer(nu):
+        # the closed form's estimate is its rounding alone: add that of
+        # the front and of its product with h, six operations
+        est += 6.0 * _EPS * abs(value)
+    return value, est, plan
 
 
 def bessel_k_dyadic(nu: float, x: float, tol: float = 1e-9) -> EvalResult:
@@ -440,34 +469,4 @@ def bessel_k_dyadic(nu: float, x: float, tol: float = 1e-9) -> EvalResult:
     K_{mu+1} = K_{mu-1} + (2 mu / x) K_mu, seeded from K_{mu-1} = K_{1-mu}
     and K_mu with mu = frac(|nu|).  Every term is positive, so the
     recurrence keeps the seeds' relative accuracy."""
-    x = FUNCTIONS["bessel-k"].check(x, nu)
-    nu = abs(nu)
-
-    def k_direct(mu: float) -> EvalResult:
-        r = _bessel_h_eval(mu, 2.0 * x, tol)
-        front = _BESSEL_C * math.exp(-x) * math.sqrt(x)
-        value, est = front * r.value, front * r.error_estimate
-        if _is_half_integer(mu):
-            # the closed form's estimate is its rounding alone: add that of
-            # the front and of its product with h, six operations
-            est += 6.0 * _EPS * abs(value)
-        return _result(value, est, r.plan, tol, relative=True)
-
-    if nu < 1.5 and amplification(_h_ladder(nu)) <= MAX_AMPLIFICATION:
-        return k_direct(nu)
-    mu = nu - math.floor(nu)
-    lo, hi = k_direct(mu - 1.0), k_direct(mu)
-    (v_lo, e_lo), (v_hi, e_hi) = (lo.value, lo.error_estimate), (hi.value, hi.error_estimate)
-    # a step adds positive terms, so it adds their absolute errors, weighted
-    # as the values, and its own rounding (four operations)
-    steps = math.floor(nu)
-    for _ in range(steps):
-        c = 2.0 * mu / x
-        v_lo, v_hi = v_hi, v_lo + c * v_hi
-        e_lo, e_hi = e_hi, e_lo + c * e_hi + 4.0 * _EPS * abs(v_hi)
-        mu += 1.0
-    # and so keeps the larger relative error of the seeds
-    plan = DyadicPlan(K=0, n_terms=[lo.plan.terms_total + hi.plan.terms_total],
-                      predicted_error=max(lo.plan.predicted_error, hi.plan.predicted_error)
-                      + 4.0 * steps * _EPS)
-    return _result(v_hi, e_hi, plan, tol, relative=True)
+    return run("bessel-k", _bessel_k, x, tol, nu)

@@ -17,11 +17,11 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .functions import MAX_LEVELS, check_tol
+from .functions import FUNCTIONS, MAX_LEVELS, check_tol
 from .scalar import DomainError, PoleError, polylog
 
 __all__ = [
@@ -202,9 +202,9 @@ class EvalResult:
     is the plan's prediction plus the size of the last Richardson
     correction the evaluation made and the rounding of the kept terms
     (``dyadic.assemble``).  ``tol_met`` says whether the estimate
-    is within the requested tolerance in the evaluator's units: absolute
-    for Ei and digamma, relative to |value| for erfc, incomplete gamma,
-    Airy and Bessel-K."""
+    is within the requested tolerance in the units its ``Function``
+    entry records: relative to |value| where ``Function.relative``,
+    absolute otherwise."""
 
     value: complex
     error_estimate: float
@@ -220,10 +220,18 @@ def _result(value: complex, estimate: float, plan: DyadicPlan, tol: float,
             relative: bool) -> EvalResult:
     if relative:
         # below the normal range a value rounds by up to 2^-1075 at each operation
-        # after its exponential: at most 8 (a recurrence also carries its seeds')
+        # after its exponential
         estimate += 2.0 ** -1072
     bound = tol * abs(value) if relative else tol
     return EvalResult(value, estimate, plan, bool(estimate <= bound))
+
+
+def run(fid: str, path: Callable, x: complex, tol: float, s: Optional[float] = None,
+        plan: Optional[DyadicPlan] = None) -> EvalResult:
+    """Function id ``fid`` at x: x and s checked once through its entry, then
+    ``path(x, s, tol, plan)`` -> (value, estimate, plan), then one result."""
+    f = FUNCTIONS[fid]
+    return _result(*path(f.check(x, s), s, tol, plan), tol, f.relative)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,7 +1,8 @@
 """One entry per function id of ``dyafact eval``: its evaluator, oracle
-reference, units, order and documented region.  Each evaluator checks its
-x and order through its entry's ``check``, ``cli`` dispatches through the
-table and the soundness gate draws each region.  An entry imports its
+reference, units, order and documented region.  Each evaluator is one
+``dyadic.run``, which checks x and order once through the entry's
+``check`` and reports ``tol_met`` in its units; ``cli`` dispatches through
+the table and the soundness gate draws each region.  An entry imports its
 evaluator's module on call."""
 
 from __future__ import annotations

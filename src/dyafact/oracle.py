@@ -2,9 +2,8 @@
 dyadic evaluators: adaptive Gauss-Kronrod quadrature of Laplace-integral
 representations plus classical convergent series.
 
-Nothing here shares code with the dyadic machinery; the only third-party
-special-function call (the Gauss hypergeometric) lives in this module so
-the evaluators stay self-contained.
+Nothing here shares code with the dyadic machinery, and nothing here
+needs scipy.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ __all__ = [
     "inc_gamma_reference",
     "airy_reference",
     "bessel_k_reference",
-    "legendre_kernel_reference",
     "verify_strange_identity",
 ]
 
@@ -325,14 +323,6 @@ def airy_reference(x: float) -> float:
         raise ContourError("airy_reference requires x > 0")
     zeta = 2.0 / 3.0 * x**1.5
     return math.sqrt(x / 3.0) / math.pi * bessel_k_reference(1.0 / 3.0, zeta)
-
-
-def legendre_kernel_reference(nu: float, p) -> np.ndarray:
-    """Reference values of P_{nu-1/2}(1 + 2p) = 2F1(1/2-nu, 1/2+nu; 1; -p)
-    via the library hypergeometric (confined to this module)."""
-    import scipy.special  # imported here so that loading dyafact needs no scipy
-
-    return scipy.special.hyp2f1(0.5 - nu, 0.5 + nu, 1.0, -np.asarray(p, dtype=float))
 
 
 def verify_strange_identity(x: complex, K: int) -> float:

@@ -1,8 +1,9 @@
 """Dyadic factorial evaluators: the exponential integral on and off its
 Stokes ray, the digamma function, and the incomplete gamma / erfc family.
 
-Every evaluator returns an :class:`EvalResult` carrying the value, an
-a-priori error estimate and the truncation plan actually executed.  Sign
+Every evaluator is one ``dyadic.run`` over a private path, which returns
+the value, an a-priori error estimate and the truncation plan actually
+executed; erfc is the incomplete-gamma path at s = 1/2.  Sign
 conventions follow the underlying integrals (checked against quadrature),
 not typography: ``ei_left`` returns e^x Ei(-x), which is negative on the
 positive real axis.
@@ -28,11 +29,11 @@ from .dyadic import (
     EvalResult,
     FactorialFamily,
     _frozen,
-    _result,
     amplification,
     evaluate,
+    run,
 )
-from .functions import FUNCTIONS, TOL_RANGE, check_tol
+from .functions import TOL_RANGE, check_tol
 from .scalar import DomainError, polylog
 from ._gauss import dyadic_edges, geometric_sums, panel_nodes, refined
 
@@ -103,15 +104,16 @@ def ei_stokes_family(x: complex) -> FactorialFamily:
     return _ei_family(-1j * x / math.pi, _EI_STOKES, "ei-stokes")
 
 
-def _stokes(y: complex, tol: float, plan: Optional[DyadicPlan], flip: bool = False,
-            jump: complex = 0.0) -> EvalResult:
-    """G(y) = e^{-y} Ei^+(y) at Im y >= 0, where every shift of the Stokes
-    family has Re >= 0; conjugated if ``flip``, less ``jump``, whose
-    rounding joins the estimate."""
-    plan, total, corr = evaluate(ei_stokes_family(y), tol, plan)
+def _ei_stokes(x: complex, s, tol: float, plan: Optional[DyadicPlan], cut: bool = True) -> tuple:
+    """G(x) = e^{-x} Ei^+(x) at Im x >= 0, where every shift of the Stokes
+    family has Re >= 0, and conj G(conj x) below the real axis, less the
+    jump across R^+ if ``cut`` and Re x > 0; the jump's rounding joins the
+    estimate."""
+    flip = x.imag < 0.0
+    plan, total, corr = evaluate(ei_stokes_family(x.conjugate() if flip else x), tol, plan)
+    jump = 2j * math.pi * cmath.exp(-x) if flip and cut and x.real > 0 else 0.0
     value = total.conjugate() if flip else total
-    return _result(value - jump, plan.predicted_error + corr + 8.0 * _EPS * abs(jump), plan, tol,
-                   relative=False)
+    return value - jump, plan.predicted_error + corr + 8.0 * _EPS * abs(jump), plan
 
 
 def ei_stokes(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) -> EvalResult:
@@ -125,10 +127,7 @@ def ei_stokes(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None)
     conj x below the real axis) the caller owns the truncation; otherwise
     a plan meeting ``tol`` is derived first.
     """
-    x = FUNCTIONS["ei-stokes"].check(x)
-    if x.imag >= 0.0:
-        return _stokes(x, tol, plan)
-    return _stokes(x.conjugate(), tol, plan, True, 2j * math.pi * cmath.exp(-x) if x.real > 0 else 0.0)
+    return run("ei-stokes", _ei_stokes, x, tol, plan=plan)
 
 
 def ei_left_family(x: complex) -> FactorialFamily:
@@ -143,7 +142,7 @@ def ei_left_family(x: complex) -> FactorialFamily:
     return _ei_family(x, _EI_LEFT, "ei-left", _SIGMA_LADDER)
 
 
-def _ei_left_series(x: complex, tol: float, plan: Optional[DyadicPlan]) -> EvalResult:
+def _ei_left_series(x: complex, tol: float, plan: Optional[DyadicPlan]) -> tuple:
     """e^x (gamma + Log x + sum_{n>=1} (-x)^n / (n n!)) for |x| < 0.2, where
     it cancels almost nothing.  n terms leave a tail below |x|^{n+1} /
     ((n+1) (n+1)! (1 - |x|)); the sum stops once that fits in half of tol,
@@ -162,8 +161,16 @@ def _ei_left_series(x: complex, tol: float, plan: Optional[DyadicPlan]) -> EvalR
             break
     log, scale = cmath.log(x), cmath.exp(x)
     estimate = tail + 8.0 * _EPS * abs(scale) * (_EULER_GAMMA + abs(log) + sizes)
-    return _result(scale * (_EULER_GAMMA + log + total), estimate, DyadicPlan(0, [n], estimate),
-                   tol, relative=False)
+    return scale * (_EULER_GAMMA + log + total), estimate, DyadicPlan(0, [n], estimate)
+
+
+def _ei_left(x: complex, s, tol: float, plan: Optional[DyadicPlan]) -> tuple:
+    if abs(x) < 0.2:
+        return _ei_left_series(x, tol, plan)
+    if x.real >= 0.0:
+        plan, total, corr = evaluate(ei_left_family(x), tol, plan)
+        return total, plan.predicted_error + corr, plan
+    return _ei_stokes(-x, s, tol, plan, cut=False)
 
 
 def ei_left(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) -> EvalResult:
@@ -179,13 +186,7 @@ def ei_left(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) -
     ``plan`` is one for the point actually planned.  The value carries the
     sign of e^x Ei(-x) itself, negative on R^+.
     """
-    x = FUNCTIONS["ei-left"].check(x)
-    if abs(x) < 0.2:
-        return _ei_left_series(x, tol, plan)
-    if x.real >= 0.0:
-        plan, total, corr = evaluate(ei_left_family(x), tol, plan)
-        return _result(total, plan.predicted_error + corr, plan, tol, relative=False)
-    return _stokes(-x if x.imag < 0 else -x.conjugate(), tol, plan, x.imag > 0)
+    return run("ei-left", _ei_left, x, tol, plan=plan)
 
 
 def ei_left_base_stream() -> "CoefficientStream":
@@ -249,16 +250,18 @@ def psi_family(x: complex) -> FactorialFamily:
         size=size, safety=4.0, ladder=_SIGMA_LADDER)
 
 
-def psi_dyadic(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) -> EvalResult:
-    """Psi(x + 1) = ln x + sum_{k>=1} sum_{j>=1} (j-1)! / (2^j (2^k x + 1)_j)
-    for Re x > 0.  Plan entry 0 is the closed-form ln x term."""
-    x = FUNCTIONS["psi"].check(x)
+def _psi(x: complex, s, tol: float, plan: Optional[DyadicPlan]) -> tuple:
     plan, total, corr = evaluate(psi_family(x), tol, plan)
     log = cmath.log(x)
     value = log + total
     # the rounding of ln x and of its sum with the levels
-    return _result(value, plan.predicted_error + corr + 2.0 * _EPS * (abs(log) + abs(value)),
-                   plan, tol, relative=False)
+    return value, plan.predicted_error + corr + 2.0 * _EPS * (abs(log) + abs(value)), plan
+
+
+def psi_dyadic(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) -> EvalResult:
+    """Psi(x + 1) = ln x + sum_{k>=1} sum_{j>=1} (j-1)! / (2^j (2^k x + 1)_j)
+    for Re x > 0.  Plan entry 0 is the closed-form ln x term."""
+    return run("psi", _psi, x, tol, plan=plan)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +416,16 @@ def _gamma_family(s: float, x: complex) -> FactorialFamily:
                            safety=4.0, ladder=_gamma_ladder(s))
 
 
-def _gamma_eval(s: float, x: complex, tol: float, plan: Optional[DyadicPlan]) -> EvalResult:
+def _inc_gamma(x: complex, s: float, tol: float, plan: Optional[DyadicPlan]) -> tuple:
+    if abs(s - round(s)) < 1e-12:       # the closed order range less its integers
+        raise DomainError(f"incomplete_gamma_dyadic requires a non-integer s, not s = {s}")
+    if amplification(_gamma_ladder(s)) > MAX_AMPLIFICATION:
+        # |s - 1| Gamma(s - 1, x) < x^(s-1) e^-x <= Gamma(s, x) (x + 1 - s) / x
+        # on the real axis, so this tol keeps the sum within tol of Gamma(s, x)
+        value, estimate, plan = _inc_gamma(x, s - 1.0, tol * abs(x) / (abs(x) + 1.0 - s), plan)
+        head = x ** (s - 1.0) * cmath.exp(-x)
+        # near s = 1 the head carries the value, and its rounding the error
+        return (s - 1.0) * value + head, abs(s - 1.0) * estimate + 8.0 * _EPS * abs(head), plan
     fam = _gamma_family(s, x)
     # Gamma(s, x) >= x^s e^-x / (x + 1 - s) for real x > 0 and s < 1, so
     # this bounds the normalized series from below
@@ -425,8 +437,7 @@ def _gamma_eval(s: float, x: complex, tol: float, plan: Optional[DyadicPlan]) ->
     # a loose tol at small |x| passes the planner's 1e-1: plan tighter, at 0.09
     plan, total, corr = evaluate(fam, min(normalized, 0.09), plan)
     front = x**s * cmath.exp(-x) / math.gamma(1.0 - s)
-    return _result(front * total, (plan.predicted_error + corr) * abs(front), plan, tol,
-                   relative=True)
+    return front * total, (plan.predicted_error + corr) * abs(front), plan
 
 
 def incomplete_gamma_dyadic(s: float, x: complex, tol: float = 4e-9,
@@ -449,24 +460,17 @@ def incomplete_gamma_dyadic(s: float, x: complex, tol: float = 4e-9,
     Gamma(s, x) = (s - 1) Gamma(s - 1, x) + x^(s-1) e^-x; the plan is then
     the one of order s - 1.
     """
-    x = FUNCTIONS["inc-gamma"].check(x, s)
-    if abs(s - round(s)) < 1e-12:       # the closed order range less its integers
-        raise DomainError(f"incomplete_gamma_dyadic requires a non-integer s, not s = {s}")
-    if amplification(_gamma_ladder(s)) <= MAX_AMPLIFICATION:
-        return _gamma_eval(s, x, tol, plan)
-    # |s - 1| Gamma(s - 1, x) < x^(s-1) e^-x <= Gamma(s, x) (x + 1 - s) / x
-    # on the real axis, so this tol keeps the sum within tol of Gamma(s, x)
-    r = _gamma_eval(s - 1.0, x, tol * abs(x) / (abs(x) + 1.0 - s), plan)
-    head = x ** (s - 1.0) * cmath.exp(-x)
-    # near s = 1 the head carries the value, and its rounding the error
-    err = abs(s - 1.0) * r.error_estimate + 8.0 * _EPS * abs(head)
-    return _result((s - 1.0) * r.value + head, err, r.plan, tol, relative=True)
+    return run("inc-gamma", _inc_gamma, x, tol, s, plan)
+
+
+def _erfc(x: float, s, tol: float, plan: Optional[DyadicPlan]) -> tuple:
+    value, estimate, plan = _inc_gamma(complex(x), 0.5, tol, plan)
+    rt = math.sqrt(math.pi)
+    return value / rt, estimate / rt, plan
 
 
 def erfc_dyadic(x: float, tol: float = 4e-9) -> EvalResult:
     """erfc(sqrt(x)) for x > 0, via Gamma(1/2, x) / sqrt(pi), with
     ``tol`` relative; ``incomplete_gamma_dyadic`` says which tolerances
     each end of the x range accepts."""
-    r = incomplete_gamma_dyadic(0.5, FUNCTIONS["erfc"].check(x), tol)
-    rt = math.sqrt(math.pi)
-    return _result(r.value / rt, r.error_estimate / rt, r.plan, tol, relative=True)
+    return run("erfc", _erfc, x, tol)

@@ -10,13 +10,13 @@ from dyafact.borel import (
     BorelKernel,
     CoefficientTable,
     airy_from_h,
-    airy_h,
     bessel_h,
     bessel_k_dyadic,
     get_table,
 )
 from dyafact.dyadic import DyadicPlan
 from dyafact.scalar import DomainError, NonconvergenceError
+from kernel_reference import legendre_kernel_reference
 
 NU_AIRY = 1.0 / 3.0
 
@@ -43,14 +43,14 @@ class TestKernel:
 
     def test_against_hypergeometric_oracle(self, kern):
         for p in (0.3, 2.0, 10.0, 120.0, 3000.0):
-            ref = float(oracle.legendre_kernel_reference(NU_AIRY, p))
+            ref = float(legendre_kernel_reference(NU_AIRY, p))
             assert kern.eval_raw(p) == pytest.approx(ref, rel=2e-9)
 
     @pytest.mark.parametrize("nu", [0.05, NU_AIRY, 0.655, 1.45])
     def test_grid_values_vs_hypergeometric(self, nu):
         # the power-series continuation holds F to 1e-13 at every node
         kern = BorelKernel.build(nu)
-        ref = oracle.legendre_kernel_reference(nu, np.expm1(kern.q_grid))
+        ref = legendre_kernel_reference(nu, np.expm1(kern.q_grid))
         assert np.max(np.abs(kern.f_grid / ref - 1.0)) <= 1e-13
 
     @pytest.mark.parametrize("nu", [0.05, NU_AIRY, 0.655, 1.45])
@@ -70,7 +70,7 @@ class TestKernel:
         # every two nodes, where it is furthest from its data
         kern = BorelKernel.build(nu)
         p = np.expm1(0.5 * (kern.q_grid[1:] + kern.q_grid[:-1]))
-        ref = oracle.legendre_kernel_reference(nu, p)
+        ref = legendre_kernel_reference(nu, p)
         assert np.max(np.abs(kern.eval_raw(p) / ref - 1.0)) <= 1e-13
 
     def test_series_step_beyond_radius_raises(self, kern):
@@ -134,7 +134,7 @@ class TestCoefficients:
         # d_{m+2} = sum_{i>=0} C(m+1+i, i) e^{-(m+1+i)} h(m+1+i) with
         # h = L[F] by independent quadrature of the hypergeometric oracle
         def phi(u):
-            f = lambda p: np.exp(-u * p) * oracle.legendre_kernel_reference(kern.nu, p)
+            f = lambda p: np.exp(-u * p) * legendre_kernel_reference(kern.nu, p)
             return float(oracle.quad_adaptive(f, 0.0, math.inf, 1e-13).real)
 
         for m in range(0, 9):  # checks d_2 .. d_10
@@ -157,7 +157,7 @@ class TestCoefficients:
 
             for m in (2, 3, 40):
                 def f(tau):
-                    return (oracle.legendre_kernel_reference(table.nu, 2.0**k * tau - 1.0)
+                    return (legendre_kernel_reference(table.nu, 2.0**k * tau - 1.0)
                             * np.exp(tau - eps) * 2.0**k * np.exp(-m * np.logaddexp(tau, 0.0)))
 
                 ref = oracle.quad_adaptive(f, eps, borel._TAU_HI + 8.0, 0.0).real
@@ -257,14 +257,14 @@ class TestAiryH:
     def test_vs_laplace_quadrature(self):
         # independent route: Laplace transform of the hypergeometric oracle
         for u, rtol in ((20.0, 1e-10), (4.0, 1e-9)):
-            r = airy_h(u, 1e-10)
-            f = lambda p: np.exp(-u * p) * oracle.legendre_kernel_reference(NU_AIRY, p)
+            r = bessel_h(NU_AIRY, u, 1e-10)
+            f = lambda p: np.exp(-u * p) * legendre_kernel_reference(NU_AIRY, p)
             ref = float(oracle.quad_adaptive(f, 0.0, math.inf, 1e-14).real)
             assert r.value.real == pytest.approx(ref, rel=rtol)
 
     def test_small_argument_budget(self):
-        r = airy_h(2.0, 1e-6)
-        f = lambda p: np.exp(-2.0 * p) * oracle.legendre_kernel_reference(NU_AIRY, p)
+        r = bessel_h(NU_AIRY, 2.0, 1e-6)
+        f = lambda p: np.exp(-2.0 * p) * legendre_kernel_reference(NU_AIRY, p)
         ref = float(oracle.quad_adaptive(f, 0.0, math.inf, 1e-13).real)
         assert abs(r.value.real / ref - 1.0) <= 1e-6
         assert r.terms_total <= 150
@@ -275,7 +275,7 @@ class TestAiryH:
         table = get_table(NU_AIRY, 14, 22)
         for x in (4.0, 10.0, 20.0):
             u = 4.0 / 3.0 * x**1.5
-            f = lambda p: np.exp(-u * p) * oracle.legendre_kernel_reference(NU_AIRY, p)
+            f = lambda p: np.exp(-u * p) * legendre_kernel_reference(NU_AIRY, p)
             ref = float(oracle.quad_adaptive(f, 0.0, math.inf, 1e-14).real)
             fam = borel._h_family(table, complex(u))
             errs = []
@@ -291,8 +291,8 @@ class TestAiryH:
         h = "h-expansion requires Re x > 0 and |x| >= 1, not x = "
         airy = "airy_from_h requires x >= 0.8255, not x = "     # (3/4)^(2/3)
         for call, text in (
-            (lambda: airy_h(0.5, 1e-8), h + "(0.5+0j)"),
-            (lambda: airy_h(-3.0, 1e-8), h + "(-3+0j)"),
+            (lambda: bessel_h(NU_AIRY, 0.5, 1e-8), h + "(0.5+0j)"),
+            (lambda: bessel_h(NU_AIRY, -3.0, 1e-8), h + "(-3+0j)"),
             (lambda: bessel_h(0.7, 0.9j), h + "0.9j"),
             (lambda: airy_from_h(0.5), airy + "0.5"),
             (lambda: airy_from_h(0.8254), airy + "0.8254"),
@@ -382,11 +382,6 @@ class TestAiryFromH:
 
 
 class TestBessel:
-    def test_airy_order_matches_airy_h(self):
-        a = bessel_h(NU_AIRY, 12.0, 1e-9)
-        b = airy_h(12.0, 1e-9)
-        assert a.value == b.value
-
     def test_half_integer_closed_forms(self):
         # K_{1/2}: h = 1/u exactly; K_{3/2}: h = 1/u + 2/u^2
         r = bessel_h(0.5, 7.0, 1e-12)
@@ -398,6 +393,15 @@ class TestBessel:
         x = 2.0
         r = bessel_k_dyadic(0.5, x)
         assert r.value.real == pytest.approx(math.sqrt(math.pi / (2 * x)) * math.exp(-x), rel=1e-12)
+
+    @pytest.mark.parametrize("nu", [0.5, -1.5, 2.5, 4.5])
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.5, 1e-15])
+    def test_half_integer_orders_check_tol(self, nu, tol):
+        # the closed form, and the recurrence seeded from it, refuse a tol
+        # outside (1e-14, 1e-1) as the planned orders do
+        for call in (bessel_k_dyadic, bessel_h):
+            with pytest.raises(DomainError, match=r"tol must lie in \(1e-14, 1e-1\)"):
+                call(nu, 2.0, tol)
 
     def test_k_five_halves_via_recurrence(self):
         x = 3.0

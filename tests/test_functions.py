@@ -153,6 +153,46 @@ def test_tol_range_is_the_planners(fid):
         check_tol(hi, "tolerance")
 
 
+# one call on each path of the seven evaluators: (id, x, s)
+PATHS = {
+    "ei-stokes above the axis": ("ei-stokes", 2.0 + 1.0j, None),
+    "ei-stokes below the axis": ("ei-stokes", 2.0 - 1.0j, None),
+    "ei-left series": ("ei-left", 0.1 + 0.05j, None),
+    "ei-left plane": ("ei-left", 2.0 - 1.0j, None),
+    "ei-left reflection": ("ei-left", -2.0 + 1.0j, None),
+    "psi": ("psi", 1.5 + 0.5j, None),
+    "inc-gamma direct": ("inc-gamma", 2.0 + 0j, 0.25),
+    "inc-gamma s - 1": ("inc-gamma", 2.0 + 0j, 0.9),      # s above about 0.85
+    "erfc": ("erfc", 2.0 + 0j, None),
+    "airy": ("airy", 2.0 + 0j, None),
+    "bessel-k direct": ("bessel-k", 2.0 + 0j, 0.7),
+    "bessel-k half-integer": ("bessel-k", 2.0 + 0j, 0.5),
+    "bessel-k recurrence": ("bessel-k", 2.0 + 0j, 2.7),
+}
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_one_check_and_one_result_per_call(path, monkeypatch):
+    # a composed id runs the paths it is built from, not their evaluators
+    from dyafact.dyadic import EvalResult
+    fid, x, s = PATHS[path]
+    calls = {"check": 0, "result": 0}
+    check, init = functions.Function.check, EvalResult.__init__
+
+    def counted_check(self, *args):
+        calls["check"] += 1
+        return check(self, *args)
+
+    def counted_init(self, *args):
+        calls["result"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(functions.Function, "check", counted_check)
+    monkeypatch.setattr(EvalResult, "__init__", counted_init)
+    FUNCTIONS[fid].evaluate(x, 1e-9, s)
+    assert calls == {"check": 1, "result": 1}
+
+
 def _number(v):
     return f"{v:.4g}".replace("e+", "e")
 

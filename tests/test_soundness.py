@@ -395,8 +395,8 @@ ROUNDING_CASES = [
     ("psi", lambda: specfun.psi_family(0.25), lambda tol: psi_dyadic(0.25, tol)),
     ("erfc", lambda: specfun._gamma_family(0.5, 0.4 + 0j), None),
     ("inc-gamma", lambda: specfun._gamma_family(-0.5, 0.5 + 0j), None),
-    ("airy", lambda: _h_family(1.0 / 3.0, 1.5), lambda tol: borel.airy_h(1.5, tol)),
-    ("bessel-k", lambda: _h_family(0.7, 1.2), lambda tol: borel._bessel_h_eval(0.7, 1.2, tol)),
+    ("airy", lambda: _h_family(1.0 / 3.0, 1.5), lambda tol: borel.bessel_h(1.0 / 3.0, 1.5, tol)),
+    ("bessel-k", lambda: _h_family(0.7, 1.2), lambda tol: borel.bessel_h(0.7, 1.2, tol)),
 ]
 
 

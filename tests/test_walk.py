@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyafact import borel, dyadic, specfun
-from dyafact.borel import airy_from_h, airy_h, bessel_k_dyadic, get_table
+from dyafact.borel import airy_from_h, bessel_h, bessel_k_dyadic, get_table
 from dyafact.dyadic import (
     FIRST_CHUNK,
     LADDER_LEVELS,
@@ -163,7 +163,7 @@ def test_incomplete_gamma(s, x, tol):
 @given(x=_log_uniform(1.0, 12.0), tol=TOL)
 def test_airy(x, tol):
     u = 4.0 / 3.0 * x**1.5
-    planned = airy_h(u, tol)
+    planned = bessel_h(1.0 / 3.0, u, tol)
     fam = borel._h_family(get_table(1.0 / 3.0, 66, LADDER_LEVELS), complex(u))
     _rewalks_h(planned, fam, u, tol)
     assert airy_from_h(x, tol).plan == planned.plan
@@ -177,7 +177,7 @@ def test_bessel_k(nu, x, tol):
     # and 1 - frac(nu), which these seeds cover
     bessel_k_dyadic(nu, x, tol)
     for mu in {nu - math.floor(nu), 1.0 - (nu - math.floor(nu))}:
-        planned = borel._bessel_h_eval(mu, 2.0 * x, tol)
+        planned = bessel_h(mu, 2.0 * x, tol)
         fam = borel._h_family(get_table(mu, 66, LADDER_LEVELS), complex(2.0 * x))
         _rewalks_h(planned, fam, 2.0 * x, tol)
         _same_walk(fam, tol)
