@@ -379,7 +379,6 @@ def _h(u: complex, nu: float, tol: float) -> tuple:
         # its estimate is its rounding.  Term i carries the 2i operations of
         # tc[i], the at most i + 1 products of u^(i+1) and its own two, the
         # sum deg more, each at most eps of the magnitudes it combines
-        check_tol(tol)
         deg = int(round(nu - 0.5))
         tc = _taylor_coeffs(nu, deg + 2)
         terms = [math.factorial(i) * tc[i] / u ** (i + 1) for i in range(deg + 1)]
@@ -429,6 +428,7 @@ def bessel_h(nu: float, x: complex, tol: float = 1e-10) -> EvalResult:
     u = complex(x)
     if not (u.real > 0 and 1.0 <= abs(u) < math.inf):
         raise DomainError(f"h-expansion requires Re x > 0 and |x| >= 1, not x = {u}")
+    check_tol(tol)
     return _result(*_h(u, nu, tol), tol, relative=True)
 
 

@@ -228,10 +228,13 @@ def _result(value: complex, estimate: float, plan: DyadicPlan, tol: float,
 
 def run(fid: str, path: Callable, x: complex, tol: float, s: Optional[float] = None,
         plan: Optional[DyadicPlan] = None) -> EvalResult:
-    """Function id ``fid`` at x: x and s checked once through its entry, then
-    ``path(x, s, tol, plan)`` -> (value, estimate, plan), then one result."""
+    """Function id ``fid`` at x: x and s checked once through its entry and
+    the caller's tol through ``check_tol``, then ``path(x, s, tol, plan)`` ->
+    (value, estimate, plan), then one result."""
     f = FUNCTIONS[fid]
-    return _result(*path(f.check(x, s), s, tol, plan), tol, f.relative)
+    x = f.check(x, s)
+    check_tol(tol)
+    return _result(*path(x, s, tol, plan), tol, f.relative)
 
 
 @dataclass(frozen=True, eq=False)
@@ -442,7 +445,6 @@ def _sums(fam: FactorialFamily, n: np.ndarray, terms: np.ndarray) -> Tuple[np.nd
 def _plan(fam: FactorialFamily, tol: float) -> Tuple[DyadicPlan, np.ndarray, np.ndarray]:
     """The plan of ``plan_truncation`` with the level sums its walk kept
     and the sums of their magnitudes."""
-    check_tol(tol)
     if fam.shift.real.min() < 0.0:
         raise CutProximityError(
             f"{fam.name}: a level shift has negative real part; "
@@ -484,6 +486,7 @@ def plan_truncation(fam: FactorialFamily, tol: float) -> DyadicPlan:
     CutProximityError.  A laddered family that describes no more levels
     than its ladder has steps raises DomainError.
     """
+    check_tol(tol)
     return _plan(fam, tol)[0]
 
 
@@ -528,7 +531,8 @@ def assemble(fam: FactorialFamily, plan: DyadicPlan) -> Tuple[complex, float]:
 
 def evaluate(fam: FactorialFamily, tol: float,
              plan: Optional[DyadicPlan] = None) -> Tuple[DyadicPlan, complex, float]:
-    """The family's value at ``tol``: the plan, the value and the error
+    """The family's value at ``tol``, unchecked (an evaluator plans a tol
+    mapped from its caller's): the plan, the value and the error
     ``assemble`` adds to the plan's prediction.  Without a ``plan`` the
     planner's walk also yields the level sums, so the terms are formed
     once; a given plan is assembled as it stands."""

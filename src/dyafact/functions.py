@@ -1,9 +1,10 @@
 """One entry per function id of ``dyafact eval``: its evaluator, oracle
 reference, units, order and documented region.  Each evaluator is one
 ``dyadic.run``, which checks x and order once through the entry's
-``check`` and reports ``tol_met`` in its units; ``cli`` dispatches through
-the table and the soundness gate draws each region.  An entry imports its
-evaluator's module on call."""
+``check`` and the caller's tol through ``check_tol``, and reports
+``tol_met`` in its units; ``cli`` dispatches through the table and the
+soundness gate draws each region.  An entry imports its evaluator's
+module on call."""
 
 from __future__ import annotations
 
@@ -105,7 +106,7 @@ FUNCTIONS = {f.id: f for f in (
              False, (0.0, _EI_LARGEST), (-math.pi, math.pi)),
     Function("psi", "specfun", "psi_dyadic", lambda o, x, s: o.psi_reference(x + 1.0),
              False, (0.0, math.inf), _HALF_PLANE),
-    Function("erfc", "specfun", "erfc_dyadic", lambda o, x, s: o.erfc_reference(math.sqrt(x.real)),
+    Function("erfc", "specfun", "erfc_dyadic", lambda o, x, s: o.erfc_reference(x.real),
              True, (0.0, math.inf), _REAL),
     Function("inc-gamma", "specfun", "incomplete_gamma_dyadic",
              lambda o, x, s: o.inc_gamma_reference(s, x), True, (0.0, math.inf), _HALF_PLANE,

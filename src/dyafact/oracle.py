@@ -260,19 +260,21 @@ def psi_reference(z: complex) -> complex:
     return acc + cmath.log(z) - 0.5 / z - s
 
 
-def erfc_reference(y: float) -> float:
-    """erfc(y) for y >= 0: Maclaurin series below 1.5 (cancellation grows
-    like e^{y^2} against the tiny result beyond), Lentz continued
-    fraction above."""
-    if y < 0:
-        raise ContourError("erfc_reference requires y >= 0")
+def erfc_reference(x: float) -> float:
+    """erfc(sqrt(x)) for x >= 0, as ``erfc_dyadic`` takes x: Maclaurin
+    series in y = sqrt(x) up to y = 1.5 (cancellation grows like e^{x}
+    against the tiny result beyond), Lentz continued fraction above, with
+    its front e^{-x} taken from x itself, not from y^2."""
+    if not x >= 0:
+        raise ContourError("erfc_reference requires x >= 0")
+    y = math.sqrt(x)
     if y <= 1.5:
         t = y
         s = y
         n = 0
         while True:
             n += 1
-            t *= -y * y / n
+            t *= -x / n
             inc = t / (2 * n + 1)
             s += inc
             if abs(inc) < 1e-18 * max(abs(s), 1e-300):
@@ -292,7 +294,7 @@ def erfc_reference(y: float) -> float:
         h *= delta
         if abs(delta - 1.0) < 1e-17:
             break
-    return math.exp(-y * y) / math.sqrt(math.pi) * h
+    return math.exp(-x) / math.sqrt(math.pi) * h
 
 
 def inc_gamma_reference(s: float, x: complex, abs_tol: float = 1e-13) -> complex:
@@ -308,11 +310,13 @@ def inc_gamma_reference(s: float, x: complex, abs_tol: float = 1e-13) -> complex
 
 def bessel_k_reference(nu: float, x: float, abs_tol: float = 1e-13) -> float:
     """Modified Bessel K_nu(x) for x > 0 via Int_0^inf e^{-x cosh t} cosh(nu t) dt,
-    with the e^{-x} front factor pulled out so the integrand stays O(1)."""
+    with the e^{-x} front factor pulled out so the integrand stays O(1).
+    Its exponent x (cosh t - 1) is 2 x sinh^2(t/2): the cancelled form's
+    rounding noise keeps panels from converging at large x."""
     if x <= 0:
         raise ContourError("bessel_k_reference requires x > 0")
     t_max = math.acosh(1.0 + 48.0 / x) + 0.75
-    f = lambda t: np.exp(-x * (np.cosh(t) - 1.0)) * np.cosh(nu * t)
+    f = lambda t: np.exp(-2.0 * x * np.sinh(0.5 * t) ** 2) * np.cosh(nu * t)
     return math.exp(-x) * float(quad_adaptive(f, 0.0, t_max, abs_tol).real)
 
 

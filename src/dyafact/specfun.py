@@ -33,7 +33,6 @@ from .dyadic import (
     evaluate,
     run,
 )
-from .functions import TOL_RANGE, check_tol
 from .scalar import DomainError, polylog
 from ._gauss import dyadic_edges, geometric_sums, panel_nodes, refined
 
@@ -148,8 +147,6 @@ def _ei_left_series(x: complex, tol: float, plan: Optional[DyadicPlan]) -> tuple
     ((n+1) (n+1)! (1 - |x|)); the sum stops once that fits in half of tol,
     or at ``plan.n_terms[0]``.  Its plan is that one series (K = 0), and
     its estimate adds 8 eps times every size summed for rounding."""
-    if plan is None:
-        check_tol(tol)
     power, total, sizes, n = 1.0 + 0.0j, 0.0j, 0.0, 0
     while True:
         n += 1
@@ -430,12 +427,7 @@ def _inc_gamma(x: complex, s: float, tol: float, plan: Optional[DyadicPlan]) -> 
     # Gamma(s, x) >= x^s e^-x / (x + 1 - s) for real x > 0 and s < 1, so
     # this bounds the normalized series from below
     scale = math.gamma(1.0 - s) / (abs(x) + 1.0 - s)
-    normalized = tol * scale
-    if plan is None and normalized <= TOL_RANGE[0]:
-        raise DomainError(f"tol {tol:g} is {normalized:.3g} on the normalized series at |x| = {abs(x):g}, "
-                          f"not above {TOL_RANGE[0]:g}: tol must exceed {TOL_RANGE[0] / scale:.3g} there")
-    # a loose tol at small |x| passes the planner's 1e-1: plan tighter, at 0.09
-    plan, total, corr = evaluate(fam, min(normalized, 0.09), plan)
+    plan, total, corr = evaluate(fam, tol * scale, plan)
     front = x**s * cmath.exp(-x) / math.gamma(1.0 - s)
     return front * total, (plan.predicted_error + corr) * abs(front), plan
 
@@ -448,11 +440,10 @@ def incomplete_gamma_dyadic(s: float, x: complex, tol: float = 4e-9,
     Evaluates the normalized factorial expansion of
     Gamma(1-s) e^x x^{-s} Gamma(s, x) (base stream at argument 1/e minus
     the dyadic polylog levels) and maps back; ``tol`` is relative to
-    |Gamma(s, x)|.  The series is planned at tol Gamma(1-s) / (|x| + 1 - s),
-    tol times a lower bound on its size, which the planner takes in
-    (1e-14, 1e-1).  A loose tol at small |x| that maps to 1e-1 or more is
-    planned at 0.09; a tight tol at large |x| that maps to 1e-14 or less
-    raises DomainError naming both (erfc at x = 20 takes tol > 1.2e-13).
+    |Gamma(s, x)| and lies in (1e-14, 1e-1).  The series is planned at
+    tol Gamma(1-s) / (|x| + 1 - s), tol times a lower bound on its size, as
+    it stands, even below 1e-14; where rounding keeps that from being met,
+    the estimate's rounding term (of the kept terms) reports it.
 
     Near s = 1 the ladder's first step factor 2^(1-s) tends to 1.  Orders
     whose ladder would magnify level errors more than MAX_AMPLIFICATION
@@ -471,6 +462,6 @@ def _erfc(x: float, s, tol: float, plan: Optional[DyadicPlan]) -> tuple:
 
 def erfc_dyadic(x: float, tol: float = 4e-9) -> EvalResult:
     """erfc(sqrt(x)) for x > 0, via Gamma(1/2, x) / sqrt(pi), with
-    ``tol`` relative; ``incomplete_gamma_dyadic`` says which tolerances
-    each end of the x range accepts."""
+    ``tol`` relative in (1e-14, 1e-1); ``incomplete_gamma_dyadic`` says
+    how it is planned."""
     return run("erfc", _erfc, x, tol)

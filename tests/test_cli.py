@@ -117,6 +117,14 @@ class TestEval:
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert float(row[2]) == 0.0 and float(row[4]) > 0.0
 
+    @pytest.mark.parametrize("fn, x", [("airy", "3e4"), ("bessel-k", "3e6")])
+    def test_oracle_at_an_underflowing_argument(self, fn, x, capsys):
+        # the Bessel-K quadrature behind both oracles converges where its
+        # value underflows to 0, as the evaluator's does
+        assert run(["eval", "--function", fn, "--x-start", x, "--with-oracle"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert float(row[2]) == float(row[6]) == float(row[8]) == 0.0
+
     def test_unknown_function(self):
         rc = run(["eval", "--function", "zeta", "--x-start", "1", "--points", "1"])
         assert rc == 2

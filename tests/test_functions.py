@@ -135,16 +135,16 @@ def test_arg_bounds_are_the_evaluators(fid):
             fn.evaluate(2.0 * cmath.exp(1j * angle), TOL, S)
 
 
-@pytest.mark.parametrize("fid", ["ei-stokes", "ei-left", "psi", "airy", "bessel-k"])
+@pytest.mark.parametrize("fid", FUNCTIONS)
 def test_tol_range_is_the_planners(fid):
-    # incomplete gamma and erfc plan a tol scaled by the series' size, whose
-    # range incomplete_gamma_dyadic checks itself
+    # the caller's tol, checked once by dyadic.run: incomplete gamma and erfc
+    # plan a tol scaled by the series' size, but take the same caller's range
     fn = FUNCTIONS[fid]
     lo, hi = TOL_RANGE
     for x in (2.0, 0.1):
         if abs(x) < fn.radius[0]:
             continue
-        for tol in (lo, hi):
+        for tol in (lo, hi, 50.0 * hi):
             with pytest.raises(DomainError, match=re.escape("must lie in (1e-14, 1e-1)")):
                 fn.evaluate(complex(x), tol, S)
         for tol in (lo * (1 + STEP), hi * (1 - STEP)):
@@ -173,15 +173,21 @@ PATHS = {
 
 @pytest.mark.parametrize("path", PATHS)
 def test_one_check_and_one_result_per_call(path, monkeypatch):
-    # a composed id runs the paths it is built from, not their evaluators
+    # a composed id runs the paths it is built from, not their evaluators,
+    # and no path checks the tol that dyadic.run has checked
+    from dyafact import borel, dyadic, specfun
     from dyafact.dyadic import EvalResult
     fid, x, s = PATHS[path]
-    calls = {"check": 0, "result": 0}
+    calls = {"check": 0, "check_tol": 0, "result": 0}
     check, init = functions.Function.check, EvalResult.__init__
 
     def counted_check(self, *args):
         calls["check"] += 1
         return check(self, *args)
+
+    def counted_check_tol(*args):
+        calls["check_tol"] += 1
+        return check_tol(*args)
 
     def counted_init(self, *args):
         calls["result"] += 1
@@ -189,8 +195,11 @@ def test_one_check_and_one_result_per_call(path, monkeypatch):
 
     monkeypatch.setattr(functions.Function, "check", counted_check)
     monkeypatch.setattr(EvalResult, "__init__", counted_init)
+    for module in (functions, dyadic, specfun, borel):
+        if hasattr(module, "check_tol"):
+            monkeypatch.setattr(module, "check_tol", counted_check_tol)
     FUNCTIONS[fid].evaluate(x, 1e-9, s)
-    assert calls == {"check": 1, "result": 1}
+    assert calls == {"check": 1, "check_tol": 1, "result": 1}
 
 
 def _number(v):

@@ -117,19 +117,28 @@ class TestErfc:
         assert oracle.erfc_reference(0.0) == pytest.approx(1.0)
 
     def test_branch_seam(self):
-        # series and continued fraction agree across the switch at 1.5
-        lo = oracle.erfc_reference(1.5 - 1e-12)
-        hi = oracle.erfc_reference(1.5 + 1e-12)
+        # series and continued fraction agree across the switch at y = 1.5
+        lo = oracle.erfc_reference(2.25 - 3e-12)
+        hi = oracle.erfc_reference(2.25 + 3e-12)
         assert abs(lo - hi) / lo < 2e-11
 
     def test_vs_quadrature(self):
         for y in (0.8, 1.4, 1.6, 2.5):
             ref = 2.0 / math.sqrt(math.pi) * oracle.quad_adaptive(
                 lambda t: np.exp(-((t + y) ** 2)), 0.0, math.inf, 1e-14).real
-            assert oracle.erfc_reference(y) == pytest.approx(ref, rel=1e-11)
+            assert oracle.erfc_reference(y * y) == pytest.approx(ref, rel=1e-11)
 
     def test_known_value(self):
         assert oracle.erfc_reference(1.0) == pytest.approx(0.15729920705028513, rel=1e-12)
+
+    def test_large_argument_vs_mpmath(self):
+        # e^{-x} from x itself: through y = sqrt(x) the rounding of y^2 costs
+        # about x 2^-53, 5.7e-14 relative at x = 260
+        mpmath = pytest.importorskip("mpmath")
+        for x in np.linspace(100.0, 700.0, 25):
+            with mpmath.workdps(40):
+                ref = mpmath.erfc(mpmath.sqrt(mpmath.mpf(x)))
+                assert abs(oracle.erfc_reference(float(x)) / ref - 1) <= 1e-14
 
 
 class TestIncGamma:
