@@ -200,11 +200,11 @@ class DyadicPlan:
 class EvalResult:
     """Value with its error estimate and the executed plan.  The estimate
     is the plan's prediction plus the size of the last Richardson
-    correction the evaluation made and the rounding of the kept terms
-    (``dyadic.assemble``).  ``tol_met`` says whether the estimate
-    is within the requested tolerance in the units its ``Function``
-    entry records: relative to |value| where ``Function.relative``,
-    absolute otherwise."""
+    correction the evaluation made and the rounding of its assembly, the
+    kept terms and the running sum of the levels (``dyadic.assemble``).
+    ``tol_met`` says whether the estimate is within the requested
+    tolerance in the units its ``Function`` entry records: relative to
+    |value| where ``Function.relative``, absolute otherwise."""
 
     value: complex
     error_estimate: float
@@ -276,9 +276,12 @@ class FactorialFamily:
     ladder: Tuple[float, ...] = ()
 
     def tails(self) -> np.ndarray:
-        """safety * (size of every described level beyond K), for each K."""
-        beyond = np.add.accumulate(self.size[::-1])[::-1]
-        return self.safety * np.append(beyond[1:], 0.0)
+        """safety * (size of every described level beyond K), for each K:
+        the sums run from the deepest level up."""
+        tails = np.zeros(len(self.size))
+        np.add.accumulate(self.size[:0:-1], out=tails[-2::-1])
+        tails *= self.safety
+        return tails
 
 
 def romberg(partial_sums: Sequence, ladder: Sequence[float]) -> Tuple[complex, complex]:
@@ -288,7 +291,9 @@ def romberg(partial_sums: Sequence, ladder: Sequence[float]) -> Tuple[complex, c
     The step for lambda replaces every S_K by (f S_K - S_{K-1}) / (f - 1),
     f = 2^lambda, which removes the 2^(-lambda K) term; the steps need the
     last len(ladder) + 1 sums.  Returns the extrapolated value at the last
-    K and the change the last step made to it (0 without steps)."""
+    K and the change the last step made to it (0 without steps).  The
+    assembly applies the same steps as one linear form over the level
+    sums (``_richardson``)."""
     if len(partial_sums) <= len(ladder):
         raise DomainError(f"{len(ladder)} Richardson steps need {len(ladder) + 1} partial sums")
     t = list(partial_sums[len(partial_sums) - len(ladder) - 1:])
@@ -307,16 +312,30 @@ def amplification(ladder: Tuple[float, ...]) -> float:
     return math.prod((2.0 ** lam + 1.0) / (2.0 ** lam - 1.0) for lam in ladder)
 
 
-@functools.lru_cache(maxsize=256)
-def _romberg_gains(K: int, ladder: Tuple[float, ...]) -> np.ndarray:
-    """The factor each of levels 0..K carries into the extrapolated value:
-    1 up to level K - steps, which every combined partial sum contains,
-    then the tail sums of the Richardson weights.  Cached, read-only."""
-    c = np.array([romberg(e, ladder)[0] for e in np.eye(len(ladder) + 1)])
-    gain = np.ones(K + 1)
-    gain[K + 1 - len(ladder):] = np.abs(np.cumsum(c[::-1])[::-1][1:])
-    gain.flags.writeable = False
-    return gain
+@functools.lru_cache(maxsize=1024)
+def _richardson(K: int, ladder: Tuple[float, ...]) -> np.ndarray:
+    """The Richardson form of K levels under ``ladder``, read-only: row 0
+    holds the weight g_k that each of levels 0..K carries into the
+    extrapolated value, row 1 its magnitude |g_k|, the gain that level's
+    errors carry, and row 2 the weight it carries into the last step's
+    correction.  Cached.
+
+    ``romberg`` combines the partial sums as sum_i c_i S_{K-n+i},
+    n = len(ladder), and level k enters every S_j with j >= k, so g_k is
+    the sum of the c_i over those: 1 up to level K - n, which every
+    combined sum contains, then the tail sums of the c_i.  The correction
+    is the value less that of ladder[:-1] over the last n sums."""
+    n = len(ladder)
+    form = np.zeros((3, K + 1))
+    form[0] = 1.0
+    if n:
+        eye = np.eye(n + 1)
+        c = np.array([romberg(e, ladder)[0] for e in eye])
+        before = np.array([romberg(e[1:], ladder[:-1])[0] for e in eye])
+        form[0, K + 1 - n:] = np.cumsum(c[::-1])[::-1][1:]
+        form[2, K + 1 - n:] = np.cumsum((c - before)[::-1])[::-1][1:]
+    form[1] = np.abs(form[0])
+    return _frozen(form)
 
 
 def _ladder_depth(fam: FactorialFamily, tol: float) -> Tuple[int, float]:
@@ -334,12 +353,13 @@ def _ladder_depth(fam: FactorialFamily, tol: float) -> Tuple[int, float]:
     xk = np.abs(fam.shift)
     rho = _INV_LEVELS[:n] + 2.0 / xk
     corr = fam.size / (2.0 ** lam[0] - 1.0) * rho ** (lam[-1] - lam[0])
-    ok = (corr <= 0.5 * tol) & (xk >= SHIFT_FLOOR)
-    ok[:len(lam)] = False
-    K = int(ok.argmax())
-    if not ok[K]:
+    corr, xk = corr.tolist(), xk.tolist()
+    for K in range(len(lam), n):
+        if corr[K] <= 0.5 * tol and xk[K] >= SHIFT_FLOOR:
+            break
+    else:
         K = n - 1
-    return K, float(corr[K])
+    return K, corr[K]
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -363,7 +383,10 @@ def _walk(fam: FactorialFamily, counts: Optional[np.ndarray], target: float = 0.
 
     Returns the counts kept, the remainder each leaves at its last count
     walked (0 with fixed counts), and an array of max(counts) columns
-    whose row k starts with the terms of level k, for ``_sums``.
+    whose row k holds the n[k] kept terms of level k, then zeros, for
+    ``_sums``.  The planner's walk zeros the quotient after each level's
+    count, so the running product stops there; its shifts have Re >= 0,
+    which puts any pole at the first quotient, inside every count.
     """
     columns = fam.table.shape[1]
     if counts is not None:
@@ -374,7 +397,7 @@ def _walk(fam: FactorialFamily, counts: Optional[np.ndarray], target: float = 0.
         rows = slice(0, K + 1)
         num = fam.table[rows, :width]
         terms = np.multiply.accumulate(num / (fam.shift[rows, None] + _index(width)), axis=1)
-        return counts, np.zeros(K + 1), terms
+        return counts, np.zeros(K + 1), np.where(_index(width) < counts[:, None], terms, 0j)
     K = len(gain) - 1
     first = fam.size[:K + 1] * gain           # |t_1| of each level
     walk = _index(K + 1)                      # levels still walking
@@ -398,7 +421,7 @@ def _walk(fam: FactorialFamily, counts: Optional[np.ndarray], target: float = 0.
         idx = _index(len(walked))
         at = ok.argmax(axis=1)
         met = ok[idx, at]
-        done = met.all()
+        done = np.logical_and.reduce(met)
         if not done:
             at = np.where(met, at, ok.shape[1] - 1)
         remainder = walked[idx, at]           # at the last count walked
@@ -406,7 +429,8 @@ def _walk(fam: FactorialFamily, counts: Optional[np.ndarray], target: float = 0.
         if last and not done:
             n = np.where(met, n, columns - 1)
             done = True
-        kept = int(n.max())
+        kept = int(np.maximum.reduce(n))
+        quot[idx, n] = 0.0                    # terms n + 1 on vanish
         run = np.multiply.accumulate(quot[:, :kept], axis=1)
         if lo:
             stop[rows], left[rows] = n, remainder
@@ -424,28 +448,29 @@ def _walk(fam: FactorialFamily, counts: Optional[np.ndarray], target: float = 0.
 
 
 def _sums(fam: FactorialFamily, n: np.ndarray, terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Sums of the first n[k] entries of each row of ``terms`` (weights
-    not applied), and the sums of their magnitudes.  A Pochhammer factor
+    """Row sums of the walk's kept ``terms``, n[k] in row k (weights not
+    applied), and the sums of their magnitudes.  A Pochhammer factor
     within 1e-12 of zero raises PoleError; terms from the first one that
     overflows on are dropped."""
     re = fam.shift.real[:len(n)]
-    if re.min() < POCH_GUARD:
+    if np.minimum.reduce(re) < POCH_GUARD:
         # |shift + i| over i >= 0 is least at the integer nearest -Re shift
         i = np.maximum(np.rint(-re), 0.0)
         if np.any((np.abs(fam.shift[:len(n)] + i) < POCH_GUARD) & (i < n)):
             raise PoleError("factorial-series denominator within 1e-12 of a pole")
-    kept = np.where(_index(terms.shape[1]) < n[:, None], terms, 0j)
-    size = np.abs(kept)
-    if not np.maximum.reduce(size, axis=None) < 1e250:
+    size = np.abs(terms)
+    magnitudes = np.add.reduce(size, axis=1)
+    if not np.maximum.reduce(magnitudes) < 1e250:     # a term, or a row's sum, overflows
         alive = np.logical_and.accumulate(size < 1e250, axis=1)
-        kept, size = np.where(alive, kept, 0j), np.where(alive, size, 0.0)
-    return np.add.reduce(kept, axis=1), np.add.reduce(size, axis=1)
+        terms, size = np.where(alive, terms, 0j), np.where(alive, size, 0.0)
+        magnitudes = np.add.reduce(size, axis=1)
+    return np.add.reduce(terms, axis=1), magnitudes
 
 
 def _plan(fam: FactorialFamily, tol: float) -> Tuple[DyadicPlan, np.ndarray, np.ndarray]:
     """The plan of ``plan_truncation`` with the level sums its walk kept
     and the sums of their magnitudes."""
-    if fam.shift.real.min() < 0.0:
+    if np.minimum.reduce(fam.shift.real) < 0.0:
         raise CutProximityError(
             f"{fam.name}: a level shift has negative real part; "
             "the argument lies across the expansion's cut"
@@ -460,8 +485,8 @@ def _plan(fam: FactorialFamily, tol: float) -> Tuple[DyadicPlan, np.ndarray, np.
         K = int(np.argmax(tails <= 0.5 * tol))
         tail = tails[K]
     budget = (tol - min(tail, 0.5 * tol)) / fam.safety
-    n_terms, left, terms = _walk(fam, None, budget / (K + 1), _romberg_gains(K, fam.ladder))
-    predicted = tail + fam.safety * left.sum()
+    n_terms, left, terms = _walk(fam, None, budget / (K + 1), _richardson(K, fam.ladder)[1])
+    predicted = tail + fam.safety * np.add.reduce(left)
     plan = DyadicPlan(K=K, n_terms=n_terms.tolist(), steps=len(fam.ladder),
                       predicted_error=max(float(predicted), _TINY))
     return (plan, *_sums(fam, n_terms, terms))
@@ -505,23 +530,35 @@ def level_sums(fam: FactorialFamily, n_terms: Sequence[int]) -> np.ndarray:
 
 def _weigh(fam: FactorialFamily, plan: DyadicPlan, sums: np.ndarray,
            magnitudes: np.ndarray) -> Tuple[complex, float]:
-    K, ladder = plan.K, fam.ladder[:plan.steps]
-    weight = fam.weight[:K + 1]
-    partial = np.add.accumulate(weight * sums)
-    value, corr = romberg(partial[K - plan.steps:].tolist(), ladder)
-    # each kept term carries a rounding error of about eps times its size
-    # into the value, through its level's weight and Richardson gain
-    rounding = _EPS * float(np.abs(weight) * _romberg_gains(K, ladder) @ magnitudes)
-    return complex(value), float(abs(corr)) + rounding
+    """The plan's value, the running sum of its level sums under the
+    weights g_k of its Richardson form, and the error assembly adds: the
+    size of the last correction, eps times the kept terms' magnitudes,
+    each through its level's weight and gain |g_k| (the term's own
+    rounding, and that of its level sum and of the products that weigh
+    it), and eps/2 times each running sum past the first, the one
+    rounding each addition of the form makes.  A plan has a few dozen
+    levels at most, so they are weighed one by one."""
+    K = plan.K
+    g, gain, c = _richardson(K, fam.ladder[:plan.steps]).tolist()
+    value = corr = 0j
+    kept = running = 0.0
+    for k, (w, s, m) in enumerate(zip(fam.weight[:K + 1].tolist(), sums.tolist(), magnitudes.tolist())):
+        level = w * s
+        value += g[k] * level
+        corr += c[k] * level
+        kept += gain[k] * abs(w) * m
+        if k:
+            running += abs(value)
+    return value, (abs(corr) if plan.steps else 0.0) + _EPS * (kept + 0.5 * running)
 
 
 def assemble(fam: FactorialFamily, plan: DyadicPlan) -> Tuple[complex, float]:
-    """The plan's value over the family (weighted level sums, then the
-    plan's Richardson steps) and the error it adds to the plan's
-    prediction, in the units of the value: the size of its last
-    correction plus the rounding of the kept terms, eps times their
-    magnitudes, each through its level's weight and Richardson gain.  A
-    plan outside the family (``level_sums``) raises DomainError."""
+    """The plan's value over the family (the weighted level sums through
+    the Richardson form of the plan's steps) and the error it adds to the
+    plan's prediction, in the units of the value: the size of its last
+    correction plus the rounding of the kept terms and of the form's
+    running sum (``_weigh``).  A plan outside the family (``level_sums``)
+    raises DomainError."""
     if plan.steps > len(fam.ladder):
         raise DomainError(f"{fam.name}: the ladder has {len(fam.ladder)} steps, "
                           f"the plan asks for {plan.steps}")

@@ -324,12 +324,17 @@ class TestRomberg:
         assert amplification((1.0, 2.0)) == pytest.approx(3.0 * 5.0 / 3.0)
 
     def test_level_errors_enter_with_the_planned_gains(self):
-        # a perturbation of level k moves the extrapolated value by g_k times it
-        from dyafact.dyadic import _romberg_gains
-        K, ladder = 7, (0.4, 1.4, 2.4, 3.4)
-        base, _ = romberg(np.zeros(K + 1), ladder)
-        moves = [romberg(np.cumsum(np.eye(K + 1)[k]), ladder)[0] - base for k in range(K + 1)]
-        assert np.allclose(np.abs(moves), _romberg_gains(K, ladder), rtol=1e-12, atol=1e-12)
+        # a perturbation of level k moves the extrapolated value by g_k times
+        # it, and the last correction by the form's third row times it
+        from dyafact.dyadic import _richardson
+        for K, ladder in ((7, (0.4, 1.4, 2.4, 3.4)), (4, (1.0,)), (3, ())):
+            form = _richardson(K, ladder)
+            base, base_corr = romberg(np.zeros(K + 1), ladder)
+            moves = [romberg(np.cumsum(np.eye(K + 1)[k]), ladder) for k in range(K + 1)]
+            assert np.allclose([m[0] - base for m in moves], form[0], rtol=1e-12, atol=1e-12)
+            assert np.allclose([m[1] - base_corr for m in moves], form[2], rtol=1e-12, atol=1e-12)
+            assert np.array_equal(form[1], np.abs(form[0]))
+            assert not form.flags.writeable
 
     def test_laddered_plan(self):
         for x, tol in ((2.0, 1e-10), (0.05, 1e-8), (15.0 - 4.0j, 1e-6)):
@@ -339,6 +344,14 @@ class TestRomberg:
             assert plan.steps <= plan.K <= LADDER_LEVELS
             assert abs(fam.shift[plan.K]) >= SHIFT_FLOOR
             assert plan.predicted_error <= tol
+            # K is the first level past the ladder whose modeled correction
+            # fits half of tol with |x_K| past the floor
+            lam, xk = fam.ladder, np.abs(fam.shift)
+            rho = 2.0 ** -np.arange(len(xk)) + 2.0 / xk
+            corr = fam.size / (2.0 ** lam[0] - 1.0) * rho ** (lam[-1] - lam[0])
+            ok = (corr <= tol / 2) & (xk >= SHIFT_FLOOR)
+            ok[:len(lam)] = False
+            assert ok[plan.K] and not ok[:plan.K].any()
         assert plan_truncation(ei_stokes_family(5.0), 1e-10).steps == 0
 
     def test_caller_plan_is_a_plain_sum(self):
@@ -419,6 +432,12 @@ class TestAllocation:
         for x, tol in ((5.0, 1e-8), (2.0 + 1.0j, 1e-5), (12.0, 1e-10)):
             fam = ei_stokes_family(x)
             tails = fam.tails()
+            # summed from the deepest level up, one level at a time
+            acc, deepest_up = 0.0, []
+            for size in fam.size[:0:-1].tolist():
+                acc += size
+                deepest_up.append(fam.safety * acc)
+            assert tails.tolist() == deepest_up[::-1] + [0.0]
             K = plan_truncation(fam, tol).K
             assert tails[K] <= tol / 2 and (K == 0 or tails[K - 1] > tol / 2)
 

@@ -171,15 +171,21 @@ PATHS = {
 }
 
 
+# the families each path plans: none for the series at 0 and the closed
+# form, the two seed orders for the recurrence
+WALKS = {"ei-left series": 0, "bessel-k half-integer": 0, "bessel-k recurrence": 2}
+
+
 @pytest.mark.parametrize("path", PATHS)
 def test_one_check_and_one_result_per_call(path, monkeypatch):
     # a composed id runs the paths it is built from, not their evaluators,
-    # and no path checks the tol that dyadic.run has checked
+    # no path checks the tol that dyadic.run has checked, and a planned
+    # family's terms are walked once
     from dyafact import borel, dyadic, specfun
     from dyafact.dyadic import EvalResult
     fid, x, s = PATHS[path]
-    calls = {"check": 0, "check_tol": 0, "result": 0}
-    check, init = functions.Function.check, EvalResult.__init__
+    calls = {"check": 0, "check_tol": 0, "result": 0, "walk": 0}
+    check, init, walk = functions.Function.check, EvalResult.__init__, dyadic._walk
 
     def counted_check(self, *args):
         calls["check"] += 1
@@ -193,13 +199,18 @@ def test_one_check_and_one_result_per_call(path, monkeypatch):
         calls["result"] += 1
         init(self, *args)
 
+    def counted_walk(*args, **kwargs):
+        calls["walk"] += 1
+        return walk(*args, **kwargs)
+
     monkeypatch.setattr(functions.Function, "check", counted_check)
     monkeypatch.setattr(EvalResult, "__init__", counted_init)
+    monkeypatch.setattr(dyadic, "_walk", counted_walk)
     for module in (functions, dyadic, specfun, borel):
         if hasattr(module, "check_tol"):
             monkeypatch.setattr(module, "check_tol", counted_check_tol)
     FUNCTIONS[fid].evaluate(x, 1e-9, s)
-    assert calls == {"check": 1, "check_tol": 1, "result": 1}
+    assert calls == {"check": 1, "check_tol": 1, "result": 1, "walk": WALKS.get(path, 1)}
 
 
 def _number(v):

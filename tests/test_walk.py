@@ -183,6 +183,36 @@ def test_bessel_k(nu, x, tol):
         _same_walk(fam, tol)
 
 
+# psi near its zero at x = 0.4616 (0.5346 at tol 1e-9 moves furthest
+# from ``romberg``'s value over perfbench's inputs of seeds 21-40,
+# 4.9e-15 relative) and elsewhere, the incomplete-gamma rounding floor,
+# and Ei, Stokes and h families at tight tols
+FORMS = [
+    (psi_family(0.4616321449683623), 1e-13),
+    (psi_family(0.4616321449683623), 1e-8),
+    (psi_family(0.48779153256988206), 3.855591623250077e-08),
+    (psi_family(0.5346144075342095), 1.0373182564952165e-09),
+    (psi_family(0.05 + 0.3j), 1e-13),
+    (specfun._gamma_family(0.841796875, complex(403.43)), 7e-17),
+    (ei_left_family(2.0), 1e-13),
+    (ei_stokes_family(5.0 + 0.3j), 1e-12),
+    (borel._h_family(get_table(0.7, 66, LADDER_LEVELS), complex(3.0)), 1e-12),
+]
+
+
+@pytest.mark.parametrize("fam, tol", FORMS)
+def test_the_form_moves_the_value_by_less_than_its_rounding(fam, tol):
+    # the running sum of the weighted levels and ``romberg``'s steps over
+    # their partial sums round differently; the gap lies within the
+    # rounding the estimate counts, what assembly adds beyond the correction
+    plan, value, added = dyadic.evaluate(fam, tol)
+    level = fam.weight[:plan.K + 1] * level_sums(fam, plan.n_terms)
+    partial = np.add.accumulate(level)
+    stepwise, _ = dyadic.romberg(partial[plan.K - plan.steps:].tolist(), fam.ladder[:plan.steps])
+    corr = abs(np.sum(dyadic._richardson(plan.K, fam.ladder[:plan.steps])[2] * level))
+    assert abs(value - stepwise) <= added - corr
+
+
 class TestTemplates:
     """A second call of an order at a new argument builds nothing new."""
 
