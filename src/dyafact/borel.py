@@ -366,7 +366,8 @@ def _h_family(table: CoefficientTable, u: complex) -> FactorialFamily:
     planned terms."""
     uk = table.scale * u
     shift = uk + 1.0
-    size = np.abs(table.lead / (uk * shift)) * abs(u)
+    # dividing in turn: the product u_k shift_k would overflow from |u| ~ 2e149
+    size = np.abs(table.lead / uk / shift) * abs(u)
     return FactorialFamily("h-expansion", shift, table.weight / uk, table.numer, size, safety=1.3,
                            ladder=table.ladder)
 

@@ -21,7 +21,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .functions import FUNCTIONS, MAX_LEVELS, check_tol
+from .functions import FUNCTIONS, LADDER_LEVELS, MAX_LEVELS, check_tol
 from .scalar import DomainError, PoleError, polylog
 
 __all__ = [
@@ -48,21 +48,16 @@ __all__ = [
 DENOM_GUARD = 1e-8       # singular-denominator threshold (absolute)
 POCH_GUARD = 1e-12       # Pochhammer factor treated as a pole
 SHIFT_FLOOR = 32.0       # |x_K| from which a ladder's tail expansion holds
-LADDER_LEVELS = 16       # h-table depth: laddered plans at tol >= 1e-10 keep <= 15 levels
 # Richardson error growth an evaluator accepts: at tol 1e-10 the levels then
 # need about 5e-13, which the coefficient rows (1e-13 and better) deliver
 MAX_AMPLIFICATION = 100.0
-# Columns of a walk's first chunk: over perfbench's point-values inputs
-# (seeds 21-25) 94 % of the planned walks stop every level within 64 terms.
-FIRST_CHUNK = 65
 # Columns of the closed-form numerator tables (Ei and digamma), built whole
 # at import: at tol 1.01e-14 and every shift at least 1e-12 from a pole the
 # widest walks keep 192 terms (Ei-Stokes at |x| = 4e-12), 122 (Ei-left)
 # and 49 (digamma).
 TABLE_COLUMNS = 257
-_INDEX = np.arange(1025)                         # shared row and column index
-_INV_LEVELS = 2.0 ** -_INDEX[:MAX_LEVELS + 1]    # 2^-k for every described level
-_TINY = np.finfo(float).tiny
+_INV_LEVELS = 2.0 ** -np.arange(MAX_LEVELS + 1)   # 2^-k for every described level
+_TINY = float(np.finfo(float).tiny)
 _EPS = float(np.finfo(float).eps)
 
 
@@ -70,11 +65,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     """``a``, read-only: templates are shared by every family of an order."""
     a.flags.writeable = False
     return a
-
-
-def _index(n: int) -> np.ndarray:
-    """0, 1, ..., n - 1, a view of the shared index where it reaches."""
-    return _INDEX[:n] if n <= len(_INDEX) else np.arange(n)
 
 
 class CutProximityError(DomainError):
@@ -252,7 +242,9 @@ class FactorialFamily:
     Gamma(m) folded into the numerators, so no factor ever overflows.
     ``table`` is the read-only (levels x columns) array of numer(k, i),
     built once per order and written by no call; a level keeps at most
-    ``table.shape[1] - 1`` planned terms.
+    ``table.shape[1] - 1`` planned terms.  The walk (``_walk``) reads
+    the shifts, sizes and the columns of the table rows it needs as
+    Python lists and forms the terms one by one.
 
     The planner sees only magnitudes in the units of its tolerance:
     ``size[k]`` = |weight_k t_{k,1}| and the term ratios
@@ -275,13 +267,14 @@ class FactorialFamily:
     safety: float
     ladder: Tuple[float, ...] = ()
 
-    def tails(self) -> np.ndarray:
+    def tails(self) -> List[float]:
         """safety * (size of every described level beyond K), for each K:
         the sums run from the deepest level up."""
-        tails = np.zeros(len(self.size))
-        np.add.accumulate(self.size[:0:-1], out=tails[-2::-1])
-        tails *= self.safety
-        return tails
+        tails, acc = [0.0], 0.0
+        for size in self.size[:0:-1].tolist():
+            acc += size
+            tails.append(self.safety * acc)
+        return tails[::-1]
 
 
 def romberg(partial_sums: Sequence, ladder: Sequence[float]) -> Tuple[complex, complex]:
@@ -347,127 +340,130 @@ def _ladder_depth(fam: FactorialFamily, tol: float) -> Tuple[int, float]:
     steps need K >= len(ladder).  The correction is modeled as the plain
     tail size_K / (2^lambda_1 - 1) times rho_K^(lambda_last - lambda_1);
     K is the smallest count past these floors whose correction fits in
-    ``tol / 2``, or the deepest described level."""
+    ``tol / 2``, or the deepest described level, whose correction counts
+    as inf below the floor."""
     lam = fam.ladder
-    n = len(fam.shift)
-    xk = np.abs(fam.shift)
-    rho = _INV_LEVELS[:n] + 2.0 / xk
-    corr = fam.size / (2.0 ** lam[0] - 1.0) * rho ** (lam[-1] - lam[0])
-    corr, xk = corr.tolist(), xk.tolist()
-    for K in range(len(lam), n):
-        if corr[K] <= 0.5 * tol and xk[K] >= SHIFT_FLOOR:
+    gap, power = 2.0 ** lam[0] - 1.0, lam[-1] - lam[0]
+    size, shift = fam.size.tolist(), fam.shift.tolist()
+    for K in range(len(lam), len(shift)):
+        xk = abs(shift[K])
+        # past the floor rho_K < 1.07, so its power stays finite
+        corr = size[K] / gap * (2.0 ** -K + 2.0 / xk) ** power if xk >= SHIFT_FLOOR else math.inf
+        if corr <= 0.5 * tol:
             break
-    else:
-        K = n - 1
-    return K, corr[K]
+    return K, corr
 
 
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _walk(fam: FactorialFamily, counts: Optional[np.ndarray], target: float = 0.0,
-          gain: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One pass over the terms of levels 0..K: with fixed ``counts``
-    (K + 1 = len(counts)) each level keeps exactly that many; without
-    them (K + 1 = len(gain)) a level keeps the smallest count whose
-    remainder, the larger of the next two terms over the local geometric
-    gap scaled by the level's ``gain``, is below ``target``, or the
+def _walk(fam: FactorialFamily, counts: Optional[Sequence[int]], target: float = 0.0,
+          gain: Optional[Sequence[float]] = None
+          ) -> Tuple[List[int], List[float], List[complex], List[float]]:
+    """One pass over the terms of levels 0..K, one Python loop per level:
+    with fixed ``counts`` (K + 1 = len(counts)) each level keeps exactly
+    that many; without them (K + 1 = len(gain)) a level keeps the
+    smallest count c whose remainder is below ``target``, or the
     ``columns - 1`` terms its table supports.
 
-    The numerators come from slices of the family's table.  Fixed counts
-    take one pass over max(counts) columns.  The planner's walk reads
-    FIRST_CHUNK columns of every level in its first chunk; the levels
-    still walking read again from column 0 over twice as many, less one,
-    and so on; a level stops in a chunk only where both its next terms
-    lie in the chunk, or the chunk reaches the table's end.  A chunk
-    forms the quotients numer / (shift + i) once: their magnitudes drive
-    the stop rule, and their running product gives the terms t_{k,i+1}.
+    The remainder at c is the larger of the magnitudes of the next two
+    terms over the local geometric gap 1 - min(r_c, 0.95), r_c =
+    |numer(k, c) / (shift_k + c)|; on the table's last column it is the
+    next term's alone.  The magnitudes are |weight_k t_{k,1}| times the
+    level's ``gain`` times the running product of the ratios, saturated
+    at 1e280: a next term that cancels to near 0 ahead of a large one does
+    not end the level.  A level forms the quotients
+    numer(k, i) / (shift_k + i) only up to its count, and the planner
+    the two more its rule reads; each kept term t_{k,i+1} = t_{k,i} times
+    quotient i joins the level's sum, and its magnitude (|t_{k,1}| times
+    the running product of the quotients' magnitudes) their sum, as it
+    is formed.  The level sum is Kahan's compensated running sum, within
+    (eps + O(n eps^2)) times the magnitudes of the exact sum of its n
+    terms: the eps ``_weigh`` counts for it.  Table rows are read as
+    Python lists, the first 17 columns of every level at once, so a level
+    that keeps up to 15 terms reads no more; one that needs more doubles
+    the columns it has.
 
-    Returns the counts kept, the remainder each leaves at its last count
-    walked (0 with fixed counts), and an array of max(counts) columns
-    whose row k holds the n[k] kept terms of level k, then zeros, for
-    ``_sums``.  The planner's walk zeros the quotient after each level's
-    count, so the running product stops there; its shifts have Re >= 0,
-    which puts any pole at the first quotient, inside every count.
+    A Pochhammer factor within POCH_GUARD of zero among the kept terms
+    raises PoleError; the planner's shifts have Re >= 0, which puts any
+    pole at the first factor, inside every count.  Terms from the first
+    one whose magnitude reaches 1e250 on are dropped.  Returns the counts
+    kept, the remainder each leaves (0 with fixed counts), the level sums
+    (weights not applied) and the sums of their terms' magnitudes.
     """
-    columns = fam.table.shape[1]
-    if counts is not None:
-        K, width = len(counts) - 1, int(counts.max())
-        if K >= len(fam.shift) or width > columns:
+    table = fam.table
+    columns = table.shape[1]
+    planned = counts is None
+    if planned:
+        K = len(gain) - 1
+        first, counts = fam.size[:K + 1].tolist(), []
+    else:
+        K = len(counts) - 1
+        if K >= len(fam.shift) or max(counts) > columns:
             raise DomainError(f"{fam.name}: a plan takes at most {len(fam.shift) - 1} levels "
                               f"of at most {columns} terms")
-        rows = slice(0, K + 1)
-        num = fam.table[rows, :width]
-        terms = np.multiply.accumulate(num / (fam.shift[rows, None] + _index(width)), axis=1)
-        return counts, np.zeros(K + 1), np.where(_index(width) < counts[:, None], terms, 0j)
-    K = len(gain) - 1
-    first = fam.size[:K + 1] * gain           # |t_1| of each level
-    walk = _index(K + 1)                      # levels still walking
-    rows = slice(0, K + 1)                    # the same, as an index
-    lo, hi = 0, FIRST_CHUNK
-    while True:
-        width = min(hi, columns)
-        last = width == columns               # unmet rows run out in this chunk
-        # the stop rule at count c reads the ratio at index c
-        quot = fam.table[rows, :width] / (fam.shift[rows, None] + _index(width))
-        r = np.abs(quot[:, 1:])
-        # t_1 is given by ``size``, the ratios take it on from there
-        mags = first[rows, None] * np.minimum(np.multiply.accumulate(r, axis=1), 1e280)   # saturate, not overflow
-        # the larger of the next two terms: a next term that cancels to
-        # near 0 ahead of a large one does not end the level
-        mags[:, :-1] = np.maximum(mags[:, :-1], mags[:, 1:])
-        walked = mags / (1.0 - np.minimum(r, 0.95))
-        ok = walked <= target
-        if not last:                          # the term after next lies past the chunk
-            ok[:, -1] = False
-        idx = _index(len(walked))
-        at = ok.argmax(axis=1)
-        met = ok[idx, at]
-        done = np.logical_and.reduce(met)
-        if not done:
-            at = np.where(met, at, ok.shape[1] - 1)
-        remainder = walked[idx, at]           # at the last count walked
-        n = at + 1 if done else np.where(met, at + 1, 0)
-        if last and not done:
-            n = np.where(met, n, columns - 1)
-            done = True
-        kept = int(np.maximum.reduce(n))
-        quot[idx, n] = 0.0                    # terms n + 1 on vanish
-        run = np.multiply.accumulate(quot[:, :kept], axis=1)
-        if lo:
-            stop[rows], left[rows] = n, remainder
-            if kept:
-                grown = np.zeros((K + 1, max(kept, terms.shape[1])), dtype=complex)
-                grown[:, :terms.shape[1]] = terms
-                grown[rows, :kept] = run
-                terms = grown
-        else:                                 # the first chunk holds every level
-            stop, left, terms = n, remainder, run
-        if done:
-            return stop, left, terms
-        walk = rows = walk[~met]
-        lo, hi = width, 2 * hi - 1
+    left, sums, magnitudes = [], [], []
+    for k, (s, row) in enumerate(zip(fam.shift[:K + 1].tolist(), table[:K + 1, :17].tolist())):
+        if s.real < POCH_GUARD:
+            # |shift + i| over i >= 0 is least at the integer nearest -Re shift
+            i = max(round(-s.real), 0)
+            if abs(s + i) < POCH_GUARD and (planned or i < counts[k]):
+                raise PoleError("factorial-series denominator within 1e-12 of a pole")
+        end = len(row)
+        total = comp = 0j                     # the level sum and its compensation
+        mag, a, rem = 0.0, 1.0, 0.0
+        if not planned:
+            for i in range(counts[k]):
+                if i == end:
+                    row += table[k, i:2 * i - 1].tolist()
+                    end = len(row)
+                q = row[i] / (s + i)
+                t = t * q if i else q
+                a *= abs(q)
+                if not a < 1e250:
+                    break
+                y = t - comp                  # Kahan's compensated running sum
+                u = total + y
+                comp, total = u - total - y, u
+                mag += a
+        else:
+            g = first[k] * gain[k]            # |t_1| in the units of the target
+            t = row[0] / s
+            a = abs(t)                        # |t_1|, and inf once a term is dropped
+            total, mag, a = (t, a, a) if a < 1e250 else (0j, 0.0, math.inf)
+            q = row[1] / (s + 1)
+            r = p = abs(q)
+            m = g * (p if not p > 1e280 else 1e280)
+            for j in range(2, columns):       # j is the count so far plus one
+                if j == end:
+                    row += table[k, j:2 * j - 1].tolist()
+                    end = len(row)
+                q2 = row[j] / (s + j)
+                r2 = abs(q2)
+                p *= r2
+                m2 = g * (p if not p > 1e280 else 1e280)
+                # the larger of the next two (a NaN in either carries, as in numpy)
+                rem = (m2 if not m2 < m else m) / (1.0 - (r if not r > 0.95 else 0.95))
+                if rem <= target:
+                    break
+                t *= q
+                a *= r
+                if a < 1e250:
+                    y = t - comp
+                    u = total + y
+                    comp, total = u - total - y, u
+                    mag += a
+                else:
+                    a = math.inf
+                q, r, m = q2, r2, m2
+            else:                             # the row runs out
+                j = columns
+                rem = m / (1.0 - (r if not r > 0.95 else 0.95))
+            counts.append(j - 1)
+        left.append(rem)
+        sums.append(total)
+        magnitudes.append(mag)
+    return counts, left, sums, magnitudes
 
 
-def _sums(fam: FactorialFamily, n: np.ndarray, terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Row sums of the walk's kept ``terms``, n[k] in row k (weights not
-    applied), and the sums of their magnitudes.  A Pochhammer factor
-    within 1e-12 of zero raises PoleError; terms from the first one that
-    overflows on are dropped."""
-    re = fam.shift.real[:len(n)]
-    if np.minimum.reduce(re) < POCH_GUARD:
-        # |shift + i| over i >= 0 is least at the integer nearest -Re shift
-        i = np.maximum(np.rint(-re), 0.0)
-        if np.any((np.abs(fam.shift[:len(n)] + i) < POCH_GUARD) & (i < n)):
-            raise PoleError("factorial-series denominator within 1e-12 of a pole")
-    size = np.abs(terms)
-    magnitudes = np.add.reduce(size, axis=1)
-    if not np.maximum.reduce(magnitudes) < 1e250:     # a term, or a row's sum, overflows
-        alive = np.logical_and.accumulate(size < 1e250, axis=1)
-        terms, size = np.where(alive, terms, 0j), np.where(alive, size, 0.0)
-        magnitudes = np.add.reduce(size, axis=1)
-    return np.add.reduce(terms, axis=1), magnitudes
-
-
-def _plan(fam: FactorialFamily, tol: float) -> Tuple[DyadicPlan, np.ndarray, np.ndarray]:
+def _plan(fam: FactorialFamily, tol: float) -> Tuple[DyadicPlan, List[complex], List[float]]:
     """The plan of ``plan_truncation`` with the level sums its walk kept
     and the sums of their magnitudes."""
     if np.minimum.reduce(fam.shift.real) < 0.0:
@@ -482,14 +478,15 @@ def _plan(fam: FactorialFamily, tol: float) -> Tuple[DyadicPlan, np.ndarray, np.
         K, tail = _ladder_depth(fam, tol)
     else:
         tails = fam.tails()
-        K = int(np.argmax(tails <= 0.5 * tol))
+        K = next(k for k, t in enumerate(tails) if t <= 0.5 * tol)
         tail = tails[K]
     budget = (tol - min(tail, 0.5 * tol)) / fam.safety
-    n_terms, left, terms = _walk(fam, None, budget / (K + 1), _richardson(K, fam.ladder)[1])
-    predicted = tail + fam.safety * np.add.reduce(left)
-    plan = DyadicPlan(K=K, n_terms=n_terms.tolist(), steps=len(fam.ladder),
-                      predicted_error=max(float(predicted), _TINY))
-    return (plan, *_sums(fam, n_terms, terms))
+    n_terms, left, sums, magnitudes = _walk(fam, None, budget / (K + 1),
+                                            _richardson(K, fam.ladder)[1].tolist())
+    predicted = tail + fam.safety * sum(left)
+    plan = DyadicPlan(K=K, n_terms=n_terms, steps=len(fam.ladder),
+                      predicted_error=max(predicted, _TINY))
+    return plan, sums, magnitudes
 
 
 def plan_truncation(fam: FactorialFamily, tol: float) -> DyadicPlan:
@@ -517,19 +514,20 @@ def plan_truncation(fam: FactorialFamily, tol: float) -> DyadicPlan:
 
 def level_sums(fam: FactorialFamily, n_terms: Sequence[int]) -> np.ndarray:
     """The m-sums of levels 0..len(n_terms)-1, n_terms[k] terms each
-    (weights not applied): the planner's walk with the counts fixed.
+    (weights not applied): the planner's walk (``_walk``) with the counts
+    fixed, the same loop over the same terms, so a plan's sums equal
+    those its planner kept.
 
     More levels than the family describes, or a count past its table's
     columns, raise DomainError.  A Pochhammer factor within 1e-12 of zero
     raises PoleError; terms from the first one that overflows on are
     dropped.
     """
-    n, _, terms = _walk(fam, np.asarray(n_terms, dtype=np.int64))
-    return _sums(fam, n, terms)[0]
+    return np.array(_walk(fam, [int(n) for n in n_terms])[2], dtype=complex)
 
 
-def _weigh(fam: FactorialFamily, plan: DyadicPlan, sums: np.ndarray,
-           magnitudes: np.ndarray) -> Tuple[complex, float]:
+def _weigh(fam: FactorialFamily, plan: DyadicPlan, sums: List[complex],
+           magnitudes: List[float]) -> Tuple[complex, float]:
     """The plan's value, the running sum of its level sums under the
     weights g_k of its Richardson form, and the error assembly adds: the
     size of the last correction, eps times the kept terms' magnitudes,
@@ -542,7 +540,7 @@ def _weigh(fam: FactorialFamily, plan: DyadicPlan, sums: np.ndarray,
     g, gain, c = _richardson(K, fam.ladder[:plan.steps]).tolist()
     value = corr = 0j
     kept = running = 0.0
-    for k, (w, s, m) in enumerate(zip(fam.weight[:K + 1].tolist(), sums.tolist(), magnitudes.tolist())):
+    for k, (w, s, m) in enumerate(zip(fam.weight[:K + 1].tolist(), sums, magnitudes)):
         level = w * s
         value += g[k] * level
         corr += c[k] * level
@@ -557,13 +555,14 @@ def assemble(fam: FactorialFamily, plan: DyadicPlan) -> Tuple[complex, float]:
     the Richardson form of the plan's steps) and the error it adds to the
     plan's prediction, in the units of the value: the size of its last
     correction plus the rounding of the kept terms and of the form's
-    running sum (``_weigh``).  A plan outside the family (``level_sums``)
+    running sum (``_weigh``).  The level sums come from the walk with the
+    plan's counts fixed (``level_sums``), and a plan outside the family
     raises DomainError."""
     if plan.steps > len(fam.ladder):
         raise DomainError(f"{fam.name}: the ladder has {len(fam.ladder)} steps, "
                           f"the plan asks for {plan.steps}")
-    n, _, terms = _walk(fam, np.asarray(plan.n_terms, dtype=np.int64))
-    return _weigh(fam, plan, *_sums(fam, n, terms))
+    _, _, sums, magnitudes = _walk(fam, plan.n_terms)
+    return _weigh(fam, plan, sums, magnitudes)
 
 
 def evaluate(fam: FactorialFamily, tol: float,

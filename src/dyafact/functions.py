@@ -16,14 +16,20 @@ from typing import Callable, Optional, Tuple
 
 from .scalar import DomainError
 
-__all__ = ["FUNCTIONS", "Function", "MAX_LEVELS", "TOL_RANGE", "check_tol"]
+__all__ = ["FUNCTIONS", "Function", "LADDER_LEVELS", "MAX_LEVELS", "TOL_RANGE", "check_tol"]
 
 MAX_LEVELS = 60          # 2^-60 is below binary64 resolution
+LADDER_LEVELS = 16       # h-table depth: laddered plans at tol >= 1e-10 keep <= 15 levels
 TOL_RANGE = (1e-14, 1e-1)   # every planned tol, open at both ends
 _TOL_TEXT = "({}, {})".format(*(f"{t:.0e}".replace("e-0", "e-") for t in TOL_RANGE))
 # the largest |x| of both Ei ids: every level shift 2^k x and its product
 # with a level denominator (|den_k| < 4) stay finite
 _EI_LARGEST = math.ldexp(sys.float_info.max, -(MAX_LEVELS + 2))
+# the largest x of Airy and Bessel-K: the h-expansion's level arguments
+# 2^k u, k <= LADDER_LEVELS (the depth of its tables), stay finite up to
+# u = _H_LARGEST, with u = (4/3) x^(3/2) and u = 2x
+_H_LARGEST = math.ldexp(sys.float_info.max, -LADDER_LEVELS)
+_AIRY_LARGEST, _BESSEL_LARGEST = (0.75 * _H_LARGEST) ** (2.0 / 3.0), _H_LARGEST / 2.0
 _HALF_PLANE, _REAL = (-math.pi / 2, math.pi / 2), (0.0, 0.0)
 _ON_CUT = 1e-12        # relative distance from a cut, or from the real axis, that counts as on it
 _ANGLES = {-2: "-pi", -1: "-pi/2", 0: "0", 1: "pi/2", 2: "pi", 3: "3pi/2"}   # by quarter turns
@@ -70,6 +76,8 @@ class Function:
             x = float(x.real)
             if not (x > 0 and x >= lo):
                 raise self._outside(f"x >= {lo:.4g}" if lo else "x > 0", x)
+            if x > hi:
+                raise self._outside(f"x <= {hi:.4g}", x)
             return x
         if not (size > 0 and size >= lo):
             raise self._outside(f"|x| >= {lo:.4g}" if lo else "x != 0", x)
@@ -113,8 +121,8 @@ FUNCTIONS = {f.id: f for f in (
              (-1.0, 1.0)),
     # from (3/4)^(2/3) on, the h-expansion's argument (4/3) x^(3/2) is at least 1
     Function("airy", "borel", "airy_from_h", lambda o, x, s: o.airy_reference(x.real),
-             True, (0.75 ** (2.0 / 3.0), math.inf), _REAL),
+             True, (0.75 ** (2.0 / 3.0), _AIRY_LARGEST), _REAL),
     Function("bessel-k", "borel", "bessel_k_dyadic",
-             lambda o, x, s: o.bessel_k_reference(s, x.real), True, (0.5, math.inf), _REAL,
+             lambda o, x, s: o.bessel_k_reference(s, x.real), True, (0.5, _BESSEL_LARGEST), _REAL,
              (-5.0, 5.0)),
 )}

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -432,3 +433,22 @@ class TestBessel:
                 bessel_k_dyadic(nu, 2.0)
             with pytest.raises(DomainError):
                 bessel_h(nu, 2.0)
+
+
+@pytest.mark.parametrize("fid, nu", [("airy", None), ("bessel-k", 0.5), ("bessel-k", 0.7),
+                                     ("bessel-k", 2.7)])
+def test_the_top_of_the_region_gives_a_value_or_names_its_bound(fid, nu):
+    # from x = 1e200 on every value has underflowed to 0; past the top of
+    # the region a level argument 2^k u of the h-expansion would overflow,
+    # and under the suite's warnings-as-errors no call overflows inside it
+    from dyafact.functions import FUNCTIONS
+    fn = FUNCTIONS[fid]
+    top = fn.radius[1]
+    grid = [math.exp(math.log(1e200) + i / 40 * math.log(1.7e308 / 1e200)) for i in range(41)]
+    for x in sorted(grid + [top, math.nextafter(top, math.inf)]):
+        for tol in (1e-13, 1e-9, 0.09):
+            if x <= top:
+                assert fn.evaluate(x, tol, nu).value == 0
+            else:
+                with pytest.raises(DomainError, match=re.escape(f"x <= {top:.4g}, not x = {x}")):
+                    fn.evaluate(x, tol, nu)

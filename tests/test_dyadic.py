@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from dyafact.dyadic import (
-    FIRST_CHUNK,
     LADDER_LEVELS,
     SHIFT_FLOOR,
     TABLE_COLUMNS,
@@ -236,7 +235,7 @@ class TestPlanner:
             for k in range(0, 61):
                 assert 0.0 < limit_ratio(fam, k) < 1.0
 
-    @pytest.mark.parametrize("rho, width", [(0.8, FIRST_CHUNK), (0.9, 2 * FIRST_CHUNK - 1)])
+    @pytest.mark.parametrize("rho, width", [(0.8, 65), (0.9, 129)])
     def test_a_walk_does_not_stop_on_the_last_column_of_a_chunk(self, rho, width):
         # one level of terms rho^j, but for term ``width``, cut to 1e-12 of
         # its neighbours: a chunk of ``width`` columns ends on the term
@@ -437,7 +436,7 @@ class TestAllocation:
             for size in fam.size[:0:-1].tolist():
                 acc += size
                 deepest_up.append(fam.safety * acc)
-            assert tails.tolist() == deepest_up[::-1] + [0.0]
+            assert tails == deepest_up[::-1] + [0.0]
             K = plan_truncation(fam, tol).K
             assert tails[K] <= tol / 2 and (K == 0 or tails[K - 1] > tol / 2)
 

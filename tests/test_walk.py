@@ -29,7 +29,6 @@ from hypothesis import strategies as st
 from dyafact import borel, dyadic, specfun
 from dyafact.borel import airy_from_h, bessel_h, bessel_k_dyadic, get_table
 from dyafact.dyadic import (
-    FIRST_CHUNK,
     LADDER_LEVELS,
     TABLE_COLUMNS,
     FactorialFamily,
@@ -56,21 +55,49 @@ def _relative(a, b):
     return abs(complex(a) - complex(b)) / max(abs(complex(a)), abs(complex(b)), 1e-300)
 
 
-def _padded_level_sums(fam, n_terms):
-    """Level sums from one running product over a padded index matrix,
-    every level as long as the longest; the reference for the walk."""
-    n = np.asarray(n_terms)
-    k = np.arange(len(n))[:, None]
-    j = np.arange(n.max())[None, :]
-    i = np.minimum(j, n[:, None] - 1)
-    den = fam.shift[k] + i
-    if np.any(np.abs(den) < dyadic.POCH_GUARD):
-        raise PoleError("factorial-series denominator within 1e-12 of a pole")
-    numer = fam.table[k, i]
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.cumprod(numer / den, axis=1)
-        alive = np.logical_and.accumulate(np.abs(terms) < 1e250, axis=1)
-    return np.where((j < n[:, None]) & alive, terms, 0.0).sum(axis=1)
+def _exact_level_sums(fam, n_terms):
+    """The exact sums (``math.fsum``) of the float terms of levels
+    0..len(n_terms)-1, n_terms[k] terms each up to the first whose
+    magnitude reaches 1e250, and the sums of their magnitudes; the
+    reference for the walk.  Each term is formed as the walk forms it,
+    t_{k,j+1} = t_{k,j} numer(k, j) / (shift_k + j) in CPython's complex
+    arithmetic: numpy's complex division rounds the quotients otherwise,
+    and the running product carries the difference to every later term."""
+    sums, magnitudes = [], []
+    for k, n in enumerate(n_terms):
+        s, t, terms = complex(fam.shift[k]), 1.0, []
+        for i in range(n):
+            t = t * (complex(fam.table[k, i]) / (s + i))
+            if not abs(t) < 1e250:
+                break
+            terms.append(t)
+        sums.append(complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms)))
+        magnitudes.append(math.fsum(abs(z) for z in terms))
+    return np.array(sums), np.array(magnitudes)
+
+
+def _reference_counts(fam, target, gain):
+    """The planner's stop rule over every column of levels 0..len(gain)-1
+    at once, in numpy: the counts each level keeps and the remainder each
+    leaves; the reference for the walk's loop."""
+    K, columns = len(gain) - 1, fam.table.shape[1]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        r = np.abs(fam.table[:K + 1] / (fam.shift[:K + 1, None] + np.arange(columns)))[:, 1:]
+        mags = (fam.size[:K + 1] * gain)[:, None] * np.minimum(np.cumprod(r, axis=1), 1e280)
+        mags[:, :-1] = np.maximum(mags[:, :-1], mags[:, 1:])
+        walked = mags / (1.0 - np.minimum(r, 0.95))
+    ok = walked <= target
+    # a level that meets no target keeps the columns - 1 terms its row supports
+    at = np.where(ok.any(axis=1), ok.argmax(axis=1), columns - 2)
+    return (at + 1).tolist(), walked[np.arange(K + 1), at]
+
+
+def _within_rounding(fam, n_terms, sums):
+    """``sums`` lie within eps times their terms' magnitudes, the rounding
+    of a level sum that ``dyadic._weigh`` counts, of the exact sums of
+    the same terms, level by level."""
+    exact, magnitudes = _exact_level_sums(fam, n_terms)
+    assert np.all(np.abs(np.asarray(sums) - exact) <= dyadic._EPS * magnitudes)
 
 
 def _fresh_gamma_templates(monkeypatch):
@@ -84,12 +111,20 @@ def _fresh_gamma_templates(monkeypatch):
 
 
 def _same_walk(fam, tol):
-    """The planner's walk and the fixed-count walk of its plan agree, with
-    each other and with the padded reference."""
+    """The planner's walk keeps the counts and remainders of the numpy
+    reference of its rule, and the fixed-count walk of its plan gives the
+    sums it kept, within their rounding of the exact sums of their terms."""
     plan, walked, _ = dyadic._plan(fam, tol)
+    tail = dyadic._ladder_depth(fam, tol)[1] if fam.ladder else fam.tails()[plan.K]
+    target = (tol - min(tail, 0.5 * tol)) / fam.safety / (plan.K + 1)
+    gain = dyadic._richardson(plan.K, fam.ladder)[1]
+    counts, left, _, _ = dyadic._walk(fam, None, target, gain.tolist())
+    reference, remainders = _reference_counts(fam, target, gain)
+    assert counts == plan.n_terms == reference
+    assert np.allclose(left, remainders, rtol=1e-12, atol=0.0)
     sums = level_sums(fam, plan.n_terms)
     assert np.array_equal(sums, walked)
-    assert np.array_equal(sums, _padded_level_sums(fam, plan.n_terms))
+    _within_rounding(fam, plan.n_terms, sums)
     again = dyadic.evaluate(fam, tol, plan)
     planned = dyadic.evaluate(fam, tol)
     assert again[0] is plan and planned[0] == plan
@@ -452,7 +487,7 @@ class TestGuards:
     def test_pole_within_the_kept_terms(self):
         # level 1 of Ei-left at x = -1.5 + 1e-14 i has its pole at index 3
         fam = ei_left_family(-1.5 + 1e-14j)
-        assert np.array_equal(level_sums(fam, [5, 3]), _padded_level_sums(fam, [5, 3]))
+        _within_rounding(fam, [5, 3], level_sums(fam, [5, 3]))
         for n_terms in ([5, 4], [2, 40]):
             with pytest.raises(PoleError):
                 level_sums(fam, n_terms)
@@ -466,13 +501,13 @@ class TestGuards:
                               size=np.full(2, 1e100), safety=1.0)
         for n_terms in ([1, 2], [5, 40], [60, 3]):
             sums = level_sums(fam, n_terms)
-            assert np.array_equal(sums, _padded_level_sums(fam, n_terms))
+            _within_rounding(fam, n_terms, sums)
         assert sums[0] == 1e100 + 1e200 / 2.0
 
     @pytest.mark.parametrize("n_terms", [[1], [1, 1, 1], [33, 1, 34], [70, 2, 140, 5]])
     def test_counts_across_chunks(self, n_terms):
         fam = ei_left_family(0.7 - 0.4j)
-        assert np.array_equal(level_sums(fam, n_terms), _padded_level_sums(fam, n_terms))
+        _within_rounding(fam, n_terms, level_sums(fam, n_terms))
 
     @pytest.mark.parametrize("x", [-5.0 + 0.3j, -0.5 + 0.01j])
     def test_walk_past_the_first_table_width_near_a_cut(self, x):
@@ -480,7 +515,7 @@ class TestGuards:
         # level 1 keeps more terms than a first chunk reads
         fam = ei_stokes_family(-x.conjugate())
         plan = dyadic.plan_truncation(fam, 1e-12)
-        assert max(plan.n_terms) > FIRST_CHUNK
+        assert max(plan.n_terms) > 64
         _same_walk(fam, 1e-12)
         assert ei_left(x, 1e-12).plan == plan
 
