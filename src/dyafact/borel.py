@@ -3,10 +3,9 @@ F(p) = P_{nu-1/2}(1 + 2p) by power-series continuation of its linear
 ODE (every grid step's 2x2 transfer map formed in one vectorized pass,
 then chained along the grid), accumulate the dyadic coefficient
 integrals d_m and d_km by quadrature into one read-only table per order
-(``CoefficientTable``, which also holds the argument-free half of the
-expansion: level weights, leads, numerators and ladder), assemble the
-dyadic factorial expansion of the normalized solution h, and map back
-to Ai and K_nu.
+(``CoefficientTable``, which also holds the expansion's ``Template``),
+assemble the dyadic factorial expansion of the normalized solution h,
+and map back to Ai and K_nu.
 
 The kernel has a logarithmic branch point at p = -1 whose jump is
 -2 i cos(pi nu) F(p); pushing the Cauchy contour onto that cut gives
@@ -44,12 +43,13 @@ import numpy as np
 from ._gauss import dyadic_edges, geometric_sums, panel_nodes, refined
 from .dyadic import (
     _EPS,
+    _LEVELS,
     LADDER_LEVELS,
     MAX_AMPLIFICATION,
     MAX_LEVELS,
     DyadicPlan,
     EvalResult,
-    FactorialFamily,
+    Template,
     _frozen,
     _result,
     amplification,
@@ -276,26 +276,23 @@ def _build_level_rows(kern: BorelKernel, M: int, K: int, target: float) -> np.nd
 class CoefficientTable:
     """One kernel order's coefficients and the argument-free half of its
     h-expansion, all read-only: d_m (m in [2, M]) and d_km (k in [1, K],
-    m in [2, M]), and over them 2^k, the level weights, their leads
-    weight_k d_{k,2}, the numerator table and the ladder.
+    m in [2, M]), and over them the expansion's ``template``.
 
-    Level k is sum_{m>=2} sign_m G(m) d_km / (u_k)_m, a factorial series
-    in u_k + 1 (base terms alternate, sign_m = (-1)^m), entering with
-    weight -kappa e^{2^-k} (-kappa for the base).  Column 0 of the
-    numerators is d_{k,2}, so a level's terms are u_k times its own and
-    1/u_k joins the weight; then
-    t_{i+1} / t_i = sign_k (i + 1) d_{k,i+2} / d_{k,i+1}."""
+    The expansion h(u) = (1 + S(u)) / u, with S the sum of the template's
+    levels at u: level k is u sum_{m>=2} sign_m G(m) d_km / (u_k)_m,
+    u_k = 2^k u, a factorial series in u_k + 1 (base terms alternate,
+    sign_m = (-1)^m), entering with weight -kappa e^{2^-k} / 2^k (-kappa
+    for the base).  Column 0 of the numerators is d_{k,2}, so a level's
+    terms are u_k times its own and 1/2^k joins the weight; then
+    t_{i+1} / t_i = sign_k (i + 1) d_{k,i+2} / d_{k,i+1}.  No weight
+    depends on u, and S is h relative to its size 1/|u|."""
 
     nu: float
     M: int
     K: int
     dm: np.ndarray           # shape (M-1,), index m-2
     dkm: np.ndarray          # shape (K, M-1), index (k-1, m-2)
-    scale: np.ndarray        # 2^k, k in [0, K]
-    weight: np.ndarray
-    lead: np.ndarray
-    numer: np.ndarray        # shape (K+1, M-1)
-    ladder: tuple
+    template: Template       # K + 1 levels, table shape (K+1, M-1)
 
     @staticmethod
     def build(kern: BorelKernel, M: int, K: int, target: float = 1e-13) -> "CoefficientTable":
@@ -307,18 +304,18 @@ class CoefficientTable:
         dm = _build_base_row(kern, M, target)
         dkm = _build_level_rows(kern, M, K, target) if K else np.empty((0, M - 1))
         rows = np.vstack([dm, dkm])                    # d_{k,m}, m = 2..M
-        scale = 2.0 ** np.arange(K + 1)
+        scale = _LEVELS[:K + 1]
         sign = np.ones(K + 1)
         sign[0] = -1.0
         kappa = math.cos(math.pi * kern.nu) / math.pi
-        weight = -kappa * np.exp(1.0 / scale)
+        weight = -kappa * np.exp(1.0 / scale) / scale
         weight[0] = -kappa
         numer = np.empty(rows.shape)
         numer[:, 0] = rows[:, 0]
         numer[:, 1:] = sign[:, None] * np.arange(2.0, M) * rows[:, 1:] / rows[:, :-1]
-        return CoefficientTable(kern.nu, M, K, _frozen(dm), _frozen(dkm), _frozen(scale),
-                                _frozen(weight), _frozen(weight * rows[:, 0]), _frozen(numer),
-                                _h_ladder(kern.nu))
+        template = Template("h-expansion", 1.0, _frozen(weight), _frozen(numer),
+                            _frozen(np.abs(weight * rows[:, 0])), 1.3, _h_ladder(kern.nu))
+        return CoefficientTable(kern.nu, M, K, _frozen(dm), _frozen(dkm), template)
 
 
 # ---------------------------------------------------------------------------
@@ -359,19 +356,6 @@ def _h_ladder(nu: float) -> tuple:
     return tuple(sorted((a, a + 1.0, 1.5 + nu, min(a + 2.0, 2.5 + nu))))
 
 
-def _h_family(table: CoefficientTable, u: complex) -> FactorialFamily:
-    """The h-expansion at argument u over the table, with u_k = 2^k u:
-    level k enters with weight_k / u_k.  The planner sees sizes relative
-    to h ~ 1/|u|, so its tolerance is relative; each row supports M - 2
-    planned terms."""
-    uk = table.scale * u
-    shift = uk + 1.0
-    # dividing in turn: the product u_k shift_k would overflow from |u| ~ 2e149
-    size = np.abs(table.lead / uk / shift) * abs(u)
-    return FactorialFamily("h-expansion", shift, table.weight / uk, table.numer, size, safety=1.3,
-                           ladder=table.ladder)
-
-
 def _h(u: complex, nu: float, tol: float) -> tuple:
     nu = abs(nu)
     u = complex(u)
@@ -391,9 +375,9 @@ def _h(u: complex, nu: float, tol: float) -> tuple:
                           "use bessel_k_dyadic for larger orders")
     # the Richardson steps keep every plan within LADDER_LEVELS levels, and at
     # |u| = 1 and tol 1e-12 shallow levels keep up to 43 terms
-    plan, total, corr = evaluate(_h_family(get_table(nu, 66, LADDER_LEVELS), u), tol)
-    value = 1.0 / u + total  # F(0) = P_{nu-1/2}(1) = 1
-    return value, plan.predicted_error * abs(value) + corr, plan
+    plan, total, corr = evaluate(get_table(nu, 66, LADDER_LEVELS).template.at(u), tol)
+    value = (1.0 + total) / u  # F(0) = P_{nu-1/2}(1) = 1
+    return value, plan.predicted_error * abs(value) + corr / abs(u), plan
 
 
 # Large-argument asymptotics (DLMF 9.7, 10.40) fix the normalizations

@@ -21,7 +21,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .functions import FUNCTIONS, LADDER_LEVELS, MAX_LEVELS, check_tol
+from .functions import FUNCTIONS, LADDER_LEVELS, MAX_LEVELS, POCH_GUARD, check_tol
 from .scalar import DomainError, PoleError, polylog
 
 __all__ = [
@@ -33,12 +33,12 @@ __all__ = [
     "DyadicPlan",
     "EvalResult",
     "FactorialFamily",
+    "Template",
     "TABLE_COLUMNS",
     "plan_truncation",
     "level_sums",
     "romberg",
     "amplification",
-    "assemble",
     "evaluate",
     "MAX_LEVELS",
     "LADDER_LEVELS",
@@ -46,7 +46,6 @@ __all__ = [
 ]
 
 DENOM_GUARD = 1e-8       # singular-denominator threshold (absolute)
-POCH_GUARD = 1e-12       # Pochhammer factor treated as a pole
 SHIFT_FLOOR = 32.0       # |x_K| from which a ladder's tail expansion holds
 # Richardson error growth an evaluator accepts: at tol 1e-10 the levels then
 # need about 5e-13, which the coefficient rows (1e-13 and better) deliver
@@ -56,7 +55,6 @@ MAX_AMPLIFICATION = 100.0
 # widest walks keep 192 terms (Ei-Stokes at |x| = 4e-12), 122 (Ei-left)
 # and 49 (digamma).
 TABLE_COLUMNS = 257
-_INV_LEVELS = 2.0 ** -np.arange(MAX_LEVELS + 1)   # 2^-k for every described level
 _TINY = float(np.finfo(float).tiny)
 _EPS = float(np.finfo(float).eps)
 
@@ -65,6 +63,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     """``a``, read-only: templates are shared by every family of an order."""
     a.flags.writeable = False
     return a
+
+
+_LEVELS = _frozen(2.0 ** np.arange(MAX_LEVELS + 1))   # 2^k for every described level
 
 
 class CutProximityError(DomainError):
@@ -92,7 +93,7 @@ def dyadic_reciprocal_levels(p, K: int) -> np.ndarray:
     bad = np.abs(base_den) < DENOM_GUARD
     if bad.any():
         raise PoleError(f"denominator 1 - e^-p within {DENOM_GUARD} of 0 at p = {p[bad][0]}")
-    scale = _INV_LEVELS[1:K + 1, None]
+    scale = 1.0 / _LEVELS[1:K + 1, None]
     den = np.exp(-p * scale) + 1.0
     bad = np.abs(den) < DENOM_GUARD
     if bad.any():
@@ -191,7 +192,7 @@ class EvalResult:
     """Value with its error estimate and the executed plan.  The estimate
     is the plan's prediction plus the size of the last Richardson
     correction the evaluation made and the rounding of its assembly, the
-    kept terms and the running sum of the levels (``dyadic.assemble``).
+    kept terms and the running sum of the levels (``dyadic.evaluate``).
     ``tol_met`` says whether the estimate is within the requested
     tolerance in the units its ``Function`` entry records: relative to
     |value| where ``Function.relative``, absolute otherwise."""
@@ -229,9 +230,9 @@ def run(fid: str, path: Callable, x: complex, tol: float, s: Optional[float] = N
 
 @dataclass(frozen=True, eq=False)
 class FactorialFamily:
-    """One dyadic factorial-series family at one argument: a per-order
-    template (weights, numerators, ladder, safety), built once beside the
-    coefficient caches, plus the per-argument shifts and leading sizes.
+    """One dyadic factorial-series family at one argument, as
+    ``Template.at`` makes it: the template's fields plus the per-argument
+    shifts and leading sizes.
 
     Level k (k = 0 is the base series) enters the value as
     ``weight[k] * sum_{j>=1} t_{k,j}`` with
@@ -275,6 +276,40 @@ class FactorialFamily:
             acc += size
             tails.append(self.safety * acc)
         return tails[::-1]
+
+
+@dataclass(frozen=True, eq=False)
+class Template:
+    """The argument-free half of a factorial-series family, built once
+    per order and read-only: level k of the expansion is a factorial
+    series in the shifted variable 2^k x + ``offset`` (0 or 1).
+    ``weight``, ``table``, ``safety`` and ``ladder`` are those of
+    ``FactorialFamily``; ``lead[k]`` is |weight_k t_{k,1}| times
+    |shift_k|, which no argument changes.  The template describes
+    len(lead) levels."""
+
+    name: str
+    offset: float
+    weight: np.ndarray
+    table: np.ndarray
+    lead: np.ndarray
+    safety: float
+    ladder: Tuple[float, ...]
+
+    def at(self, x: complex) -> FactorialFamily:
+        """The family at x: level k has shift 2^k x + offset and size
+        lead[k] / |shift_k|; every other field is the template's own.
+        Without an offset |shift_k| is 2^k |x|, which equals the correctly
+        rounded |2^k x| exactly (numpy's complex abs may not)."""
+        levels = _LEVELS[:len(self.lead)]
+        shift = levels * x
+        if self.offset:
+            shift += self.offset
+            modulus = np.abs(shift)
+        else:
+            modulus = levels * abs(x)
+        return FactorialFamily(self.name, shift, self.weight, self.table, self.lead / modulus,
+                               self.safety, self.ladder)
 
 
 def romberg(partial_sums: Sequence, ladder: Sequence[float]) -> Tuple[complex, complex]:
@@ -550,29 +585,22 @@ def _weigh(fam: FactorialFamily, plan: DyadicPlan, sums: List[complex],
     return value, (abs(corr) if plan.steps else 0.0) + _EPS * (kept + 0.5 * running)
 
 
-def assemble(fam: FactorialFamily, plan: DyadicPlan) -> Tuple[complex, float]:
-    """The plan's value over the family (the weighted level sums through
-    the Richardson form of the plan's steps) and the error it adds to the
-    plan's prediction, in the units of the value: the size of its last
-    correction plus the rounding of the kept terms and of the form's
-    running sum (``_weigh``).  The level sums come from the walk with the
-    plan's counts fixed (``level_sums``), and a plan outside the family
-    raises DomainError."""
-    if plan.steps > len(fam.ladder):
-        raise DomainError(f"{fam.name}: the ladder has {len(fam.ladder)} steps, "
-                          f"the plan asks for {plan.steps}")
-    _, _, sums, magnitudes = _walk(fam, plan.n_terms)
-    return _weigh(fam, plan, sums, magnitudes)
-
-
 def evaluate(fam: FactorialFamily, tol: float,
              plan: Optional[DyadicPlan] = None) -> Tuple[DyadicPlan, complex, float]:
     """The family's value at ``tol``, unchecked (an evaluator plans a tol
-    mapped from its caller's): the plan, the value and the error
-    ``assemble`` adds to the plan's prediction.  Without a ``plan`` the
-    planner's walk also yields the level sums, so the terms are formed
-    once; a given plan is assembled as it stands."""
-    if plan is not None:
-        return (plan, *assemble(fam, plan))
-    plan, sums, magnitudes = _plan(fam, tol)
+    mapped from its caller's): the plan, the value (the weighted level sums
+    through the Richardson form of the plan's steps) and the error it adds
+    to the plan's prediction, in the units of the value: the size of its
+    last correction plus the rounding of the kept terms and of the form's
+    running sum (``_weigh``).  Without a ``plan`` the planner's walk also
+    yields the level sums, so the terms are formed once; a given plan is
+    walked with its counts fixed (``level_sums``) as it stands, and one
+    outside the family raises DomainError."""
+    if plan is None:
+        plan, sums, magnitudes = _plan(fam, tol)
+    else:
+        if plan.steps > len(fam.ladder):
+            raise DomainError(f"{fam.name}: the ladder has {len(fam.ladder)} steps, "
+                              f"the plan asks for {plan.steps}")
+        _, _, sums, magnitudes = _walk(fam, plan.n_terms)
     return (plan, *_weigh(fam, plan, sums, magnitudes))

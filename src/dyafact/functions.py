@@ -16,10 +16,14 @@ from typing import Callable, Optional, Tuple
 
 from .scalar import DomainError
 
-__all__ = ["FUNCTIONS", "Function", "LADDER_LEVELS", "MAX_LEVELS", "TOL_RANGE", "check_tol"]
+__all__ = ["FUNCTIONS", "Function", "LADDER_LEVELS", "MAX_LEVELS", "POCH_GUARD", "TOL_RANGE",
+           "check_tol"]
 
 MAX_LEVELS = 60          # 2^-60 is below binary64 resolution
 LADDER_LEVELS = 16       # h-table depth: laddered plans at tol >= 1e-10 keep <= 15 levels
+# a Pochhammer factor within this of zero is a pole; the incomplete-gamma
+# level 0 has its pole at x = 0, so it is also the least |x| of erfc and inc-gamma
+POCH_GUARD = 1e-12
 TOL_RANGE = (1e-14, 1e-1)   # every planned tol, open at both ends
 _TOL_TEXT = "({}, {})".format(*(f"{t:.0e}".replace("e-0", "e-") for t in TOL_RANGE))
 # the largest |x| of both Ei ids: every level shift 2^k x and its product
@@ -115,9 +119,9 @@ FUNCTIONS = {f.id: f for f in (
     Function("psi", "specfun", "psi_dyadic", lambda o, x, s: o.psi_reference(x + 1.0),
              False, (0.0, math.inf), _HALF_PLANE),
     Function("erfc", "specfun", "erfc_dyadic", lambda o, x, s: o.erfc_reference(x.real),
-             True, (0.0, math.inf), _REAL),
+             True, (POCH_GUARD, math.inf), _REAL),
     Function("inc-gamma", "specfun", "incomplete_gamma_dyadic",
-             lambda o, x, s: o.inc_gamma_reference(s, x), True, (0.0, math.inf), _HALF_PLANE,
+             lambda o, x, s: o.inc_gamma_reference(s, x), True, (POCH_GUARD, math.inf), _HALF_PLANE,
              (-1.0, 1.0)),
     # from (3/4)^(2/3) on, the h-expansion's argument (4/3) x^(3/2) is at least 1
     Function("airy", "borel", "airy_from_h", lambda o, x, s: o.airy_reference(x.real),

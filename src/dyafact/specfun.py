@@ -15,19 +15,20 @@ import cmath
 import functools
 import math
 import threading
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .dyadic import (
     _EPS,
+    _LEVELS,
     MAX_AMPLIFICATION,
     MAX_LEVELS,
     TABLE_COLUMNS,
     DyadicPlan,
     EvalResult,
     FactorialFamily,
+    Template,
     _frozen,
     amplification,
     evaluate,
@@ -50,7 +51,6 @@ __all__ = [
     "erfc_dyadic",
 ]
 
-_LEVELS = _frozen(2.0 ** np.arange(MAX_LEVELS + 1))   # 2^k for every described level
 _ONES = _frozen(np.ones(MAX_LEVELS + 1))
 # Level k of Ei and digamma is 2^-k sigma(2^-k z) with sigma(z) = 1/(1 + e^-z)
 # = 1/2 + z/4 - z^3/48 + ...: the K-level tail runs in 2^-K, 2^-2K, 2^-4K, 2^-6K.
@@ -66,29 +66,20 @@ def _geometric(a: np.ndarray, den: np.ndarray) -> np.ndarray:
     return _frozen(np.where(i == 0, a[:, None], i) / den[:, None])
 
 
-def _ei_template(c: complex) -> tuple:
-    """The argument-free half of the exponential-integral family with
-    Borel-plane scale c: a_k = e^{-c 2^-k} over den_k = 1 + a_k, the base
-    a_0 = e^{-c} over den_0 = 1 - e^{-c}, and the table of their
-    numerators."""
+def _ei_template(c: complex, name: str, ladder: tuple = ()) -> Template:
+    """The exponential-integral template with Borel-plane scale c, in w:
+    level k has shift 2^k w and weight 1, a_k = e^{-c 2^-k} over
+    den_k = 1 + a_k, the base a_0 = e^{-c} over den_0 = 1 - e^{-c}, and
+    lead |a_k / den_k|.  Its cut is the ray w in -R^+; the planner takes
+    it for Re w >= 0."""
     a = np.exp(-c / _LEVELS)
     den = 1.0 + a
     den[0] = 1.0 - a[0]
-    return _frozen(a), _frozen(den), _geometric(a, den)
+    return Template(name, 0.0, _ONES, _geometric(a, den), _frozen(np.abs(a / den)), 10.0, ladder)
 
 
-_EI_STOKES = _ei_template(1j * math.pi)
-_EI_LEFT = _ei_template(-1.0)
-
-
-def _ei_family(w: complex, template: tuple, name: str, ladder: tuple = ()) -> FactorialFamily:
-    """The exponential-integral family in w over a template of
-    ``_ei_template``: level k has shift 2^k w, every weight 1.  Its cut
-    is the ray w in -R^+; the planner takes it for Re w >= 0."""
-    a, den, table = template
-    shift = _LEVELS * w
-    return FactorialFamily(name, shift, _ONES, table, size=np.abs(a / (den * shift)),
-                           safety=10.0, ladder=ladder)
+_EI_STOKES = _ei_template(1j * math.pi, "ei-stokes")
+_EI_LEFT = _ei_template(-1.0, "ei-left", _SIGMA_LADDER)
 
 
 def ei_stokes_family(x: complex) -> FactorialFamily:
@@ -100,7 +91,7 @@ def ei_stokes_family(x: complex) -> FactorialFamily:
     x = complex(x)
     if x == 0:
         raise DomainError("ei_stokes undefined at x = 0")
-    return _ei_family(-1j * x / math.pi, _EI_STOKES, "ei-stokes")
+    return _EI_STOKES.at(-1j * x / math.pi)
 
 
 def _ei_stokes(x: complex, s, tol: float, plan: Optional[DyadicPlan], cut: bool = True) -> tuple:
@@ -138,7 +129,7 @@ def ei_left_family(x: complex) -> FactorialFamily:
     x = complex(x)
     if x == 0:
         raise DomainError("ei_left undefined at x = 0")
-    return _ei_family(x, _EI_LEFT, "ei-left", _SIGMA_LADDER)
+    return _EI_LEFT.at(x)
 
 
 def _ei_left_series(x: complex, tol: float, plan: Optional[DyadicPlan]) -> tuple:
@@ -224,27 +215,20 @@ def ei_left_classical_stream() -> "CoefficientStream":
     return CoefficientStream(lambda k: coeffs[k])
 
 
-_PSI_TABLE = _geometric(_ONES, 2.0 * _ONES)
-_PSI_WEIGHT = _frozen((_LEVELS > 1).astype(float))
+_PSI = Template("psi-dyadic", 1.0, _frozen((_LEVELS > 1) * 1.0), _geometric(_ONES, 2.0 * _ONES),
+                _frozen((_LEVELS > 1) * 0.5), 4.0, _SIGMA_LADDER)
 
 
 def psi_family(x: complex) -> FactorialFamily:
-    """Digamma double expansion: level k >= 1 is the ratio-1/2 series in
-    the shifted variable 2^k x + 1.
-
-    Level 0 stands in for the closed-form ln x term, with weight and
-    planner size 0, so it always keeps one term; its series, in x
-    itself, is the half-difference series."""
+    """Digamma double expansion: level k is the ratio-1/2 series in the
+    shifted variable 2^k x + 1, which sums to Psi(x + 1) - ln x over
+    k >= 1.  Level 0 stands in for the closed-form ln x term, with weight
+    and planner size 0, so it always keeps one term and no level's shift
+    comes near a pole for Re x >= 0."""
     x = complex(x)
     if x == 0:
         raise DomainError("psi_dyadic undefined at x = 0")
-    shift = _LEVELS * x + 1.0
-    shift[0] = x
-    size = 0.5 / np.abs(shift)
-    size[0] = 0.0
-    return FactorialFamily(
-        "psi-dyadic", shift, _PSI_WEIGHT, _PSI_TABLE,
-        size=size, safety=4.0, ladder=_SIGMA_LADDER)
+    return _PSI.at(x)
 
 
 def _psi(x: complex, s, tol: float, plan: Optional[DyadicPlan]) -> tuple:
@@ -270,21 +254,6 @@ _GAMMA_TERMS = 150  # terms a level may keep: the base coefficients overflow nea
 # terms of the shift from a = 1 to a level's a = e^{-2^-k}: level 1, the
 # slowest, reaches rounding with about 110 at m = 151
 _SHIFT_TERMS = 120
-
-
-@dataclass(frozen=True, eq=False)
-class _GammaTemplate:
-    """The argument-free half of the incomplete-gamma family of one order
-    s, built whole at its first use and read-only: the coefficients
-    c_{k,m} of the ramified-polylog expansion of
-    Gamma(1-s) e^x x^{-s} Gamma(s, x) (row 0 the base stream), their term
-    ratios c_{k,m} / c_{k,m-1} (c_{k,-1} = 1) over _GAMMA_TERMS + 1
-    columns, and the level weights and leads of ``_gamma_build``."""
-
-    coeffs: np.ndarray
-    table: np.ndarray
-    weight: np.ndarray
-    lead: np.ndarray
 
 
 def _base_row(s: float, n: int) -> np.ndarray:
@@ -359,36 +328,48 @@ def _level_coeffs(s: float, n: int) -> np.ndarray:
 
 
 @functools.cache
-def _gamma_build(s: float) -> _GammaTemplate:
-    """The template of order s, whole.  Level k >= 1 enters with weight
-    -2^{ks} and the base with 1; the leads |weight_k t_{k,1}| |x| are |c_0|
-    for the base and 2^{k(s-1)} |Li_s(-1)| for level k, the limit of its
-    first coefficient Li_s(-e^{-2^-k}).  Orders s in (-1, 0) take their
-    level rows from the cached order s + 1 by one derivative shift,
+def _gamma_coeffs(s: float) -> np.ndarray:
+    """The coefficients c_{k,m} of order s, read-only, of the
+    ramified-polylog expansion of Gamma(1-s) e^x x^{-s} Gamma(s, x) (row 0
+    the base stream).  Orders s in (-1, 0) take their level rows from the
+    cached order s + 1 by one derivative shift,
     (-1)^m g_s^{(m)}(1) = -c_{s+1,m+1} + m c_{s+1,m}, which is why an
     order s > 0 holds one column more than its table; incomplete_gamma_dyadic
     keeps s in (-1, 1), s != 0."""
     n = _GAMMA_TERMS + 1
     if s < 0:
-        c = _gamma_build(s + 1.0).coeffs
+        c = _gamma_coeffs(s + 1.0)
         coeffs = -c[:, 1:] + np.arange(n) * c[:, :-1]
     else:
         coeffs = np.empty((MAX_LEVELS + 1, n + 1))
         coeffs[1:] = _level_coeffs(s, n + 1)
     coeffs[0] = _base_row(s, coeffs.shape[1])
-    c = coeffs[:, :n]
+    return _frozen(coeffs)
+
+
+@functools.cache
+def _gamma_build(s: float) -> Template:
+    """The template of order s, whole.  Level k of the normalized
+    incomplete-gamma expansion is sum_m c_{k,m} / (2^k x)_{m+1}, entering
+    with weight -2^{ks} (the base with 1).  The table holds the term
+    ratios c_{k,m} / c_{k,m-1} (c_{k,-1} = 1) over _GAMMA_TERMS + 1
+    columns.  The planner reads the leading level terms from Li_s(-1),
+    which the first coefficients approach: the leads are |c_0| for the
+    base and 2^k 2^{k(s-1)} |Li_s(-1)| for level k."""
+    c = _gamma_coeffs(s)[:, :_GAMMA_TERMS + 1]
     ratios = c / np.hstack([_ONES[:, None], c[:, :-1]])
     weight = -(_LEVELS ** s)
     weight[0] = 1.0
-    lead = _LEVELS ** (s - 1.0) * abs(polylog(s, -1.0))
+    lead = _LEVELS ** (s - 1.0) * abs(polylog(s, -1.0)) * _LEVELS
     lead[0] = abs(c[0, 0])
-    return _GammaTemplate(_frozen(coeffs), _frozen(ratios), _frozen(weight), _frozen(lead))
+    return Template("incomplete-gamma", 0.0, _frozen(weight), _frozen(ratios), _frozen(lead),
+                    4.0, _gamma_ladder(s))
 
 
 _GAMMA_LOCK = threading.Lock()
 
 
-def _gamma_template(s: float) -> _GammaTemplate:
+def _gamma_template(s: float) -> Template:
     """The template of order s, built once, under a lock, and never
     replaced."""
     with _GAMMA_LOCK:
@@ -402,17 +383,6 @@ def _gamma_ladder(s: float) -> tuple:
     return tuple(n + 1.0 - s for n in range(4))
 
 
-def _gamma_family(s: float, x: complex) -> FactorialFamily:
-    """Level k of the normalized incomplete-gamma expansion is
-    sum_m c_{k,m} / (2^k x)_{m+1}, entering with weight -2^{ks} (the base
-    with 1).  The planner walks the exact term ratios of the order's
-    template; it reads the leading level terms from Li_s(-1), which the
-    first coefficients approach."""
-    t = _gamma_template(s)
-    return FactorialFamily("incomplete-gamma", _LEVELS * x, t.weight, t.table, t.lead / abs(x),
-                           safety=4.0, ladder=_gamma_ladder(s))
-
-
 def _inc_gamma(x: complex, s: float, tol: float, plan: Optional[DyadicPlan]) -> tuple:
     if abs(s - round(s)) < 1e-12:       # the closed order range less its integers
         raise DomainError(f"incomplete_gamma_dyadic requires a non-integer s, not s = {s}")
@@ -423,7 +393,7 @@ def _inc_gamma(x: complex, s: float, tol: float, plan: Optional[DyadicPlan]) -> 
         head = x ** (s - 1.0) * cmath.exp(-x)
         # near s = 1 the head carries the value, and its rounding the error
         return (s - 1.0) * value + head, abs(s - 1.0) * estimate + 8.0 * _EPS * abs(head), plan
-    fam = _gamma_family(s, x)
+    fam = _gamma_template(s).at(x)
     # Gamma(s, x) >= x^s e^-x / (x + 1 - s) for real x > 0 and s < 1, so
     # this bounds the normalized series from below
     scale = math.gamma(1.0 - s) / (abs(x) + 1.0 - s)
@@ -435,7 +405,8 @@ def _inc_gamma(x: complex, s: float, tol: float, plan: Optional[DyadicPlan]) -> 
 def incomplete_gamma_dyadic(s: float, x: complex, tol: float = 4e-9,
                             plan: Optional[DyadicPlan] = None) -> EvalResult:
     """Upper incomplete gamma Gamma(s, x) for s in (-1, 1), s != 0, and
-    Re x > 0.
+    Re x > 0 with |x| >= POCH_GUARD = 1e-12, below which the base series'
+    first Pochhammer factor x counts as its pole.
 
     Evaluates the normalized factorial expansion of
     Gamma(1-s) e^x x^{-s} Gamma(s, x) (base stream at argument 1/e minus
@@ -461,7 +432,7 @@ def _erfc(x: float, s, tol: float, plan: Optional[DyadicPlan]) -> tuple:
 
 
 def erfc_dyadic(x: float, tol: float = 4e-9) -> EvalResult:
-    """erfc(sqrt(x)) for x > 0, via Gamma(1/2, x) / sqrt(pi), with
+    """erfc(sqrt(x)) for x >= 1e-12, via Gamma(1/2, x) / sqrt(pi), with
     ``tol`` relative in (1e-14, 1e-1); ``incomplete_gamma_dyadic`` says
     how it is planned."""
     return run("erfc", _erfc, x, tol)

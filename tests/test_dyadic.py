@@ -13,7 +13,6 @@ from dyafact.dyadic import (
     DyadicPlan,
     FactorialFamily,
     amplification,
-    assemble,
     dyadic_cauchy_partial,
     dyadic_reciprocal_partial,
     evaluate,
@@ -366,7 +365,7 @@ class TestRomberg:
     def test_plan_asks_for_more_steps_than_the_ladder(self):
         plan = DyadicPlan(K=6, n_terms=[5] * 7, predicted_error=1e-3, steps=1)
         with pytest.raises(DomainError):
-            assemble(ei_stokes_family(5.0), plan)
+            evaluate(ei_stokes_family(5.0), 1e-10, plan)
 
 
 def _family_and_term(name):
@@ -396,24 +395,25 @@ def _family_and_term(name):
         x = 1.5 + 0.2j
 
         def term(k, j):
-            shift = x if k == 0 else 2.0**k * x + 1.0
+            shift = 2.0**k * x + 1.0
             return 2.0**-j * math.gamma(j) / pochhammer(shift, j)
         return specfun.psi_family(x), term
     if name == "inc-gamma":
         s, x = 0.25, 1.7 + 0.3j
-        coeffs = specfun._gamma_template(s).coeffs
+        coeffs = specfun._gamma_coeffs(s)
 
         def term(k, j):
             return coeffs[k, j - 1] / pochhammer(2.0**k * x, j)
-        return specfun._gamma_family(s, x), term
+        return specfun._gamma_template(s).at(x), term
     table, u = borel.get_table(1.0 / 3.0, 34, 34), 6.0 + 1.0j
 
     def term(k, j):
-        # the level's 1/u_k sits in its weight, so its sum is u_k times the series
+        # a level's terms are u_k times its series': 1/2^k sits in its
+        # weight, and 1/u divides the family's sum
         m = j + 1
         d = (-1.0) ** m * table.dm[m - 2] if k == 0 else table.dkm[k - 1, m - 2]
         return 2.0**k * u * d * math.gamma(m) / pochhammer(2.0**k * u, m)
-    return borel._h_family(table, u), term
+    return table.template.at(u), term
 
 
 @pytest.mark.parametrize("name", ["ei-stokes", "ei-left", "psi", "inc-gamma", "h"])
@@ -461,6 +461,6 @@ class TestAllocation:
         # u = 2 needs far more for 1e-10, and the prediction must say so
         kern = borel.BorelKernel.build(1.0 / 3.0, p_far=2.0**8 * 78.0)
         table = borel.CoefficientTable.build(kern, 8, 8)
-        plan = plan_truncation(borel._h_family(table, 2.0), 1e-10)
+        plan = plan_truncation(table.template.at(2.0), 1e-10)
         assert max(plan.n_terms) <= 6
         assert plan.predicted_error > 1e-10

@@ -153,7 +153,7 @@ def _log_uniform(lo, hi):
 # and Bessel-K, none below.  Below the lower caps of psi, erfc and incomplete
 # gamma a laddered plan keeps more than LADDER_LEVELS levels (the shift floor
 # |x_K| >= 32 grows K with log2(1/|x|)), so test_gate_small_arguments draws
-# from 1e-3 up to them.
+# from 1e-3 up to them, and psi, whose region has no floor, from 1e-16.
 CAPS = {"ei-stokes": (0.0, 1e8), "ei-left": (1e-6, 1e8), "psi": (2e-3, 1e6),
         "erfc": (0.05, 200.0), "inc-gamma": (0.1, 300.0), "airy": (0.0, 60.0),
         "bessel-k": (0.0, 300.0)}
@@ -272,10 +272,11 @@ def test_gate_bessel_k_at_half_integer_orders(nu, x):
 @GATE
 @given(data=st.data(), tol=TOL)
 def test_gate_small_arguments(fid, reference, data, tol):
-    # |x| from 1e-3 to the caps of the laddered gates, where plans keep more
-    # than LADDER_LEVELS levels; tol is relative for erfc and incomplete gamma
+    # |x| from 1e-3 (psi 1e-16, where its plans keep up to 60 levels) to the
+    # caps of the laddered gates, where plans keep more than LADDER_LEVELS
+    # levels; tol is relative for erfc and incomplete gamma
     fn = FUNCTIONS[fid]
-    x = data.draw(_region(fid, radius=(1e-3, CAPS[fid][0])))
+    x = data.draw(_region(fid, radius=(1e-16 if fid == "psi" else 1e-3, CAPS[fid][0])))
     s = data.draw(ORDER_S) if fn.order else None
     ref = complex(reference(_mp(), s, x))
     assert_sound(fn.evaluate(x, tol, s), ref, tol * abs(ref) if fn.relative else tol)
@@ -434,7 +435,7 @@ def _kept_rounding(fam, plan):
 
 
 def _h_family(nu, u):
-    return borel._h_family(borel.get_table(nu, 66, LADDER_LEVELS), complex(u))
+    return borel.get_table(nu, 66, LADDER_LEVELS).template.at(complex(u))
 
 
 # Each family with the evaluator whose estimate, in the value's units,
@@ -446,8 +447,8 @@ ROUNDING_CASES = [
     ("ei-stokes", lambda: specfun.ei_stokes_family(12.0), lambda tol: ei_stokes(12.0, tol)),
     ("ei-left", lambda: specfun.ei_left_family(0.4 - 0.2j), lambda tol: ei_left(0.4 - 0.2j, tol)),
     ("psi", lambda: specfun.psi_family(0.25), lambda tol: psi_dyadic(0.25, tol)),
-    ("erfc", lambda: specfun._gamma_family(0.5, 0.4 + 0j), None),
-    ("inc-gamma", lambda: specfun._gamma_family(-0.5, 0.5 + 0j), None),
+    ("erfc", lambda: specfun._gamma_template(0.5).at(0.4 + 0j), None),
+    ("inc-gamma", lambda: specfun._gamma_template(-0.5).at(0.5 + 0j), None),
     ("airy", lambda: _h_family(1.0 / 3.0, 1.5), lambda tol: borel.bessel_h(1.0 / 3.0, 1.5, tol)),
     ("bessel-k", lambda: _h_family(0.7, 1.2), lambda tol: borel.bessel_h(0.7, 1.2, tol)),
 ]

@@ -6,13 +6,13 @@ import pytest
 
 from dyafact import oracle
 from dyafact.borel import airy_from_h, bessel_h, bessel_k_dyadic
-from dyafact.dyadic import TABLE_COLUMNS, CutProximityError, DyadicPlan, level_sums
+from dyafact.dyadic import MAX_LEVELS, TABLE_COLUMNS, CutProximityError, DyadicPlan, level_sums
 from dyafact.functions import FUNCTIONS
 from dyafact.oracle import verify_strange_identity
 from dyafact.scalar import DomainError
 from dyafact.specfun import (
     _GAMMA_TERMS,
-    _gamma_template,
+    _gamma_coeffs,
     ei_left,
     ei_left_base_stream,
     ei_left_family,
@@ -145,6 +145,22 @@ class TestPsi:
         r = psi_dyadic(x, 1e-10)
         assert abs(r.value - ref) <= r.error_estimate <= 1e-10
 
+    @pytest.mark.parametrize("x", [1e-13, 1e-15, 1e-16, 3e-14 + 4e-14j])
+    def test_below_the_pochhammer_guard(self, x):
+        # every level's shift is 2^k x + 1, level 0's too, so no Pochhammer
+        # factor comes near a pole however small x is
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            ref = complex(mpmath.digamma(mpmath.mpc(x) + 1))
+        r = psi_dyadic(x, 1e-10)
+        assert abs(r.value - ref) <= r.error_estimate <= 1e-10 and r.tol_met
+
+    def test_past_the_deepest_level(self):
+        # at x = 1e-20 the shift floor |x_K| >= 32 lies past MAX_LEVELS: the
+        # plan takes every level and reports the tolerance missed
+        r = psi_dyadic(1e-20, 1e-10)
+        assert r.plan.K == MAX_LEVELS and r.error_estimate == math.inf and not r.tol_met
+
 
 class TestStrangeIdentity:
     def test_residuals(self):
@@ -221,6 +237,15 @@ class TestIncompleteGamma:
             with pytest.raises(DomainError) as err:
                 incomplete_gamma_dyadic(s, 2.0)
             assert str(err.value) == f"incomplete_gamma_dyadic requires {bound}, not s = {s}"
+        # below |x| = 1e-12 the base series' first Pochhammer factor x counts
+        # as its pole, for erfc too
+        for x in (1e-13, 5e-13, 1e-30, 1e-300):
+            for call, z, bound in ((erfc_dyadic, x, "x"),
+                                   (lambda z: incomplete_gamma_dyadic(0.3, z), complex(x), "|x|"),
+                                   (lambda z: incomplete_gamma_dyadic(-0.5, z), complex(x, x), "|x|")):
+                with pytest.raises(DomainError) as err:
+                    call(z)
+                assert str(err.value).endswith(f" requires {bound} >= 1e-12, not x = {z}")
 
     def test_coefficients_match_stirling_formula(self):
         # the stable coefficient routes agree with the Stirling-number
@@ -231,7 +256,7 @@ class TestIncompleteGamma:
             row = stirling[k] + [0]
             stirling.append([-k * row[j] + (row[j - 1] if j else 0) for j in range(k + 2)])
 
-        co = _gamma_template(0.5).coeffs
+        co = _gamma_coeffs(0.5)
         for m in (1, 4, 8, 12):
             stirl = (-1.0) ** m * sum(
                 stirling[m][j] * polylog(0.5 - j, math.exp(-1.0)).real
@@ -250,7 +275,7 @@ class TestIncompleteGamma:
         # c_m = (-1)^m sum_{n >= max(m,1)} n (n-1) ... (n-m+1) n^-s e^-n, up to the
         # largest index a plan keeps
         mpmath = pytest.importorskip("mpmath")
-        co = _gamma_template(s).coeffs
+        co = _gamma_coeffs(s)
         with mpmath.workdps(30):
             # every m at once, n by n: the terms peak near n = 1.6 m and are
             # below 1e-40 of it by 4 m + 200, so n < 800 holds all of them
@@ -281,7 +306,7 @@ class TestGammaSmallOrders:
         # J_m = Int_0^inf t^{s-1} e^{[m>0] t} (e^t + a)^{-(m+1)} dt, a = e^{-eps},
         # over the deepest level and past the columns of a first chunk
         mpmath = pytest.importorskip("mpmath")
-        co = _gamma_template(s).coeffs
+        co = _gamma_coeffs(s)
         for k in (1, 5, 20, 60):
             for m in (0, 1, 3, 8, 66, 90):
                 with mpmath.workdps(40):

@@ -101,11 +101,13 @@ def _within_rounding(fam, n_terms, sums):
 
 
 def _fresh_gamma_templates(monkeypatch):
-    """An empty incomplete-gamma template cache for this test; returns
-    the orders built, in the order of their builds."""
+    """Empty incomplete-gamma template and coefficient caches for this
+    test; returns the orders whose coefficients were built, in the order
+    of their builds."""
     builds = []
-    raw = specfun._gamma_build.__wrapped__
-    monkeypatch.setattr(specfun, "_gamma_build",
+    raw = specfun._gamma_coeffs.__wrapped__
+    monkeypatch.setattr(specfun, "_gamma_build", functools.cache(specfun._gamma_build.__wrapped__))
+    monkeypatch.setattr(specfun, "_gamma_coeffs",
                         functools.cache(lambda s: builds.append(s) or raw(s)))
     return builds
 
@@ -139,10 +141,10 @@ def _replans(planned, again):
 
 def _rewalks_h(planned, fam, u, tol):
     """The h-expansion family at u re-walks the planned plan to the
-    planned value h = 1/u + the level sums."""
+    planned value h = (1 + the level sums) / u."""
     plan, total, _ = dyadic.evaluate(fam, tol, planned.plan)
     assert plan is planned.plan
-    assert _relative(planned.value, 1.0 / u + total) <= 1e-15
+    assert _relative(planned.value, (1.0 + total) / u) <= 1e-15
 
 
 TOL = _log_uniform(1e-10, 1e-6)
@@ -183,7 +185,7 @@ def test_erfc(x, tol):
     again = incomplete_gamma_dyadic(0.5, x, tol, plan=planned.plan)
     assert again.plan == planned.plan
     assert _relative(planned.value, again.value / math.sqrt(math.pi)) <= 1e-15
-    _same_walk(specfun._gamma_family(0.5, complex(x)), tol)
+    _same_walk(specfun._gamma_template(0.5).at(complex(x)), tol)
 
 
 @WALK
@@ -191,7 +193,7 @@ def test_erfc(x, tol):
 def test_incomplete_gamma(s, x, tol):
     planned = incomplete_gamma_dyadic(s, x, tol)
     _replans(planned, incomplete_gamma_dyadic(s, x, tol, plan=planned.plan))
-    _same_walk(specfun._gamma_family(s, complex(x)), tol)
+    _same_walk(specfun._gamma_template(s).at(complex(x)), tol)
 
 
 @WALK
@@ -199,7 +201,7 @@ def test_incomplete_gamma(s, x, tol):
 def test_airy(x, tol):
     u = 4.0 / 3.0 * x**1.5
     planned = bessel_h(1.0 / 3.0, u, tol)
-    fam = borel._h_family(get_table(1.0 / 3.0, 66, LADDER_LEVELS), complex(u))
+    fam = get_table(1.0 / 3.0, 66, LADDER_LEVELS).template.at(complex(u))
     _rewalks_h(planned, fam, u, tol)
     assert airy_from_h(x, tol).plan == planned.plan
     _same_walk(fam, tol)
@@ -213,7 +215,7 @@ def test_bessel_k(nu, x, tol):
     bessel_k_dyadic(nu, x, tol)
     for mu in {nu - math.floor(nu), 1.0 - (nu - math.floor(nu))}:
         planned = bessel_h(mu, 2.0 * x, tol)
-        fam = borel._h_family(get_table(mu, 66, LADDER_LEVELS), complex(2.0 * x))
+        fam = get_table(mu, 66, LADDER_LEVELS).template.at(complex(2.0 * x))
         _rewalks_h(planned, fam, 2.0 * x, tol)
         _same_walk(fam, tol)
 
@@ -228,10 +230,10 @@ FORMS = [
     (psi_family(0.48779153256988206), 3.855591623250077e-08),
     (psi_family(0.5346144075342095), 1.0373182564952165e-09),
     (psi_family(0.05 + 0.3j), 1e-13),
-    (specfun._gamma_family(0.841796875, complex(403.43)), 7e-17),
+    (specfun._gamma_template(0.841796875).at(complex(403.43)), 7e-17),
     (ei_left_family(2.0), 1e-13),
     (ei_stokes_family(5.0 + 0.3j), 1e-12),
-    (borel._h_family(get_table(0.7, 66, LADDER_LEVELS), complex(3.0)), 1e-12),
+    (get_table(0.7, 66, LADDER_LEVELS).template.at(complex(3.0)), 1e-12),
 ]
 
 
@@ -249,13 +251,36 @@ def test_the_form_moves_the_value_by_less_than_its_rounding(fam, tol):
 
 
 class TestTemplates:
-    """A second call of an order at a new argument builds nothing new."""
+    """A second call of an order at a new argument builds nothing new:
+    every template's family at x shares the template's weights, table and
+    ladder, and adds only the shifts 2^k x + offset and the sizes
+    lead / |shift|."""
+
+    @staticmethod
+    def _one_formula(template):
+        a, b = (template.at(x) for x in (2.0 + 0.5j, 7.0 - 1.0j))
+        assert a.weight is b.weight is template.weight
+        assert a.table is b.table is template.table
+        assert a.ladder is b.ladder is template.ladder
+        assert not np.array_equal(a.shift, b.shift)
+        levels = 2.0 ** np.arange(len(template.lead))
+        for x, fam in ((2.0 + 0.5j, a), (7.0 - 1.0j, b)):
+            assert np.array_equal(fam.shift, levels * x + template.offset)
+            if template.offset:
+                modulus = np.abs(fam.shift)
+            else:
+                # 2^k |x|, the correctly rounded |2^k x| bit for bit
+                modulus = levels * abs(x)
+                assert np.array_equal(modulus, [abs(complex(z)) for z in fam.shift])
+            assert np.array_equal(fam.size, template.lead / modulus)
 
     def test_exponential_integral_and_digamma(self):
         for family in (ei_stokes_family, ei_left_family, psi_family):
             a, b = family(2.0 + 0.5j), family(7.0 - 1.0j)
             assert a.table is b.table and a.weight is b.weight
             assert not np.array_equal(a.shift, b.shift)
+        for template in (specfun._EI_STOKES, specfun._EI_LEFT, specfun._PSI):
+            self._one_formula(template)
 
     def test_incomplete_gamma(self):
         s = 0.25
@@ -263,16 +288,18 @@ class TestTemplates:
         template = specfun._gamma_template(s)
         incomplete_gamma_dyadic(s, 3.0, 1e-8)
         assert specfun._gamma_template(s) is template
-        a, b = (specfun._gamma_family(s, complex(x)) for x in (1.0, 3.0))
+        a, b = (specfun._gamma_template(s).at(complex(x)) for x in (1.0, 3.0))
         assert a.table is b.table is template.table
         assert a.weight is b.weight is template.weight
         assert not np.array_equal(a.shift, b.shift)
+        for s in (-0.5, 0.37):
+            self._one_formula(specfun._gamma_template(s))
 
     def test_incomplete_gamma_weights_take_the_order_as_given(self):
         # the coefficient rows and the level weights 2^{ks} are both built
         # at the order as given, however close it lies to another
         s = 0.25 + 3e-13
-        fam = specfun._gamma_family(s, 2.0 + 0j)
+        fam = specfun._gamma_template(s).at(2.0 + 0j)
         expected = -(2.0 ** np.arange(dyadic.MAX_LEVELS + 1)) ** s
         expected[0] = 1.0
         assert np.array_equal(fam.weight, expected)
@@ -289,11 +316,13 @@ class TestTemplates:
         airy_from_h(5.0, 1e-8)
         assert get_table(1.0 / 3.0, 66, LADDER_LEVELS) is table
         assert builds == []
-        # every argument reads the table's numerators and ladder themselves
-        a, b = (borel._h_family(table, u) for u in (3.0 + 0j, 7.5 - 2j))
-        assert a.table is b.table is table.numer
-        assert a.ladder is b.ladder is table.ladder
-        assert not np.array_equal(a.weight, b.weight)
+        # every argument reads the table's weights, numerators and ladder themselves
+        a, b = (table.template.at(u) for u in (3.0 + 0j, 7.5 - 2j))
+        assert a.table is b.table is table.template.table
+        assert a.ladder is b.ladder is table.template.ladder
+        assert a.weight is b.weight is table.template.weight
+        for nu in (1.0 / 3.0, 0.7):
+            self._one_formula(get_table(nu, 66, LADDER_LEVELS).template)
 
 
 class TestTables:
@@ -317,24 +346,31 @@ class TestTables:
 
     @pytest.mark.parametrize("c", [1j * math.pi, -1.0])
     def test_exponential_integral(self, c):
-        a, den, table = specfun._EI_STOKES if c == 1j * math.pi else specfun._EI_LEFT
-        assert np.array_equal(a, np.exp(-c / 2.0 ** np.arange(dyadic.MAX_LEVELS + 1)))
-        self._closed_form(table, a, den)
+        template = specfun._EI_STOKES if c == 1j * math.pi else specfun._EI_LEFT
+        a = np.exp(-c / 2.0 ** np.arange(dyadic.MAX_LEVELS + 1))
+        den = np.where(np.arange(len(a)) == 0, 1.0 - a, 1.0 + a)
+        self._closed_form(template.table, a, den)
+        assert np.array_equal(template.lead, np.abs(a / den))
+        assert template.offset == 0.0 and not template.lead.flags.writeable
 
     def test_digamma(self):
         ones = np.ones(dyadic.MAX_LEVELS + 1)
-        self._closed_form(specfun._PSI_TABLE, ones, 2.0 * ones)
+        self._closed_form(specfun._PSI.table, ones, 2.0 * ones)
+        # level 0 stands in for ln x: weight and lead 0, shift x + 1 as every level's
+        assert specfun._PSI.offset == 1.0
+        assert specfun._PSI.weight[0] == specfun._PSI.lead[0] == 0.0
 
     def test_incomplete_gamma_through_ratios(self):
         template = specfun._gamma_template(0.37)
+        coeffs = specfun._gamma_coeffs(0.37)
         columns = specfun._GAMMA_TERMS + 1
-        assert template.coeffs.shape == (dyadic.MAX_LEVELS + 1, columns + 1)
-        c = template.coeffs[:, :columns]
+        assert coeffs.shape == (dyadic.MAX_LEVELS + 1, columns + 1)
+        c = coeffs[:, :columns]
         table = template.table
         assert table.shape == (dyadic.MAX_LEVELS + 1, columns)
         assert np.array_equal(table, c / np.hstack([np.ones((len(c), 1)), c[:, :-1]]))
         assert np.isfinite(table).all()
-        for a in (template.coeffs, table, template.weight, template.lead):
+        for a in (coeffs, table, template.weight, template.lead):
             assert not a.flags.writeable
         with pytest.raises(FrozenInstanceError):
             template.table = table
@@ -348,7 +384,7 @@ class TestTables:
         half = specfun._gamma_template(0.5)
         incomplete_gamma_dyadic(-0.5, 2.0, 1e-10)
         assert builds == [0.5, -0.5] and specfun._gamma_template(0.5) is half
-        c, shifted = half.coeffs, specfun._gamma_template(-0.5).coeffs
+        c, shifted = specfun._gamma_coeffs(0.5), specfun._gamma_coeffs(-0.5)
         n = specfun._GAMMA_TERMS + 1
         assert shifted.shape == (dyadic.MAX_LEVELS + 1, n)
         assert np.array_equal(shifted[1:], -c[1:, 1:] + np.arange(n) * c[1:, :-1])
@@ -356,26 +392,32 @@ class TestTables:
 
     def test_h_expansion(self):
         table = get_table(0.7, 66, LADDER_LEVELS)
-        numer = table.numer
+        template = table.template
+        numer = template.table
         assert numer.shape == (table.K + 1, table.M - 1) and not numer.flags.writeable
         rows = np.vstack([table.dm, table.dkm])
         sign = np.where(np.arange(table.K + 1) == 0, -1.0, 1.0)[:, None]
         assert np.array_equal(numer[:, 0], rows[:, 0])
         ratios = sign * np.arange(2.0, table.M) * rows[:, 1:] / rows[:, :-1]
         assert np.array_equal(numer[:, 1:], ratios)
-        for a in (table.dm, table.dkm, table.scale, table.weight, table.lead):
+        for a in (table.dm, table.dkm, template.weight, template.lead):
             assert not a.flags.writeable
         kappa = math.cos(math.pi * table.nu) / math.pi
-        level = -kappa * np.exp(2.0 ** -np.arange(table.K + 1.0))
-        assert np.allclose(table.weight, np.where(np.arange(table.K + 1) == 0, -kappa, level),
+        scale = 2.0 ** np.arange(table.K + 1.0)
+        level = -kappa * np.exp(1.0 / scale) / scale
+        assert np.allclose(template.weight, np.where(scale == 1.0, -kappa, level),
                            rtol=1e-15, atol=0.0)
+        assert np.array_equal(template.lead, np.abs(template.weight * rows[:, 0]))
+        assert template.offset == 1.0
         with pytest.raises(FrozenInstanceError):
-            table.numer = numer
-        # the argument's 1/u_k joins the level weight, not the table
+            template.table = numer
+        with pytest.raises(FrozenInstanceError):
+            table.template = template
+        # no weight depends on the argument: 1/u divides the family's sum
         u = 2.5 + 0j
-        fam = borel._h_family(table, u)
+        fam = template.at(u)
         assert fam.table is numer
-        assert np.array_equal(fam.weight, table.weight / (table.scale * u))
+        assert fam.weight is template.weight
 
 
 @pytest.mark.parametrize("family, terms", [(ei_stokes_family, 192), (ei_left_family, 122),
@@ -407,7 +449,7 @@ class TestHistory:
         before = self._h_grid()
         deep = dyadic.DyadicPlan(K=20, n_terms=[12] * 21, predicted_error=1e-12)
         for nu in (1.0 / 3.0, 0.7, 0.3):
-            dyadic.evaluate(borel._h_family(get_table(nu, 14, 20), 4.0 + 0j), 1e-10, deep)
+            dyadic.evaluate(get_table(nu, 14, 20).template.at(4.0 + 0j), 1e-10, deep)
         assert self._h_grid() == before
 
     @pytest.mark.parametrize("s", [-0.5, 0.25])
@@ -491,8 +533,9 @@ class TestGuards:
         for n_terms in ([5, 4], [2, 40]):
             with pytest.raises(PoleError):
                 level_sums(fam, n_terms)
+        # the incomplete-gamma base series has its pole at x = 0, at index 0
         with pytest.raises(PoleError):
-            level_sums(psi_family(1e-13), [1])
+            level_sums(specfun._gamma_template(0.25).at(1e-13), [1])
 
     def test_terms_past_an_overflow_are_dropped(self):
         # t_j = 1e100^j / j!: t_3 reaches 1e250, so levels keep t_1 + t_2
