@@ -56,7 +56,7 @@ from .dyadic import (
     evaluate,
     run,
 )
-from .functions import FUNCTIONS, check_tol
+from .functions import _H_LARGEST, FUNCTIONS, check_tol
 from .scalar import DomainError, NonconvergenceError
 
 __all__ = [
@@ -377,7 +377,8 @@ def _h(u: complex, nu: float, tol: float) -> tuple:
     # |u| = 1 and tol 1e-12 shallow levels keep up to 43 terms
     plan, total, corr = evaluate(get_table(nu, 66, LADDER_LEVELS).template.at(u), tol)
     value = (1.0 + total) / u  # F(0) = P_{nu-1/2}(1) = 1
-    return value, plan.predicted_error * abs(value) + corr / abs(u), plan
+    # and the rounding of (1 + S) / u, two operations
+    return value, (plan.predicted_error + 2.0 * _EPS) * abs(value) + corr / abs(u), plan
 
 
 # Large-argument asymptotics (DLMF 9.7, 10.40) fix the normalizations
@@ -389,8 +390,12 @@ _BESSEL_C = math.sqrt(2.0 * math.pi)
 
 def _airy(x: float, s, tol: float, plan) -> tuple:
     value, estimate, plan = _h(4.0 / 3.0 * x**1.5, 1.0 / 3.0, tol)
-    front = _AIRY_C * x**1.25 * math.exp(-2.0 / 3.0 * x**1.5)
-    return front * value, front * estimate, plan
+    zeta = 2.0 / 3.0 * x**1.5
+    front = _AIRY_C * x**1.25 * math.exp(-zeta)
+    value = front * value
+    # 2 eps zeta bounds the rounding of zeta, which e^-zeta makes relative
+    # to the value; the front and its product with h add six operations
+    return value, front * estimate + _EPS * (6.0 + 2.0 * zeta) * abs(value), plan
 
 
 def airy_from_h(x: float, tol: float = 1e-10) -> EvalResult:
@@ -402,8 +407,9 @@ def airy_from_h(x: float, tol: float = 1e-10) -> EvalResult:
 
 def bessel_h(nu: float, x: complex, tol: float = 1e-10) -> EvalResult:
     """Normalized modified-Bessel profile h of order nu at argument x,
-    with ``tol`` relative; Re x > 0, |x| >= 1.  Order 1/3 is the Airy
-    profile.
+    with ``tol`` relative; Re x > 0 and 1 <= |x| <= functions._H_LARGEST
+    (2.743e303), up to which every level argument 2^k x stays finite.
+    Order 1/3 is the Airy profile.
 
     Direct dyadic expansion for |nu| < 3/2; exact finite form at
     half-integer orders.  Larger orders go through bessel_k_dyadic.
@@ -411,8 +417,9 @@ def bessel_h(nu: float, x: complex, tol: float = 1e-10) -> EvalResult:
     if not abs(nu) <= _NU_MAX:
         raise DomainError(f"bessel_h restricted to finite |nu| <= {_NU_MAX:g}")
     u = complex(x)
-    if not (u.real > 0 and 1.0 <= abs(u) < math.inf):
-        raise DomainError(f"h-expansion requires Re x > 0 and |x| >= 1, not x = {u}")
+    if not (u.real > 0 and 1.0 <= abs(u) <= _H_LARGEST):
+        raise DomainError(f"h-expansion requires Re x > 0 and 1 <= |x| <= {_H_LARGEST:.4g}, "
+                          f"not x = {u}")
     check_tol(tol)
     return _result(*_h(u, nu, tol), tol, relative=True)
 
@@ -437,11 +444,8 @@ def _bessel_k(x: float, nu: float, tol: float, plan) -> tuple:
     value, est, plan = _h(2.0 * x, nu, tol)
     front = _BESSEL_C * math.exp(-x) * math.sqrt(x)
     value, est = front * value, front * est
-    if _is_half_integer(nu):
-        # the closed form's estimate is its rounding alone: add that of
-        # the front and of its product with h, six operations
-        est += 6.0 * _EPS * abs(value)
-    return value, est, plan
+    # the rounding of the front and of its product with h, six operations
+    return value, est + 6.0 * _EPS * abs(value), plan
 
 
 def bessel_k_dyadic(nu: float, x: float, tol: float = 1e-9) -> EvalResult:

@@ -186,7 +186,7 @@ def cmd_compare(function: str, x: float, tol: float) -> int:
             "series converges there and only the dyadic expansion applies.\n"
         )
         r = specfun.ei_stokes(complex(x), tol)
-        ref = oracle.ei_plus_reference(complex(x))
+        ref = FUNCTIONS[function].reference(complex(x))
         sys.stdout.write(f"dyadic terms: {r.terms_total} (measured error {abs(r.value - ref):.2e})\n")
         return EXIT_OK
     ref = complex(oracle.ei_left_reference(x, 1e-13))

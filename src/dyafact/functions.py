@@ -111,9 +111,9 @@ class Function:
 
 FUNCTIONS = {f.id: f for f in (
     Function("ei-stokes", "specfun", "ei_stokes",
-             lambda o, x, s: (o.ei_plus_reference if x.real > 0.06 * abs(x)
+             lambda o, x, s: (o.ei_plus_reference if x.real > 0.06 * abs(x) and abs(x) >= 0.2
                               else o.ei_series_reference)(x),
-             False, (0.2, _EI_LARGEST), (-math.pi / 2, 1.5 * math.pi)),
+             False, (0.0, _EI_LARGEST), (-math.pi / 2, 1.5 * math.pi)),
     Function("ei-left", "specfun", "ei_left", lambda o, x, s: o.ei_left_reference(x, 1e-12),
              False, (0.0, _EI_LARGEST), (-math.pi, math.pi)),
     Function("psi", "specfun", "psi_dyadic", lambda o, x, s: o.psi_reference(x + 1.0),

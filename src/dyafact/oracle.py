@@ -322,11 +322,21 @@ def bessel_k_reference(nu: float, x: float, abs_tol: float = 1e-13) -> float:
 
 def airy_reference(x: float) -> float:
     """Ai(x) for x > 0 through the K_{1/3} integral representation
-    Ai(x) = (1/pi) sqrt(x/3) K_{1/3}((2/3) x^{3/2})."""
+    Ai(x) = (1/pi) sqrt(x/3) K_{1/3}(zeta), zeta = (2/3) x^{3/2}.  zeta is
+    formed to 40 digits and rounded to the nearest double; the remainder
+    delta joins as K_{1/3}(zeta + delta) = K_{1/3}(zeta) e^{-delta}, to
+    within eps delta / zeta, where e^{-zeta} of zeta rounded would err by up
+    to eps zeta relative."""
     if x <= 0:
         raise ContourError("airy_reference requires x > 0")
-    zeta = 2.0 / 3.0 * x**1.5
-    return math.sqrt(x / 3.0) / math.pi * bessel_k_reference(1.0 / 3.0, zeta)
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 40
+        exact = 2 * Decimal(x) * Decimal(x).sqrt() / 3
+        zeta = float(exact)
+        delta = float(exact - Decimal(zeta))
+    return math.sqrt(x / 3.0) / math.pi * bessel_k_reference(1.0 / 3.0, zeta) * math.exp(-delta)
 
 
 def verify_strange_identity(x: complex, K: int) -> float:

@@ -94,28 +94,23 @@ def ei_stokes_family(x: complex) -> FactorialFamily:
     return _EI_STOKES.at(-1j * x / math.pi)
 
 
-def _ei_stokes(x: complex, s, tol: float, plan: Optional[DyadicPlan], cut: bool = True) -> tuple:
-    """G(x) = e^{-x} Ei^+(x) at Im x >= 0, where every shift of the Stokes
-    family has Re >= 0, and conj G(conj x) below the real axis, less the
-    jump across R^+ if ``cut`` and Re x > 0; the jump's rounding joins the
-    estimate."""
-    flip = x.imag < 0.0
-    plan, total, corr = evaluate(ei_stokes_family(x.conjugate() if flip else x), tol, plan)
-    jump = 2j * math.pi * cmath.exp(-x) if flip and cut and x.real > 0 else 0.0
-    value = total.conjugate() if flip else total
-    return value - jump, plan.predicted_error + corr + 8.0 * _EPS * abs(jump), plan
+def _ei_stokes(x: complex, s, tol: float, plan: Optional[DyadicPlan]) -> tuple:
+    """G(x) = e^{-x} Ei^+(x) is e^y Ei(-y) at y = -x, less the jump across
+    R^+ below it; the jump's rounding joins the estimate."""
+    value, estimate, plan = _ei_left(-x, s, tol, plan)
+    jump = 2j * math.pi * cmath.exp(-x) if x.imag < 0.0 < x.real else 0.0
+    return value - jump, estimate + 8.0 * _EPS * abs(jump), plan
 
 
 def ei_stokes(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) -> EvalResult:
-    """e^{-x} Ei^+(x) through the dyadic factorial expansion valid across
-    the Stokes ray R^+, for |x| >= 0.2 off the closed negative imaginary
-    axis (the cut; within rounding of it counts as on it).
+    """e^{-x} Ei^+(x) for x off the closed negative imaginary axis (the
+    cut; within rounding of it counts as on it): ``ei_left(-x)``, less the
+    Stokes jump 2 pi i e^{-x} across R^+ (DLMF 6.4) where Im x < 0 < Re x.
 
-    e^{-x} Ei^+ is real on the negative real axis and jumps by
-    2 pi i e^{-x} across R^+ (DLMF 6.4), so below the real axis it is
-    conj G(conj x), less that jump for Re x > 0.  With ``plan`` given (for
-    conj x below the real axis) the caller owns the truncation; otherwise
-    a plan meeting ``tol`` is derived first.
+    For Re x > 0 and |x| >= 0.2 that is the dyadic factorial expansion
+    valid across the Stokes ray.  With ``plan`` given (one for the path
+    that serves the point, for conj x below the real axis) the caller owns
+    the truncation; otherwise a plan meeting ``tol`` is derived first.
     """
     return run("ei-stokes", _ei_stokes, x, tol, plan=plan)
 
@@ -147,7 +142,8 @@ def _ei_left_series(x: complex, tol: float, plan: Optional[DyadicPlan]) -> tuple
         tail = abs(power * x) / ((n + 1) ** 2 * (1.0 - abs(x)))
         if n >= plan.n_terms[0] if plan is not None else tail <= 0.5 * tol:
             break
-    log, scale = cmath.log(x), cmath.exp(x)
+    # x on R^- comes only from ei_stokes on R^+, where either zero Im x takes Ei^+
+    log, scale = cmath.log(complex(x.real, x.imag or -0.0)), cmath.exp(x)
     estimate = tail + 8.0 * _EPS * abs(scale) * (_EULER_GAMMA + abs(log) + sizes)
     return scale * (_EULER_GAMMA + log + total), estimate, DyadicPlan(0, [n], estimate)
 
@@ -157,8 +153,11 @@ def _ei_left(x: complex, s, tol: float, plan: Optional[DyadicPlan]) -> tuple:
         return _ei_left_series(x, tol, plan)
     if x.real >= 0.0:
         plan, total, corr = evaluate(ei_left_family(x), tol, plan)
-        return total, plan.predicted_error + corr, plan
-    return _ei_stokes(-x, s, tol, plan, cut=False)
+    else:   # the Stokes family at -x, or at -conj x above the real axis
+        flip = x.imag > 0.0
+        plan, total, corr = evaluate(ei_stokes_family(-(x.conjugate() if flip else x)), tol, plan)
+        total = total.conjugate() if flip else total
+    return total, plan.predicted_error + corr, plan
 
 
 def ei_left(x: complex, tol: float = 1e-10, plan: Optional[DyadicPlan] = None) -> EvalResult:

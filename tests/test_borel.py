@@ -289,7 +289,7 @@ class TestAiryH:
     def test_domain(self):
         # each evaluator names itself, its own x and its own bound; the
         # profiles h take x as the expansion's own argument
-        h = "h-expansion requires Re x > 0 and |x| >= 1, not x = "
+        h = "h-expansion requires Re x > 0 and 1 <= |x| <= 2.743e+303, not x = "
         airy = "airy_from_h requires x >= 0.8255, not x = "     # (3/4)^(2/3)
         for call, text in (
             (lambda: bessel_h(NU_AIRY, 0.5, 1e-8), h + "(0.5+0j)"),
@@ -308,6 +308,30 @@ class TestAiryH:
         # the bounds themselves evaluate
         assert airy_from_h(0.75 ** (2.0 / 3.0)).plan.K > 0
         assert bessel_k_dyadic(2.7, 0.5).value.real > 0.0
+
+
+class TestAiryAtLargeArgument:
+    """(2/3) x^(3/2) rounds by up to eps (2/3) x^(3/2), which the front
+    e^{-(2/3) x^(3/2)} makes a relative error of the value: at x = 75.5 and
+    tol 1e-13 it was 4.6e-14 against an estimate of 3.9e-14."""
+
+    @staticmethod
+    def _assert_covered(x, tol):
+        mpmath = pytest.importorskip("mpmath")
+        r = airy_from_h(x, tol)
+        with mpmath.workdps(40):
+            err = abs(mpmath.mpf(r.value.real) - mpmath.airyai(mpmath.mpf(x)))
+        assert err <= r.error_estimate, (x, tol, float(err), r.error_estimate)
+
+    @pytest.mark.parametrize("x", [75.5, 100.0])
+    def test_the_estimate_covers_the_rounding_of_the_front(self, x):
+        self._assert_covered(x, 1e-13)
+
+    def test_seeded_sweep(self):
+        rng = np.random.default_rng(38)
+        for _ in range(60):
+            tol = math.exp(rng.uniform(math.log(1.01e-14), math.log(1e-12)))
+            self._assert_covered(float(rng.uniform(20.0, 103.0)), tol)
 
 
 class TestColdBuilds:
@@ -436,12 +460,21 @@ class TestBessel:
 
 
 @pytest.mark.parametrize("fid, nu", [("airy", None), ("bessel-k", 0.5), ("bessel-k", 0.7),
-                                     ("bessel-k", 2.7)])
+                                     ("bessel-k", 2.7), ("h", 0.5), ("h", 0.7), ("h", NU_AIRY)])
 def test_the_top_of_the_region_gives_a_value_or_names_its_bound(fid, nu):
     # from x = 1e200 on every value has underflowed to 0; past the top of
     # the region a level argument 2^k u of the h-expansion would overflow,
     # and under the suite's warnings-as-errors no call overflows inside it
-    from dyafact.functions import FUNCTIONS
+    from dyafact.functions import _H_LARGEST, FUNCTIONS
+    if fid == "h":
+        # the profile takes u itself, up to _H_LARGEST, real or complex
+        above, imag = math.nextafter(_H_LARGEST, math.inf), 1e-8j * _H_LARGEST
+        for x, past in ((_H_LARGEST, above), (_H_LARGEST + imag, above + imag)):
+            assert abs(x) == _H_LARGEST and bessel_h(nu, x).value.real > 0
+            with pytest.raises(DomainError, match=re.escape(
+                    f"|x| <= {_H_LARGEST:.4g}, not x = {complex(past)}")):
+                bessel_h(nu, past)
+        return
     fn = FUNCTIONS[fid]
     top = fn.radius[1]
     grid = [math.exp(math.log(1e200) + i / 40 * math.log(1.7e308 / 1e200)) for i in range(41)]

@@ -244,7 +244,7 @@ class TestCompare:
         assert run(["compare", "--function", "psi", "--x-start", "2"]) == 2
 
     @pytest.mark.parametrize("fn, x", [("ei-left", "0"), ("ei-left", "-1"), ("ei-left", "nan"),
-                                       ("ei-stokes", "0.1")])
+                                       ("ei-stokes", "0")])
     def test_x_outside_the_region_exits_2_before_any_output(self, fn, x, capsys):
         # the id's region is checked before the report or the oracle starts
         assert run(["compare", "--function", fn, "--x-start", x]) == 2

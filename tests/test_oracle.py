@@ -182,6 +182,16 @@ class TestBesselAiry:
         for x in (0.5, 1.0, 2.0):
             assert oracle.airy_reference(x) == pytest.approx(ai_series(x), rel=1e-9)
 
+    @pytest.mark.parametrize("x", [75.5, 96.94, 100.0])
+    def test_airy_at_large_argument(self, x):
+        # zeta = (2/3) x^(3/2) rounded to a double errs by up to eps zeta
+        # relative through e^-zeta: 9.4e-14 at x = 96.94 before zeta carried
+        # its remainder
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            ref = mpmath.airyai(mpmath.mpf(x))
+            assert abs(oracle.airy_reference(x) - ref) <= 1e-14 * ref
+
     def test_kernel_reference_vs_series(self):
         # hypergeometric library vs the defining series at small p
         nu = 1.0 / 3.0

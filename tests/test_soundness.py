@@ -149,12 +149,13 @@ def _log_uniform(lo, hi):
 
 
 # The |x| each gate draws within, where a region is unbounded: the Ei ids'
-# region reaches 3.9e289, and the others' has no upper end and, but for Airy
-# and Bessel-K, none below.  Below the lower caps of psi, erfc and incomplete
-# gamma a laddered plan keeps more than LADDER_LEVELS levels (the shift floor
-# |x_K| >= 32 grows K with log2(1/|x|)), so test_gate_small_arguments draws
-# from 1e-3 up to them, and psi, whose region has no floor, from 1e-16.
-CAPS = {"ei-stokes": (0.0, 1e8), "ei-left": (1e-6, 1e8), "psi": (2e-3, 1e6),
+# region reaches 3.9e289 and has no lower end, and the others' has no upper
+# end and, but for Airy and Bessel-K, none below.  Below the lower caps of
+# psi, erfc and incomplete gamma a laddered plan keeps more than
+# LADDER_LEVELS levels (the shift floor |x_K| >= 32 grows K with
+# log2(1/|x|)), so test_gate_small_arguments draws from 1e-3 up to them,
+# and psi, whose region has no floor, from 1e-16.
+CAPS = {"ei-stokes": (1e-6, 1e8), "ei-left": (1e-6, 1e8), "psi": (2e-3, 1e6),
         "erfc": (0.05, 200.0), "inc-gamma": (0.1, 300.0), "airy": (0.0, 60.0),
         "bessel-k": (0.0, 300.0)}
 

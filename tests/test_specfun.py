@@ -49,9 +49,17 @@ class TestEiStokes:
                 r = ei_stokes(x, 1e-8)
                 assert abs(r.value - oracle.ei_plus_reference(x)) <= 3e-8
 
-    def test_small_x_rejected(self):
-        with pytest.raises(DomainError):
-            ei_stokes(0.1, 1e-6)
+    @pytest.mark.parametrize("x", [0.1, complex(0.1, -0.0), 1e-6, 1e-3 * cmath.exp(2j)])
+    def test_small_x_against_mpmath(self, x):
+        # below |x| = 0.2 the series at 0 serves the point, as for ei_left; on
+        # R^+ the value is Ei^+'s whatever the sign of a zero Im x
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            z = mpmath.mpc(x.real, x.imag)
+            jump = 2j * mpmath.pi * (z.real > 0 >= z.imag)
+            ref = complex(-mpmath.exp(-z) * (mpmath.e1(-z) + jump))
+        r = ei_stokes(x, 1e-10)
+        assert abs(r.value - ref) <= r.error_estimate <= 1e-10
 
     def test_on_cut_rejected(self):
         with pytest.raises(DomainError):
@@ -66,6 +74,29 @@ class TestEiStokes:
         r = ei_stokes(x, plan=plan)
         ref = oracle.ei_series_reference(x)
         assert abs(r.value - ref) < 3e-5
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-10, 1e-7])
+def test_ei_stokes_is_ei_left_at_minus_x(tol):
+    # one dispatch: left of the imaginary axis and below |x| = 0.2, e^{-x} Ei^+(x)
+    # is ei_left(-x) field for field, less the Stokes jump 2 pi i e^{-x} where
+    # Im x < 0 < Re x, whose rounding joins the estimate
+    rng = np.random.default_rng(38)
+    for _ in range(60):
+        if rng.uniform() < 0.5:     # |x| < 0.2, every side of the cut but R^+ (ei_left's cut)
+            r = math.exp(rng.uniform(math.log(1e-6), math.log(0.2)))
+            angle = rng.choice([-1.0, 1.0]) * rng.uniform(0.01, math.pi / 2 - 0.01)
+            angle += math.pi if rng.uniform() < 0.5 else 0.0
+        else:                       # Re x <= 0
+            r = math.exp(rng.uniform(math.log(0.2), math.log(1e8)))
+            angle = rng.uniform(math.pi / 2, 1.5 * math.pi - 0.01)
+        x = r * cmath.exp(1j * angle)
+        got, left = ei_stokes(x, tol), ei_left(-x, tol)
+        jump = 2j * math.pi * cmath.exp(-x) if x.imag < 0.0 < x.real else 0.0
+        assert got.value == left.value - jump
+        assert got.error_estimate == left.error_estimate + 8.0 * np.finfo(float).eps * abs(jump)
+        assert got.plan == left.plan
+        assert got.tol_met == (got.error_estimate <= tol)
 
 
 @pytest.mark.parametrize("evaluator, sign", [(ei_stokes, 1.0), (ei_left, -1.0)])
