@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -42,6 +41,7 @@ import numpy as np
 
 from ._gauss import dyadic_edges, geometric_sums, panel_nodes, refined
 from .dyadic import (
+    _BUILD_LOCK,
     _EPS,
     _LEVELS,
     LADDER_LEVELS,
@@ -313,8 +313,8 @@ class CoefficientTable:
         numer = np.empty(rows.shape)
         numer[:, 0] = rows[:, 0]
         numer[:, 1:] = sign[:, None] * np.arange(2.0, M) * rows[:, 1:] / rows[:, :-1]
-        template = Template("h-expansion", 1.0, _frozen(weight), _frozen(numer),
-                            _frozen(np.abs(weight * rows[:, 0])), 1.3, _h_ladder(kern.nu))
+        template = Template("h-expansion", 1.0, _frozen(weight), _frozen(numer), 1.3,
+                            _h_ladder(kern.nu))
         return CoefficientTable(kern.nu, M, K, _frozen(dm), _frozen(dkm), template)
 
 
@@ -322,15 +322,12 @@ class CoefficientTable:
 # cache
 # ---------------------------------------------------------------------------
 
-_BUILD_LOCK = threading.Lock()
-
-
 def get_table(nu: float, M: int, K: int) -> CoefficientTable:
-    """The table of order |nu| with d_m up to m = M and K levels, on a
-    kernel of its own that reaches level K.  Each (order, M, K) is built
-    once, under a lock, and never replaced or grown."""
+    """The table of order |nu| as given, with d_m up to m = M and K levels,
+    on a kernel of its own that reaches level K.  Each (order, M, K) is
+    built once, under ``dyadic._BUILD_LOCK``, and never replaced or grown."""
     with _BUILD_LOCK:
-        return _table(round(abs(float(nu)), 12), M, K)
+        return _table(abs(float(nu)), M, K)
 
 
 @functools.cache
@@ -344,10 +341,10 @@ def _table(nu: float, M: int, K: int) -> CoefficientTable:
 
 
 def _is_half_integer(nu: float) -> bool:
-    return abs(2.0 * nu - round(2.0 * nu)) < 1e-12 and round(2.0 * nu) % 2 == 1
+    """2 nu is an odd integer, exactly: any other order takes the dyadic expansion."""
+    return 2.0 * nu % 2.0 == 1.0
 
 
-@functools.lru_cache(maxsize=256)
 def _h_ladder(nu: float) -> tuple:
     """The kernel grows like p^(nu-1/2) and p^(-nu-1/2) at large p, so the
     level tails run in two ladders, a + n and 3/2 + nu + n with

@@ -16,7 +16,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,9 +52,9 @@ SHIFT_FLOOR = 32.0       # |x_K| from which a ladder's tail expansion holds
 # need about 5e-13, which the coefficient rows (1e-13 and better) deliver
 MAX_AMPLIFICATION = 100.0
 # Columns of the closed-form numerator tables (Ei and digamma), built whole
-# at import: at tol 1.01e-14 and every shift at least 1e-12 from a pole the
-# widest walks keep 192 terms (Ei-Stokes at |x| = 4e-12), 122 (Ei-left)
-# and 49 (digamma).
+# at import: at tol 1.01e-14 the evaluators' widest walks keep 122 terms
+# (the Stokes family at |x| = 0.2) and 50 (digamma at 1e-16); the families
+# planned at |x| = 4e-12, where no evaluator takes them, keep up to 192.
 TABLE_COLUMNS = 257
 _TINY = float(np.finfo(float).tiny)
 _EPS = float(np.finfo(float).eps)
@@ -278,23 +279,29 @@ class FactorialFamily:
         return tails[::-1]
 
 
+_BUILD_LOCK = threading.Lock()   # every per-order template is built under it, once
+
+
 @dataclass(frozen=True, eq=False)
 class Template:
     """The argument-free half of a factorial-series family, built once
     per order and read-only: level k of the expansion is a factorial
     series in the shifted variable 2^k x + ``offset`` (0 or 1).
     ``weight``, ``table``, ``safety`` and ``ladder`` are those of
-    ``FactorialFamily``; ``lead[k]`` is |weight_k t_{k,1}| times
-    |shift_k|, which no argument changes.  The template describes
-    len(lead) levels."""
+    ``FactorialFamily``; ``lead[k]`` = |weight_k numer(k, 0)| is
+    |weight_k t_{k,1}| times |shift_k|, which no argument changes, read
+    from the table.  The template describes len(lead) levels."""
 
     name: str
     offset: float
     weight: np.ndarray
     table: np.ndarray
-    lead: np.ndarray
     safety: float
     ladder: Tuple[float, ...]
+    lead: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "lead", _frozen(np.abs(self.weight * self.table[:, 0])))
 
     def at(self, x: complex) -> FactorialFamily:
         """The family at x: level k has shift 2^k x + offset and size
@@ -333,10 +340,9 @@ def romberg(partial_sums: Sequence, ladder: Sequence[float]) -> Tuple[complex, c
     return value, value - before
 
 
-@functools.lru_cache(maxsize=256)
 def amplification(ladder: Tuple[float, ...]) -> float:
     """prod (f + 1) / (f - 1), f = 2^lambda: the most the Richardson steps
-    of ``ladder`` can magnify errors in the partial sums.  Cached."""
+    of ``ladder`` can magnify errors in the partial sums."""
     return math.prod((2.0 ** lam + 1.0) / (2.0 ** lam - 1.0) for lam in ladder)
 
 

@@ -14,12 +14,12 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import threading
 from typing import Optional
 
 import numpy as np
 
 from .dyadic import (
+    _BUILD_LOCK,
     _EPS,
     _LEVELS,
     MAX_AMPLIFICATION,
@@ -34,7 +34,7 @@ from .dyadic import (
     evaluate,
     run,
 )
-from .scalar import DomainError, polylog
+from .scalar import DomainError
 from ._gauss import dyadic_edges, geometric_sums, panel_nodes, refined
 
 __all__ = [
@@ -69,13 +69,13 @@ def _geometric(a: np.ndarray, den: np.ndarray) -> np.ndarray:
 def _ei_template(c: complex, name: str, ladder: tuple = ()) -> Template:
     """The exponential-integral template with Borel-plane scale c, in w:
     level k has shift 2^k w and weight 1, a_k = e^{-c 2^-k} over
-    den_k = 1 + a_k, the base a_0 = e^{-c} over den_0 = 1 - e^{-c}, and
+    den_k = 1 + a_k, the base a_0 = e^{-c} over den_0 = 1 - e^{-c}, so
     lead |a_k / den_k|.  Its cut is the ray w in -R^+; the planner takes
     it for Re w >= 0."""
     a = np.exp(-c / _LEVELS)
     den = 1.0 + a
     den[0] = 1.0 - a[0]
-    return Template(name, 0.0, _ONES, _geometric(a, den), _frozen(np.abs(a / den)), 10.0, ladder)
+    return Template(name, 0.0, _ONES, _geometric(a, den), 10.0, ladder)
 
 
 _EI_STOKES = _ei_template(1j * math.pi, "ei-stokes")
@@ -215,7 +215,7 @@ def ei_left_classical_stream() -> "CoefficientStream":
 
 
 _PSI = Template("psi-dyadic", 1.0, _frozen((_LEVELS > 1) * 1.0), _geometric(_ONES, 2.0 * _ONES),
-                _frozen((_LEVELS > 1) * 0.5), 4.0, _SIGMA_LADDER)
+                4.0, _SIGMA_LADDER)
 
 
 def psi_family(x: complex) -> FactorialFamily:
@@ -352,30 +352,22 @@ def _gamma_build(s: float) -> Template:
     incomplete-gamma expansion is sum_m c_{k,m} / (2^k x)_{m+1}, entering
     with weight -2^{ks} (the base with 1).  The table holds the term
     ratios c_{k,m} / c_{k,m-1} (c_{k,-1} = 1) over _GAMMA_TERMS + 1
-    columns.  The planner reads the leading level terms from Li_s(-1),
-    which the first coefficients approach: the leads are |c_0| for the
-    base and 2^k 2^{k(s-1)} |Li_s(-1)| for level k."""
+    columns, so the leads are the first coefficients, 2^{ks} |c_{k,0}|."""
     c = _gamma_coeffs(s)[:, :_GAMMA_TERMS + 1]
     ratios = c / np.hstack([_ONES[:, None], c[:, :-1]])
     weight = -(_LEVELS ** s)
     weight[0] = 1.0
-    lead = _LEVELS ** (s - 1.0) * abs(polylog(s, -1.0)) * _LEVELS
-    lead[0] = abs(c[0, 0])
-    return Template("incomplete-gamma", 0.0, _frozen(weight), _frozen(ratios), _frozen(lead),
-                    4.0, _gamma_ladder(s))
-
-
-_GAMMA_LOCK = threading.Lock()
+    return Template("incomplete-gamma", 0.0, _frozen(weight), _frozen(ratios), 4.0,
+                    _gamma_ladder(s))
 
 
 def _gamma_template(s: float) -> Template:
-    """The template of order s, built once, under a lock, and never
-    replaced."""
-    with _GAMMA_LOCK:
+    """The template of order s as given, built once, under
+    ``dyadic._BUILD_LOCK``, and never replaced."""
+    with _BUILD_LOCK:
         return _gamma_build(float(s))
 
 
-@functools.lru_cache(maxsize=256)
 def _gamma_ladder(s: float) -> tuple:
     """Level k carries 2^-k(1-s) Li_s(-e^{-z/2^k}), analytic at z = 0: the
     K-level tail runs in 2^-(n+1-s)K, n = 0, 1, ..."""
@@ -384,7 +376,8 @@ def _gamma_ladder(s: float) -> tuple:
 
 def _inc_gamma(x: complex, s: float, tol: float, plan: Optional[DyadicPlan]) -> tuple:
     if abs(s - round(s)) < 1e-12:       # the closed order range less its integers
-        raise DomainError(f"incomplete_gamma_dyadic requires a non-integer s, not s = {s}")
+        raise DomainError(f"incomplete_gamma_dyadic requires s at least 1e-12 from an integer, "
+                          f"not s = {s}")
     if amplification(_gamma_ladder(s)) > MAX_AMPLIFICATION:
         # |s - 1| Gamma(s - 1, x) < x^(s-1) e^-x <= Gamma(s, x) (x + 1 - s) / x
         # on the real axis, so this tol keeps the sum within tol of Gamma(s, x)

@@ -265,6 +265,49 @@ def test_gate_bessel_k_at_half_integer_orders(nu, x):
     assert_sound(bessel_k_dyadic(nu, x, 1e-12), ref, 1e-12 * ref)
 
 
+def _tight_draws(seed, n):
+    """n seeded (u, tol) draws, u uniform in [0, 1) and tol log-uniform
+    in [1.01e-14, 1e-12], below the gate's tolerances."""
+    rng = np.random.default_rng(seed)
+    return zip(rng.random(n).tolist(),
+               np.exp(rng.uniform(math.log(1.01e-14), math.log(1e-12), n)).tolist())
+
+
+def _assert_tight(r, reference, tol):
+    """``assert_sound`` against ``reference(mp)`` at 40 digits, with tol
+    relative as the limit wherever ``tol_met``."""
+    mp = _mp()
+    with mp.workdps(40):
+        ref = complex(reference(mp))
+    assert_sound(r, ref, tol * abs(ref) if r.tol_met else math.inf)
+
+
+def test_airy_at_tight_tolerance():
+    # every order runs its own table: the 1/3 of a table keyed to 12 digits
+    # put the error above the estimate in 24 of these draws, up to 9.6 times
+    for u, tol in _tight_draws(40, 60):
+        x = 0.9 + 4.1 * u
+        _assert_tight(airy_from_h(x, tol), lambda mp: mp.airyai(x), tol)
+
+
+def test_bessel_k_at_tight_tolerance_and_full_precision_orders():
+    # with orders keyed to 12 digits, 17 of these draws missed, up to 10.8 times
+    orders = np.random.default_rng(41).uniform(0.0, 1.3, 60).tolist()
+    for (u, tol), nu in zip(_tight_draws(42, 60), orders):
+        x = 0.5 + 4.5 * u
+        _assert_tight(bessel_k_dyadic(nu, x, tol), lambda mp: mp.besselk(nu, x), tol)
+
+
+@pytest.mark.parametrize("nu", [0.5 + 4e-13, 0.5 - 4e-13, 1.5 + 4e-13, 2.5 - 4e-13])
+@pytest.mark.parametrize("x", [0.7, 1.0, 2.0, 3.0])
+def test_bessel_k_near_half_integer_orders(nu, x):
+    # only an exact half-integer takes the closed form: an order 4e-13 off
+    # one took it and erred up to 94 times its estimate
+    r = bessel_k_dyadic(nu, x, 1e-13)
+    _assert_tight(r, lambda mp: mp.besselk(nu, x), 1e-13)
+    assert r.tol_met
+
+
 @pytest.mark.parametrize("fid, reference", [
     ("psi", lambda mp, s, x: mp.digamma(x + 1)),
     ("erfc", lambda mp, s, x: mp.erfc(mp.sqrt(x))),

@@ -261,9 +261,13 @@ class TestIncompleteGamma:
         for s in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
                 incomplete_gamma_dyadic(s, 2.0)
-        # below the order range, or at its integers, the error names the
-        # evaluator, s and the bound: the closed range less its integers
-        for s, bound in ((-1.0, "a non-integer s"), (-1.0 - 1e-9, "a finite s in [-1, 1]"),
+        # below the order range, or within 1e-12 of its integers, the error
+        # names the evaluator, s and the bound: an order near an integer is
+        # refused, not replaced by the integer
+        margin = "s at least 1e-12 from an integer"
+        for s, bound in ((-1.0, margin), (1e-13, margin), (-9.9e-13, margin),
+                         (1.0 - 5e-13, margin), (-1.0 + 1e-13, margin),
+                         (-1.0 - 1e-9, "a finite s in [-1, 1]"),
                          (-1.5, "a finite s in [-1, 1]"), (-3.2, "a finite s in [-1, 1]")):
             with pytest.raises(DomainError) as err:
                 incomplete_gamma_dyadic(s, 2.0)

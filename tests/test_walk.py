@@ -305,6 +305,14 @@ class TestTemplates:
         assert np.array_equal(fam.weight, expected)
         assert specfun._gamma_template(s) is not specfun._gamma_template(0.25)
 
+    def test_h_tables_take_the_order_as_given(self):
+        # as for incomplete gamma: an order with more than 12 digits runs
+        # its own expansion, kappa and ladder, not a neighbour's
+        assert get_table(1.0 / 3.0, 66, LADDER_LEVELS).nu == 1.0 / 3.0
+        near = get_table(0.7 + 3e-13, 66, LADDER_LEVELS)
+        assert near.nu == 0.7 + 3e-13
+        assert near is not get_table(0.7, 66, LADDER_LEVELS)
+
     def test_h_expansion(self, monkeypatch):
         airy_from_h(2.0, 1e-10)
         table = get_table(1.0 / 3.0, 66, LADDER_LEVELS)
@@ -370,6 +378,8 @@ class TestTables:
         assert table.shape == (dyadic.MAX_LEVELS + 1, columns)
         assert np.array_equal(table, c / np.hstack([np.ones((len(c), 1)), c[:, :-1]]))
         assert np.isfinite(table).all()
+        # the leads are read from the table: the first coefficients
+        assert np.array_equal(template.lead, np.abs(template.weight * c[:, 0]))
         for a in (coeffs, table, template.weight, template.lead):
             assert not a.flags.writeable
         with pytest.raises(FrozenInstanceError):
@@ -546,6 +556,22 @@ class TestGuards:
             sums = level_sums(fam, n_terms)
             _within_rounding(fam, n_terms, sums)
         assert sums[0] == 1e100 + 1e200 / 2.0
+
+    def test_a_planned_walk_drops_the_terms_past_an_overflow(self):
+        # one level at shift 1: t_1 = 1, t_2 = 1e250, t_3 = 1, t_4 = 1e-20;
+        # t_2 overflows the walk's 1e250 cut, so it and t_3 are dropped,
+        # and the remainder after t_3, the size of t_4, ends the level
+        table = np.ones((1, 17))
+        table[0, :5] = [1.0, 2e250, 3e-250, 4e-20, 5e-20]
+        fam = FactorialFamily("overflow", np.ones(1, dtype=complex), np.ones(1), table,
+                              size=np.ones(1), safety=1.0)
+        plan = dyadic.plan_truncation(fam, 1e-10)
+        assert (plan.K, plan.n_terms) == (0, [3])
+        assert plan.predicted_error == pytest.approx(1e-20, rel=1e-12)
+        _, sums, magnitudes = dyadic._plan(fam, 1e-10)
+        assert sums == [1.0] and magnitudes == [1.0]
+        assert level_sums(fam, plan.n_terms).tolist() == sums
+        assert dyadic.evaluate(fam, 1e-10)[1] == 1.0
 
     @pytest.mark.parametrize("n_terms", [[1], [1, 1, 1], [33, 1, 34], [70, 2, 140, 5]])
     def test_counts_across_chunks(self, n_terms):
